@@ -9,9 +9,9 @@ decouples: an action is part of an equilibrium exactly when it is optimal
 for every type the receiver might have, independently of what the others
 pick.  Solving therefore reduces to per-receiver eligible sets.
 
-Type sets come in two shapes.  Finite sets are checked type by type via
-:func:`rumorcast.receiver.best_actions`; interval sets are checked through
-closed-form support intervals, which must contain the whole interval.
+Best-response sets are intervals in the credence, so an action serves every
+type in a set exactly when it serves the lowest and the highest; the shape of
+a type set matters only for selection (centroid) and membership (contains).
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from typing import Hashable, Mapping, Sequence
 from .belief import EPS
 from .errors import InvariantViolation, RangeViolation
 from .receiver import (
-    ACTIONS,
     PeerDistanceProfile,
     ReceiverAction,
     SecondOrderBelief,
     best_actions,
     peer_distance,
-    support_interval,
+    support_interval,  # unused here; bench/tracer.py wraps this binding by name
 )
 
 Agent = Hashable
@@ -89,6 +88,12 @@ class TypeSet:
         if not self.is_singleton:
             raise InvariantViolation("TypeSet is not a singleton")
         return self.values[0]  # type: ignore[index]
+
+    @property
+    def hull(self) -> tuple[float, float]:
+        if self.values is not None:
+            return self.values[0], self.values[-1]
+        return self.bounds  # type: ignore[return-value]
 
     @property
     def centroid(self) -> float:
@@ -194,21 +199,12 @@ def eligible_actions(
 ) -> frozenset[ReceiverAction]:
     """Actions optimal at every type in the set.
 
-    Finite sets intersect per-type best responses; interval sets demand that
-    the action's closed-form support interval covers the whole range.
+    Best-response sets are intervals, so the two ends of the hull decide.
+    ``tol`` is slack on utility, as in :func:`rumorcast.receiver.best_actions`.
     """
     d: PeerDistanceProfile = peer_distance(belief)
-    if type_set.is_finite:
-        out = frozenset(ACTIONS)
-        for theta in type_set.values:  # type: ignore[union-attr]
-            out &= best_actions(theta, d, lam, tol)
-            if not out:
-                break
-        return out
-    lo, hi = type_set.bounds  # type: ignore[misc]
-    return frozenset(
-        a for a in ACTIONS if support_interval(a, d, lam, tol).contains_interval(lo, hi, tol)
-    )
+    lo, hi = type_set.hull
+    return best_actions(lo, d, lam, tol) & best_actions(hi, d, lam, tol)
 
 
 def _select(eligible: frozenset[ReceiverAction], centroid: float) -> ReceiverAction:

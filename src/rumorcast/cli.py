@@ -281,12 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
     common.add_argument("--format", choices=_FORMATS, default="table", help="report format")
     common.add_argument("--tolerance", type=float, default=EPS, help="numeric comparison slack")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved for randomized harnesses; built-in commands are deterministic",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", parents=[common], help="resolve one cascade")
@@ -320,7 +314,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad flags, but 2 means "no equilibrium"
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except RumorcastError as exc:

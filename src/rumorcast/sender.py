@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .belief import EPS, EvidenceRelation, worldview_posterior, worldview_prior
+from .belief import EPS, EvidenceRelation, require_credence, worldview_posterior, worldview_prior
 from .chatroom import TypeSet
 from .errors import EmptyPeers, RangeViolation
 from .receiver import SecondOrderBelief
@@ -87,10 +87,7 @@ def similarity_status_quo(ctx: SenderContext) -> float:
 
 def send_gain(ctx: SenderContext) -> float:
     """Distance saved by sending: status quo minus post-message distance."""
-    after = sum(
-        abs(worldview_posterior(x, ctx.mu) - ctx.own_prior) for x in ctx.receiver_credences
-    )
-    return similarity_status_quo(ctx) - float(after)
+    return expected_send_gain(ctx.own_prior, SecondOrderBelief.dirac(ctx.receiver_credences), ctx.mu)
 
 
 def send_payoff(ctx: SenderContext) -> float:
@@ -142,13 +139,6 @@ def expected_send_gain(
     return total
 
 
-def _tau_range(type_set: TypeSet, mu: EvidenceRelation, tol: float) -> tuple[float, ...] | tuple[float, float]:
-    if type_set.is_finite:
-        return tuple(worldview_prior(t, mu, tol) for t in type_set.values)  # type: ignore[union-attr]
-    lo, hi = type_set.bounds  # type: ignore[misc]
-    return worldview_prior(lo, mu, tol), worldview_prior(hi, mu, tol)
-
-
 def decide_send(
     type_set: TypeSet,
     belief: SecondOrderBelief,
@@ -160,27 +150,15 @@ def decide_send(
     """Send exactly when the gate is open and every own type expects a
     strictly positive gain; a zero-gain tie resolves to not sending.
 
-    For an interval type set the expected gain, as a function of the own
-    prior ``tau``, is piecewise linear with kinks at the receivers' priors
-    and posteriors, so its minimum over the induced ``tau`` range sits at a
-    kink or an endpoint.
+    Each receiver's term ``|tau - prior| - |tau - post|`` is nondecreasing in
+    the own prior ``tau`` (the posterior exceeds the prior on the admissible
+    band), so the lowest type binds, for finite and interval sets alike.
     """
     if max(ell - disapproval_count, 0) <= 0:
         return SenderAction.NOSEND
-
-    if type_set.is_finite:
-        taus: tuple[float, ...] = _tau_range(type_set, mu, tol)  # type: ignore[assignment]
-    else:
-        tau_lo, tau_hi = _tau_range(type_set, mu, tol)  # type: ignore[misc]
-        kinks: set[float] = {tau_lo, tau_hi}
-        for atom in belief.atoms:
-            for x in atom.profile:
-                for point in (worldview_prior(x, mu, tol), worldview_posterior(x, mu, tol)):
-                    if tau_lo < point < tau_hi:
-                        kinks.add(float(point))
-        taus = tuple(sorted(kinks))
-
-    for tau in taus:
-        if expected_send_gain(tau, belief, mu, tol) <= tol:
-            return SenderAction.NOSEND
+    lo, hi = type_set.hull
+    tau = worldview_prior(lo, mu, tol)
+    require_credence(hi, mu, tol)  # every type must be admissible, not only the binding one
+    if expected_send_gain(tau, belief, mu, tol) <= tol:
+        return SenderAction.NOSEND
     return SenderAction.SEND

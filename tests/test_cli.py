@@ -126,6 +126,29 @@ class TestSolve:
         assert code == 1
 
 
+class TestFlagErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", CANONICAL, "--bogus"),
+            ("solve", CANONICAL, "--tolerance", "abc"),
+            ("solve", CANONICAL, "--seed", "1"),
+            ("sweep-lambda", CANONICAL, "--agent", "all", "--lambdas", "1", "--lambda-range", "0:1:1"),
+            ("no-such-command", CANONICAL),
+            (),
+        ],
+    )
+    def test_bad_flags_exit_1_not_2(self, capsys, argv):
+        # 2 is reserved for "no equilibrium"
+        assert main(list(argv)) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        for argv in (["--help"], ["solve", "--help"]):
+            assert main(argv) == 0
+            assert "usage:" in capsys.readouterr().out
+
+
 class TestSweepLambda:
     def test_reaction_regime_flip(self, capsys, tmp_path):
         path = write(tmp_path, EXAMPLE_REGIMES)
