@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .belief import EPS
 from .errors import InvariantViolation, RangeViolation
@@ -191,6 +191,15 @@ class ChatroomEquilibrium:
     multiplicity: Multiplicity
 
 
+def _eligible(
+    type_set: TypeSet, d: PeerDistanceProfile, lam: float, tol: float
+) -> frozenset[ReceiverAction]:
+    # a singleton's two hull ends coincide, so one best-response set decides
+    lo, hi = type_set.hull
+    low = best_actions(lo, d, lam, tol)
+    return low if lo == hi else low & best_actions(hi, d, lam, tol)
+
+
 def eligible_actions(
     type_set: TypeSet,
     belief: SecondOrderBelief,
@@ -202,14 +211,37 @@ def eligible_actions(
     Best-response sets are intervals, so the two ends of the hull decide.
     ``tol`` is slack on utility, as in :func:`rumorcast.receiver.best_actions`.
     """
-    d: PeerDistanceProfile = peer_distance(belief)
-    lo, hi = type_set.hull
-    return best_actions(lo, d, lam, tol) & best_actions(hi, d, lam, tol)
+    return _eligible(type_set, peer_distance(belief), lam, tol)
 
 
 def _select(eligible: frozenset[ReceiverAction], centroid: float) -> ReceiverAction:
     # closest eligible action to the type centroid; ties go to the lower action
     return min(eligible, key=lambda a: (abs(float(a) - centroid), float(a)))
+
+
+def room_equilibrium(
+    receivers: Iterable[tuple[Agent, TypeSet, float, PeerDistanceProfile]],
+    tol: float = EPS,
+) -> ChatroomEquilibrium:
+    """Eligible sets, canonical selection and multiplicity for one room.
+
+    Takes ``(agent, type_set, lam, distances)`` per receiver in room order:
+    the receivers' beliefs enter only through their peer distances.
+    """
+    eligible: dict[Agent, frozenset[ReceiverAction]] = {}
+    type_sets: dict[Agent, TypeSet] = {}
+    for agent, type_set, lam, d in receivers:
+        eligible[agent] = _eligible(type_set, d, lam, tol)
+        type_sets[agent] = type_set
+    if any(not e for e in eligible.values()):
+        return ChatroomEquilibrium(eligible=eligible, actions=None, multiplicity=Multiplicity.NONE)
+    actions = {agent: _select(e, type_sets[agent].centroid) for agent, e in eligible.items()}
+    multiplicity = (
+        Multiplicity.UNIQUE
+        if all(len(e) == 1 for e in eligible.values())
+        else Multiplicity.MULTIPLE
+    )
+    return ChatroomEquilibrium(eligible=eligible, actions=actions, multiplicity=multiplicity)
 
 
 def solve_chatroom(game: ChatroomGame, tol: float = EPS) -> ChatroomEquilibrium:
@@ -220,21 +252,10 @@ def solve_chatroom(game: ChatroomGame, tol: float = EPS) -> ChatroomEquilibrium:
     fatal.  Any profile drawn coordinatewise from the eligible sets is an
     equilibrium, so the selection rule only fixes a report, not existence.
     """
-    eligible: dict[Agent, frozenset[ReceiverAction]] = {}
-    for spec in game.receivers:
-        eligible[spec.agent] = eligible_actions(spec.type_set, spec.belief, spec.lam, tol)
-    if any(not e for e in eligible.values()):
-        return ChatroomEquilibrium(eligible=eligible, actions=None, multiplicity=Multiplicity.NONE)
-    actions = {
-        spec.agent: _select(eligible[spec.agent], spec.type_set.centroid)
-        for spec in game.receivers
-    }
-    multiplicity = (
-        Multiplicity.UNIQUE
-        if all(len(e) == 1 for e in eligible.values())
-        else Multiplicity.MULTIPLE
+    return room_equilibrium(
+        ((spec.agent, spec.type_set, spec.lam, peer_distance(spec.belief)) for spec in game.receivers),
+        tol,
     )
-    return ChatroomEquilibrium(eligible=eligible, actions=actions, multiplicity=multiplicity)
 
 
 def equilibrium_exists_for_all_types(

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from typing import Any, Sequence
 
@@ -271,6 +272,16 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 # argument plumbing
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rumorcast",
@@ -280,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("scenario", help="path to a scenario file")
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
     common.add_argument("--format", choices=_FORMATS, default="table", help="report format")
-    common.add_argument("--tolerance", type=float, default=EPS, help="numeric comparison slack")
+    common.add_argument("--tolerance", type=_tolerance, default=EPS, help="numeric comparison slack")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", parents=[common], help="resolve one cascade")

@@ -23,9 +23,10 @@ checks exactly that and reports concrete witnesses.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .belief import EPS, EvidenceRelation
 from .chatroom import (
@@ -34,10 +35,11 @@ from .chatroom import (
     Multiplicity,
     ReceiverSpec,
     TypeSet,
+    room_equilibrium,
     solve_chatroom,
 )
 from .errors import InvalidGraph, InvariantViolation, RangeViolation
-from .receiver import ReceiverAction, SecondOrderBelief
+from .receiver import PeerDistanceProfile, ReceiverAction, SecondOrderBelief
 from .sender import SenderAction, decide_send
 
 Agent = Hashable
@@ -187,6 +189,113 @@ def build_chatroom_game(
     )
 
 
+@dataclass(frozen=True)
+class BeliefOverride:
+    """Explicit beliefs for one agent; either side may be omitted."""
+
+    receiver: SecondOrderBelief | None = None
+    sender: SecondOrderBelief | None = None
+
+    def apply(self, prof: AgentProfile) -> AgentProfile:
+        """``prof`` with the given sides replaced and the omitted ones kept."""
+        return replace(
+            prof,
+            receiver_belief=self.receiver if self.receiver is not None else prof.receiver_belief,
+            sender_belief=self.sender if self.sender is not None else prof.sender_belief,
+        )
+
+
+class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
+    """Known-type beliefs on ``tree``, built only when asked for.
+
+    Looking an agent up materializes the profile :func:`dirac_truth_profiles`
+    holds for her, with her explicit ``overrides`` (if any) applied on top.
+    :func:`solve_global` does not look agents up: it takes a room's peer means
+    from one credence total and builds a sender's belief when she decides, so
+    agents the message never reaches cost only the O(n) checks made here.
+    """
+
+    def __init__(
+        self,
+        tree: OrderedTree,
+        attrs: Mapping[Agent, AgentProfile],
+        overrides: Mapping[Agent, BeliefOverride] | None = None,
+    ) -> None:
+        self.tree = tree
+        self.attrs: dict[Agent, AgentProfile] = {}
+        self.theta: dict[Agent, float] = {}
+        for agent in tree.agents:
+            base = attrs.get(agent)
+            if base is None:
+                raise InvariantViolation(f"no profile for agent {agent!r}")
+            if not base.type_set.is_singleton:
+                raise InvariantViolation(
+                    f"agent {agent!r}: known-type beliefs need singleton type sets"
+                )
+            self.attrs[agent] = base
+            self.theta[agent] = base.type_set.values[0]  # type: ignore[index]
+        # in tree order, so checks report the first bad agent as the dict path does
+        self.overrides: dict[Agent, BeliefOverride] = (
+            {a: overrides[a] for a in tree.agents if a in overrides} if overrides else {}
+        )
+
+    def _dirac(self, agents: Sequence[Agent]) -> SecondOrderBelief | None:
+        return SecondOrderBelief.dirac([self.theta[a] for a in agents]) if agents else None
+
+    def __getitem__(self, agent: Agent) -> AgentProfile:
+        base = self.attrs[agent]
+        parent = self.tree.parent_of(agent)
+        peers = [] if parent is None else [parent] + [
+            s for s in self.tree.children_of(parent) if s != agent
+        ]
+        prof = AgentProfile(
+            type_set=base.type_set,
+            lam=base.lam,
+            ell=base.ell,
+            receiver_belief=self._dirac(peers),
+            sender_belief=self._dirac(self.tree.children_of(agent)),
+        )
+        override = self.overrides.get(agent)
+        return prof if override is None else override.apply(prof)
+
+    def __contains__(self, agent: object) -> bool:
+        return agent in self.attrs
+
+    def __iter__(self) -> Iterator[Agent]:
+        return iter(self.tree.agents)
+
+    def __len__(self) -> int:
+        return len(self.tree.agents)
+
+    def sender_belief(self, agent: Agent) -> SecondOrderBelief | None:
+        """``self[agent].sender_belief`` without building her receiver belief."""
+        override = self.overrides.get(agent)
+        if override is not None and override.sender is not None:
+            return override.sender
+        return self._dirac(self.tree.children_of(agent))
+
+    def solve_room(
+        self, sender: Agent, receivers: tuple[Agent, ...], tol: float = EPS
+    ) -> ChatroomEquilibrium:
+        """Solve a room none of whose receivers has an explicit belief.
+
+        Receiver j's peers are the sender and the other receivers at their
+        own credences, so her peer mean is ``(total - theta_j) / k``.  The
+        support check of :class:`ChatroomGame` cannot fail on such beliefs
+        and is skipped.
+        """
+        theta, attrs = self.theta, self.attrs
+        total = math.fsum([theta[sender], *(theta[r] for r in receivers)])
+        k = len(receivers)
+        return room_equilibrium(
+            (
+                (r, attrs[r].type_set, attrs[r].lam, PeerDistanceProfile.from_dirac((total - theta[r]) / k))
+                for r in receivers
+            ),
+            tol,
+        )
+
+
 def dirac_truth_profiles(
     tree: OrderedTree,
     attrs: Mapping[Agent, AgentProfile],
@@ -195,35 +304,9 @@ def dirac_truth_profiles(
 
     Requires singleton type sets; every belief becomes a point mass on the
     peers' actual credences.  Existing beliefs in ``attrs`` are ignored.
+    Every belief is built; :class:`DiracTruthProfiles` builds them on demand.
     """
-    for agent in tree.agents:
-        if agent not in attrs:
-            raise InvariantViolation(f"no profile for agent {agent!r}")
-        if not attrs[agent].type_set.is_singleton:
-            raise InvariantViolation(
-                f"agent {agent!r}: known-type beliefs need singleton type sets"
-            )
-    value = {a: attrs[a].type_set.value for a in tree.agents}
-    out: dict[Agent, AgentProfile] = {}
-    for agent in tree.agents:
-        base = attrs[agent]
-        receiver_belief = None
-        parent = tree.parent_of(agent)
-        if parent is not None:
-            peers = [parent] + [s for s in tree.children_of(parent) if s != agent]
-            receiver_belief = SecondOrderBelief.dirac([value[p] for p in peers])
-        sender_belief = None
-        kids = tree.children_of(agent)
-        if kids:
-            sender_belief = SecondOrderBelief.dirac([value[c] for c in kids])
-        out[agent] = AgentProfile(
-            type_set=base.type_set,
-            lam=base.lam,
-            ell=base.ell,
-            receiver_belief=receiver_belief,
-            sender_belief=sender_belief,
-        )
-    return out
+    return dict(DiracTruthProfiles(tree, attrs))
 
 
 @dataclass(frozen=True)
@@ -257,8 +340,19 @@ class CascadeResult:
         return self.sender_actions.get(agent)
 
 
+def _truth_profiles(
+    tree: OrderedTree, profiles: Mapping[Agent, AgentProfile]
+) -> DiracTruthProfiles | None:
+    # the lazy mapping, when it was built on this very tree
+    if isinstance(profiles, DiracTruthProfiles) and profiles.tree == tree:
+        return profiles
+    return None
+
+
 def _check_profiles(tree: OrderedTree, profiles: Mapping[Agent, AgentProfile]) -> None:
-    for agent in tree.agents:
+    truth = _truth_profiles(tree, profiles)
+    # truth beliefs fit the tree by construction; only explicit ones can be off
+    for agent in tree.agents if truth is None else truth.overrides:
         if agent not in profiles:
             raise InvariantViolation(f"no profile for agent {agent!r}")
         prof = profiles[agent]
@@ -286,9 +380,19 @@ def solve_global(
     positive-gain rule, and the message spreads until every open room is
     resolved.  Returns diagnostics instead of raising when some reached room
     has no equilibrium.
+
+    Given :class:`DiracTruthProfiles` for ``tree``, only the rooms that open
+    are built, each in O(k) for k receivers, except rooms where a receiver
+    has an explicit belief, which take the general path with its checks.
     """
     _check_profiles(tree, profiles)
-    rooms = {room.sender: room for room in chatrooms_of(tree)}
+    truth = _truth_profiles(tree, profiles)
+
+    def sender_inputs(agent: Agent) -> tuple[AgentProfile, SecondOrderBelief | None]:
+        if truth is None:
+            prof = profiles[agent]
+            return prof, prof.sender_belief
+        return truth.attrs[agent], truth.sender_belief(agent)
 
     receiver_actions: dict[Agent, ReceiverAction] = {}
     sender_actions: dict[Agent, SenderAction] = {}
@@ -297,41 +401,43 @@ def solve_global(
     multiple: list[Agent] = []
     failing: Agent | None = None
 
-    queue: deque[Chatroom] = deque()
-    if tree.root in rooms:
-        prof = profiles[tree.root]
+    queue: deque[Agent] = deque()
+    if not tree.is_terminal(tree.root):
         # nobody gates the root: threshold 1 against zero disapprovals
-        decision = decide_send(prof.type_set, prof.sender_belief, mu, 1, 0, tol)
+        prof, belief = sender_inputs(tree.root)
+        decision = decide_send(prof.type_set, belief, mu, 1, 0, tol)
         sender_actions[tree.root] = decision
         if decision is SenderAction.SEND:
-            queue.append(rooms[tree.root])
+            queue.append(tree.root)
 
     while queue and failing is None:
-        room = queue.popleft()
-        eq = solve_chatroom(build_chatroom_game(tree, profiles, room), tol)
-        room_eqs[room.sender] = eq
+        sender = queue.popleft()
+        receivers = tree.children_of(sender)
+        if truth is not None and not any(r in truth.overrides for r in receivers):
+            eq = truth.solve_room(sender, receivers, tol)
+        else:
+            eq = solve_chatroom(build_chatroom_game(tree, profiles, Chatroom(sender, receivers)), tol)
+        room_eqs[sender] = eq
         if eq.multiplicity is Multiplicity.NONE:
-            failing = room.sender
+            failing = sender
             break
         if eq.multiplicity is Multiplicity.MULTIPLE:
-            multiple.append(room.sender)
+            multiple.append(sender)
         assert eq.actions is not None
-        for agent in room.receivers:
+        for agent in receivers:
             receiver_actions[agent] = eq.actions[agent]
             reach.add(agent)
         disapprovals = sum(
-            1 for agent in room.receivers
+            1 for agent in receivers
             if eq.actions[agent] is ReceiverAction.DISAPPROVE
         )
-        for agent in room.receivers:
-            if agent in rooms:
-                prof = profiles[agent]
-                decision = decide_send(
-                    prof.type_set, prof.sender_belief, mu, prof.ell, disapprovals, tol
-                )
+        for agent in receivers:
+            if not tree.is_terminal(agent):
+                prof, belief = sender_inputs(agent)
+                decision = decide_send(prof.type_set, belief, mu, prof.ell, disapprovals, tol)
                 sender_actions[agent] = decision
                 if decision is SenderAction.SEND:
-                    queue.append(rooms[agent])
+                    queue.append(agent)
 
     exists = failing is None
     return CascadeResult(
@@ -557,7 +663,7 @@ def reach_by_root(
 ) -> dict[Agent, CascadeResult]:
     """Re-root the graph at every agent and resolve each cascade.
 
-    Beliefs are rebuilt per rooting with :func:`dirac_truth_profiles`, so the
+    Beliefs follow each rooting (:class:`DiracTruthProfiles`), so the
     agents' type sets must be singletons.  Returns results keyed by root in
     natural id order.
     """
@@ -568,6 +674,5 @@ def reach_by_root(
     out: dict[Agent, CascadeResult] = {}
     for root in sorted(graph.nodes, key=natural_key):
         tree = root_tree(graph, root, validate=False)
-        profiles = dirac_truth_profiles(tree, attrs)
-        out[root] = solve_global(tree, profiles, mu, tol)
+        out[root] = solve_global(tree, DiracTruthProfiles(tree, attrs), mu, tol)
     return out

@@ -14,22 +14,24 @@ find so a validation command can report them all.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .belief import EvidenceRelation, validate_evidence
+from .belief import EvidenceRelation, require_credence, validate_evidence
 from .chatroom import TypeSet
 from .errors import ParseError, RumorcastError, SchemaError
 from .network import (
     AgentProfile,
+    BeliefOverride,
+    DiracTruthProfiles,
     OrderedTree,
     SocialGraph,
     _check_profiles,
     build_chatroom_game,
     chatrooms_of,
-    dirac_truth_profiles,
+    dirac_truth_profiles,  # unused here; bench/tracer.py wraps this binding by name
     natural_key,
     validate_graph,
 )
@@ -46,14 +48,6 @@ class Topology:
     edges: tuple[tuple[str, str], ...]
     root: str | None = None
     check_structure: bool = True
-
-
-@dataclass(frozen=True)
-class BeliefOverride:
-    """Explicit beliefs for one agent; either side may be omitted."""
-
-    receiver: SecondOrderBelief | None = None
-    sender: SecondOrderBelief | None = None
 
 
 @dataclass(frozen=True)
@@ -80,8 +74,12 @@ class Scenario:
             raise SchemaError("topology: not a graph scenario")
         return SocialGraph.from_edges(self.topology.edges, nodes=self.agent_ids)
 
-    def profiles_for(self, tree: OrderedTree) -> dict[str, AgentProfile]:
-        """Attach beliefs to the bare attributes, given a concrete rooting."""
+    def profiles_for(self, tree: OrderedTree) -> Mapping[str, AgentProfile]:
+        """Attach beliefs to the bare attributes, given a concrete rooting.
+
+        Dirac-truth beliefs come as :class:`DiracTruthProfiles`, built on
+        demand; explicit-only beliefs as a plain dict.
+        """
         return _attach_beliefs(tree, self.attrs, self.belief_default, self.belief_overrides)
 
 
@@ -90,25 +88,13 @@ def _attach_beliefs(
     attrs: Mapping[str, AgentProfile],
     default: str | None,
     overrides: Mapping[str, BeliefOverride],
-) -> dict[str, AgentProfile]:
+) -> Mapping[str, AgentProfile]:
     if default == DIRAC_TRUTH:
-        profiles = dirac_truth_profiles(tree, dict(attrs))
-    else:
-        profiles = {a: attrs[a] for a in tree.agents}
-    out: dict[str, AgentProfile] = {}
-    for agent in tree.agents:
-        prof = profiles[agent]
-        override = overrides.get(agent)
-        if override is not None:
-            receiver = override.receiver
-            sender = override.sender
-            prof = dataclasses.replace(
-                prof,
-                receiver_belief=receiver if receiver is not None else prof.receiver_belief,
-                sender_belief=sender if sender is not None else prof.sender_belief,
-            )
-        out[agent] = prof
-    return out
+        return DiracTruthProfiles(tree, attrs, overrides)
+    return {
+        agent: overrides[agent].apply(attrs[agent]) if agent in overrides else attrs[agent]
+        for agent in tree.agents
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +110,13 @@ def _need(obj: Mapping[str, Any], key: str, path: str) -> Any:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_id(value: Any, path: str) -> str:
@@ -173,7 +165,7 @@ def _parse_type_set(raw: Any, path: str) -> TypeSet:
         if isinstance(raw, bool):
             raise SchemaError(f"{path}: expected a credence, list, or interval")
         if isinstance(raw, (int, float)):
-            return TypeSet.singleton(float(raw))
+            return TypeSet.singleton(raw)  # range-checked before float(), so huge ints fail cleanly
         if isinstance(raw, list):
             return TypeSet.finite([_as_number(v, f"{path}[{k}]") for k, v in enumerate(raw)])
         if isinstance(raw, dict) and set(raw) == {"interval"}:
@@ -390,8 +382,9 @@ def scenario_diagnostics(text: str) -> list[Diagnostic]:
     except SchemaError as exc:
         return out + [Diagnostic("schema-error", str(exc))]
 
+    evidence: EvidenceRelation | None = None
     try:
-        validate_evidence(*shape.mu_pair)
+        evidence = validate_evidence(*shape.mu_pair)
     except RumorcastError as exc:
         out.append(Diagnostic("evidence-error", str(exc)))
 
@@ -411,6 +404,7 @@ def scenario_diagnostics(text: str) -> list[Diagnostic]:
                 out.append(Diagnostic(violation.kind, f"witness {violation.witness!r}"))
 
     if tree is not None:
+        profiles: Mapping[str, AgentProfile] | None = None
         try:
             profiles = _attach_beliefs(
                 tree, shape.attrs, shape.belief_default, shape.belief_overrides
@@ -420,6 +414,33 @@ def scenario_diagnostics(text: str) -> list[Diagnostic]:
                 build_chatroom_game(tree, profiles, room)
         except RumorcastError as exc:
             out.append(Diagnostic("belief-error", str(exc)))
+        if evidence is not None:
+            out.extend(_credence_diagnostics(tree, shape.attrs, profiles, evidence))
+    return out
+
+
+def _credence_diagnostics(
+    tree: OrderedTree,
+    attrs: Mapping[str, AgentProfile],
+    profiles: Mapping[str, AgentProfile] | None,
+    mu: EvidenceRelation,
+) -> list[Diagnostic]:
+    """Off-band credences the send rule would evaluate: each sender's type
+    hull and her sender-belief coordinates."""
+    out: list[Diagnostic] = []
+    for agent in tree.agents:
+        if tree.is_terminal(agent):
+            continue
+        checked = [("types", x) for x in dict.fromkeys(attrs[agent].type_set.hull)]
+        belief = profiles[agent].sender_belief if profiles is not None else None
+        if belief is not None:
+            coords = dict.fromkeys(x for atom in belief.atoms for x in atom.profile)
+            checked += [("sender belief", x) for x in coords]
+        for where, x in checked:
+            try:
+                require_credence(x, mu)
+            except RumorcastError as exc:
+                out.append(Diagnostic("credence-error", f"agent {agent!r}: {where}: {exc}"))
     return out
 
 

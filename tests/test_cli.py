@@ -149,6 +149,41 @@ class TestFlagErrors:
             assert "usage:" in capsys.readouterr().out
 
 
+class TestToleranceFlag:
+    @pytest.mark.parametrize("value", ["-5", "nan", "inf", "-inf", "-1e-12"])
+    @pytest.mark.parametrize("command", [("solve",), ("sweep-root",), ("sweep-lambda", "--agent", "all", "--lambdas", "1")])
+    def test_rejected_naming_the_flag(self, capsys, command, value):
+        argv = [command[0], CANONICAL, *command[1:], f"--tolerance={value}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--tolerance" in err and "finite number >= 0" in err
+
+    def test_negative_value_as_separate_argument(self, capsys):
+        assert main(["solve", CANONICAL, "--tolerance", "-5"]) == 1
+        assert "--tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "1e-9", "1e-6"])
+    def test_finite_nonnegative_accepted(self, capsys, value):
+        code, out = run(capsys, "solve", CANONICAL, "--tolerance", value, "--format", "json-lines")
+        assert code == 0
+        assert jl(out)[-1]["reach_count"] == 10
+
+
+class TestNonFiniteInput:
+    def test_nan_lambda_is_an_input_error_not_no_equilibrium(self, capsys, tmp_path):
+        text = Path(CANONICAL).read_text(encoding="utf-8")
+        path = tmp_path / "nan.json"
+        path.write_text(
+            text.replace('"2": {"types": 0.26, "lambda": 1.0', '"2": {"types": 0.26, "lambda": NaN'),
+            encoding="utf-8",
+        )
+        assert main(["solve", str(path)]) == 1
+        assert "agents.2.lambda: expected a finite number" in capsys.readouterr().err
+        code, out = run(capsys, "validate", str(path), "--format", "json-lines")
+        assert code == 1
+        assert jl(out) == [{"kind": "schema-error", "detail": "agents.2.lambda: expected a finite number, got nan"}]
+
+
 class TestSweepLambda:
     def test_reaction_regime_flip(self, capsys, tmp_path):
         path = write(tmp_path, EXAMPLE_REGIMES)

@@ -223,3 +223,85 @@ class TestNormalize:
         out = normalize_scenario(_read(str(_SCENARIOS / "three_cliques.json")))
         assert json.loads(out)["beliefs"] == "dirac-truth"
         assert normalize_scenario(out) == out
+
+
+class TestNonFiniteNumbers:
+    """JSON's NaN and Infinity literals fail at parse, naming the field."""
+
+    def _canonical_with(self, old: str, new: str) -> str:
+        text = _read(CANONICAL_PATH)
+        assert old in text
+        return text.replace(old, new, 1)
+
+    def test_nan_lambda(self):
+        text = self._canonical_with('"2": {"types": 0.26, "lambda": 1.0', '"2": {"types": 0.26, "lambda": NaN')
+        with pytest.raises(SchemaError, match=r"agents\.2\.lambda: expected a finite number"):
+            parse_scenario(text)
+        assert [d.kind for d in scenario_diagnostics(text)] == ["schema-error"]
+
+    def test_infinite_lambda(self):
+        text = self._canonical_with('"2": {"types": 0.26, "lambda": 1.0', '"2": {"types": 0.26, "lambda": Infinity')
+        with pytest.raises(SchemaError, match=r"agents\.2\.lambda: expected a finite number"):
+            parse_scenario(text)
+        assert [d.kind for d in scenario_diagnostics(text)] == ["schema-error"]
+
+    def test_nan_atom_weight(self):
+        beliefs = {
+            "default": "dirac-truth",
+            "agents": {"2": {"receiver": {"atoms": [{"profile": [0.5], "weight": float("nan")}]}}},
+        }
+        text = _minimal(beliefs=beliefs)
+        with pytest.raises(SchemaError, match=r"beliefs\.agents\.2\.receiver\.atoms\[0\]\.weight: expected a finite number"):
+            parse_scenario(text)
+        assert [d.kind for d in scenario_diagnostics(text)] == ["schema-error"]
+
+    def test_huge_integer(self):
+        with pytest.raises(SchemaError, match=r"evidence\.mu_given_c: expected a finite number"):
+            parse_scenario(_minimal(evidence={"mu_given_c": 10**400, "mu_given_not_c": 0.1}))
+        agents = {
+            "1": {"types": 10**400, "lambda": 1.0, "ell": 1},
+            "2": {"types": 0.3, "lambda": 1.0, "ell": 1},
+        }
+        with pytest.raises(SchemaError, match=r"agents\.1\.types: credence"):
+            parse_scenario(_minimal(agents=agents))
+
+
+class TestCredenceDiagnostics:
+    """``validate`` flags off-band credences that the send rule evaluates."""
+
+    def test_off_band_child_flags_her_sender(self):
+        agents = {
+            "1": {"types": 0.5, "lambda": 1.0, "ell": 1},
+            "2": {"types": 0.97, "lambda": 1.0, "ell": 1},
+        }
+        diags = scenario_diagnostics(_minimal(agents=agents))
+        assert [(d.kind, d.detail) for d in diags] == [
+            (
+                "credence-error",
+                "agent '1': sender belief: credence 0.97 outside the open interval (0.1, 0.9)",
+            )
+        ]
+
+    def test_off_band_sender_type_hull(self):
+        agents = {
+            "1": {"types": {"interval": [0.05, 0.95]}, "lambda": 1.0, "ell": 1},
+            "2": {"types": 0.3, "lambda": 1.0, "ell": 1},
+        }
+        beliefs = {"default": "none", "agents": {"1": {"sender": {"dirac": [0.3]}}, "2": {"receiver": {"dirac": [0.5]}}}}
+        diags = scenario_diagnostics(_minimal(agents=agents, beliefs=beliefs))
+        assert [d.kind for d in diags] == ["credence-error", "credence-error"]
+        assert all(d.detail.startswith("agent '1': types: credence ") for d in diags)
+        assert "0.05" in diags[0].detail and "0.95" in diags[1].detail
+
+    def test_terminal_agents_are_not_senders(self):
+        # a leaf's own credence reaches the send rule only through her
+        # sender's belief, explicit here, so solving works and nothing is flagged
+        beliefs = {"default": "dirac-truth", "agents": {"1": {"sender": {"dirac": [0.3]}}}}
+        agents = {
+            "1": {"types": 0.85, "lambda": 1.0, "ell": 1},
+            "2": {"types": 0.97, "lambda": 1.0, "ell": 1},
+        }
+        text = _minimal(agents=agents, beliefs=beliefs)
+        assert scenario_diagnostics(text) == []
+        sc = parse_scenario(text)
+        assert solve_global(sc.tree(), sc.profiles_for(sc.tree()), sc.evidence).reach_count == 2
