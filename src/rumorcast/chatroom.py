@@ -152,27 +152,35 @@ class ChatroomGame:
         if len(set(names)) != len(names) or self.sender in names:
             raise InvariantViolation(f"agents must be distinct, got sender={self.sender!r}, receivers={names!r}")
         for spec in self.receivers:
-            peer_sets = [self.sender_types] + [
-                other.type_set for other in self.receivers if other.agent != spec.agent
-            ]
-            if spec.belief.dim != len(peer_sets):
-                raise InvariantViolation(
-                    f"receiver {spec.agent!r}: belief covers {spec.belief.dim} peers, "
-                    f"chatroom has {len(peer_sets)}"
-                )
-            for atom in spec.belief.atoms:
-                for k, (x, ts) in enumerate(zip(atom.profile, peer_sets)):
-                    if not ts.contains(x):
-                        raise InvariantViolation(
-                            f"receiver {spec.agent!r}: belief support point {x!r} "
-                            f"(peer #{k}) outside that peer's type set"
-                        )
+            others = [other.type_set for other in self.receivers if other.agent != spec.agent]
+            check_receiver_belief(spec.agent, spec.belief, [self.sender_types] + others)
 
     def receiver(self, agent: Agent) -> ReceiverSpec:
         for spec in self.receivers:
             if spec.agent == agent:
                 return spec
         raise KeyError(agent)
+
+
+def check_receiver_belief(
+    agent: Agent, belief: SecondOrderBelief | None, peer_sets: Sequence[TypeSet]
+) -> None:
+    """Raise unless ``belief`` is given and every atom has one coordinate per
+    peer, inside that peer's type set (``peer_sets`` in belief order)."""
+    if belief is None:
+        raise InvariantViolation(f"agent {agent!r} is a receiver but has no receiver belief")
+    if belief.dim != len(peer_sets):
+        raise InvariantViolation(
+            f"receiver {agent!r}: belief covers {belief.dim} peers, "
+            f"chatroom has {len(peer_sets)}"
+        )
+    for atom in belief.atoms:
+        for k, (x, ts) in enumerate(zip(atom.profile, peer_sets)):
+            if not ts.contains(x):
+                raise InvariantViolation(
+                    f"receiver {agent!r}: belief support point {x!r} "
+                    f"(peer #{k}) outside that peer's type set"
+                )
 
 
 class Multiplicity(Enum):

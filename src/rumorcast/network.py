@@ -26,20 +26,21 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .belief import EPS, EvidenceRelation
 from .chatroom import (
     ChatroomEquilibrium,
-    ChatroomGame,
+    ChatroomGame,  # unused here; bench/tracer.py wraps this binding by name
     Multiplicity,
-    ReceiverSpec,
     TypeSet,
+    check_receiver_belief,
     room_equilibrium,
-    solve_chatroom,
+    solve_chatroom,  # unused here; bench/tracer.py wraps this binding by name
 )
 from .errors import InvalidGraph, InvariantViolation, RangeViolation
-from .receiver import PeerDistanceProfile, ReceiverAction, SecondOrderBelief
+from .receiver import PeerDistanceProfile, ReceiverAction, SecondOrderBelief, peer_distance
 from .sender import SenderAction, decide_send
 
 Agent = Hashable
@@ -163,32 +164,6 @@ class AgentProfile:
             raise RangeViolation(f"disapproval threshold must be an int >= 0, got {self.ell!r}")
 
 
-def build_chatroom_game(
-    tree: OrderedTree,
-    profiles: Mapping[Agent, AgentProfile],
-    room: Chatroom,
-) -> ChatroomGame:
-    """Assemble the local game for one chatroom from agent profiles."""
-    specs = []
-    for agent in room.receivers:
-        prof = profiles[agent]
-        if prof.receiver_belief is None:
-            raise InvariantViolation(f"agent {agent!r} is a receiver but has no receiver belief")
-        specs.append(
-            ReceiverSpec(
-                agent=agent,
-                type_set=prof.type_set,
-                lam=prof.lam,
-                belief=prof.receiver_belief,
-            )
-        )
-    return ChatroomGame(
-        sender=room.sender,
-        sender_types=profiles[room.sender].type_set,
-        receivers=tuple(specs),
-    )
-
-
 @dataclass(frozen=True)
 class BeliefOverride:
     """Explicit beliefs for one agent; either side may be omitted."""
@@ -210,8 +185,9 @@ class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
 
     Looking an agent up materializes the profile :func:`dirac_truth_profiles`
     holds for her, with her explicit ``overrides`` (if any) applied on top.
-    :func:`solve_global` does not look agents up: it takes a room's peer means
-    from one credence total and builds a sender's belief when she decides, so
+    :func:`solve_global` does not look agents up.  A receiver without an
+    explicit receiver belief gets her peer mean from her room's credence
+    total, and a sender's belief is built only when her gate is open, so
     agents the message never reaches cost only the O(n) checks made here.
     """
 
@@ -274,27 +250,6 @@ class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
             return override.sender
         return self._dirac(self.tree.children_of(agent))
 
-    def solve_room(
-        self, sender: Agent, receivers: tuple[Agent, ...], tol: float = EPS
-    ) -> ChatroomEquilibrium:
-        """Solve a room none of whose receivers has an explicit belief.
-
-        Receiver j's peers are the sender and the other receivers at their
-        own credences, so her peer mean is ``(total - theta_j) / k``.  The
-        support check of :class:`ChatroomGame` cannot fail on such beliefs
-        and is skipped.
-        """
-        theta, attrs = self.theta, self.attrs
-        total = math.fsum([theta[sender], *(theta[r] for r in receivers)])
-        k = len(receivers)
-        return room_equilibrium(
-            (
-                (r, attrs[r].type_set, attrs[r].lam, PeerDistanceProfile.from_dirac((total - theta[r]) / k))
-                for r in receivers
-            ),
-            tol,
-        )
-
 
 def dirac_truth_profiles(
     tree: OrderedTree,
@@ -350,21 +305,35 @@ def _truth_profiles(
 
 
 def _check_profiles(tree: OrderedTree, profiles: Mapping[Agent, AgentProfile]) -> None:
+    """Check every explicit belief against ``tree``: sender beliefs in tree
+    order, then receiver beliefs room by room.  Truth beliefs fit the tree by
+    construction, so on :class:`DiracTruthProfiles` only overrides are checked."""
     truth = _truth_profiles(tree, profiles)
-    # truth beliefs fit the tree by construction; only explicit ones can be off
+    receiver_beliefs: list[tuple[Agent, SecondOrderBelief | None]] = []
     for agent in tree.agents if truth is None else truth.overrides:
-        if agent not in profiles:
-            raise InvariantViolation(f"no profile for agent {agent!r}")
-        prof = profiles[agent]
+        if truth is None:
+            if agent not in profiles:
+                raise InvariantViolation(f"no profile for agent {agent!r}")
+            receiver, sender = profiles[agent].receiver_belief, profiles[agent].sender_belief
+        else:
+            receiver, sender = truth.overrides[agent].receiver, truth.overrides[agent].sender
         kids = tree.children_of(agent)
-        if kids:
-            if prof.sender_belief is None:
+        if kids and (truth is None or sender is not None):
+            if sender is None:
                 raise InvariantViolation(f"agent {agent!r} can send but has no sender belief")
-            if prof.sender_belief.dim != len(kids):
+            if sender.dim != len(kids):
                 raise InvariantViolation(
-                    f"agent {agent!r}: sender belief covers {prof.sender_belief.dim} "
+                    f"agent {agent!r}: sender belief covers {sender.dim} "
                     f"receivers, has {len(kids)} successors"
                 )
+        if agent != tree.root and (truth is None or receiver is not None):
+            receiver_beliefs.append((agent, receiver))
+    attrs = profiles if truth is None else truth.attrs
+    for parent, room in groupby(receiver_beliefs, key=lambda item: tree.parent[item[0]]):
+        # within a room, a missing belief is reported before a malformed one
+        for agent, belief in sorted(room, key=lambda item: item[1] is not None):
+            peers = [parent] + [sib for sib in tree.children_of(parent) if sib != agent]
+            check_receiver_belief(agent, belief, [attrs[p].type_set for p in peers])
 
 
 def solve_global(
@@ -379,20 +348,28 @@ def solve_global(
     selection among them when several do), senders apply the gated
     positive-gain rule, and the message spreads until every open room is
     resolved.  Returns diagnostics instead of raising when some reached room
-    has no equilibrium.
+    has no equilibrium; malformed explicit beliefs raise at entry.
 
-    Given :class:`DiracTruthProfiles` for ``tree``, only the rooms that open
-    are built, each in O(k) for k receivers, except rooms where a receiver
-    has an explicit belief, which take the general path with its checks.
+    Receivers' beliefs enter only through peer distances: from an explicit
+    belief when she has one (every receiver of a plain dict), otherwise, on
+    :class:`DiracTruthProfiles` for ``tree``, from her room's credence total,
+    so a truth room with k receivers costs O(k).  A sender's belief is looked
+    up only when her gate is open.
     """
     _check_profiles(tree, profiles)
     truth = _truth_profiles(tree, profiles)
+    attrs = profiles if truth is None else truth.attrs
 
-    def sender_inputs(agent: Agent) -> tuple[AgentProfile, SecondOrderBelief | None]:
+    def distances(sender: Agent, receivers: tuple[Agent, ...]) -> Iterator[PeerDistanceProfile]:
         if truth is None:
-            prof = profiles[agent]
-            return prof, prof.sender_belief
-        return truth.attrs[agent], truth.sender_belief(agent)
+            yield from (peer_distance(profiles[r].receiver_belief) for r in receivers)  # type: ignore[arg-type]
+            return
+        # truth peers are the sender and the other receivers, at their credences
+        theta, k = truth.theta, len(receivers)
+        total = math.fsum([theta[sender], *(theta[r] for r in receivers)])
+        for r in receivers:
+            belief = truth.overrides[r].receiver if r in truth.overrides else None
+            yield PeerDistanceProfile.from_dirac((total - theta[r]) / k) if belief is None else peer_distance(belief)
 
     receiver_actions: dict[Agent, ReceiverAction] = {}
     sender_actions: dict[Agent, SenderAction] = {}
@@ -402,21 +379,30 @@ def solve_global(
     failing: Agent | None = None
 
     queue: deque[Agent] = deque()
-    if not tree.is_terminal(tree.root):
-        # nobody gates the root: threshold 1 against zero disapprovals
-        prof, belief = sender_inputs(tree.root)
-        decision = decide_send(prof.type_set, belief, mu, 1, 0, tol)
-        sender_actions[tree.root] = decision
+
+    def decide(agent: Agent, ell: int, disapprovals: int) -> None:
+        # a closed gate decides without reading the belief, so none is built for it
+        belief = None
+        if ell > disapprovals:
+            belief = profiles[agent].sender_belief if truth is None else truth.sender_belief(agent)
+        decision = decide_send(attrs[agent].type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
+        sender_actions[agent] = decision
         if decision is SenderAction.SEND:
-            queue.append(tree.root)
+            queue.append(agent)
+
+    if not tree.is_terminal(tree.root):
+        decide(tree.root, 1, 0)  # nobody gates the root: threshold 1 against zero disapprovals
 
     while queue and failing is None:
         sender = queue.popleft()
         receivers = tree.children_of(sender)
-        if truth is not None and not any(r in truth.overrides for r in receivers):
-            eq = truth.solve_room(sender, receivers, tol)
-        else:
-            eq = solve_chatroom(build_chatroom_game(tree, profiles, Chatroom(sender, receivers)), tol)
+        eq = room_equilibrium(
+            (
+                (agent, attrs[agent].type_set, attrs[agent].lam, d)
+                for agent, d in zip(receivers, distances(sender, receivers))
+            ),
+            tol,
+        )
         room_eqs[sender] = eq
         if eq.multiplicity is Multiplicity.NONE:
             failing = sender
@@ -433,11 +419,7 @@ def solve_global(
         )
         for agent in receivers:
             if not tree.is_terminal(agent):
-                prof, belief = sender_inputs(agent)
-                decision = decide_send(prof.type_set, belief, mu, prof.ell, disapprovals, tol)
-                sender_actions[agent] = decision
-                if decision is SenderAction.SEND:
-                    queue.append(agent)
+                decide(agent, attrs[agent].ell, disapprovals)
 
     exists = failing is None
     return CascadeResult(
@@ -628,6 +610,7 @@ def root_tree(g: SocialGraph, root: Agent, validate: bool = True) -> OrderedTree
                 f"graph cannot generate a tree: {first.kind} witness {first.witness!r}"
             )
     depth = {root: 0}
+    parent: dict[Agent, Agent] = {}
     order = deque([root])
     edges: list[tuple[Agent, Agent]] = []
     while order:
@@ -635,9 +618,10 @@ def root_tree(g: SocialGraph, root: Agent, validate: bool = True) -> OrderedTree
         for nxt in sorted(g.adjacency[node], key=natural_key):
             if nxt not in depth:
                 depth[nxt] = depth[node] + 1
+                parent[nxt] = node
                 edges.append((node, nxt))
                 order.append(nxt)
-            elif depth[nxt] == depth[node] - 1 and (nxt, node) not in edges:
+            elif depth[nxt] == depth[node] - 1 and parent[node] != nxt:
                 # a second parent candidate would mean overlapping circles
                 raise InvalidGraph(f"ambiguous parent for {node!r}")
     return OrderedTree.from_edges(root, edges)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .belief import EvidenceRelation, require_credence, validate_evidence
 from .chatroom import TypeSet
@@ -29,8 +29,6 @@ from .network import (
     OrderedTree,
     SocialGraph,
     _check_profiles,
-    build_chatroom_game,
-    chatrooms_of,
     dirac_truth_profiles,  # unused here; bench/tracer.py wraps this binding by name
     natural_key,
     validate_graph,
@@ -388,6 +386,12 @@ def scenario_diagnostics(text: str) -> list[Diagnostic]:
     except RumorcastError as exc:
         out.append(Diagnostic("evidence-error", str(exc)))
 
+    # the send rule's inputs, for the credence check: who may send, with what belief
+    overrides = shape.belief_overrides
+    senders: tuple[str, ...] = ()
+    sender_belief: Callable[[str], SecondOrderBelief | None] = (
+        lambda agent: overrides[agent].sender if agent in overrides else None
+    )
     tree: OrderedTree | None = None
     if shape.topology.kind == "tree":
         try:
@@ -402,37 +406,35 @@ def scenario_diagnostics(text: str) -> list[Diagnostic]:
         if shape.topology.check_structure:
             for violation in validate_graph(graph).violations:
                 out.append(Diagnostic(violation.kind, f"witness {violation.witness!r}"))
+        # under the rooting at her, every agent with a neighbour sends
+        senders = tuple(a for a in graph.nodes if graph.neighbors(a))
 
     if tree is not None:
-        profiles: Mapping[str, AgentProfile] | None = None
+        senders = tree.non_terminals
         try:
-            profiles = _attach_beliefs(
-                tree, shape.attrs, shape.belief_default, shape.belief_overrides
-            )
+            profiles = _attach_beliefs(tree, shape.attrs, shape.belief_default, overrides)
+            if isinstance(profiles, DiracTruthProfiles):
+                sender_belief = profiles.sender_belief
             _check_profiles(tree, profiles)
-            for room in chatrooms_of(tree):
-                build_chatroom_game(tree, profiles, room)
         except RumorcastError as exc:
             out.append(Diagnostic("belief-error", str(exc)))
-        if evidence is not None:
-            out.extend(_credence_diagnostics(tree, shape.attrs, profiles, evidence))
+    if evidence is not None:
+        out.extend(_credence_diagnostics(senders, shape.attrs, sender_belief, evidence))
     return out
 
 
 def _credence_diagnostics(
-    tree: OrderedTree,
+    senders: tuple[str, ...],
     attrs: Mapping[str, AgentProfile],
-    profiles: Mapping[str, AgentProfile] | None,
+    sender_belief: Callable[[str], SecondOrderBelief | None],
     mu: EvidenceRelation,
 ) -> list[Diagnostic]:
     """Off-band credences the send rule would evaluate: each sender's type
     hull and her sender-belief coordinates."""
     out: list[Diagnostic] = []
-    for agent in tree.agents:
-        if tree.is_terminal(agent):
-            continue
+    for agent in senders:
         checked = [("types", x) for x in dict.fromkeys(attrs[agent].type_set.hull)]
-        belief = profiles[agent].sender_belief if profiles is not None else None
+        belief = sender_belief(agent)
         if belief is not None:
             coords = dict.fromkeys(x for atom in belief.atoms for x in atom.profile)
             checked += [("sender belief", x) for x in coords]

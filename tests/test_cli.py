@@ -71,6 +71,36 @@ NO_EQUILIBRIUM = {
     },
 }
 
+# root 1 does not send, so agent 2's off-support receiver belief sits in an unreached room
+OFF_SUPPORT_UNREACHED = {
+    "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+    "topology": {"kind": "tree", "root": "1", "edges": [["1", "2"]]},
+    "agents": {
+        "1": {"types": 0.3, "lambda": 1.0, "ell": 1},
+        "2": {"types": 0.5, "lambda": 1.0, "ell": 1},
+    },
+    "beliefs": {"default": "dirac-truth", "agents": {"2": {"receiver": {"dirac": [0.8]}}}},
+}
+
+# room 1 has no equilibrium, and agent 3's receiver belief in room 2 is off-support
+OFF_SUPPORT_BEHIND_FAILURE = {
+    "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+    "topology": {"kind": "tree", "root": "1", "edges": [["1", "2"], ["2", "3"]]},
+    "agents": {
+        "1": {"types": 0.5, "lambda": 1.0, "ell": 1},
+        "2": {"types": [0.2, 0.85], "lambda": 0.0, "ell": 1},
+        "3": {"types": 0.3, "lambda": 1.0, "ell": 1},
+    },
+    "beliefs": {
+        "default": "none",
+        "agents": {
+            "1": {"sender": {"dirac": [0.2]}},
+            "2": {"receiver": {"dirac": [0.5]}, "sender": {"dirac": [0.3]}},
+            "3": {"receiver": {"dirac": [0.7]}},
+        },
+    },
+}
+
 
 class TestSolve:
     def test_canonical_cascade_report(self, capsys):
@@ -124,6 +154,29 @@ class TestSolve:
         bad.write_text("{", encoding="utf-8")
         code, _ = run(capsys, "solve", str(bad))
         assert code == 1
+
+
+class TestMalformedBeliefs:
+    """A malformed explicit belief fails ``solve`` at entry with ``validate``'s
+    message, wherever it sits in the tree."""
+
+    @pytest.mark.parametrize(
+        "obj, agent",
+        [(OFF_SUPPORT_UNREACHED, "2"), (OFF_SUPPORT_BEHIND_FAILURE, "3")],
+        ids=["unreached-room", "behind-failing-room"],
+    )
+    def test_solve_fails_like_validate(self, capsys, tmp_path, obj, agent):
+        path = write(tmp_path, obj)
+        code, out = run(capsys, "validate", path, "--format", "json-lines")
+        assert code == 1
+        [row] = jl(out)
+        assert row["kind"] == "belief-error"
+        assert row["detail"].startswith(f"receiver '{agent}': belief support point")
+        code = main(["solve", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {row['detail']}\n"
 
 
 class TestFlagErrors:
@@ -282,6 +335,23 @@ class TestValidate:
         code, out = run(capsys, "validate", write(tmp_path, obj), "--format", "json-lines")
         assert code == 1
         assert {r["kind"] for r in jl(out)} == {"open-circle"}
+
+
+    def test_off_band_credence_in_graph(self, capsys, tmp_path):
+        # under the rooting at agent 1, she sends and her credence is evaluated
+        obj = json.loads(Path(CLIQUES).read_text(encoding="utf-8"))
+        obj["agents"]["1"]["types"] = 0.97
+        path = write(tmp_path, obj)
+        code, out = run(capsys, "validate", path, "--format", "json-lines")
+        assert code == 1
+        assert jl(out) == [
+            {
+                "kind": "credence-error",
+                "detail": "agent '1': types: credence 0.97 outside the open interval (0.1, 0.9)",
+            }
+        ]
+        code, _ = run(capsys, "sweep-root", path)
+        assert code == 1
 
 
 class TestOutputPlumbing:

@@ -305,3 +305,20 @@ class TestCredenceDiagnostics:
         assert scenario_diagnostics(text) == []
         sc = parse_scenario(text)
         assert solve_global(sc.tree(), sc.profiles_for(sc.tree()), sc.evidence).reach_count == 2
+
+    def test_graph_senders_are_agents_with_a_neighbour(self):
+        # 1 and 2 each send under their own rooting; the isolated 3 never does
+        topology = {"kind": "graph", "check_structure": False, "edges": [["1", "2"]]}
+        agents = {
+            "1": {"types": 0.5, "lambda": 1.0, "ell": 1},
+            "2": {"types": 0.3, "lambda": 1.0, "ell": 1},
+            "3": {"types": 0.97, "lambda": 1.0, "ell": 1},
+        }
+        beliefs = {"default": "dirac-truth", "agents": {"2": {"sender": {"dirac": [0.95]}}}}
+        diags = scenario_diagnostics(_minimal(topology=topology, agents=agents, beliefs=beliefs))
+        assert [(d.kind, d.detail) for d in diags] == [
+            (
+                "credence-error",
+                "agent '2': sender belief: credence 0.95 outside the open interval (0.1, 0.9)",
+            )
+        ]

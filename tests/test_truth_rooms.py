@@ -2,22 +2,28 @@
 
 ``solve_global`` on :class:`DiracTruthProfiles` takes each receiver's peer
 mean from one credence total, ``(theta_sender + sum_room theta - theta_j) / k``,
-and builds a sender's belief only when she decides.  These tests check it
-against ``solve_global`` on the plain dict from ``dirac_truth_profiles``,
-which builds every belief and solves every room through ``ChatroomGame``.
+unless she has an explicit receiver belief, and builds a sender's belief
+only when her gate is open.  These tests check it against ``solve_global`` on
+the plain dict from ``dirac_truth_profiles``, which builds every belief, and
+check every room it solves against ``solve_chatroom`` on a ``ChatroomGame``
+assembled from the built beliefs.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
 from rumorcast import (
     AgentProfile,
+    ChatroomGame,
     DiracTruthProfiles,
     InvariantViolation,
     Multiplicity,
     OrderedTree,
+    ReceiverSpec,
     RumorcastError,
     SecondOrderBelief,
     SenderAction,
@@ -25,6 +31,8 @@ from rumorcast import (
     dirac_truth_profiles,
     reach_by_root,
     root_tree,
+    scenario_diagnostics,
+    solve_chatroom,
     solve_global,
     undirected_closure,
     validate_evidence,
@@ -124,10 +132,24 @@ def _outcome(solve):
     )
 
 
+def _game(tree: OrderedTree, profiles, sender) -> ChatroomGame:
+    """The room of ``sender`` with every receiver's built belief."""
+    return ChatroomGame(
+        sender=sender,
+        sender_types=profiles[sender].type_set,
+        receivers=tuple(
+            ReceiverSpec(
+                agent=r, type_set=profiles[r].type_set, lam=profiles[r].lam, belief=profiles[r].receiver_belief
+            )
+            for r in tree.children_of(sender)
+        ),
+    )
+
+
 def test_room_totals_match_built_beliefs():
     rng = np.random.default_rng(3003)
     disagreements = []
-    wide_rooms = tie_rooms = override_draws = errors = 0
+    wide_rooms = tie_rooms = override_draws = errors = games = 0
     for draw in range(DRAWS):
         dyadic = draw % 2 == 1
         wide = draw % 8 < 2
@@ -152,15 +174,18 @@ def test_room_totals_match_built_beliefs():
             errors += 1
             continue
         for sender, eq in got[-1].items():
+            assert solve_chatroom(_game(tree, reference, sender)) == eq, (draw, sender)
+            games += 1
             wide_rooms += len(eq.eligible) >= 30
             tie_rooms += eq.multiplicity is Multiplicity.MULTIPLE
     print(f"{DRAWS} draws: {wide_rooms} wide rooms, {tie_rooms} rooms with ties, "
-          f"{override_draws} with overrides, {errors} raised alike")
+          f"{override_draws} with overrides, {errors} raised alike, {games} rooms checked against ChatroomGame")
     assert disagreements == []
     assert wide_rooms >= 200
     assert tie_rooms >= 50
     assert override_draws >= 300
     assert errors >= 5
+    assert games >= 2000
 
 
 def test_reach_by_root_matches_per_root_dicts():
@@ -205,22 +230,53 @@ def test_only_deciding_senders_get_beliefs(monkeypatch):
     assert len(built) <= len(result.sender_actions)
     assert set(result.sender_actions) <= result.reach
     assert sum(built) <= sum(len(tree.children_of(a)) for a in result.sender_actions)
+    # the hubs' gates are shut (ell 0), so only the root's belief is built
+    assert built == [40]
 
 
-def test_wide_star_builds_one_belief(monkeypatch):
-    receivers = [str(i) for i in range(2, 3002)]
-    tree = OrderedTree.from_edges("1", [("1", r) for r in receivers])
+def _star(receivers: int):
+    names = [str(i) for i in range(2, receivers + 2)]
+    tree = OrderedTree.from_edges("1", [("1", r) for r in names])
     rng = np.random.default_rng(5)
     attrs = {
         a: AgentProfile(type_set=TypeSet.singleton(float(rng.uniform(0.12, 0.88))), lam=1.0)
-        for a in receivers
+        for a in names
     }
     attrs["1"] = AgentProfile(type_set=TypeSet.singleton(0.895), lam=1.0)
-    mu = validate_evidence(0.9, 0.1)
+    return tree, attrs
+
+
+def test_wide_star_builds_one_belief(monkeypatch):
+    tree, attrs = _star(3000)
     built = _count_dirac(monkeypatch)
-    result = solve_global(tree, DiracTruthProfiles(tree, attrs), mu)
+    result = solve_global(tree, DiracTruthProfiles(tree, attrs), validate_evidence(0.9, 0.1))
     assert built == [3000]
     assert result.reach_count == 3001
+
+
+def test_override_builds_no_truth_belief_in_her_room(monkeypatch):
+    tree, attrs = _star(3000)
+    # agent 2 pictures her peers at their credences, in two equal atoms
+    peers = [attrs[a].type_set.value for a in tree.agents if a != "2"]
+    belief = SecondOrderBelief.mixture([(peers, 0.5), (peers, 0.5)])
+    profiles = DiracTruthProfiles(tree, attrs, {"2": BeliefOverride(receiver=belief)})
+    built = _count_dirac(monkeypatch)
+    result = solve_global(tree, profiles, validate_evidence(0.9, 0.1))
+    assert built == [3000]  # the root's sender belief only
+    assert result.reach_count == 3001
+
+
+def test_validate_builds_no_receiver_belief(monkeypatch):
+    tree, attrs = _star(3000)
+    doc = {
+        "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+        "topology": {"kind": "tree", "root": "1", "edges": [list(e) for e in tree.edges()]},
+        "agents": {a: {"types": p.type_set.value, "lambda": p.lam} for a, p in attrs.items()},
+        "beliefs": "dirac-truth",
+    }
+    built = _count_dirac(monkeypatch)
+    assert scenario_diagnostics(json.dumps(doc)) == []
+    assert built == [3000]  # the root's sender belief, for the credence check
 
 
 class TestMapping:
