@@ -27,6 +27,7 @@ from .receiver import (
     ReceiverAction,
     SecondOrderBelief,
     best_actions,
+    check_sensitivity,
     peer_distance,
     support_interval,  # unused here; bench/tracer.py wraps this binding by name
 )
@@ -128,8 +129,7 @@ class ReceiverSpec:
     belief: SecondOrderBelief
 
     def __post_init__(self) -> None:
-        if self.lam < 0.0:
-            raise RangeViolation(f"sensitivity must be nonnegative, got {self.lam!r}")
+        check_sensitivity(self.lam)
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,19 @@ a root and peeling breadth-first layers.  For that to be well defined the
 graph must consist of cliques glued at single agents: every circle of
 acquaintances is fully introduced (no open circles), and two circles never
 share more than one member (no overlapping circles).  :func:`validate_graph`
-checks exactly that and reports concrete witnesses.
+checks exactly that and reports concrete witnesses.  Such graphs are the
+connected block graphs, whose biconnected components are all cliques, so one
+linear pass over the blocks (:class:`BlockDecomposition`) both accepts a
+graph and roots it, lazily, at any agent.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import groupby
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -40,7 +45,13 @@ from .chatroom import (
     solve_chatroom,  # unused here; bench/tracer.py wraps this binding by name
 )
 from .errors import InvalidGraph, InvariantViolation, RangeViolation
-from .receiver import PeerDistanceProfile, ReceiverAction, SecondOrderBelief, peer_distance
+from .receiver import (
+    PeerDistanceProfile,
+    ReceiverAction,
+    SecondOrderBelief,
+    check_sensitivity,
+    peer_distance,
+)
 from .sender import SenderAction, decide_send
 
 Agent = Hashable
@@ -158,8 +169,7 @@ class AgentProfile:
     sender_belief: SecondOrderBelief | None = None
 
     def __post_init__(self) -> None:
-        if self.lam < 0.0:
-            raise RangeViolation(f"sensitivity must be nonnegative, got {self.lam!r}")
+        check_sensitivity(self.lam)
         if not isinstance(self.ell, int) or self.ell < 0:
             raise RangeViolation(f"disapproval threshold must be an int >= 0, got {self.ell!r}")
 
@@ -214,6 +224,16 @@ class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
         self.overrides: dict[Agent, BeliefOverride] = (
             {a: overrides[a] for a in tree.agents if a in overrides} if overrides else {}
         )
+
+    def _reroot(self, tree: "RootedView") -> "DiracTruthProfiles":
+        """The same checked attributes and credences on another rooting.
+
+        Explicit beliefs are shaped by one rooting, so they cannot follow.
+        """
+        assert not self.overrides
+        other = copy.copy(self)
+        other.tree = tree  # type: ignore[assignment]
+        return other
 
     def _dirac(self, agents: Sequence[Agent]) -> SecondOrderBelief | None:
         return SecondOrderBelief.dirac([self.theta[a] for a in agents]) if agents else None
@@ -304,6 +324,12 @@ def _truth_profiles(
     return None
 
 
+def _check_tol(tol: float) -> None:
+    # the rule the CLI applies to --tolerance; NaN fails the comparison
+    if not 0.0 <= tol < math.inf:
+        raise RangeViolation(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def _check_profiles(tree: OrderedTree, profiles: Mapping[Agent, AgentProfile]) -> None:
     """Check every explicit belief against ``tree``: sender beliefs in tree
     order, then receiver beliefs room by room.  Truth beliefs fit the tree by
@@ -355,7 +381,12 @@ def solve_global(
     :class:`DiracTruthProfiles` for ``tree``, from her room's credence total,
     so a truth room with k receivers costs O(k).  A sender's belief is looked
     up only when her gate is open.
+
+    A :class:`RootedView` may stand in for ``tree`` when ``profiles`` are
+    override-free :class:`DiracTruthProfiles` on it: then only ``root``,
+    ``children_of``, ``is_terminal`` and ``agents`` are read.
     """
+    _check_tol(tol)
     _check_profiles(tree, profiles)
     truth = _truth_profiles(tree, profiles)
     attrs = profiles if truth is None else truth.attrs
@@ -547,7 +578,17 @@ def validate_graph(g: SocialGraph) -> GraphReport:
       ``i`` who are strangers to each other yet linked by a path that avoids
       ``i`` (so they sit in one circle around ``i`` without being
       introduced).
+
+    A valid graph is accepted by its block decomposition in O(n + m); only
+    an invalid one is searched, exhaustively, for every witness.
     """
+    if BlockDecomposition(g).valid:
+        return GraphReport(violations=())
+    return GraphReport(violations=_graph_violations(g))
+
+
+def _graph_violations(g: SocialGraph) -> tuple[GraphViolation, ...]:
+    # every witness of every kind, in report order; quadratic in the agents
     violations: list[GraphViolation] = []
     for agent in g.loops:
         violations.append(GraphViolation(kind="self-loop", witness=(agent,)))
@@ -591,7 +632,146 @@ def validate_graph(g: SocialGraph) -> GraphReport:
                 if _connected_avoiding(g, j, jp, i):
                     violations.append(GraphViolation(kind="open-circle", witness=(i, j, jp)))
 
-    return GraphReport(violations=tuple(violations))
+    return tuple(violations)
+
+
+class BlockDecomposition:
+    """The blocks (biconnected components) of an acquaintance graph.
+
+    One iterative Hopcroft-Tarjan depth-first pass, O(n + m) and free of
+    recursion, assigns every edge to its block.  A block of b agents holds at
+    most C(b, 2) edges, so the blocks are all cliques exactly when those
+    bounds add up to m; ``valid`` adds no loops and one connected component,
+    which is the structure :func:`validate_graph` accepts.
+
+    On a valid graph, :meth:`children` lists an agent's children in any
+    rooting: the root's are her neighbours, and an agent entered through
+    block B gets the members of her other blocks, in natural order either
+    way.  Each list is built once per (agent, B) and shared by every rooting.
+    """
+
+    def __init__(self, g: SocialGraph) -> None:
+        adjacency = g.adjacency
+        # per agent: neighbour -> index of the block holding their edge
+        self.block_of: dict[Agent, dict[Agent, int]] = {a: {} for a in g.nodes}
+        self.block_count: dict[Agent, int] = dict.fromkeys(g.nodes, 0)
+        index: dict[Agent, int] = {}  # depth-first discovery order
+        low: dict[Agent, int] = {}
+        blocks = pairs = components = 0
+        for start in g.nodes:
+            if start in index:
+                continue
+            components += 1
+            index[start] = low[start] = len(index)
+            stack: list[tuple[Agent, Agent | None, Iterator[Agent]]] = [
+                (start, None, iter(adjacency[start]))
+            ]
+            edges: list[tuple[Agent, Agent]] = []
+            while stack:
+                v, parent, nbrs = stack[-1]
+                for w in nbrs:
+                    if w not in index:
+                        index[w] = low[w] = len(index)
+                        edges.append((v, w))
+                        stack.append((w, v, iter(adjacency[w])))
+                        break
+                    if w != parent and index[w] < index[v]:  # back edge to an ancestor
+                        edges.append((v, w))
+                        low[v] = min(low[v], index[w])
+                else:
+                    stack.pop()
+                    if parent is None:
+                        continue
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] < index[parent]:
+                        continue
+                    # parent cuts v's subtree off: its edges since (parent, v) form a block
+                    members: set[Agent] = set()
+                    while True:
+                        a, b = edges.pop()
+                        self.block_of[a][b] = self.block_of[b][a] = blocks
+                        members.update((a, b))
+                        if a == parent and b == v:
+                            break
+                    for a in members:
+                        self.block_count[a] += 1
+                    pairs += len(members) * (len(members) - 1) // 2
+                    blocks += 1
+        edge_count = sum(len(nbrs) for nbrs in adjacency.values()) // 2
+        self.valid = not g.loops and components <= 1 and pairs == edge_count
+        self._children: dict[tuple[Agent, int], tuple[Agent, ...]] = {}
+        self._sorted: dict[Agent, list[Agent]] = {}
+
+    @cached_property
+    def agents(self) -> tuple[Agent, ...]:
+        """Every agent, in natural id order."""
+        return tuple(sorted(self.block_of, key=natural_key))
+
+    @cached_property
+    def _rank(self) -> dict[Agent, int]:
+        return {a: i for i, a in enumerate(self.agents)}
+
+    def children(self, agent: Agent, entry: int) -> tuple[Agent, ...]:
+        """``agent``'s children when she is entered through block ``entry``;
+        -1 for the root."""
+        key = (agent, entry)
+        kids = self._children.get(key)
+        if kids is None:
+            block_of = self.block_of[agent]
+            nbrs = self._sorted.get(agent)
+            if nbrs is None:
+                nbrs = self._sorted[agent] = sorted(block_of, key=self._rank.__getitem__)
+            kids = self._children[key] = tuple(u for u in nbrs if block_of[u] != entry)
+        return kids
+
+
+class RootedView:
+    """``root_tree(g, root)`` of a valid graph, built only as far as it is walked.
+
+    Offers what :func:`solve_global` and :class:`DiracTruthProfiles` read of
+    an :class:`OrderedTree`: ``root``, ``children_of``, ``is_terminal``,
+    ``parent_of`` and ``agents``, which holds every agent in natural order
+    rather than breadth-first.  An agent's children come from ``blocks``
+    once she is reached; asking about an agent not reached yet lists
+    children breadth-first until she is.
+    """
+
+    def __init__(self, blocks: BlockDecomposition, root: Agent) -> None:
+        if root not in blocks.block_of:
+            raise InvalidGraph(f"unknown root {root!r}")
+        self.root = root
+        self.agents = blocks.agents
+        self._blocks = blocks
+        self._entry: dict[Agent, int] = {root: -1}
+        self._parent: dict[Agent, Agent] = {}
+        self._unlisted: deque[Agent] = deque([root])  # reached, children not listed yet
+
+    def _entry_of(self, agent: Agent) -> int:
+        entry = self._entry.get(agent)
+        while entry is None:
+            if not self._unlisted:
+                raise KeyError(agent)
+            self.children_of(self._unlisted.popleft())
+            entry = self._entry.get(agent)
+        return entry
+
+    def children_of(self, agent: Agent) -> tuple[Agent, ...]:
+        kids = self._blocks.children(agent, self._entry_of(agent))
+        if kids and kids[0] not in self._parent:
+            block_of = self._blocks.block_of[agent]
+            for kid in kids:
+                self._parent[kid] = agent
+                self._entry[kid] = block_of[kid]
+            self._unlisted.extend(kids)
+        return kids
+
+    def parent_of(self, agent: Agent) -> Agent | None:
+        self._entry_of(agent)
+        return self._parent.get(agent)
+
+    def is_terminal(self, agent: Agent) -> bool:
+        # no block but the one she was entered through (the root: none at all)
+        return self._blocks.block_count[agent] == (agent != self.root)
 
 
 def root_tree(g: SocialGraph, root: Agent, validate: bool = True) -> OrderedTree:
@@ -650,13 +830,22 @@ def reach_by_root(
     Beliefs follow each rooting (:class:`DiracTruthProfiles`), so the
     agents' type sets must be singletons.  Returns results keyed by root in
     natural id order.
+
+    One block decomposition validates the graph and serves every rooting as
+    a :class:`RootedView`, and the attributes are checked once, so each root
+    costs what its cascade reaches.
     """
-    report = validate_graph(graph)
-    if not report.ok:
-        first = report.violations[0]
+    _check_tol(tol)
+    blocks = BlockDecomposition(graph)
+    if not blocks.valid:
+        first = validate_graph(graph).violations[0]
         raise InvalidGraph(f"graph cannot generate trees: {first.kind} witness {first.witness!r}")
+    if not blocks.agents:
+        return {}
+    # the first bad agent is reported in the breadth-first order of the first root
+    truth = DiracTruthProfiles(root_tree(graph, blocks.agents[0], validate=False), attrs)
     out: dict[Agent, CascadeResult] = {}
-    for root in sorted(graph.nodes, key=natural_key):
-        tree = root_tree(graph, root, validate=False)
-        out[root] = solve_global(tree, DiracTruthProfiles(tree, attrs), mu, tol)
+    for root in blocks.agents:
+        view = RootedView(blocks, root)
+        out[root] = solve_global(view, truth._reroot(view), mu, tol)  # type: ignore[arg-type]
     return out

@@ -23,6 +23,7 @@ it by brute force.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -194,9 +195,10 @@ def _check_theta(theta: float, tol: float) -> None:
         raise DomainError(f"credence {theta!r} outside [0, 1]")
 
 
-def _check_lam(lam: float) -> None:
-    if lam < 0.0:
-        raise RangeViolation(f"sensitivity must be nonnegative, got {lam!r}")
+def check_sensitivity(lam: float) -> None:
+    """Sensitivities are finite and nonnegative; NaN fails the comparison."""
+    if not 0.0 <= lam < math.inf:
+        raise RangeViolation(f"sensitivity must be finite and nonnegative, got {lam!r}")
 
 
 def utility(
@@ -208,7 +210,7 @@ def utility(
 ) -> float:
     """Receiver loss (negated) for one action."""
     _check_theta(theta, tol)
-    _check_lam(lam)
+    check_sensitivity(lam)
     return -(abs(float(action) - theta) + lam * d.get(action))
 
 
@@ -268,7 +270,7 @@ def support_interval(
     monotone in ``theta`` with range ``[-|a - a'|, |a - a'|]``, so each
     constraint is either vacuous, infeasible, or a single cut.
     """
-    _check_lam(lam)
+    check_sensitivity(lam)
     lo, hi = 0.0, 1.0
     a = float(action)
     for other in ACTIONS:
@@ -382,7 +384,7 @@ def alt_utility(
     when their mean is agreeable.
     """
     _check_theta(theta, tol)
-    _check_lam(lam)
+    check_sensitivity(lam)
     peers = list(peer_credences)
     if not peers:
         raise EmptyPeers("alt_utility needs at least one peer credence")

@@ -88,6 +88,16 @@ def random_tree(rng: np.random.Generator, n: int) -> OrderedTree:
     return OrderedTree.from_edges(names[0], edges)
 
 
+def random_wide_tree(rng: np.random.Generator, n: int, wide: int) -> OrderedTree:
+    """``random_tree(rng, n)`` with ``wide`` more receivers in one random
+    agent's room, ids shuffled so that their order says nothing of the shape."""
+    base = random_tree(rng, n)
+    hub = base.agents[int(rng.integers(0, n))]
+    edges = list(base.edges()) + [(hub, str(n + 1 + i)) for i in range(wide)]
+    label = {str(i + 1): str(int(j) + 1) for i, j in enumerate(rng.permutation(n + wide))}
+    return OrderedTree.from_edges(label[base.root], [(label[p], label[c]) for p, c in edges])
+
+
 def random_dirac_instance(
     rng: np.random.Generator,
     n_min: int = 3,

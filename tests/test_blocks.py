@@ -1,0 +1,177 @@
+"""Block decompositions: the fast accept, lazy rootings and their cost.
+
+``validate_graph`` accepts a graph when its block decomposition shows a
+connected, loop-free block graph, and enumerates witnesses only otherwise;
+``reach_by_root`` roots that one decomposition lazily at every agent.  These
+tests check the accept against the exhaustive enumerator, every lazy rooting
+against ``root_tree``, and count the work a large sweep does.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from rumorcast import (
+    AgentProfile,
+    InvalidGraph,
+    InvariantViolation,
+    RangeViolation,
+    SocialGraph,
+    TypeSet,
+    reach_by_root,
+    root_tree,
+    solve_global,
+    undirected_closure,
+    validate_graph,
+)
+from rumorcast import network
+from rumorcast.network import BlockDecomposition, GraphReport, RootedView
+
+from helpers import canonical_attrs, canonical_mu, canonical_profiles, canonical_tree, random_tree, random_wide_tree
+
+
+def _closure(rng: np.random.Generator, n_max: int) -> SocialGraph:
+    n = int(rng.integers(1, n_max + 1))
+    if rng.random() < 0.3:
+        return undirected_closure(random_wide_tree(rng, n, int(rng.integers(3, 12))))
+    return undirected_closure(random_tree(rng, n))
+
+
+def _mutate(rng: np.random.Generator, g: SocialGraph) -> SocialGraph:
+    """``g`` with one edge dropped inside a block of 3 or more, a chord added
+    between two strangers, an isolated agent added, or a self-loop added."""
+    edges = list(g.edges())
+    blocks = BlockDecomposition(g)
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        inner = [(a, b) for a, b in edges if _block_size(blocks, a, b) >= 3]
+        if inner:
+            edges.pop(edges.index(inner[int(rng.integers(0, len(inner)))]))
+    elif kind == 1:
+        strangers = [(a, b) for a in g.nodes for b in g.nodes if a < b and not g.adjacent(a, b)]
+        if strangers:
+            edges.append(strangers[int(rng.integers(0, len(strangers)))])
+    elif kind == 2:
+        return SocialGraph.from_edges(edges, nodes=g.nodes + ("x",))
+    else:
+        loop = g.nodes[int(rng.integers(0, len(g.nodes)))]
+        edges.append((loop, loop))
+    return SocialGraph.from_edges(edges, nodes=g.nodes)
+
+
+def _block_size(blocks: BlockDecomposition, a, b) -> int:
+    block = blocks.block_of[a][b]
+    return len({x for x, nbrs in blocks.block_of.items() if block in nbrs.values()})
+
+
+def test_fast_accept_matches_the_enumerator():
+    rng = np.random.default_rng(5005)
+    accepted = rejected = 0
+    for draw in range(2400):
+        g = _closure(rng, 14)
+        if draw % 3:
+            g = _mutate(rng, g)
+        witnesses = network._graph_violations(g)
+        assert BlockDecomposition(g).valid == (not witnesses), (draw, g.edges(), g.loops)
+        assert validate_graph(g) == GraphReport(violations=witnesses)
+        accepted += not witnesses
+        rejected += bool(witnesses)
+    print(f"2400 graphs: {accepted} accepted, {rejected} rejected alike")
+    assert accepted >= 900 and rejected >= 900
+
+
+def test_decomposition_needs_no_recursion():
+    # a path of 5,000 agents: depth-first search 5,000 deep
+    n = 5000
+    g = SocialGraph.from_edges([(str(i), str(i + 1)) for i in range(1, n)])
+    blocks = BlockDecomposition(g)
+    assert blocks.valid
+    assert max(blocks.block_count.values()) == 2
+
+
+def _walk(view) -> list:
+    """Agents of ``view`` breadth-first, listing each one's children once."""
+    order, frontier = [view.root], [view.root]
+    while frontier:
+        frontier = [kid for agent in frontier for kid in view.children_of(agent)]
+        order += frontier
+    return order
+
+
+def test_lazy_rootings_match_root_tree():
+    rng = np.random.default_rng(5006)
+    checked = 0
+    for draw in range(30):
+        n = int(rng.integers(2, 45))
+        tree = random_wide_tree(rng, n, int(rng.integers(0, 16))) if draw % 2 else random_tree(rng, n)
+        g = undirected_closure(tree)
+        blocks = BlockDecomposition(g)
+        for root in g.nodes:
+            want = root_tree(g, root)
+            view = RootedView(blocks, root)
+            assert _walk(view) == list(want.agents), (draw, root)
+            for agent in want.agents:
+                assert view.children_of(agent) == want.children_of(agent), (draw, root, agent)
+                assert view.parent_of(agent) == want.parent_of(agent), (draw, root, agent)
+                assert view.is_terminal(agent) == want.is_terminal(agent), (draw, root, agent)
+                checked += 1
+            # an agent asked for before she is reached is found all the same
+            cold = RootedView(blocks, root)
+            last = want.agents[-1]
+            assert (cold.parent_of(last), cold.children_of(last)) == (want.parent_of(last), want.children_of(last))
+    print(f"{checked} rooted agents checked")
+    assert checked >= 10_000
+
+
+def test_rooted_view_refuses_strangers():
+    blocks = BlockDecomposition(undirected_closure(canonical_tree()))
+    with pytest.raises(InvalidGraph):
+        RootedView(blocks, "99")
+    with pytest.raises(KeyError):
+        RootedView(blocks, "1").children_of("99")
+
+
+def test_large_sweep_never_enumerates_and_roots_once(monkeypatch):
+    rng = np.random.default_rng(5007)
+    g = undirected_closure(random_tree(rng, 2000))
+    attrs = {
+        a: AgentProfile(type_set=TypeSet.singleton(float(rng.uniform(0.12, 0.88))), lam=1.0)
+        for a in g.nodes
+    }
+    enumerations, rootings = [], []
+    enumerate_all, root = network._graph_violations, network.root_tree
+    monkeypatch.setattr(network, "_graph_violations", lambda g: enumerations.append(g) or enumerate_all(g))
+    monkeypatch.setattr(network, "root_tree", lambda *a, **k: rootings.append(a) or root(*a, **k))
+    assert validate_graph(g).ok
+    sweep = reach_by_root(g, attrs, canonical_mu())
+    assert len(sweep) == 2000
+    assert enumerations == []
+    assert len(rootings) <= 1
+    # a graph that fails the fast accept is enumerated, for its witnesses
+    bad = SocialGraph.from_edges(list(undirected_closure(canonical_tree()).edges()) + [("1", "1")])
+    with pytest.raises(InvalidGraph, match="self-loop witness"):
+        reach_by_root(bad, canonical_attrs(), canonical_mu())
+    assert len(enumerations) == 1
+
+
+def test_sweep_reports_the_first_bad_agent_breadth_first():
+    # from root 1 the breadth-first order is 1, 10, 2; natural order puts 2 first
+    g = SocialGraph.from_edges([("1", "10"), ("10", "2")])
+    attrs = {a: AgentProfile(type_set=TypeSet.finite([0.3, 0.4]), lam=1.0) for a in ("10", "2")}
+    attrs["1"] = AgentProfile(type_set=TypeSet.singleton(0.5), lam=1.0)
+    with pytest.raises(InvariantViolation, match="agent '10'"):
+        reach_by_root(g, attrs, canonical_mu())
+    del attrs["10"]
+    with pytest.raises(InvariantViolation, match="no profile for agent '10'"):
+        reach_by_root(g, attrs, canonical_mu())
+
+
+@pytest.mark.parametrize("tol", [math.nan, -5.0, math.inf])
+def test_tolerance_checked_at_entry(tol):
+    with pytest.raises(RangeViolation, match="tol"):
+        solve_global(canonical_tree(), canonical_profiles(), canonical_mu(), tol)
+    with pytest.raises(RangeViolation, match="tol"):
+        reach_by_root(undirected_closure(canonical_tree()), canonical_attrs(), canonical_mu(), tol)

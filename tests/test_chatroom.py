@@ -9,6 +9,7 @@ from rumorcast import (
     ChatroomGame,
     InvariantViolation,
     Multiplicity,
+    RangeViolation,
     ReceiverAction,
     ReceiverSpec,
     SecondOrderBelief,
@@ -103,6 +104,12 @@ class TestGameInvariants:
         low = TypeSet.interval(0.0, 0.6)
         with pytest.raises(InvariantViolation):
             _game([low, low], lam=3.0, belief_profile=(0.8, 0.8), sender_types=low)
+
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_sensitivity_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(RangeViolation, match="sensitivity"):
+            ReceiverSpec(agent="r0", type_set=TypeSet.singleton(0.8), lam=lam, belief=SecondOrderBelief.dirac([0.8]))
 
 
 class TestEligibleActions:

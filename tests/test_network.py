@@ -12,6 +12,7 @@ from rumorcast import (
     InvalidGraph,
     InvariantViolation,
     OrderedTree,
+    RangeViolation,
     ReceiverAction,
     SenderAction,
     SocialGraph,
@@ -121,6 +122,19 @@ class TestSolveGlobal:
         prof = {"1": AgentProfile(type_set=TypeSet.singleton(0.5), lam=1.0)}
         with pytest.raises(InvariantViolation):
             solve_global(tree, prof, WIDE)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_sensitivity_rejected(self, lam):
+        # agent 2 of the tree 1 -> {2, 3}: NaN used to read as "no equilibrium"
+        # in the room the sending root opens, and inf as multiple equilibria there
+        tree = OrderedTree.from_edges("1", [("1", "2"), ("1", "3")])
+        theta = {"1": 0.85, "2": 0.3, "3": 0.3}
+        with pytest.raises(RangeViolation, match="sensitivity"):
+            prof = {
+                a: AgentProfile(type_set=TypeSet.singleton(theta[a]), lam=lam if a == "2" else 1.0)
+                for a in tree.agents
+            }
+            solve_global(tree, dirac_truth_profiles(tree, prof), WIDE)
 
     def test_disapproval_gate_opens_with_sensitivity(self):
         """An early disapprover falls silent at higher sensitivity, which

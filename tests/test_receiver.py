@@ -90,6 +90,9 @@ class TestUtility:
             utility(D, 1.2, d, 1.0)
         with pytest.raises(RangeViolation):
             utility(D, 0.5, d, -0.5)
+        for lam in (float("nan"), float("inf")):
+            with pytest.raises(RangeViolation, match="sensitivity"):
+                utility(D, 0.5, d, lam)
 
 
 class TestBestActions:

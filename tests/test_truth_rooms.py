@@ -39,7 +39,14 @@ from rumorcast import (
 )
 from rumorcast.network import BeliefOverride
 
-from helpers import canonical_attrs, canonical_mu, canonical_tree, random_evidence, random_tree
+from helpers import (
+    canonical_attrs,
+    canonical_mu,
+    canonical_tree,
+    random_evidence,
+    random_tree,
+    random_wide_tree,
+)
 
 DRAWS = 2400
 GRID = 1.0 / 16.0
@@ -190,8 +197,11 @@ def test_room_totals_match_built_beliefs():
 
 def test_reach_by_root_matches_per_root_dicts():
     rng = np.random.default_rng(3004)
+    wide_rooms = 0
     for draw in range(200):
-        tree = random_tree(rng, int(rng.integers(2, 9)))
+        n = int(rng.integers(2, 9))
+        # every fourth graph has a block of 11-15 agents: rooms of 10 or more receivers
+        tree = random_wide_tree(rng, n, int(rng.integers(10, 15))) if draw % 4 == 3 else random_tree(rng, n)
         attrs, mu, _ = _draw_attrs(rng, tree, dyadic=draw % 2 == 0)
         graph = undirected_closure(tree)
         got = reach_by_root(graph, attrs, mu)
@@ -199,6 +209,9 @@ def test_reach_by_root_matches_per_root_dicts():
             rooted = root_tree(graph, root)
             want = solve_global(rooted, dirac_truth_profiles(rooted, attrs), mu)
             assert _outcome(lambda: result) == _outcome(lambda: want), (draw, root)
+            wide_rooms += sum(len(eq.eligible) >= 10 for eq in result.room_equilibria.values())
+    print(f"{wide_rooms} rooms of 10 or more receivers solved")
+    assert wide_rooms >= 200
 
 
 def _count_dirac(monkeypatch) -> list[int]:
