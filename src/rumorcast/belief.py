@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, OrderingViolation, RangeViolation
 
 #: Package-wide default numeric tolerance.  Strict inequalities are enforced
@@ -33,8 +31,8 @@ EPS: float = 1e-9
 
 
 def _holds(cond) -> bool:
-    # works for python bools and boolean arrays alike
-    return bool(np.all(cond))
+    # a comparison of plain numbers is already a bool; arrays bring their own .all()
+    return cond if type(cond) is bool else bool(cond.all())
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,13 @@ class BeliefAtom:
 class SecondOrderBelief:
     """Finite-support distribution over peer credence profiles.
 
-    Invariants: at least one atom, positive weights summing to one, all
-    profiles of equal positive length, coordinates inside [0, 1].
+    Invariants: at least one atom, finite positive weights summing to one,
+    all profiles of equal positive length, coordinates inside [0, 1].
+
+    The weight sum is checked to a fixed ``1e-6``, not to the ``tol`` a
+    solver is given: it is an invariant of the belief object, not solver
+    slack.  A belief is built once, before and apart from any solve that
+    reads it, so the margin only absorbs the rounding of decimal weights.
     """
 
     atoms: tuple[BeliefAtom, ...]
@@ -94,8 +99,8 @@ class SecondOrderBelief:
                 raise InvariantViolation(
                     f"mixed profile lengths: {len(atom.profile)} vs {dim}"
                 )
-            if atom.weight <= 0.0:
-                raise RangeViolation(f"atom weight must be positive, got {atom.weight!r}")
+            if not 0.0 < atom.weight < math.inf:
+                raise RangeViolation(f"atom weight must be finite and positive, got {atom.weight!r}")
             for x in atom.profile:
                 if not (-EPS <= x <= 1.0 + EPS):
                     raise RangeViolation(f"profile coordinate {x!r} outside [0, 1]")
@@ -130,9 +135,14 @@ class SecondOrderBelief:
 class PeerDistanceProfile:
     """Expected distances from each action to the peer mean.
 
-    Invariants: every distance nonnegative, and ``d0 + d1 >= 1`` (triangle
-    inequality through any peer mean located in [0, 1]).  Profiles induced
-    by an actual :class:`SecondOrderBelief` satisfy ``d0 + d1 == 1``.
+    Invariants: every distance finite and nonnegative, and ``d0 + d1 >= 1``
+    (triangle inequality through any peer mean located in [0, 1]).  Profiles
+    induced by an actual :class:`SecondOrderBelief` satisfy ``d0 + d1 == 1``.
+
+    ``d0 + d1`` is checked to a fixed ``1e-6``, not to the ``tol`` a solver
+    is given: like the weight sum of a belief, it is an invariant of the
+    object, not solver slack, and the margin only absorbs rounding in the
+    distances.
     """
 
     d0: float
@@ -141,8 +151,8 @@ class PeerDistanceProfile:
 
     def __post_init__(self) -> None:
         for name, value in (("d0", self.d0), ("d05", self.d05), ("d1", self.d1)):
-            if value < -EPS:
-                raise RangeViolation(f"{name} must be nonnegative, got {value!r}")
+            if not -EPS <= value < math.inf:
+                raise RangeViolation(f"{name} must be finite and nonnegative, got {value!r}")
         if self.d0 + self.d1 < 1.0 - 1e-6:
             raise InvariantViolation(
                 f"d0 + d1 = {self.d0 + self.d1!r} < 1 cannot arise from peers in [0, 1]"

@@ -26,9 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .belief import EPS, EvidenceRelation, require_credence, worldview_posterior, worldview_prior
+from .belief import EPS, EvidenceRelation, _holds, require_credence, worldview_posterior, worldview_prior
 from .chatroom import TypeSet
 from .errors import EmptyPeers, RangeViolation
 from .receiver import SecondOrderBelief
@@ -100,7 +98,7 @@ def nu_value(x, own_prior, mu: EvidenceRelation, tol: float = EPS):
 
     Vectorizes over ``x`` (and ``own_prior``, though scalar use is typical).
     """
-    if not bool(np.all((own_prior > tol) & (own_prior < 1.0 - tol))):
+    if not _holds((own_prior > tol) & (own_prior < 1.0 - tol)):
         raise RangeViolation(f"own prior {own_prior!r} outside (0, 1)")
     prior = worldview_prior(x, mu, tol)
     post = worldview_posterior(x, mu, tol)

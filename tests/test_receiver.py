@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from rumorcast import (
     support_intervals,
     utility,
 )
+from rumorcast.chatroom import TypeSet, room_equilibrium
 from rumorcast.oracle import GridSpec, oracle_min_lambda, oracle_support_points
 
 from helpers import random_belief
@@ -271,3 +274,36 @@ class TestAltUtility:
     def test_no_peers_rejected(self):
         with pytest.raises(EmptyPeers):
             alt_utility(D, 0.5, (), 1.0)
+
+
+class TestNonFiniteInvariants:
+    """Library callers get a typed error naming the field, never a belief
+    or distance profile that carries NaN or an infinity into a solve."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["d0", "d05", "d1"])
+    def test_profile_rejects_non_finite_distance(self, field, bad):
+        values = {"d0": 0.5, "d05": 0.5, "d1": 0.5, field: bad}
+        with pytest.raises(RangeViolation, match=f"^{field} must be finite"):
+            PeerDistanceProfile(**values)
+
+    def test_profile_nan_probe(self):
+        with pytest.raises(RangeViolation, match="^d0 "):
+            PeerDistanceProfile(math.nan, 0.5, 0.5)
+
+    def test_profile_inf_probe(self):
+        with pytest.raises(RangeViolation, match="^d0 "):
+            PeerDistanceProfile(math.inf, 0.5, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_mixture_rejects_non_finite_weight(self, bad):
+        with pytest.raises(RangeViolation, match="atom weight"):
+            SecondOrderBelief.mixture([([0.5], bad), ([0.2], 1.0)])
+
+    def test_all_nan_room_is_an_error_not_no_equilibrium(self):
+        # before: the profile was accepted and the room came back
+        # Multiplicity.NONE, a false "no equilibrium"
+        with pytest.raises(RangeViolation, match="^d0 "):
+            room_equilibrium(
+                [("r", TypeSet.singleton(0.5), 1.0, PeerDistanceProfile(math.nan, math.nan, math.nan))]
+            )
