@@ -155,18 +155,18 @@ class ChatroomGame:
             others = [other.type_set for other in self.receivers if other.agent != spec.agent]
             check_receiver_belief(spec.agent, spec.belief, [self.sender_types] + others)
 
-    def receiver(self, agent: Agent) -> ReceiverSpec:
-        for spec in self.receivers:
-            if spec.agent == agent:
-                return spec
-        raise KeyError(agent)
-
 
 def check_receiver_belief(
     agent: Agent, belief: SecondOrderBelief | None, peer_sets: Sequence[TypeSet]
 ) -> None:
     """Raise unless ``belief`` is given and every atom has one coordinate per
-    peer, inside that peer's type set (``peer_sets`` in belief order)."""
+    peer, inside that peer's type set (``peer_sets`` in belief order).
+
+    Containment is checked to the fixed ``EPS``, not to the ``tol`` a solver
+    is given.  A belief is an object, checked once, at entry, before any
+    solve, like the weight sum of a :class:`SecondOrderBelief`; ``tol`` is
+    slack on utility, not on where a peer's credence may lie.
+    """
     if belief is None:
         raise InvariantViolation(f"agent {agent!r} is a receiver but has no receiver belief")
     if belief.dim != len(peer_sets):

@@ -123,7 +123,7 @@ _CASCADE_COLUMNS = [
 ]
 
 
-def _joined_actions(tree: OrderedTree, result: CascadeResult) -> tuple[str, str]:
+def _joined_actions(result: CascadeResult) -> tuple[str, str]:
     reactions = ";".join(
         f"{a}={_reaction_word(result.reaction_of(a))}"
         for a in sorted(result.receiver_actions, key=natural_key)
@@ -169,6 +169,8 @@ def _lambda_values(args: argparse.Namespace) -> list[float]:
             lo, hi, step = float(lo_s), float(hi_s), float(step_s)
         except ValueError as exc:
             raise RumorcastError("--lambda-range: expected LO:HI:STEP") from exc
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise RumorcastError("--lambda-range: LO, HI and STEP must be finite")
         if step <= 0 or hi < lo:
             raise RumorcastError("--lambda-range: need step > 0 and hi >= lo")
         values = []
@@ -196,7 +198,7 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
         }
         swept = dataclasses.replace(scenario, attrs=attrs)
         result = solve_global(tree, swept.profiles_for(tree), scenario.evidence, args.tolerance)
-        reactions, sends = _joined_actions(tree, result)
+        reactions, sends = _joined_actions(result)
         rows.append(
             {
                 "lambda": lam,

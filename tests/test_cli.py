@@ -179,6 +179,16 @@ class TestMalformedBeliefs:
         assert captured.err == f"error: {row['detail']}\n"
 
 
+class TestNonObjectBeliefAgents:
+    def test_validate_and_solve_report_the_field(self, capsys, tmp_path):
+        path = write(tmp_path, {**EXAMPLE_REGIMES, "beliefs": {"default": "none", "agents": [1, 2]}})
+        code, out = run(capsys, "validate", path, "--format", "json-lines")
+        assert code == 1
+        assert jl(out) == [{"kind": "schema-error", "detail": "beliefs.agents: expected an object keyed by agent id"}]
+        assert main(["solve", path]) == 1
+        assert capsys.readouterr().err == "error: beliefs.agents: expected an object keyed by agent id\n"
+
+
 class TestFlagErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -282,6 +292,10 @@ class TestSweepLambda:
         assert code == 1
         code, _ = run(capsys, "sweep-lambda", CANONICAL, "--agent", "1", "--lambda-range", "2:1:1")
         assert code == 1
+        # a sweep with an infinite end would never end
+        for bad in ("0:inf:1", "-inf:1:0.5", "1:2:inf", "nan:1:1"):
+            assert main(["sweep-lambda", CANONICAL, "--agent", "1", f"--lambda-range={bad}"]) == 1
+            assert "--lambda-range" in capsys.readouterr().err
 
 
 class TestSweepRoot:

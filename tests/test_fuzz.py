@@ -1,0 +1,172 @@
+"""Mutated scenario files never crash the checker or the commands.
+
+Each example takes one shipped scenario, as written or in its canonical
+form (``normalize`` spells dirac-truth beliefs out as explicit atoms), and
+mutates it again and again, checking the document after every step.  A
+mutation replaces a JSON value by one of another type, drops a key, or adds
+an unknown key.  Its place is found on a walk down from the top that stops
+at each level with odds 1 in 3, so shallow structure (``beliefs.agents``
+turned into an array, say) is hit about as often as the leaves.  New keys
+and strings come from the schema's own words.  For every mutant:
+
+- ``scenario_diagnostics`` returns a list and never raises;
+- ``validate``, ``solve`` and ``sweep-root`` exit 0, 1 or 2 and never raise;
+- a tree scenario that ``validate`` finds clean solves: ``solve`` exits 0
+  (cascade resolved) or 2 (a reached room has no equilibrium), never 1.
+
+The hypothesis example only seeds the walk (``randoms``), so a failure is
+reported with the mutant's text (``note``) rather than shrunk.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import random
+from pathlib import Path
+from typing import Any, Callable, Iterator
+
+import pytest
+from hypothesis import HealthCheck, given, note, settings
+from hypothesis import strategies as st
+
+from rumorcast import normalize_scenario, scenario_diagnostics
+from rumorcast.cli import main
+
+_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+_SHIPPED = {path.name: path.read_text(encoding="utf-8") for path in sorted(_SCENARIOS.glob("*.json"))}
+BASES = [(name, form) for name, text in _SHIPPED.items() for form in (text, normalize_scenario(text))]
+
+_WORDS = (
+    "name", "evidence", "mu_given_c", "mu_given_not_c", "topology", "kind", "root",
+    "edges", "check_structure", "agents", "types", "lambda", "ell", "interval",
+    "beliefs", "default", "receiver", "sender", "dirac", "atoms", "profile", "weight",
+    "tree", "graph", "dirac-truth", "none", "1", "2", "3", "99", "", "x", "0.5", "-1",
+)
+_NUMBERS = (0, 1, 2, 3, -1, 12, 0.0, -0.0, 0.1, 0.5, 0.9, 1.0, 1.5, 1e-300, 1e308, 10**400,
+            math.nan, math.inf, -math.inf)
+_KINDS = ("null", "bool", "number", "string", "array", "object")
+
+
+def _value(rnd: random.Random, kind: str, depth: int = 0) -> Any:
+    """A random JSON value of ``kind``, nested at most two levels."""
+    if kind == "null":
+        return None
+    if kind == "bool":
+        return rnd.random() < 0.5
+    if kind == "number":
+        return rnd.choice(_NUMBERS) if rnd.random() < 0.7 else rnd.uniform(-2.0, 2.0)
+    if kind == "string":
+        return rnd.choice(_WORDS)
+    size = rnd.randint(0, 3) if depth < 2 else 0
+    items = [(rnd.choice(_WORDS), _value(rnd, rnd.choice(_KINDS), depth + 1)) for _ in range(size)]
+    return [v for _, v in items] if kind == "array" else dict(items)
+
+
+def _kind(value: Any) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"
+
+
+def _descend(rnd: random.Random, doc: Any, keep: Callable[[Any], bool]) -> tuple | None:
+    """Keys to the deepest position passing ``keep`` on a random walk down
+    from the top; None when the walk passes none."""
+    path, value, found = (), doc, None
+    while True:
+        if keep(value):
+            found = path
+        keys = list(value) if isinstance(value, dict) else list(range(len(value))) if isinstance(value, list) else []
+        if not keys or rnd.random() < 1 / 3:
+            return found
+        key = rnd.choice(keys)
+        path, value = path + (key,), value[key]
+
+
+def _at(doc: Any, path: tuple) -> Any:
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutate(rnd: random.Random, doc: Any) -> Any:
+    """``doc`` with one mutation, made in place unless the whole document is replaced."""
+    how = rnd.choice(["replace", "drop", "add"])
+    if how == "add":
+        path = _descend(rnd, doc, lambda v: isinstance(v, dict))
+        if path is not None:
+            target = _at(doc, path)
+            target[rnd.choice([w for w in _WORDS if w not in target])] = _value(rnd, rnd.choice(_KINDS))
+        return doc
+    path = _descend(rnd, doc, lambda v: True)
+    if how == "drop":
+        if path and isinstance(_at(doc, path[:-1]), dict):
+            del _at(doc, path[:-1])[path[-1]]
+        return doc
+    value = _value(rnd, rnd.choice([k for k in _KINDS if k != _kind(_at(doc, path))]))
+    if not path:
+        return value
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _mutants(data: st.DataObject, steps: int) -> Iterator[tuple[str, Any, str]]:
+    """One shipped scenario's name with each of ``steps`` ever more mutated
+    copies of it and its text; a copy is mutated further once the caller
+    asks for the next."""
+    rnd = data.draw(st.randoms(use_true_random=True))
+    name, text = rnd.choice(BASES)
+    doc = json.loads(text)
+    for _ in range(steps):
+        doc = _mutate(rnd, doc)
+        text = json.dumps(doc)
+        note(text)
+        yield name, doc, text
+
+
+_FUZZ = settings(
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+
+@settings(_FUZZ, max_examples=1000)
+@given(data=st.data())
+def test_diagnostics_never_raise(data):
+    for _, _, text in _mutants(data, 6):
+        assert isinstance(scenario_diagnostics(text), list)
+
+
+def _run(*argv: str) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(_FUZZ, max_examples=200)
+@given(data=st.data())
+def test_commands_exit_cleanly(workdir, data):
+    path = workdir / "scenario.json"
+    for name, doc, text in _mutants(data, 3):
+        path.write_text(text, encoding="utf-8")
+        codes = {cmd: _run(cmd, str(path)) for cmd in ("validate", "solve", "sweep-root")}
+        if name == "three_cliques.json":
+            codes["solve --root 1"] = _run("solve", str(path), "--root", "1")
+        assert set(codes.values()) <= {0, 1, 2}, codes
+
+        topology = doc.get("topology") if isinstance(doc, dict) else None
+        if codes["validate"] == 0 and isinstance(topology, dict) and topology.get("kind") == "tree":
+            assert codes["solve"] in (0, 2), codes

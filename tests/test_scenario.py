@@ -79,6 +79,7 @@ class TestParsing:
             ({"topology": {"kind": "tree", "root": "1", "edges": [["1", "9"]]}}, "without profiles"),
             ({"agents": {}}, "nonempty"),
             ({"beliefs": "sometimes"}, "beliefs"),
+            ({"beliefs": {"default": "none", "agents": [1, 2]}}, "beliefs.agents"),
         ],
     )
     def test_schema_errors_carry_field_context(self, patches, fragment):
