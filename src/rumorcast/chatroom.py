@@ -35,7 +35,7 @@ from .receiver import (
 Agent = Hashable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeSet:
     """Nonempty set of candidate credences: finite points or an interval.
 
@@ -70,7 +70,12 @@ class TypeSet:
 
     @classmethod
     def singleton(cls, value: float) -> "TypeSet":
-        return cls(values=(value,))
+        # one point needs only the range check: no sort, no dedupe
+        _check_unit(value)
+        ts = object.__new__(cls)
+        object.__setattr__(ts, "values", (float(value),))
+        object.__setattr__(ts, "bounds", None)
+        return ts
 
     @classmethod
     def interval(cls, lo: float, hi: float) -> "TypeSet":

@@ -15,14 +15,17 @@ import io
 import json
 import math
 import sys
-from typing import Any, Sequence
+from itertools import chain, groupby, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Any, Iterable, Sequence
 
 from .belief import EPS
 from .errors import RumorcastError
 from .network import (
     CascadeResult,
     OrderedTree,
-    natural_key,
+    natural_sorted,
     reach_by_root,
     root_tree,
     solve_global,
@@ -63,9 +66,51 @@ def _cell(value: Any, fmt: str) -> str:
     return str(value)
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_value(value: Any) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True)`` writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _LITERALS[value]
+    return json.dumps(value, sort_keys=True)
+
+
+def _json_column(values: list[Any]) -> Iterable[str]:
+    """``_json_value`` of each value, without a Python call per value when
+    the column holds only strings, None and bools."""
+    kinds = set(map(type, values))
+    if kinds <= {str}:
+        return map(encode_basestring_ascii, values)
+    if kinds <= {str, type(None), bool}:  # no ints, which would hash like the bools
+        written = {value: _json_value(value) for value in set(values)}
+        return map(written.__getitem__, values)
+    return map(_json_value, values)
+
+
+def _json_lines(rows: list[dict[str, Any]]) -> str:
+    """``json.dumps(row, sort_keys=True)`` for each row, one per line.
+
+    Keys must be strings.  Each run of rows with the same keys is written a
+    column at a time, and the columns are then interleaved with the keys.
+    """
+    pieces: list[Iterable[str]] = []
+    for keys, run in groupby(rows, dict.keys):
+        block = list(run)
+        cells: list[Iterable[str]] = [repeat("{", len(block))]
+        for k, name in enumerate(sorted(keys)):
+            cells.append(repeat((", " if k else "") + encode_basestring_ascii(name) + ": "))
+            cells.append(_json_column(list(map(itemgetter(name), block))))
+        cells.append(repeat("}\n"))
+        pieces.append(chain.from_iterable(zip(*cells)))
+    return "".join(chain.from_iterable(pieces))
+
+
 def _render(rows: list[dict[str, Any]], columns: list[str], fmt: str) -> str:
     if fmt == "json-lines":
-        return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        return _json_lines(rows)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -93,17 +138,20 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cascade_rows(tree: OrderedTree, result: CascadeResult) -> list[dict[str, Any]]:
-    rows: list[dict[str, Any]] = []
-    for agent in sorted(tree.agents, key=natural_key):
-        rows.append(
-            {
-                "kind": "agent",
-                "agent": agent,
-                "reached": agent in result.reach,
-                "reaction": _reaction_word(result.reaction_of(agent)),
-                "send": _send_word(result.send_of(agent)),
-            }
-        )
+    reach, reactions, sends = result.reach, result.receiver_actions, result.sender_actions
+    rows: list[dict[str, Any]] = [
+        # agents the message missed have no actions to look up
+        {"kind": "agent", "agent": agent, "reached": False, "reaction": None, "send": None}
+        if agent not in reach
+        else {
+            "kind": "agent",
+            "agent": agent,
+            "reached": True,
+            "reaction": _reaction_word(reactions.get(agent)),
+            "send": _send_word(sends.get(agent)),
+        }
+        for agent in natural_sorted(tree.agents)
+    ]
     rows.append(
         {
             "kind": "summary",
@@ -126,11 +174,11 @@ _CASCADE_COLUMNS = [
 def _joined_actions(result: CascadeResult) -> tuple[str, str]:
     reactions = ";".join(
         f"{a}={_reaction_word(result.reaction_of(a))}"
-        for a in sorted(result.receiver_actions, key=natural_key)
+        for a in natural_sorted(result.receiver_actions)
     )
     sends = ";".join(
         f"{a}={_send_word(result.send_of(a))}"
-        for a in sorted(result.sender_actions, key=natural_key)
+        for a in natural_sorted(result.sender_actions)
     )
     return reactions, sends
 
@@ -230,7 +278,7 @@ def cmd_sweep_root(args: argparse.Namespace) -> int:
     for root, result in sweep.items():
         no_send = ";".join(
             str(a)
-            for a in sorted(result.sender_actions, key=natural_key)
+            for a in natural_sorted(result.sender_actions)
             if result.send_of(a) is SenderAction.NOSEND
         )
         rows.append(

@@ -31,7 +31,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, filterfalse, groupby
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .belief import EPS, EvidenceRelation
@@ -60,9 +61,19 @@ Agent = Hashable
 def natural_key(agent: Agent) -> tuple[int, int, str]:
     """Sort key putting numeric ids in numeric order, then the rest."""
     s = str(agent)
-    if s.isdigit():
+    if s.isdecimal():  # not isdigit(): int() rejects digits like "²"
         return (0, int(s), "")
     return (1, 0, s)
+
+
+def natural_sorted(agents: Iterable[Agent]) -> list[Agent]:
+    """``sorted(agents, key=natural_key)``.  Plain string ids are sorted
+    without a key per id: the decimal ones by value, then the rest as text."""
+    agents = list(agents)
+    if not set(map(type, agents)) <= {str}:
+        return sorted(agents, key=natural_key)
+    numeric = sorted(filter(str.isdecimal, agents), key=int)
+    return numeric + sorted(filterfalse(str.isdecimal, agents))
 
 
 # ---------------------------------------------------------------------------
@@ -81,36 +92,32 @@ class OrderedTree:
     @classmethod
     def from_edges(cls, root: Agent, edges: Iterable[tuple[Agent, Agent]]) -> "OrderedTree":
         """Build from (parent, child) pairs; child order follows edge order."""
-        children: dict[Agent, list[Agent]] = {root: []}
-        parent: dict[Agent, Agent] = {}
+        edges = tuple(edges)
+        parent = dict(zip(map(itemgetter(1), edges), map(itemgetter(0), edges)))
+        if len(parent) != len(edges) or root in parent:
+            _raise_edge_error(root, edges)  # some child has two parents, or the root one
+        children: dict[Agent, list[Agent]] = {}
         for p, c in edges:
-            if p == c:
-                raise InvalidGraph(f"self-edge at {p!r}")
-            if c == root:
-                raise InvalidGraph(f"root {root!r} cannot have a parent")
-            if c in parent:
-                raise InvalidGraph(f"agent {c!r} has two parents: {parent[c]!r} and {p!r}")
-            parent[c] = p
-            children.setdefault(p, []).append(c)
-            children.setdefault(c, [])
-        order: list[Agent] = []
-        queue: deque[Agent] = deque([root])
-        seen = {root}
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            for child in children[node]:
-                seen.add(child)
-                queue.append(child)
-        if len(order) != len(children):
-            stranded = sorted((a for a in children if a not in seen), key=natural_key)
+            if p in children:
+                children[p].append(c)
+            else:
+                children[p] = [c]
+        # breadth first, the list growing while it is walked; with one parent
+        # per agent and none for the root, every agent is listed at most once
+        order = [root]
+        for node in order:
+            kids = children.get(node)
+            if kids is not None:
+                order.extend(kids)
+        if len(order) != len(parent) + 1:
+            _raise_edge_error(root, edges)  # a self-edge, if any
+            seen = set(order)
+            stranded = natural_sorted(a for a in dict.fromkeys(chain.from_iterable(edges)) if a not in seen)
             raise InvalidGraph(f"agents not reachable from the root: {stranded!r}")
-        return cls(
-            root=root,
-            children={a: tuple(children[a]) for a in order},
-            parent=parent,
-            agents=tuple(order),
-        )
+        out = dict.fromkeys(order, ())
+        for p, kids in children.items():
+            out[p] = tuple(kids)
+        return cls(root=root, children=out, parent=parent, agents=tuple(order))
 
     def children_of(self, agent: Agent) -> tuple[Agent, ...]:
         return self.children[agent]
@@ -127,6 +134,19 @@ class OrderedTree:
 
     def edges(self) -> tuple[tuple[Agent, Agent], ...]:
         return tuple((a, c) for a in self.agents for c in self.children[a])
+
+
+def _raise_edge_error(root: Agent, edges: Sequence[tuple[Agent, Agent]]) -> None:
+    """Raise for the first edge, in order, that no tree under ``root`` has."""
+    parent: dict[Agent, Agent] = {}
+    for p, c in edges:
+        if p == c:
+            raise InvalidGraph(f"self-edge at {p!r}")
+        if c == root:
+            raise InvalidGraph(f"root {root!r} cannot have a parent")
+        if c in parent:
+            raise InvalidGraph(f"agent {c!r} has two parents: {parent[c]!r} and {p!r}")
+        parent[c] = p
 
 
 @dataclass(frozen=True)
@@ -152,7 +172,7 @@ def chatrooms_of(tree: OrderedTree) -> tuple[Chatroom, ...]:
 # per-agent data and the global cascade
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentProfile:
     """Everything one agent brings to the cascade.
 
@@ -208,18 +228,21 @@ class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
         overrides: Mapping[Agent, BeliefOverride] | None = None,
     ) -> None:
         self.tree = tree
-        self.attrs: dict[Agent, AgentProfile] = {}
         self.theta: dict[Agent, float] = {}
         for agent in tree.agents:
             base = attrs.get(agent)
             if base is None:
                 raise InvariantViolation(f"no profile for agent {agent!r}")
-            if not base.type_set.is_singleton:
+            values = base.type_set.values
+            if values is None or len(values) != 1:
                 raise InvariantViolation(
                     f"agent {agent!r}: known-type beliefs need singleton type sets"
                 )
-            self.attrs[agent] = base
-            self.theta[agent] = base.type_set.values[0]  # type: ignore[index]
+            self.theta[agent] = values[0]
+        # every tree agent has a profile, so equal sizes mean ``attrs`` holds no others
+        self.attrs: dict[Agent, AgentProfile] = (
+            dict(attrs) if len(attrs) == len(self.theta) else {a: attrs[a] for a in tree.agents}
+        )
         # in tree order, so checks report the first bad agent as the dict path does
         self.overrides: dict[Agent, BeliefOverride] = (
             {a: overrides[a] for a in tree.agents if a in overrides} if overrides else {}

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from itertools import chain
+from typing import Any, Callable, Mapping, TypeVar
 
 from .belief import EvidenceRelation, require_credence, validate_evidence
 from .chatroom import TypeSet
@@ -30,7 +31,7 @@ from .network import (
     SocialGraph,
     _check_profiles,
     dirac_truth_profiles,  # unused here; bench/tracer.py wraps this binding by name
-    natural_key,
+    natural_sorted,
     validate_graph,
 )
 from .receiver import SecondOrderBelief
@@ -38,6 +39,8 @@ from .receiver import SecondOrderBelief
 DIRAC_TRUTH = "dirac-truth"
 
 _TOP_KEYS = {"name", "evidence", "topology", "agents", "beliefs"}
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class Scenario:
 
     @property
     def agent_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.attrs, key=natural_key))
+        return tuple(natural_sorted(self.attrs))
 
     def tree(self) -> OrderedTree:
         if self.topology.kind != "tree":
@@ -97,150 +100,196 @@ def _attach_beliefs(
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# The checks below run once per agent and per edge, so their success path
+# builds no strings.  A bad value raises :class:`_Bad`, which says what is
+# wrong and where the value sits below the one being checked.  Each level
+# that knows more of the path prepends its part, and the level that knows
+# all of it turns the error into a :class:`SchemaError`.
 
 
-def _need(obj: Mapping[str, Any], key: str, path: str) -> Any:
+class _Bad(Exception):
+    """A bad value: ``text`` says what is wrong, ``where`` locates it below
+    the value being checked (``""`` for that value itself)."""
+
+    def __init__(self, text: str, where: str = "") -> None:
+        super().__init__(text)
+        self.text, self.where = text, where
+
+    def within(self, where: str) -> "_Bad":
+        self.where = where + self.where
+        return self
+
+
+def _at(path: str, check: Callable[..., _T], *args: Any) -> _T:
+    """``check(*args)``, reporting a bad value as a :class:`SchemaError`
+    under ``path``."""
+    try:
+        return check(*args)
+    except _Bad as bad:
+        raise SchemaError(f"{path}{bad.where}: {bad.text}") from bad.__cause__
+
+
+def _need(obj: Mapping[str, Any], key: str) -> Any:
     if key not in obj:
-        raise SchemaError(f"{path}: missing required field {key!r}")
+        raise _Bad(f"missing required field {key!r}")
     return obj[key]
 
 
-def _as_number(value: Any, path: str) -> float:
+def _number(value: Any, where: str = "") -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number, got {value!r}")
+        raise _Bad(f"expected a number, got {value!r}", where)
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise SchemaError(f"{path}: expected a finite number, got {value!r}")
+        raise _Bad(f"expected a finite number, got {value!r}", where)
     return number
 
 
-def _as_id(value: Any, path: str) -> str:
+def _numbers(raw: list[Any], where: str = "") -> list[float]:
+    out: list[float] = []
+    for value in raw:
+        try:
+            out.append(_number(value))
+        except _Bad as bad:
+            raise bad.within(f"{where}[{len(out)}]")
+    return out
+
+
+def _as_id(value: Any, where: str = "") -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return str(value)
-    raise SchemaError(f"{path}: agent id must be a string or integer, got {value!r}")
+    raise _Bad(f"agent id must be a string or integer, got {value!r}", where)
 
 
-def _parse_topology(raw: Any, path: str = "topology") -> Topology:
+_TOPOLOGY_KEYS = frozenset({"kind", "edges", "root", "check_structure"})
+
+
+def _parse_topology(raw: Any) -> Topology:
     if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: expected an object")
-    kind = _need(raw, "kind", path)
+        raise _Bad("expected an object")
+    kind = _need(raw, "kind")
     if kind not in ("tree", "graph"):
-        raise SchemaError(f"{path}.kind: expected 'tree' or 'graph', got {kind!r}")
-    edges_raw = _need(raw, "edges", path)
+        raise _Bad(f"expected 'tree' or 'graph', got {kind!r}", ".kind")
+    edges_raw = _need(raw, "edges")
     if not isinstance(edges_raw, list):
-        raise SchemaError(f"{path}.edges: expected an array of pairs")
+        raise _Bad("expected an array of pairs", ".edges")
     edges = []
-    for k, pair in enumerate(edges_raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{path}.edges[{k}]: expected a two-element array")
-        edges.append(
-            (_as_id(pair[0], f"{path}.edges[{k}][0]"), _as_id(pair[1], f"{path}.edges[{k}][1]"))
-        )
-    allowed = {"kind", "edges", "root", "check_structure"}
-    extra = set(raw) - allowed
+    for pair in edges_raw:
+        try:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise _Bad("expected a two-element array")
+            edges.append((_as_id(pair[0], "[0]"), _as_id(pair[1], "[1]")))
+        except _Bad as bad:
+            raise bad.within(f".edges[{len(edges)}]")
+    extra = raw.keys() - _TOPOLOGY_KEYS
     if extra:
-        raise SchemaError(f"{path}: unknown fields {sorted(extra)!r}")
+        raise _Bad(f"unknown fields {sorted(extra)!r}")
     root = None
     if kind == "tree":
-        root = _as_id(_need(raw, "root", path), f"{path}.root")
+        root = _as_id(_need(raw, "root"), ".root")
     elif "root" in raw:
-        raise SchemaError(f"{path}.root: only tree topologies carry a root")
+        raise _Bad("only tree topologies carry a root", ".root")
     check = raw.get("check_structure", True)
     if not isinstance(check, bool):
-        raise SchemaError(f"{path}.check_structure: expected a boolean")
+        raise _Bad("expected a boolean", ".check_structure")
     if kind == "tree" and "check_structure" in raw:
-        raise SchemaError(f"{path}.check_structure: only graph topologies carry this flag")
+        raise _Bad("only graph topologies carry this flag", ".check_structure")
     return Topology(kind=kind, edges=tuple(edges), root=root, check_structure=check)
 
 
-def _parse_type_set(raw: Any, path: str) -> TypeSet:
+def _type_set(raw: Any) -> TypeSet:
     try:
         if isinstance(raw, bool):
-            raise SchemaError(f"{path}: expected a credence, list, or interval")
+            raise _Bad("expected a credence, list, or interval")
         if isinstance(raw, (int, float)):
             return TypeSet.singleton(raw)  # range-checked before float(), so huge ints fail cleanly
         if isinstance(raw, list):
-            return TypeSet.finite([_as_number(v, f"{path}[{k}]") for k, v in enumerate(raw)])
+            return TypeSet.finite(_numbers(raw))
         if isinstance(raw, dict) and set(raw) == {"interval"}:
             pair = raw["interval"]
             if not isinstance(pair, list) or len(pair) != 2:
-                raise SchemaError(f"{path}.interval: expected [lo, hi]")
-            return TypeSet.interval(
-                _as_number(pair[0], f"{path}.interval[0]"),
-                _as_number(pair[1], f"{path}.interval[1]"),
-            )
-    except SchemaError:
-        raise
+                raise _Bad("expected [lo, hi]", ".interval")
+            lo = _number(pair[0], ".interval[0]")
+            return TypeSet.interval(lo, _number(pair[1], ".interval[1]"))
     except RumorcastError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    raise SchemaError(f"{path}: expected a credence, list, or {{'interval': [lo, hi]}}")
+        raise _Bad(str(exc)) from exc
+    raise _Bad("expected a credence, list, or {'interval': [lo, hi]}")
 
 
-def _parse_agents(raw: Any, path: str = "agents") -> dict[str, AgentProfile]:
+_AGENT_KEYS = frozenset({"types", "lambda", "ell"})
+
+
+def _parse_agents(raw: Any) -> dict[str, AgentProfile]:
     if not isinstance(raw, dict) or not raw:
-        raise SchemaError(f"{path}: expected a nonempty object keyed by agent id")
+        raise _Bad("expected a nonempty object keyed by agent id")
     out: dict[str, AgentProfile] = {}
     for agent, spec in raw.items():
-        apath = f"{path}.{agent}"
-        if not isinstance(spec, dict):
-            raise SchemaError(f"{apath}: expected an object")
-        extra = set(spec) - {"types", "lambda", "ell"}
-        if extra:
-            raise SchemaError(f"{apath}: unknown fields {sorted(extra)!r}")
-        type_set = _parse_type_set(_need(spec, "types", apath), f"{apath}.types")
-        lam = _as_number(_need(spec, "lambda", apath), f"{apath}.lambda")
-        ell_raw = spec.get("ell", 1)
-        if isinstance(ell_raw, bool) or not isinstance(ell_raw, int):
-            raise SchemaError(f"{apath}.ell: expected an integer")
         try:
-            out[str(agent)] = AgentProfile(type_set=type_set, lam=lam, ell=ell_raw)
-        except RumorcastError as exc:
-            raise SchemaError(f"{apath}: {exc}") from exc
+            out[str(agent)] = _agent(spec)
+        except _Bad as bad:
+            raise bad.within(f".{agent}")
     return out
 
 
-def _parse_belief(raw: Any, path: str) -> SecondOrderBelief:
+def _agent(spec: Any) -> AgentProfile:
+    if not isinstance(spec, dict):
+        raise _Bad("expected an object")
+    if not spec.keys() <= _AGENT_KEYS:
+        raise _Bad(f"unknown fields {sorted(spec.keys() - _AGENT_KEYS)!r}")
+    types = _need(spec, "types")
+    try:
+        type_set = _type_set(types)
+    except _Bad as bad:
+        raise bad.within(".types")
+    lam = _number(_need(spec, "lambda"), ".lambda")
+    ell = spec.get("ell", 1)
+    if isinstance(ell, bool) or not isinstance(ell, int):
+        raise _Bad("expected an integer", ".ell")
+    try:
+        return AgentProfile(type_set, lam, ell)
+    except RumorcastError as exc:
+        raise _Bad(str(exc)) from exc
+
+
+def _belief(raw: Any) -> SecondOrderBelief:
     try:
         if isinstance(raw, dict) and set(raw) == {"dirac"}:
             profile = raw["dirac"]
             if not isinstance(profile, list):
-                raise SchemaError(f"{path}.dirac: expected an array of credences")
-            return SecondOrderBelief.dirac(
-                [_as_number(v, f"{path}.dirac[{k}]") for k, v in enumerate(profile)]
-            )
+                raise _Bad("expected an array of credences", ".dirac")
+            return SecondOrderBelief.dirac(_numbers(profile, ".dirac"))
         if isinstance(raw, dict) and set(raw) == {"atoms"}:
             atoms_raw = raw["atoms"]
             if not isinstance(atoms_raw, list):
-                raise SchemaError(f"{path}.atoms: expected an array")
-            atoms = []
-            for k, atom in enumerate(atoms_raw):
-                kpath = f"{path}.atoms[{k}]"
-                if not isinstance(atom, dict) or set(atom) != {"profile", "weight"}:
-                    raise SchemaError(f"{kpath}: expected {{'profile': [...], 'weight': w}}")
-                profile = atom["profile"]
-                if not isinstance(profile, list):
-                    raise SchemaError(f"{kpath}.profile: expected an array of credences")
-                atoms.append(
-                    (
-                        [_as_number(v, f"{kpath}.profile[{j}]") for j, v in enumerate(profile)],
-                        _as_number(atom["weight"], f"{kpath}.weight"),
-                    )
-                )
+                raise _Bad("expected an array", ".atoms")
+            atoms: list[tuple[list[float], float]] = []
+            for atom in atoms_raw:
+                try:
+                    atoms.append(_atom(atom))
+                except _Bad as bad:
+                    raise bad.within(f".atoms[{len(atoms)}]")
             return SecondOrderBelief.mixture(atoms)
-    except SchemaError:
-        raise
     except RumorcastError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    raise SchemaError(f"{path}: expected {{'dirac': [...]}} or {{'atoms': [...]}}")
+        raise _Bad(str(exc)) from exc
+    raise _Bad("expected {'dirac': [...]} or {'atoms': [...]}")
+
+
+def _atom(raw: Any) -> tuple[list[float], float]:
+    if not isinstance(raw, dict) or set(raw) != {"profile", "weight"}:
+        raise _Bad("expected {'profile': [...], 'weight': w}")
+    profile = raw["profile"]
+    if not isinstance(profile, list):
+        raise _Bad("expected an array of credences", ".profile")
+    return _numbers(profile, ".profile"), _number(raw["weight"], ".weight")
 
 
 def _parse_beliefs(
-    raw: Any, agents: Mapping[str, AgentProfile], path: str = "beliefs"
+    raw: Any, agents: Mapping[str, AgentProfile]
 ) -> tuple[str | None, dict[str, BeliefOverride]]:
     if raw is None:
         return DIRAC_TRUTH, {}
@@ -249,47 +298,58 @@ def _parse_beliefs(
     if raw == "none":
         return None, {}
     if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: expected '{DIRAC_TRUTH}', 'none', or an object")
-    extra = set(raw) - {"default", "agents"}
+        raise _Bad(f"expected '{DIRAC_TRUTH}', 'none', or an object")
+    extra = raw.keys() - {"default", "agents"}
     if extra:
-        raise SchemaError(f"{path}: unknown fields {sorted(extra)!r}")
+        raise _Bad(f"unknown fields {sorted(extra)!r}")
     default_raw = raw.get("default", "none")
     if default_raw == DIRAC_TRUTH:
         default = DIRAC_TRUTH
     elif default_raw == "none":
         default = None
     else:
-        raise SchemaError(f"{path}.default: expected '{DIRAC_TRUTH}' or 'none'")
+        raise _Bad(f"expected '{DIRAC_TRUTH}' or 'none'", ".default")
     agents_raw = raw.get("agents", {})
     if not isinstance(agents_raw, dict):
-        raise SchemaError(f"{path}.agents: expected an object keyed by agent id")
+        raise _Bad("expected an object keyed by agent id", ".agents")
     overrides: dict[str, BeliefOverride] = {}
     for agent, spec in agents_raw.items():
-        apath = f"{path}.agents.{agent}"
-        if str(agent) not in agents:
-            raise SchemaError(f"{apath}: unknown agent id")
-        if not isinstance(spec, dict) or not set(spec) <= {"receiver", "sender"} or not spec:
-            raise SchemaError(f"{apath}: expected 'receiver' and/or 'sender' beliefs")
-        overrides[str(agent)] = BeliefOverride(
-            receiver=_parse_belief(spec["receiver"], f"{apath}.receiver") if "receiver" in spec else None,
-            sender=_parse_belief(spec["sender"], f"{apath}.sender") if "sender" in spec else None,
-        )
+        try:
+            if str(agent) not in agents:
+                raise _Bad("unknown agent id")
+            overrides[str(agent)] = _override(spec)
+        except _Bad as bad:
+            raise bad.within(f".agents.{agent}")
     return default, overrides
 
 
+def _override(spec: Any) -> BeliefOverride:
+    if not isinstance(spec, dict) or not set(spec) <= {"receiver", "sender"} or not spec:
+        raise _Bad("expected 'receiver' and/or 'sender' beliefs")
+    sides: dict[str, SecondOrderBelief] = {}
+    for side in ("receiver", "sender"):
+        if side in spec:
+            try:
+                sides[side] = _belief(spec[side])
+            except _Bad as bad:
+                raise bad.within(f".{side}")
+    return BeliefOverride(**sides)
+
+
 def _check_ids(topology: Topology, agents: Mapping[str, AgentProfile]) -> None:
-    mentioned = set()
-    for p, c in topology.edges:
-        mentioned.update((p, c))
+    # ids are listed in natural order, and ids with one natural key ("1", "01")
+    # in the order the file names them, so the message never varies between runs
+    named = dict.fromkeys(chain.from_iterable(topology.edges))
     if topology.root is not None:
-        mentioned.add(topology.root)
-    unknown = sorted(mentioned - set(agents), key=natural_key)
+        named[topology.root] = None
+    unknown = named.keys() - agents.keys()
     if unknown:
-        raise SchemaError(f"topology: edges mention agents without profiles: {unknown!r}")
-    if topology.edges or topology.root is not None:
-        silent = sorted(set(agents) - mentioned, key=natural_key)
-        if silent and topology.kind == "tree":
-            raise SchemaError(f"agents: not placed in the topology: {silent!r}")
+        listed = natural_sorted(a for a in named if a in unknown)
+        raise SchemaError(f"topology: edges mention agents without profiles: {listed!r}")
+    # every named agent has a profile, so the counts tell whether some profile is unplaced
+    if named and topology.kind == "tree" and len(named) < len(agents):
+        silent = natural_sorted(a for a in agents if a not in named)
+        raise SchemaError(f"agents: not placed in the topology: {silent!r}")
 
 
 @dataclass(frozen=True)
@@ -313,17 +373,17 @@ def _parse_shape(raw: Any) -> _Shape:
     name = raw.get("name")
     if name is not None and not isinstance(name, str):
         raise SchemaError("name: expected a string")
-    ev = _need(raw, "evidence", "top level")
+    ev = _at("top level", _need, raw, "evidence")
     if not isinstance(ev, dict) or set(ev) != {"mu_given_c", "mu_given_not_c"}:
         raise SchemaError("evidence: expected {'mu_given_c': a, 'mu_given_not_c': b}")
     mu_pair = (
-        _as_number(ev["mu_given_c"], "evidence.mu_given_c"),
-        _as_number(ev["mu_given_not_c"], "evidence.mu_given_not_c"),
+        _at("evidence", _number, ev["mu_given_c"], ".mu_given_c"),
+        _at("evidence", _number, ev["mu_given_not_c"], ".mu_given_not_c"),
     )
-    topology = _parse_topology(_need(raw, "topology", "top level"))
-    attrs = _parse_agents(_need(raw, "agents", "top level"))
+    topology = _at("topology", _parse_topology, _at("top level", _need, raw, "topology"))
+    attrs = _at("agents", _parse_agents, _at("top level", _need, raw, "agents"))
     _check_ids(topology, attrs)
-    default, overrides = _parse_beliefs(raw.get("beliefs"), attrs)
+    default, overrides = _at("beliefs", _parse_beliefs, raw.get("beliefs"), attrs)
     return _Shape(
         name=name,
         mu_pair=mu_pair,
@@ -404,7 +464,7 @@ def scenario_diagnostics(text: str) -> list[Diagnostic]:
             out.append(Diagnostic("topology-error", str(exc)))
     else:
         graph = SocialGraph.from_edges(
-            shape.topology.edges, nodes=sorted(shape.attrs, key=natural_key)
+            shape.topology.edges, nodes=natural_sorted(shape.attrs)
         )
         if shape.topology.check_structure:
             for violation in validate_graph(graph).violations:
@@ -518,7 +578,7 @@ def scenario_to_obj(scenario: Scenario) -> dict[str, Any]:
         obj["beliefs"] = DIRAC_TRUTH if default == DIRAC_TRUTH else "none"
     else:
         agents_obj = {}
-        for agent in sorted(overrides, key=natural_key):
+        for agent in natural_sorted(overrides):
             override = overrides[agent]
             entry: dict[str, Any] = {}
             if override.receiver is not None:

@@ -402,3 +402,34 @@ class TestOutputPlumbing:
         code, twice = run(capsys, "normalize", str(path))
         assert code == 0
         assert twice == once
+
+
+class TestNaturalOrder:
+    # "٣" (Arabic-Indic three) is a decimal digit and sorts as 3; "²" is a
+    # digit but not a decimal one, so int() rejects it and it sorts as text
+    IDS = ["1", "2", "٣", "10", "x", "²"]
+    SCENARIO = {
+        "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+        "topology": {
+            "kind": "tree",
+            "root": "1",
+            "edges": [["1", "²"], ["1", "10"], ["1", "x"], ["1", "2"], ["2", "٣"]],
+        },
+        "agents": {a: {"types": 0.3, "lambda": 1.0, "ell": 1} for a in IDS},
+        "beliefs": "dirac-truth",
+    }
+
+    def test_solve_lists_agents_in_natural_order(self, capsys, tmp_path):
+        code, out = run(capsys, "solve", write(tmp_path, self.SCENARIO), "--format", "json-lines")
+        assert code == 0
+        assert [row["agent"] for row in jl(out) if row["kind"] == "agent"] == self.IDS
+
+    def test_sweep_root_lists_roots_in_natural_order(self, capsys, tmp_path):
+        code, out = run(capsys, "sweep-root", write(tmp_path, self.SCENARIO), "--format", "json-lines")
+        assert code == 0
+        assert [row["root"] for row in jl(out)] == self.IDS
+
+    def test_normalize_lists_agents_in_natural_order(self, capsys, tmp_path):
+        code, out = run(capsys, "normalize", write(tmp_path, self.SCENARIO))
+        assert code == 0
+        assert list(json.loads(out)["agents"]) == self.IDS

@@ -10,6 +10,8 @@ turned into an array, say) is hit about as often as the leaves.  New keys
 and strings come from the schema's own words.  For every mutant:
 
 - ``scenario_diagnostics`` returns a list and never raises;
+- ``parse_scenario`` raises a parse or schema error exactly when the
+  diagnostics hold a ``parse-error`` or ``schema-error`` row, with its text;
 - ``validate``, ``solve`` and ``sweep-root`` exit 0, 1 or 2 and never raise;
 - a tree scenario that ``validate`` finds clean solves: ``solve`` exits 0
   (cascade resolved) or 2 (a reached room has no equilibrium), never 1.
@@ -32,8 +34,9 @@ import pytest
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
-from rumorcast import normalize_scenario, scenario_diagnostics
+from rumorcast import normalize_scenario, parse_scenario, scenario_diagnostics
 from rumorcast.cli import main
+from rumorcast.errors import ParseError, RumorcastError, SchemaError
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 _SHIPPED = {path.name: path.read_text(encoding="utf-8") for path in sorted(_SCENARIOS.glob("*.json"))}
@@ -139,11 +142,29 @@ _FUZZ = settings(
 )
 
 
+def _entry_errors(text: str) -> list[tuple[str, str]]:
+    """What ``parse_scenario`` rejects ``text`` with at the boundary, as a
+    diagnostic row would say it: empty when it raises no parse or schema error."""
+    try:
+        parse_scenario(text)
+    except ParseError as exc:
+        return [("parse-error", str(exc))]
+    except SchemaError as exc:
+        return [("schema-error", str(exc))]
+    except RumorcastError:
+        pass  # a later stage: diagnostics report it under another kind
+    return []
+
+
 @settings(_FUZZ, max_examples=1000)
 @given(data=st.data())
 def test_diagnostics_never_raise(data):
     for _, _, text in _mutants(data, 6):
-        assert isinstance(scenario_diagnostics(text), list)
+        for document in (text, text[: len(text) // 2]):  # a cut copy is no JSON at all
+            diagnostics = scenario_diagnostics(document)
+            assert isinstance(diagnostics, list)
+            boundary = [(d.kind, d.detail) for d in diagnostics if d.kind in ("parse-error", "schema-error")]
+            assert boundary == _entry_errors(document)
 
 
 def _run(*argv: str) -> int:

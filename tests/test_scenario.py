@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ from rumorcast import (
 )
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+_SRC = Path(__file__).resolve().parent.parent / "src"
 CANONICAL_PATH = str(_SCENARIOS / "canonical_cascade.json")
 
 
@@ -113,6 +117,36 @@ class TestParsing:
         sc = parse_scenario(_minimal())
         with pytest.raises(SchemaError):
             sc.graph()
+
+    @pytest.mark.parametrize("hash_seed", ["1", "2", "3", "4"])
+    def test_ids_with_one_natural_key_keep_file_order(self, hash_seed):
+        # "01", "001" and "1" sort alike, so only the file can order them; a
+        # set would order them by string hash, which changes between runs
+        tied = ["01", "001", "1"]
+        unknown = _minimal(
+            topology={"kind": "tree", "root": "1", "edges": [["1", "2"]] + [["2", a] for a in tied[:2]]}
+        )
+        unplaced = _minimal(agents={a: {"types": 0.5, "lambda": 1.0} for a in ["y", "2", *tied]})
+        code = (
+            "import json, sys\n"
+            "from rumorcast import parse_scenario\n"
+            "for text in json.load(sys.stdin):\n"
+            "    try: parse_scenario(text)\n"
+            "    except Exception as exc: print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(_SRC)}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            input=json.dumps([unknown, unplaced]),
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout
+        assert out == (
+            "topology: edges mention agents without profiles: ['01', '001']\n"
+            "agents: not placed in the topology: ['01', '001', 'y']\n"
+        )
 
 
 class TestBeliefAttachment:
