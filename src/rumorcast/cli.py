@@ -228,6 +228,10 @@ def _lambda_values(args: argparse.Namespace) -> list[float]:
             k += 1
     if not values:
         raise RumorcastError("no lambda values to sweep")
+    bad = [value for value in values if not 0.0 <= value < math.inf]  # NaN fails too
+    if bad:
+        flag = "--lambdas" if args.lambdas is not None else "--lambda-range"
+        raise RumorcastError(f"{flag}: sensitivities must be finite and >= 0, got {bad[0]!r}")
     return values
 
 
@@ -236,15 +240,10 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
     if args.agent != "all" and args.agent not in scenario.attrs:
         raise RumorcastError(f"--agent: unknown agent {args.agent!r}")
     tree = _scenario_tree(scenario, args.root)
+    swept_agent = None if args.agent == "all" else args.agent
     rows = []
     for lam in _lambda_values(args):
-        attrs = {
-            agent: dataclasses.replace(prof, lam=lam)
-            if args.agent in ("all", agent)
-            else prof
-            for agent, prof in scenario.attrs.items()
-        }
-        swept = dataclasses.replace(scenario, attrs=attrs)
+        swept = dataclasses.replace(scenario, attrs=scenario.attrs.with_lam(lam, swept_agent))
         result = solve_global(tree, swept.profiles_for(tree), scenario.evidence, args.tolerance)
         reactions, sends = _joined_actions(result)
         rows.append(

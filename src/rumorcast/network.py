@@ -210,6 +210,88 @@ class BeliefOverride:
         )
 
 
+class AgentTable(Mapping[Agent, AgentProfile]):
+    """Agents' attributes held as columns, the agents in file order.
+
+    ``theta`` holds the credence of every agent whose type set is one point,
+    ``type_sets`` the type set of every other agent, and the ``lam`` and
+    ``ell`` lists every agent's sensitivity and disapproval threshold, in
+    the order of ``ids``, which is the table's order.  Looking an agent up
+    builds her :class:`AgentProfile` (no beliefs) and caches it, so a
+    cascade that reads a few agents of a large file builds a few profiles.
+    ``repr`` and ``==`` are those of the dict of every profile.  Tables
+    share columns, so the columns are never changed.
+    """
+
+    def __init__(
+        self,
+        ids: Sequence[Agent],
+        theta: dict[Agent, float],
+        type_sets: dict[Agent, TypeSet],
+        lam: list[float],
+        ell: list[int],
+    ) -> None:
+        self.theta, self.type_sets, self.lam, self.ell = theta, type_sets, lam, ell
+        self._index = dict(zip(ids, range(len(ids))))  # agent -> her row
+        self._built: dict[Agent, AgentProfile] = {}
+
+    @classmethod
+    def of(cls, attrs: Mapping[Agent, AgentProfile]) -> "AgentTable":
+        """``attrs`` itself when it is a table, else its columns."""
+        if isinstance(attrs, AgentTable):
+            return attrs
+        theta: dict[Agent, float] = {}
+        type_sets: dict[Agent, TypeSet] = {}
+        lam: list[float] = []
+        ell: list[int] = []
+        for agent, prof in attrs.items():
+            values = prof.type_set.values
+            if values is not None and len(values) == 1:
+                theta[agent] = values[0]
+            else:
+                type_sets[agent] = prof.type_set
+            lam.append(prof.lam)
+            ell.append(prof.ell)
+        return cls(list(attrs), theta, type_sets, lam, ell)
+
+    def with_lam(self, lam: float, agent: Agent | None = None) -> "AgentTable":
+        """This table with sensitivity ``lam`` for ``agent``, or for every
+        agent when None; the other columns are shared."""
+        check_sensitivity(lam)
+        other = copy.copy(self)
+        if agent is None:
+            other.lam = [lam] * len(self.lam)
+        else:
+            other.lam = self.lam.copy()
+            other.lam[self._index[agent]] = lam
+        other._built = {}
+        return other
+
+    def __getitem__(self, agent: Agent) -> AgentProfile:
+        prof = self._built.get(agent)
+        if prof is None:
+            k = self._index[agent]
+            theta = self.theta.get(agent)
+            type_set = self.type_sets[agent] if theta is None else TypeSet.singleton(theta)
+            prof = self._built[agent] = AgentProfile(type_set, self.lam[k], self.ell[k])
+        return prof
+
+    def __contains__(self, agent: object) -> bool:
+        return agent in self._index
+
+    def __iter__(self) -> Iterator[Agent]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def keys(self):  # type: ignore[override]
+        return self._index.keys()
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
     """Known-type beliefs on ``tree``, built only when asked for.
 
@@ -218,7 +300,8 @@ class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
     :func:`solve_global` does not look agents up.  A receiver without an
     explicit receiver belief gets her peer mean from her room's credence
     total, and a sender's belief is built only when her gate is open, so
-    agents the message never reaches cost only the O(n) checks made here.
+    agents the message never reaches cost only the checks made here, which
+    read the credence column of ``attrs`` as a whole.
     """
 
     def __init__(
@@ -228,24 +311,22 @@ class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
         overrides: Mapping[Agent, BeliefOverride] | None = None,
     ) -> None:
         self.tree = tree
-        self.theta: dict[Agent, float] = {}
-        for agent in tree.agents:
-            base = attrs.get(agent)
-            if base is None:
-                raise InvariantViolation(f"no profile for agent {agent!r}")
-            values = base.type_set.values
-            if values is None or len(values) != 1:
-                raise InvariantViolation(
-                    f"agent {agent!r}: known-type beliefs need singleton type sets"
-                )
-            self.theta[agent] = values[0]
-        # every tree agent has a profile, so equal sizes mean ``attrs`` holds no others
-        self.attrs: dict[Agent, AgentProfile] = (
-            dict(attrs) if len(attrs) == len(self.theta) else {a: attrs[a] for a in tree.agents}
-        )
+        self.attrs = table = AgentTable.of(attrs)
+        theta, agents = table.theta, tree.agents
+        # the column serves as it is when it holds exactly the tree's agents
+        if len(theta) != len(agents) or not all(map(theta.__contains__, agents)):
+            for agent in agents:  # the first bad agent in tree order
+                if agent not in theta:
+                    if agent in table:
+                        raise InvariantViolation(
+                            f"agent {agent!r}: known-type beliefs need singleton type sets"
+                        )
+                    raise InvariantViolation(f"no profile for agent {agent!r}")
+            theta = {agent: theta[agent] for agent in agents}
+        self.theta: dict[Agent, float] = theta
         # in tree order, so checks report the first bad agent as the dict path does
         self.overrides: dict[Agent, BeliefOverride] = (
-            {a: overrides[a] for a in tree.agents if a in overrides} if overrides else {}
+            {a: overrides[a] for a in agents if a in overrides} if overrides else {}
         )
 
     def _reroot(self, tree: "RootedView") -> "DiracTruthProfiles":
@@ -262,6 +343,8 @@ class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
         return SecondOrderBelief.dirac([self.theta[a] for a in agents]) if agents else None
 
     def __getitem__(self, agent: Agent) -> AgentProfile:
+        if agent not in self.theta:
+            raise KeyError(agent)
         base = self.attrs[agent]
         parent = self.tree.parent_of(agent)
         peers = [] if parent is None else [parent] + [
@@ -278,7 +361,7 @@ class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
         return prof if override is None else override.apply(prof)
 
     def __contains__(self, agent: object) -> bool:
-        return agent in self.attrs
+        return agent in self.theta
 
     def __iter__(self) -> Iterator[Agent]:
         return iter(self.tree.agents)
@@ -435,26 +518,28 @@ def solve_global(
 
     queue: deque[Agent] = deque()
 
-    def decide(agent: Agent, ell: int, disapprovals: int) -> None:
+    def decide(agent: Agent, type_set: TypeSet, ell: int, disapprovals: int) -> None:
         # a closed gate decides without reading the belief, so none is built for it
         belief = None
         if ell > disapprovals:
             belief = profiles[agent].sender_belief if truth is None else truth.sender_belief(agent)
-        decision = decide_send(attrs[agent].type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
+        decision = decide_send(type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
         sender_actions[agent] = decision
         if decision is SenderAction.SEND:
             queue.append(agent)
 
     if not tree.is_terminal(tree.root):
-        decide(tree.root, 1, 0)  # nobody gates the root: threshold 1 against zero disapprovals
+        # nobody gates the root: threshold 1 against zero disapprovals
+        decide(tree.root, attrs[tree.root].type_set, 1, 0)
 
     while queue and failing is None:
         sender = queue.popleft()
         receivers = tree.children_of(sender)
+        profs = [attrs[agent] for agent in receivers]  # one lookup per reached agent
         eq = room_equilibrium(
             (
-                (agent, attrs[agent].type_set, attrs[agent].lam, d)
-                for agent, d in zip(receivers, distances(sender, receivers))
+                (agent, prof.type_set, prof.lam, d)
+                for agent, prof, d in zip(receivers, profs, distances(sender, receivers))
             ),
             tol,
         )
@@ -472,9 +557,9 @@ def solve_global(
             1 for agent in receivers
             if eq.actions[agent] is ReceiverAction.DISAPPROVE
         )
-        for agent in receivers:
+        for agent, prof in zip(receivers, profs):
             if not tree.is_terminal(agent):
-                decide(agent, attrs[agent].ell, disapprovals)
+                decide(agent, prof.type_set, prof.ell, disapprovals)
 
     exists = failing is None
     return CascadeResult(

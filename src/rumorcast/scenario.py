@@ -17,14 +17,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any, Callable, Mapping, TypeVar
 
-from .belief import EvidenceRelation, require_credence, validate_evidence
+from .belief import EPS, EvidenceRelation, require_credence, validate_evidence
 from .chatroom import TypeSet
 from .errors import ParseError, RumorcastError, SchemaError
 from .network import (
     AgentProfile,
+    AgentTable,
     BeliefOverride,
     DiracTruthProfiles,
     OrderedTree,
@@ -55,10 +57,14 @@ class Topology:
 class Scenario:
     evidence: EvidenceRelation
     topology: Topology
-    attrs: Mapping[str, AgentProfile]  # types, lambda, ell; beliefs live apart
+    attrs: AgentTable  # types, lambda, ell; beliefs live apart
     belief_default: str | None  # DIRAC_TRUTH or None
     belief_overrides: Mapping[str, BeliefOverride]
     name: str | None = None
+
+    def __post_init__(self) -> None:
+        # a plain mapping of profiles (``dataclasses.replace(..., attrs=...)``) becomes a table
+        object.__setattr__(self, "attrs", AgentTable.of(self.attrs))
 
     @property
     def agent_ids(self) -> tuple[str, ...]:
@@ -222,18 +228,86 @@ def _type_set(raw: Any) -> TypeSet:
 
 
 _AGENT_KEYS = frozenset({"types", "lambda", "ell"})
+_NUMBER_TYPES = frozenset({int, float})
+_types_of, _lambda_of = itemgetter("types"), itemgetter("lambda")
 
 
-def _parse_agents(raw: Any) -> dict[str, AgentProfile]:
+class _Unclear(Exception):
+    """The passes over whole columns could not clear every agent."""
+
+
+def _parse_agents(raw: Any) -> AgentTable:
     if not isinstance(raw, dict) or not raw:
         raise _Bad("expected a nonempty object keyed by agent id")
-    out: dict[str, AgentProfile] = {}
+    try:
+        return _agent_table(raw)
+    except _Unclear:
+        pass
+    # some agent is bad, or the column passes could not tell: the per-agent
+    # check reports the first bad agent in file order
     for agent, spec in raw.items():
         try:
-            out[str(agent)] = _agent(spec)
+            _agent(spec)
         except _Bad as bad:
             raise bad.within(f".{agent}")
-    return out
+    return _agent_table(raw, checked=True)
+
+
+def _agent_table(raw: dict[Any, Any], checked: bool = False) -> AgentTable:
+    """The agents' columns.  Unless ``checked``, passes over whole columns
+    check every value first and raise :class:`_Unclear` when they cannot
+    clear one.  They never clear a bad value, but may fail to clear a good
+    one: a sum of large finite sensitivities overflows."""
+    specs = list(raw.values())
+    if not checked and (
+        set(map(type, specs)) != {dict} or not all(map(_AGENT_KEYS.issuperset, specs))
+    ):
+        raise _Unclear
+    try:
+        types = list(map(_types_of, specs))
+        lams = list(map(_lambda_of, specs))
+    except KeyError:  # a required field is missing
+        raise _Unclear from None
+    ells = list(map(dict.get, specs, repeat("ell"), repeat(1)))
+    if not checked and not (
+        _within(lams, 0.0, math.inf) and set(map(type, ells)) == {int} and min(ells) >= 0
+    ):
+        raise _Unclear
+    ids = list(map(str, raw))
+    type_sets: dict[str, TypeSet] = {}
+    if set(map(type, types)) <= _NUMBER_TYPES:  # plain credences only
+        singles, credences = ids, types
+    else:
+        singles, credences = [], []
+        for agent, value in zip(ids, types):
+            if type(value) not in _NUMBER_TYPES:
+                try:
+                    type_set = _type_set(value)
+                except _Bad:
+                    raise _Unclear from None
+                if not type_set.is_singleton:
+                    type_sets[agent] = type_set
+                    continue
+                value = type_set.value
+            singles.append(agent)
+            credences.append(value)
+    if not checked and not _within(credences, -EPS, 1.0 + EPS):
+        raise _Unclear
+    return AgentTable(
+        ids, dict(zip(singles, map(float, credences))), type_sets, list(map(float, lams)), ells
+    )
+
+
+def _within(column: list[Any], lo: float, hi: float) -> bool:
+    """Whether every value in ``column`` is an int or float, finite as a
+    float and in [lo, hi]: False also when the values' sum overflows."""
+    if not set(map(type, column)) <= _NUMBER_TYPES:
+        return False
+    try:
+        total = math.fsum(column)
+    except (OverflowError, ValueError):
+        return False
+    return math.isfinite(total) and (not column or lo <= min(column) and max(column) <= hi)
 
 
 def _agent(spec: Any) -> AgentProfile:
@@ -359,7 +433,7 @@ class _Shape:
     name: str | None
     mu_pair: tuple[float, float]
     topology: Topology
-    attrs: dict[str, AgentProfile]
+    attrs: AgentTable
     belief_default: str | None
     belief_overrides: dict[str, BeliefOverride]
 

@@ -1,0 +1,262 @@
+"""The columnar agent table and the bulk check that fills it.
+
+``_parse_agents`` checks whole columns at once and falls back to the
+per-agent check only when a column pass cannot clear every value.  Here it
+is compared with the per-agent parser it replaced (``_ref_parse_agents``)
+on tables of 1 to 2,000 agents, clean or with one fault planted at a random
+place: both must give equal mappings with equal reprs, or raise the same
+exception type with the same message.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import random
+
+import pytest
+
+from rumorcast import network, scenario
+from rumorcast.chatroom import TypeSet
+from rumorcast.cli import main
+from rumorcast.errors import InvariantViolation, RangeViolation, SchemaError
+from rumorcast.network import AgentProfile, AgentTable, DiracTruthProfiles, OrderedTree
+from rumorcast.scenario import _at, _parse_agents
+
+from test_entry_differential import _outcome, _ref_parse_agents, _same
+
+
+def _new(raw):
+    return _at("agents", _parse_agents, raw)
+
+
+# ---------------------------------------------------------------------------
+# random tables with one planted fault
+
+# (field, bad value) pairs; each is a fault in any agent
+_FAULTS = [
+    ("types", "0.5"), ("types", None), ("types", True), ("types", False),
+    ("types", math.nan), ("types", math.inf), ("types", -math.inf), ("types", 10**400),
+    ("types", 1.5), ("types", -0.1), ("types", 1 + 1e-6), ("types", 2),
+    ("types", [0.3, "x"]), ("types", [0.3, math.nan]), ("types", []), ("types", [1.5]),
+    ("types", {"interval": [0.6, 0.4]}), ("types", {"interval": [0.2]}),
+    ("types", {"interval": [0.2, 0.4], "x": 1}), ("types", {}),
+    ("lambda", "1"), ("lambda", None), ("lambda", True), ("lambda", math.nan),
+    ("lambda", math.inf), ("lambda", -math.inf), ("lambda", 10**400), ("lambda", -1.0),
+    ("lambda", -1), ("lambda", -1e-300), ("lambda", [1.0]),
+    ("ell", -1), ("ell", 1.0), ("ell", True), ("ell", False), ("ell", None), ("ell", "1"),
+    ("ell", -(10**400)),
+]
+# values that look odd but are clean
+_ODD_BUT_CLEAN = [
+    ("types", -0.0), ("types", 0), ("types", 1), ("types", 1 + 1e-12), ("types", -1e-12),
+    ("types", [0.4, 0.4]), ("types", [0.5]), ("types", 5e-324),
+    ("lambda", -0.0), ("lambda", 0), ("lambda", 10**300), ("lambda", 1e308),
+    ("ell", 0), ("ell", 10**400),
+]
+
+
+def _clean_agent(rnd: random.Random) -> dict:
+    kind = rnd.random()
+    if kind < 0.8:
+        types = rnd.choice([round(rnd.uniform(0.0, 1.0), 6), rnd.uniform(0.0, 1.0)])
+    elif kind < 0.9:
+        types = [round(rnd.uniform(0.0, 1.0), 3) for _ in range(rnd.randint(1, 3))]
+    else:
+        lo = rnd.uniform(0.0, 1.0)
+        types = {"interval": [lo, rnd.uniform(lo, 1.0)]}
+    spec = {"types": types, "lambda": rnd.choice([rnd.uniform(0.0, 3.0), rnd.randint(0, 3)])}
+    if rnd.random() < 0.7:
+        spec["ell"] = rnd.randint(0, 3)
+    if rnd.random() < 0.5:  # key order does not matter
+        spec = dict(reversed(list(spec.items())))
+    return spec
+
+
+def _plant(rnd: random.Random, spec: dict) -> object:
+    """``spec`` with one fault, or a clean value that looks odd."""
+    how = rnd.random()
+    if how < 0.08:
+        return rnd.choice([[], [1, 2], 0.5, None, "agent", True])  # no object at all
+    if how < 0.16:
+        spec[rnd.choice(["x", "Types", "beliefs"])] = 1
+    elif how < 0.24:
+        del spec[rnd.choice(["types", "lambda"])]
+    else:
+        key, value = rnd.choice(_FAULTS if how < 0.85 else _ODD_BUT_CLEAN)
+        spec[key] = value
+    return spec
+
+
+def _table(rnd: random.Random, size: int, faulty: bool) -> dict:
+    raw = {str(k): _clean_agent(rnd) for k in range(1, size + 1)}
+    if faulty:
+        victim = str(rnd.randint(1, size))
+        raw[victim] = _plant(rnd, raw[victim])
+    return raw
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bulk_check_agrees_with_reference(seed):
+    rnd = random.Random(seed)
+    for trial in range(40):
+        size = rnd.choice([1, 2, 3, rnd.randint(4, 60), rnd.randint(60, 2000)])
+        _same(_new, _ref_parse_agents, _table(rnd, size, faulty=trial % 5 != 0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bulk_check_agrees_with_two_faults(seed):
+    # the first fault in file order is the one reported, whatever the second is
+    rnd = random.Random(100 + seed)
+    for _ in range(40):
+        raw = _table(rnd, rnd.randint(2, 300), faulty=False)
+        for victim in rnd.sample(list(raw), 2):
+            raw[victim] = _plant(rnd, raw[victim])
+        _same(_new, _ref_parse_agents, raw)
+
+
+def test_overflowing_column_sums_parse_clean():
+    # every value is finite, but the sensitivities' sum is not
+    raw = {str(k): {"types": 0.5, "lambda": 1e308, "ell": 1} for k in range(1, 4)}
+    raw["4"] = {"types": [0.2, 0.3], "lambda": 1.7e308}
+    _same(_new, _ref_parse_agents, raw)
+    table = _new(raw)
+    assert isinstance(table, AgentTable)
+    assert table["2"].lam == 1e308
+    assert table["4"].type_set == TypeSet.finite([0.2, 0.3])
+
+
+def test_clean_file_is_not_checked_agent_by_agent(monkeypatch):
+    raw = _table(random.Random(7), 500, faulty=False)
+    want = _ref_parse_agents(raw)
+
+    def refuse(spec):
+        raise AssertionError("the per-agent check ran on a clean table")
+
+    monkeypatch.setattr(scenario, "_agent", refuse)
+    assert _new(raw) == want
+
+
+def test_fault_in_a_big_table_is_reported_with_its_path():
+    raw = {str(k): {"types": 0.3, "lambda": 1.0} for k in range(1, 2001)}
+    raw["1500"]["lambda"] = -2.0
+    raw["1700"]["types"] = math.nan
+    assert _outcome(_new, raw) == (
+        "raised", SchemaError,
+        "agents.1500: sensitivity must be finite and nonnegative, got -2.0",
+    )
+
+
+# ---------------------------------------------------------------------------
+# the table as a mapping
+
+
+def _profiles() -> dict:
+    return {
+        "1": AgentProfile(TypeSet.singleton(0.5), 1.0, 1),
+        "10": AgentProfile(TypeSet.finite([0.2, 0.4]), 0.5, 2),
+        "2": AgentProfile(TypeSet.interval(0.1, 0.3), 2.0, 0),
+        "3": AgentProfile(TypeSet.finite([0.7]), 0.0, 1),
+    }
+
+
+def test_table_is_the_mapping_it_holds():
+    profiles = _profiles()
+    table = AgentTable.of(profiles)
+    assert table == profiles and profiles == table
+    assert repr(table) == repr(profiles)
+    assert list(table) == list(table.keys()) == ["1", "10", "2", "3"]
+    assert len(table) == 4 and "10" in table and "4" not in table
+    assert table["1"] is table["1"]  # built once
+    assert AgentTable.of(table) is table
+    assert table.theta == {"1": 0.5, "3": 0.7}  # one-point list types are credences
+    assert set(table.type_sets) == {"10", "2"}
+    with pytest.raises(KeyError):
+        table["4"]
+
+
+def test_with_lam_swaps_one_column():
+    table = AgentTable.of(_profiles())
+    every = table.with_lam(3.0)
+    assert [every[a].lam for a in every] == [3.0] * 4
+    assert every.theta is table.theta and every.type_sets is table.type_sets and every.ell is table.ell
+    one = table.with_lam(3.0, "2")
+    assert [one[a].lam for a in one] == [1.0, 0.5, 3.0, 0.0]
+    assert [table[a].lam for a in table] == [1.0, 0.5, 2.0, 0.0]  # the source is unchanged
+    with pytest.raises(KeyError):
+        table.with_lam(1.0, "4")
+    for bad in (math.nan, -1.0, math.inf):
+        with pytest.raises(RangeViolation):
+            table.with_lam(bad)
+
+
+def test_truth_profiles_read_the_credence_column():
+    tree = OrderedTree.from_edges("1", [("1", "2"), ("1", "3")])
+    table = AgentTable.of({a: AgentProfile(TypeSet.singleton(0.3), 1.0) for a in ("1", "2", "3")})
+    truth = DiracTruthProfiles(tree, table)
+    assert truth.theta is table.theta and truth.attrs is table
+    # a table holding more agents than the tree is narrowed to the tree
+    wider = AgentTable.of({
+        **dict(table.items()),
+        "4": AgentProfile(TypeSet.singleton(0.2), 1.0),
+        "5": AgentProfile(TypeSet.interval(0.1, 0.2), 1.0),
+    })
+    narrowed = DiracTruthProfiles(tree, wider)
+    assert narrowed.theta == {"1": 0.3, "2": 0.3, "3": 0.3}
+    assert "4" not in narrowed and len(narrowed) == 3
+    with pytest.raises(KeyError):
+        narrowed["4"]
+    # the first bad tree agent, in tree order, is reported
+    bigger = OrderedTree.from_edges("1", [("1", "5"), ("1", "2"), ("2", "6")])
+    with pytest.raises(InvariantViolation, match="agent '5': known-type beliefs need singleton type sets"):
+        DiracTruthProfiles(bigger, wider)
+    with pytest.raises(InvariantViolation, match="no profile for agent '6'"):
+        DiracTruthProfiles(OrderedTree.from_edges("1", [("1", "2"), ("2", "6"), ("6", "5")]), wider)
+
+
+# ---------------------------------------------------------------------------
+# sweep-lambda builds profiles only for the agents the message reaches
+
+
+def _deep_tree(n: int, arity: int = 4, send_depth: int = 1) -> dict:
+    """Complete tree whose agents below ``send_depth`` never send."""
+    may_send = sum(arity**d for d in range(send_depth + 1))
+    agents = {
+        str(k + 1): {"types": 0.3 + 0.1 * (k % 5), "lambda": 1.0, "ell": 1 if k < may_send else 0}
+        for k in range(n)
+    }
+    agents["1"]["types"] = 0.895
+    return {
+        "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+        "topology": {
+            "kind": "tree",
+            "root": "1",
+            "edges": [[str((k - 1) // arity + 1), str(k + 1)] for k in range(1, n)],
+        },
+        "agents": agents,
+        "beliefs": "dirac-truth",
+    }
+
+
+@pytest.mark.parametrize("agent", ["all", "3"])
+def test_sweep_builds_profiles_only_for_reached_agents(tmp_path, monkeypatch, agent):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_deep_tree(2000)), encoding="utf-8")
+    built = []
+    real = network.AgentProfile
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(network, "AgentProfile", counting)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep-lambda", str(path), "--agent", agent, "--lambdas", "0.5,1,1.5,2",
+                     "--format", "json-lines"])
+    assert code == 0
+    reach = [json.loads(line)["reach_count"] for line in out.getvalue().splitlines()]
+    assert len(reach) == 4 and max(reach) < 100
+    assert 0 < len(built) <= sum(reach)

@@ -297,6 +297,16 @@ class TestSweepLambda:
             assert main(["sweep-lambda", CANONICAL, "--agent", "1", f"--lambda-range={bad}"]) == 1
             assert "--lambda-range" in capsys.readouterr().err
 
+    def test_bad_sensitivity_names_its_flag(self, capsys):
+        # a sensitivity must be finite and >= 0, and the error says which flag gave it
+        for bad in ("nan", "inf", "1e400", "-1", "1,-0.5", "-inf,2"):
+            assert main(["sweep-lambda", CANONICAL, "--agent", "all", f"--lambdas={bad}"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: --lambdas: sensitivities must be finite and >= 0, got ")
+        for bad in ("-1:1:0.5", "-0.5:-0.1:0.1"):
+            assert main(["sweep-lambda", CANONICAL, "--agent", "1", f"--lambda-range={bad}"]) == 1
+            assert capsys.readouterr().err.startswith("error: --lambda-range: sensitivities must be finite")
+
 
 class TestSweepRoot:
     def test_canonical_rooting_table(self, capsys):

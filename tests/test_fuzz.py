@@ -14,7 +14,13 @@ and strings come from the schema's own words.  For every mutant:
   diagnostics hold a ``parse-error`` or ``schema-error`` row, with its text;
 - ``validate``, ``solve`` and ``sweep-root`` exit 0, 1 or 2 and never raise;
 - a tree scenario that ``validate`` finds clean solves: ``solve`` exits 0
-  (cascade resolved) or 2 (a reached room has no equilibrium), never 1.
+  (cascade resolved) or 2 (a reached room has no equilibrium), never 1;
+- every exit 2 of ``solve`` on a tree scenario is confirmed by
+  ``oracle_chatroom_profiles``: enumeration finds no equilibrium profile in
+  the failing room either (rooms too large to enumerate are skipped).
+
+Small random trees with explicit beliefs and spread type sets, where rooms
+without an equilibrium are common, feed the last check as well.
 
 The hypothesis example only seeds the walk (``randoms``), so a failure is
 reported with the mutant's text (``note``) rather than shrunk.
@@ -34,9 +40,12 @@ import pytest
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
-from rumorcast import normalize_scenario, parse_scenario, scenario_diagnostics
+from rumorcast import load_scenario, normalize_scenario, parse_scenario, scenario_diagnostics
+from rumorcast.chatroom import ChatroomGame, ReceiverSpec
 from rumorcast.cli import main
-from rumorcast.errors import ParseError, RumorcastError, SchemaError
+from rumorcast.errors import InstanceTooLarge, ParseError, RumorcastError, SchemaError
+from rumorcast.network import solve_global
+from rumorcast.oracle import oracle_chatroom_profiles
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 _SHIPPED = {path.name: path.read_text(encoding="utf-8") for path in sorted(_SCENARIOS.glob("*.json"))}
@@ -191,3 +200,86 @@ def test_commands_exit_cleanly(workdir, data):
         topology = doc.get("topology") if isinstance(doc, dict) else None
         if codes["validate"] == 0 and isinstance(topology, dict) and topology.get("kind") == "tree":
             assert codes["solve"] in (0, 2), codes
+        if codes["solve"] == 2:
+            _confirm_no_equilibrium(path)
+
+
+def _confirm_no_equilibrium(path: Path) -> bool:
+    """Assert that enumeration finds no equilibrium profile in the room where
+    ``solve`` stopped; False when that room is too large to enumerate."""
+    scenario = load_scenario(str(path))
+    tree = scenario.tree()
+    profiles = scenario.profiles_for(tree)
+    room = solve_global(tree, profiles, scenario.evidence).failing_room
+    assert room is not None
+    receivers = tuple(
+        ReceiverSpec(r, profiles[r].type_set, profiles[r].lam, profiles[r].receiver_belief)
+        for r in tree.children_of(room)
+    )
+    try:
+        found = oracle_chatroom_profiles(ChatroomGame(room, profiles[room].type_set, receivers))
+    except InstanceTooLarge:
+        return False
+    assert found == frozenset(), (room, found)
+    return True
+
+
+def _credence(rnd: random.Random) -> float:
+    return round(rnd.uniform(0.12, 0.88), 3)
+
+
+def _atoms(rnd: random.Random, peer_types: list[list[float]]) -> dict:
+    """One or two atoms over the peers, each coordinate one of that peer's types."""
+    weights = rnd.choice([[1.0], [0.5, 0.5], [0.25, 0.75]])
+    return {"atoms": [{"profile": [rnd.choice(t) for t in peer_types], "weight": w} for w in weights]}
+
+
+def _small_explicit_scenario(rnd: random.Random) -> dict:
+    """A tree of 2 to 5 agents with spread type sets and explicit beliefs."""
+    n = rnd.randint(2, 5)
+    parent = {k: rnd.randrange(k) for k in range(1, n)}
+    children = {k: [c for c in range(1, n) if parent[c] == k] for k in range(n)}
+    types = [
+        [_credence(rnd)] if rnd.random() < 0.4 else sorted({_credence(rnd) for _ in range(rnd.randint(2, 3))})
+        for _ in range(n)
+    ]
+    types[0] = [round(rnd.uniform(0.8, 0.89), 3)]  # a root that often sends
+    beliefs = {}
+    for k in range(n):
+        entry = {}
+        if k:
+            peers = [parent[k]] + [s for s in children[parent[k]] if s != k]
+            entry["receiver"] = _atoms(rnd, [types[p] for p in peers])
+        if children[k]:
+            entry["sender"] = _atoms(rnd, [types[c] for c in children[k]])
+        beliefs[str(k + 1)] = entry
+    return {
+        "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+        "topology": {
+            "kind": "tree",
+            "root": "1",
+            "edges": [[str(parent[c] + 1), str(c + 1)] for c in range(1, n)],
+        },
+        "agents": {
+            str(k + 1): {
+                "types": types[k][0] if len(types[k]) == 1 else types[k],
+                "lambda": round(rnd.uniform(0.0, 3.0), 3),
+                "ell": rnd.randint(0, 2),
+            }
+            for k in range(n)
+        },
+        "beliefs": {"default": "none", "agents": beliefs},
+    }
+
+
+def test_no_equilibrium_exits_are_confirmed_by_the_oracle(tmp_path):
+    rnd = random.Random(20261018)
+    path = tmp_path / "small.json"
+    codes, checked = [], 0
+    for _ in range(400):
+        path.write_text(json.dumps(_small_explicit_scenario(rnd)), encoding="utf-8")
+        codes.append(_run("solve", str(path)))
+        if codes[-1] == 2:
+            checked += _confirm_no_equilibrium(path)
+    assert set(codes) <= {0, 2}
+    assert checked >= 80, (checked, codes.count(2))

@@ -28,6 +28,7 @@ _FORMATS = ("table", "csv", "json-lines")
 _COMMANDS = {
     "solve": ["solve"],
     "sweep-lambda": ["sweep-lambda", "--agent", "all", "--lambdas", "0.2,1,3"],
+    "sweep-lambda-one": ["sweep-lambda", "--agent", "2", "--lambdas", "0.2,1,3"],
     "sweep-root": ["sweep-root"],
     "validate": ["validate"],
     "normalize": ["normalize"],
@@ -38,7 +39,7 @@ def _cases() -> dict[str, list[str]]:
     cases = {}
     for stem in _SCENARIOS:
         for command, words in _COMMANDS.items():
-            root = ["--root", "1"] if stem in _GRAPHS and command in ("solve", "sweep-lambda") else []
+            root = ["--root", "1"] if stem in _GRAPHS and command in ("solve", "sweep-lambda", "sweep-lambda-one") else []
             for fmt in _FORMATS:
                 argv = [*words, f"scenarios/{stem}.json", *root, "--format", fmt]
                 cases[f"{stem}.{command}.{fmt}"] = argv
