@@ -205,6 +205,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0 if result.exists else 2
 
 
+_MAX_LAMBDA_VALUES = 100_000
+
+
 def _lambda_values(args: argparse.Namespace) -> list[float]:
     if args.lambdas is not None:
         try:
@@ -221,11 +224,13 @@ def _lambda_values(args: argparse.Namespace) -> list[float]:
             raise RumorcastError("--lambda-range: LO, HI and STEP must be finite")
         if step <= 0 or hi < lo:
             raise RumorcastError("--lambda-range: need step > 0 and hi >= lo")
-        values = []
-        k = 0
-        while (value := lo + k * step) <= hi + 1e-12:
-            values.append(value)
-            k += 1
+        # the last k the range lists, to rounding; counted before anything is listed
+        last = (hi - lo + 1e-12) / step
+        if last >= _MAX_LAMBDA_VALUES:
+            raise RumorcastError(
+                f"--lambda-range: more than {_MAX_LAMBDA_VALUES:,} values; use a larger STEP"
+            )
+        values = [value for k in range(int(last) + 2) if (value := lo + k * step) <= hi + 1e-12]
     if not values:
         raise RumorcastError("no lambda values to sweep")
     bad = [value for value in values if not 0.0 <= value < math.inf]  # NaN fails too

@@ -30,7 +30,6 @@ import copy
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import chain, filterfalse, groupby
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -581,7 +580,14 @@ def solve_global(
 @dataclass(frozen=True)
 class SocialGraph:
     """Undirected graph over agents; may be structurally invalid until
-    checked by :func:`validate_graph`."""
+    checked by :func:`validate_graph`.
+
+    ``nodes`` holds every agent once, in natural id order; agents whose ids
+    share a natural key ("1", "01") keep the order in which they first
+    appear, among ``nodes`` and then in the edges.  Every neighbour list
+    holds each neighbour once, in that same order, so everything read off
+    the graph (edges, witnesses, rootings) follows one agent order.
+    """
 
     nodes: tuple[Agent, ...]
     adjacency: Mapping[Agent, tuple[Agent, ...]]
@@ -591,37 +597,27 @@ class SocialGraph:
     def from_edges(
         cls,
         edges: Iterable[tuple[Agent, Agent]],
-        nodes: Sequence[Agent] = (),
+        nodes: Iterable[Agent] = (),
     ) -> "SocialGraph":
-        order: list[Agent] = []
-        seen: set[Agent] = set()
-
-        def note(agent: Agent) -> None:
-            if agent not in seen:
-                seen.add(agent)
-                order.append(agent)
-
-        for agent in nodes:
-            note(agent)
-        adjacency: dict[Agent, list[Agent]] = {}
-        loops: list[Agent] = []
-        pairs: set[tuple[Agent, Agent]] = set()
+        # neighbour sets as dicts, in first-appearance order; (a, b) and (b, a) are one edge
+        adjacency: dict[Agent, dict[Agent, None]] = {a: {} for a in nodes}
+        loops: dict[Agent, None] = {}
         for a, b in edges:
-            note(a)
-            note(b)
+            nbrs_a = adjacency.setdefault(a, {})
+            nbrs_b = adjacency.setdefault(b, {})
             if a == b:
-                if a not in loops:
-                    loops.append(a)
-                continue
-            key = tuple(sorted((a, b), key=natural_key))
-            if key in pairs:
-                continue
-            pairs.add(key)  # type: ignore[arg-type]
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
+                loops[a] = None
+            else:
+                nbrs_a[b] = nbrs_b[a] = None
+        order = natural_sorted(adjacency)  # stable: ties keep first appearance
+        # walking the agents in order lists every agent's neighbours in order
+        held: dict[Agent, list[Agent]] = {a: [] for a in order}
+        for a in order:
+            for b in adjacency[a]:
+                held[b].append(a)
         return cls(
             nodes=tuple(order),
-            adjacency={a: tuple(adjacency.get(a, ())) for a in order},
+            adjacency={a: tuple(nbrs) for a, nbrs in held.items()},
             loops=tuple(loops),
         )
 
@@ -632,11 +628,10 @@ class SocialGraph:
         return b in self.adjacency[a]
 
     def edges(self) -> tuple[tuple[Agent, Agent], ...]:
-        out = set()
-        for a in self.nodes:
-            for b in self.adjacency[a]:
-                out.add(tuple(sorted((a, b), key=natural_key)))
-        return tuple(sorted(out, key=lambda e: (natural_key(e[0]), natural_key(e[1]))))
+        """Every edge once, as ``(a, b)`` with ``a`` before ``b`` in node
+        order, sorted by ``a`` and then ``b``."""
+        rank = dict(zip(self.nodes, range(len(self.nodes))))
+        return tuple((a, b) for a in self.nodes for b in self.adjacency[a] if rank[a] < rank[b])
 
 
 @dataclass(frozen=True)
@@ -702,7 +697,7 @@ def _graph_violations(g: SocialGraph) -> tuple[GraphViolation, ...]:
     for agent in g.loops:
         violations.append(GraphViolation(kind="self-loop", witness=(agent,)))
 
-    nodes = sorted(g.nodes, key=natural_key)
+    nodes = g.nodes
     if nodes:
         start = nodes[0]
         seen = {start}
@@ -723,9 +718,8 @@ def _graph_violations(g: SocialGraph) -> tuple[GraphViolation, ...]:
         for k in nodes[idx + 1 :]:
             if g.adjacent(i, k):
                 continue
-            common = sorted(
-                (set(g.adjacency[i]) & set(g.adjacency[k])) - {i, k}, key=natural_key
-            )
+            shared = set(g.adjacency[k]) - {i, k}
+            common = [j for j in g.adjacency[i] if j in shared]
             if len(common) >= 2:
                 violations.append(
                     GraphViolation(kind="overlapping-circles", witness=(i, common[0], common[1], k))
@@ -733,7 +727,7 @@ def _graph_violations(g: SocialGraph) -> tuple[GraphViolation, ...]:
 
     # unintroduced members of one circle
     for i in nodes:
-        nbrs = sorted(g.adjacency[i], key=natural_key)
+        nbrs = g.adjacency[i]
         for x, j in enumerate(nbrs):
             for jp in nbrs[x + 1 :]:
                 if g.adjacent(j, jp):
@@ -755,12 +749,14 @@ class BlockDecomposition:
 
     On a valid graph, :meth:`children` lists an agent's children in any
     rooting: the root's are her neighbours, and an agent entered through
-    block B gets the members of her other blocks, in natural order either
-    way.  Each list is built once per (agent, B) and shared by every rooting.
+    block B gets the members of her other blocks, in the graph's node order
+    either way.  Each list is built once per (agent, B) and shared by every
+    rooting.
     """
 
     def __init__(self, g: SocialGraph) -> None:
-        adjacency = g.adjacency
+        self.agents = g.nodes  # natural id order
+        self._adjacency = adjacency = g.adjacency
         # per agent: neighbour -> index of the block holding their edge
         self.block_of: dict[Agent, dict[Agent, int]] = {a: {} for a in g.nodes}
         self.block_count: dict[Agent, int] = dict.fromkeys(g.nodes, 0)
@@ -809,16 +805,6 @@ class BlockDecomposition:
         edge_count = sum(len(nbrs) for nbrs in adjacency.values()) // 2
         self.valid = not g.loops and components <= 1 and pairs == edge_count
         self._children: dict[tuple[Agent, int], tuple[Agent, ...]] = {}
-        self._sorted: dict[Agent, list[Agent]] = {}
-
-    @cached_property
-    def agents(self) -> tuple[Agent, ...]:
-        """Every agent, in natural id order."""
-        return tuple(sorted(self.block_of, key=natural_key))
-
-    @cached_property
-    def _rank(self) -> dict[Agent, int]:
-        return {a: i for i, a in enumerate(self.agents)}
 
     def children(self, agent: Agent, entry: int) -> tuple[Agent, ...]:
         """``agent``'s children when she is entered through block ``entry``;
@@ -827,10 +813,9 @@ class BlockDecomposition:
         kids = self._children.get(key)
         if kids is None:
             block_of = self.block_of[agent]
-            nbrs = self._sorted.get(agent)
-            if nbrs is None:
-                nbrs = self._sorted[agent] = sorted(block_of, key=self._rank.__getitem__)
-            kids = self._children[key] = tuple(u for u in nbrs if block_of[u] != entry)
+            kids = self._children[key] = tuple(
+                u for u in self._adjacency[agent] if block_of[u] != entry
+            )
         return kids
 
 
@@ -875,7 +860,7 @@ def root_tree(g: SocialGraph, root: Agent, validate: bool = True) -> OrderedTree
     """Orient a valid acquaintance graph away from ``root`` breadth-first.
 
     Each agent's parent is her unique acquaintance one layer closer to the
-    root; children are emitted in natural id order.
+    root; children are emitted in the graph's node order.
     """
     if root not in g.nodes:
         raise InvalidGraph(f"unknown root {root!r}")
@@ -892,7 +877,7 @@ def root_tree(g: SocialGraph, root: Agent, validate: bool = True) -> OrderedTree
     edges: list[tuple[Agent, Agent]] = []
     while order:
         node = order.popleft()
-        for nxt in sorted(g.adjacency[node], key=natural_key):
+        for nxt in g.adjacency[node]:
             if nxt not in depth:
                 depth[nxt] = depth[node] + 1
                 parent[nxt] = node

@@ -79,7 +79,7 @@ class Scenario:
     def graph(self) -> SocialGraph:
         if self.topology.kind != "graph":
             raise SchemaError("topology: not a graph scenario")
-        return SocialGraph.from_edges(self.topology.edges, nodes=self.agent_ids)
+        return SocialGraph.from_edges(self.topology.edges, nodes=self.attrs)
 
     def profiles_for(self, tree: OrderedTree) -> Mapping[str, AgentProfile]:
         """Attach beliefs to the bare attributes, given a concrete rooting.
@@ -233,7 +233,7 @@ _types_of, _lambda_of = itemgetter("types"), itemgetter("lambda")
 
 
 class _Unclear(Exception):
-    """The passes over whole columns could not clear every agent."""
+    """The passes over whole columns found a bad agent."""
 
 
 def _parse_agents(raw: Any) -> AgentTable:
@@ -243,25 +243,20 @@ def _parse_agents(raw: Any) -> AgentTable:
         return _agent_table(raw)
     except _Unclear:
         pass
-    # some agent is bad, or the column passes could not tell: the per-agent
-    # check reports the first bad agent in file order
+    # some agent is bad: the per-agent check reports the first one in file order
     for agent, spec in raw.items():
         try:
             _agent(spec)
         except _Bad as bad:
             raise bad.within(f".{agent}")
-    return _agent_table(raw, checked=True)
+    raise AssertionError("the column checks refused agents that each pass alone")
 
 
-def _agent_table(raw: dict[Any, Any], checked: bool = False) -> AgentTable:
-    """The agents' columns.  Unless ``checked``, passes over whole columns
-    check every value first and raise :class:`_Unclear` when they cannot
-    clear one.  They never clear a bad value, but may fail to clear a good
-    one: a sum of large finite sensitivities overflows."""
+def _agent_table(raw: dict[Any, Any]) -> AgentTable:
+    """The agents' columns.  Passes over whole columns check every value
+    first and raise :class:`_Unclear` exactly when some agent is bad."""
     specs = list(raw.values())
-    if not checked and (
-        set(map(type, specs)) != {dict} or not all(map(_AGENT_KEYS.issuperset, specs))
-    ):
+    if set(map(type, specs)) != {dict} or not all(map(_AGENT_KEYS.issuperset, specs)):
         raise _Unclear
     try:
         types = list(map(_types_of, specs))
@@ -269,9 +264,7 @@ def _agent_table(raw: dict[Any, Any], checked: bool = False) -> AgentTable:
     except KeyError:  # a required field is missing
         raise _Unclear from None
     ells = list(map(dict.get, specs, repeat("ell"), repeat(1)))
-    if not checked and not (
-        _within(lams, 0.0, math.inf) and set(map(type, ells)) == {int} and min(ells) >= 0
-    ):
+    if not (_within(lams, 0.0, math.inf) and set(map(type, ells)) == {int} and min(ells) >= 0):
         raise _Unclear
     ids = list(map(str, raw))
     type_sets: dict[str, TypeSet] = {}
@@ -291,7 +284,7 @@ def _agent_table(raw: dict[Any, Any], checked: bool = False) -> AgentTable:
                 value = type_set.value
             singles.append(agent)
             credences.append(value)
-    if not checked and not _within(credences, -EPS, 1.0 + EPS):
+    if not _within(credences, -EPS, 1.0 + EPS):
         raise _Unclear
     return AgentTable(
         ids, dict(zip(singles, map(float, credences))), type_sets, list(map(float, lams)), ells
@@ -300,14 +293,14 @@ def _agent_table(raw: dict[Any, Any], checked: bool = False) -> AgentTable:
 
 def _within(column: list[Any], lo: float, hi: float) -> bool:
     """Whether every value in ``column`` is an int or float, finite as a
-    float and in [lo, hi]: False also when the values' sum overflows."""
+    float and in [lo, hi]."""
     if not set(map(type, column)) <= _NUMBER_TYPES:
         return False
     try:
-        total = math.fsum(column)
-    except (OverflowError, ValueError):
+        finite = all(map(math.isfinite, column))
+    except OverflowError:  # an int too large for a float
         return False
-    return math.isfinite(total) and (not column or lo <= min(column) and max(column) <= hi)
+    return finite and (not column or lo <= min(column) and max(column) <= hi)
 
 
 def _agent(spec: Any) -> AgentProfile:
@@ -537,9 +530,7 @@ def scenario_diagnostics(text: str) -> list[Diagnostic]:
         except RumorcastError as exc:
             out.append(Diagnostic("topology-error", str(exc)))
     else:
-        graph = SocialGraph.from_edges(
-            shape.topology.edges, nodes=natural_sorted(shape.attrs)
-        )
+        graph = SocialGraph.from_edges(shape.topology.edges, nodes=shape.attrs)
         if shape.topology.check_structure:
             for violation in validate_graph(graph).violations:
                 out.append(Diagnostic(violation.kind, f"witness {violation.witness!r}"))

@@ -117,10 +117,15 @@ def test_bulk_check_agrees_with_two_faults(seed):
         _same(_new, _ref_parse_agents, raw)
 
 
-def test_overflowing_column_sums_parse_clean():
+def _overflowing_sums() -> dict:
     # every value is finite, but the sensitivities' sum is not
     raw = {str(k): {"types": 0.5, "lambda": 1e308, "ell": 1} for k in range(1, 4)}
     raw["4"] = {"types": [0.2, 0.3], "lambda": 1.7e308}
+    return raw
+
+
+def test_overflowing_column_sums_parse_clean():
+    raw = _overflowing_sums()
     _same(_new, _ref_parse_agents, raw)
     table = _new(raw)
     assert isinstance(table, AgentTable)
@@ -129,14 +134,16 @@ def test_overflowing_column_sums_parse_clean():
 
 
 def test_clean_file_is_not_checked_agent_by_agent(monkeypatch):
-    raw = _table(random.Random(7), 500, faulty=False)
-    want = _ref_parse_agents(raw)
+    # the column passes clear every clean table, those whose sums overflow too
+    tables = [_table(random.Random(7), 500, faulty=False), _overflowing_sums()]
+    wants = [_ref_parse_agents(raw) for raw in tables]
 
     def refuse(spec):
         raise AssertionError("the per-agent check ran on a clean table")
 
     monkeypatch.setattr(scenario, "_agent", refuse)
-    assert _new(raw) == want
+    for raw, want in zip(tables, wants):
+        assert _new(raw) == want
 
 
 def test_fault_in_a_big_table_is_reported_with_its_path():

@@ -62,21 +62,44 @@ def _mutate(rng: np.random.Generator, g: SocialGraph) -> SocialGraph:
     return SocialGraph.from_edges(edges, nodes=g.nodes)
 
 
+def _tied(rng: np.random.Generator, g: SocialGraph) -> SocialGraph:
+    """``g`` relabelled so that ids share natural keys ("1", "01", "001", ...;
+    still distinct strings), its agents named in a random order, every edge
+    listed in a random orientation and half of them listed again reversed.
+    Only the order in which tied ids first appear tells them apart."""
+    n = len(g.nodes)
+    keys = max(1, n // 3)
+    label: dict = {}
+    zeros: dict[str, int] = {}
+    for i in rng.permutation(n):
+        key = str(int(rng.integers(1, keys + 1)))
+        zeros[key] = zeros.get(key, -1) + 1
+        label[g.nodes[int(i)]] = "0" * zeros[key] + key
+    edges = [(label[a], label[b])[:: int(rng.choice([1, -1]))] for a, b in g.edges()]
+    again = [(b, a) for a, b in edges if rng.random() < 0.5]
+    nodes = [label[g.nodes[int(i)]] for i in rng.permutation(n)]
+    return SocialGraph.from_edges(edges + again, nodes=nodes)
+
+
 def _block_size(blocks: BlockDecomposition, a, b) -> int:
     block = blocks.block_of[a][b]
     return len({x for x, nbrs in blocks.block_of.items() if block in nbrs.values()})
 
 
 def test_fast_accept_matches_the_enumerator():
-    rng = np.random.default_rng(5005)
+    rng, ties = np.random.default_rng(5005), np.random.default_rng(5105)
     accepted = rejected = 0
     for draw in range(2400):
         g = _closure(rng, 14)
+        if draw % 4 == 1:
+            g = _tied(ties, g)
         if draw % 3:
             g = _mutate(rng, g)
         witnesses = network._graph_violations(g)
         assert BlockDecomposition(g).valid == (not witnesses), (draw, g.edges(), g.loops)
         assert validate_graph(g) == GraphReport(violations=witnesses)
+        if not draw % 3:  # a closure is a valid graph, whatever its ids
+            assert not witnesses, (draw, witnesses)
         accepted += not witnesses
         rejected += bool(witnesses)
     print(f"2400 graphs: {accepted} accepted, {rejected} rejected alike")
@@ -102,12 +125,14 @@ def _walk(view) -> list:
 
 
 def test_lazy_rootings_match_root_tree():
-    rng = np.random.default_rng(5006)
+    rng, ties = np.random.default_rng(5006), np.random.default_rng(5106)
     checked = 0
     for draw in range(30):
         n = int(rng.integers(2, 45))
         tree = random_wide_tree(rng, n, int(rng.integers(0, 16))) if draw % 2 else random_tree(rng, n)
         g = undirected_closure(tree)
+        if draw % 3 == 2:
+            g = _tied(ties, g)
         blocks = BlockDecomposition(g)
         for root in g.nodes:
             want = root_tree(g, root)

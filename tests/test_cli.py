@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from rumorcast.cli import main
+from rumorcast.cli import _lambda_values, main
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CANONICAL = str(_SCENARIOS / "canonical_cascade.json")
@@ -297,6 +299,21 @@ class TestSweepLambda:
             assert main(["sweep-lambda", CANONICAL, "--agent", "1", f"--lambda-range={bad}"]) == 1
             assert "--lambda-range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["0:1:1e-9", "0:1e308:1e-308", "0:0:1e-300"])
+    def test_range_of_too_many_values_refused_before_listing(self, capsys, bad):
+        started = time.perf_counter()
+        assert main(["sweep-lambda", CANONICAL, "--agent", "1", f"--lambda-range={bad}"]) == 1
+        assert time.perf_counter() - started < 5.0
+        assert capsys.readouterr().err == (
+            "error: --lambda-range: more than 100,000 values; use a larger STEP\n"
+        )
+
+    def test_range_below_the_cap_lists_every_value(self):
+        args = argparse.Namespace(lambdas=None, lambda_range="0:1:0.0001")
+        values = _lambda_values(args)
+        assert len(values) == 10_001
+        assert values[0] == 0.0 and values[-1] == pytest.approx(1.0)
+
     def test_bad_sensitivity_names_its_flag(self, capsys):
         # a sensitivity must be finite and >= 0, and the error says which flag gave it
         for bad in ("nan", "inf", "1e400", "-1", "1,-0.5", "-inf,2"):
@@ -376,6 +393,25 @@ class TestValidate:
         ]
         code, _ = run(capsys, "sweep-root", path)
         assert code == 1
+
+
+    @pytest.mark.parametrize("again", [["1", "01"], ["01", "1"]])
+    def test_duplicate_edge_is_one_acquaintance_either_way(self, capsys, tmp_path, again):
+        # "1" and "01" share a natural key; listing their edge twice, in
+        # either orientation, is the same graph as listing it once
+        obj = {
+            "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+            "topology": {"kind": "graph", "edges": [["1", "01"], again, ["1", "2"]]},
+            "agents": {a: {"types": 0.3, "lambda": 1.0} for a in ("1", "01", "2")},
+            "beliefs": "dirac-truth",
+        }
+        path = write(tmp_path, obj)
+        assert run(capsys, "validate", path) == (0, "kind  detail\nok    no problems found\n")
+        code, out = run(capsys, "solve", path, "--root", "1", "--format", "json-lines")
+        assert code == 0
+        assert [r["agent"] for r in jl(out)[:-1]] == ["1", "01", "2"]
+        obj["topology"]["edges"] = [["1", "01"], ["1", "2"]]
+        assert run(capsys, "solve", write(tmp_path, obj), "--root", "1", "--format", "json-lines") == (0, out)
 
 
 class TestOutputPlumbing:
