@@ -194,7 +194,7 @@ def _scenario_tree(scenario: Scenario, root: str | None) -> OrderedTree:
         return scenario.tree()
     if root is None:
         raise RumorcastError("graph scenarios need --root to pick the initial sender")
-    return root_tree(scenario.graph(), root, validate=scenario.topology.check_structure)
+    return root_tree(scenario.graph(), root)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -230,7 +230,9 @@ def _lambda_values(args: argparse.Namespace) -> list[float]:
             raise RumorcastError(
                 f"--lambda-range: more than {_MAX_LAMBDA_VALUES:,} values; use a larger STEP"
             )
-        values = [value for k in range(int(last) + 2) if (value := lo + k * step) <= hi + 1e-12]
+        # ascending, so a value that rounds onto its predecessor's is listed once
+        listed = (lo + k * step for k in range(int(last) + 2))
+        values = list(dict.fromkeys(value for value in listed if value <= hi + 1e-12))
     if not values:
         raise RumorcastError("no lambda values to sweep")
     bad = [value for value in values if not 0.0 <= value < math.inf]  # NaN fails too

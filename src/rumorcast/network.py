@@ -762,6 +762,7 @@ class BlockDecomposition:
         self.block_count: dict[Agent, int] = dict.fromkeys(g.nodes, 0)
         index: dict[Agent, int] = {}  # depth-first discovery order
         low: dict[Agent, int] = {}
+        block_of, block_count = self.block_of, self.block_count
         blocks = pairs = components = 0
         for start in g.nodes:
             if start in index:
@@ -774,32 +775,35 @@ class BlockDecomposition:
             edges: list[tuple[Agent, Agent]] = []
             while stack:
                 v, parent, nbrs = stack[-1]
+                at = index[v]
                 for w in nbrs:
                     if w not in index:
                         index[w] = low[w] = len(index)
                         edges.append((v, w))
                         stack.append((w, v, iter(adjacency[w])))
                         break
-                    if w != parent and index[w] < index[v]:  # back edge to an ancestor
+                    if w != parent and index[w] < at:  # back edge to an ancestor
                         edges.append((v, w))
-                        low[v] = min(low[v], index[w])
+                        if index[w] < low[v]:
+                            low[v] = index[w]
                 else:
                     stack.pop()
                     if parent is None:
                         continue
-                    low[parent] = min(low[parent], low[v])
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
                     if low[v] < index[parent]:
                         continue
                     # parent cuts v's subtree off: its edges since (parent, v) form a block
                     members: set[Agent] = set()
                     while True:
                         a, b = edges.pop()
-                        self.block_of[a][b] = self.block_of[b][a] = blocks
+                        block_of[a][b] = block_of[b][a] = blocks
                         members.update((a, b))
                         if a == parent and b == v:
                             break
                     for a in members:
-                        self.block_count[a] += 1
+                        block_count[a] += 1
                     pairs += len(members) * (len(members) - 1) // 2
                     blocks += 1
         edge_count = sum(len(nbrs) for nbrs in adjacency.values()) // 2
@@ -809,6 +813,8 @@ class BlockDecomposition:
     def children(self, agent: Agent, entry: int) -> tuple[Agent, ...]:
         """``agent``'s children when she is entered through block ``entry``;
         -1 for the root."""
+        if self.block_count[agent] == (entry != -1):
+            return ()  # no block but the one she was entered through
         key = (agent, entry)
         kids = self._children.get(key)
         if kids is None:
@@ -820,7 +826,7 @@ class BlockDecomposition:
 
 
 class RootedView:
-    """``root_tree(g, root)`` of a valid graph, built only as far as it is walked.
+    """A valid graph oriented away from ``root``, built only as far as it is walked.
 
     Offers what :func:`solve_global` and :class:`DiracTruthProfiles` read of
     an :class:`OrderedTree`: ``root``, ``children_of``, ``is_terminal``,
@@ -856,37 +862,32 @@ class RootedView:
         return self._blocks.block_count[agent] == (agent != self.root)
 
 
-def root_tree(g: SocialGraph, root: Agent, validate: bool = True) -> OrderedTree:
-    """Orient a valid acquaintance graph away from ``root`` breadth-first.
+def _valid_blocks(g: SocialGraph) -> BlockDecomposition:
+    # the decomposition of a valid graph; else the first witness, as validate_graph lists them
+    blocks = BlockDecomposition(g)
+    if not blocks.valid:
+        first = _graph_violations(g)[0]
+        raise InvalidGraph(f"graph cannot generate a tree: {first.kind} witness {first.witness!r}")
+    return blocks
 
-    Each agent's parent is her unique acquaintance one layer closer to the
-    root; children are emitted in the graph's node order.
-    """
-    if root not in g.nodes:
+
+def _rooted(blocks: BlockDecomposition, root: Agent) -> OrderedTree:
+    # a full breadth-first walk of the view, the list growing while it is walked
+    view = RootedView(blocks, root)
+    children: dict[Agent, tuple[Agent, ...]] = {}
+    order = [root]
+    for agent in order:
+        children[agent] = kids = view.children_of(agent)
+        order.extend(kids)
+    return OrderedTree(root=root, children=children, parent=view._parent, agents=tuple(order))
+
+
+def root_tree(g: SocialGraph, root: Agent) -> OrderedTree:
+    """Orient a valid acquaintance graph away from ``root``: the whole
+    :class:`RootedView`, walked breadth-first."""
+    if root not in g.adjacency:
         raise InvalidGraph(f"unknown root {root!r}")
-    if validate:
-        report = validate_graph(g)
-        if not report.ok:
-            first = report.violations[0]
-            raise InvalidGraph(
-                f"graph cannot generate a tree: {first.kind} witness {first.witness!r}"
-            )
-    depth = {root: 0}
-    parent: dict[Agent, Agent] = {}
-    order = deque([root])
-    edges: list[tuple[Agent, Agent]] = []
-    while order:
-        node = order.popleft()
-        for nxt in g.adjacency[node]:
-            if nxt not in depth:
-                depth[nxt] = depth[node] + 1
-                parent[nxt] = node
-                edges.append((node, nxt))
-                order.append(nxt)
-            elif depth[nxt] == depth[node] - 1 and parent[node] != nxt:
-                # a second parent candidate would mean overlapping circles
-                raise InvalidGraph(f"ambiguous parent for {node!r}")
-    return OrderedTree.from_edges(root, edges)
+    return _rooted(_valid_blocks(g), root)
 
 
 def undirected_closure(tree: OrderedTree) -> SocialGraph:
@@ -918,14 +919,11 @@ def reach_by_root(
     costs what its cascade reaches.
     """
     _check_tol(tol)
-    blocks = BlockDecomposition(graph)
-    if not blocks.valid:
-        first = _graph_violations(graph)[0]
-        raise InvalidGraph(f"graph cannot generate trees: {first.kind} witness {first.witness!r}")
+    blocks = _valid_blocks(graph)
     if not blocks.agents:
         return {}
     # the first bad agent is reported in the breadth-first order of the first root
-    truth = DiracTruthProfiles(root_tree(graph, blocks.agents[0], validate=False), attrs)
+    truth = DiracTruthProfiles(_rooted(blocks, blocks.agents[0]), attrs)
     out: dict[Agent, CascadeResult] = {}
     for root in blocks.agents:
         view = RootedView(blocks, root)

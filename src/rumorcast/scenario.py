@@ -50,7 +50,6 @@ class Topology:
     kind: str  # "tree" | "graph"
     edges: tuple[tuple[str, str], ...]
     root: str | None = None
-    check_structure: bool = True
 
 
 @dataclass(frozen=True)
@@ -200,12 +199,12 @@ def _parse_topology(raw: Any) -> Topology:
         root = _as_id(_need(raw, "root"), ".root")
     elif "root" in raw:
         raise _Bad("only tree topologies carry a root", ".root")
-    check = raw.get("check_structure", True)
-    if not isinstance(check, bool):
-        raise _Bad("expected a boolean", ".check_structure")
     if kind == "tree" and "check_structure" in raw:
         raise _Bad("only graph topologies carry this flag", ".check_structure")
-    return Topology(kind=kind, edges=tuple(edges), root=root, check_structure=check)
+    check = raw.get("check_structure", True)  # older files say true; a graph is always checked
+    if check is not True:
+        raise _Bad(f"graphs are always checked: expected true, got {check!r}", ".check_structure")
+    return Topology(kind=kind, edges=tuple(edges), root=root)
 
 
 def _type_set(raw: Any) -> TypeSet:
@@ -531,9 +530,8 @@ def scenario_diagnostics(text: str) -> list[Diagnostic]:
             out.append(Diagnostic("topology-error", str(exc)))
     else:
         graph = SocialGraph.from_edges(shape.topology.edges, nodes=shape.attrs)
-        if shape.topology.check_structure:
-            for violation in validate_graph(graph).violations:
-                out.append(Diagnostic(violation.kind, f"witness {violation.witness!r}"))
+        for violation in validate_graph(graph).violations:
+            out.append(Diagnostic(violation.kind, f"witness {violation.witness!r}"))
         # under the rooting at her, every agent with a neighbour sends
         senders = tuple(a for a in graph.nodes if graph.neighbors(a))
 
@@ -614,7 +612,7 @@ def scenario_to_obj(scenario: Scenario) -> dict[str, Any]:
         topo["root"] = scenario.topology.root
         topo["edges"] = [list(e) for e in scenario.tree().edges()]
     else:
-        topo["check_structure"] = scenario.topology.check_structure
+        topo["check_structure"] = True
         topo["edges"] = [list(e) for e in scenario.graph().edges()]
     obj["topology"] = topo
     obj["agents"] = {

@@ -4,12 +4,15 @@
 connected, loop-free block graph, and enumerates witnesses only otherwise;
 ``reach_by_root`` roots that one decomposition lazily at every agent.  These
 tests check the accept against the exhaustive enumerator, every lazy rooting
-against ``root_tree``, and count the work a large sweep does.
+and every ``root_tree`` against an independent depth-map walk, and count the
+work a large sweep does.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from rumorcast import (
     AgentProfile,
     InvalidGraph,
     InvariantViolation,
+    OrderedTree,
     RangeViolation,
     SocialGraph,
     TypeSet,
@@ -28,6 +32,7 @@ from rumorcast import (
     validate_graph,
 )
 from rumorcast import network
+from rumorcast.cli import main
 from rumorcast.network import BlockDecomposition, GraphReport, RootedView
 
 from helpers import canonical_attrs, canonical_mu, canonical_profiles, canonical_tree, random_tree, random_wide_tree
@@ -124,6 +129,25 @@ def _walk(view) -> list:
     return order
 
 
+def _depth_walk(g: SocialGraph, root) -> OrderedTree:
+    """``g`` oriented away from ``root`` without its blocks: each agent's
+    parent is her unique acquaintance one layer closer to the root, children
+    in the graph's node order.  Valid graphs only."""
+    depth, parent, edges = {root: 0}, {}, []
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        for nxt in g.adjacency[node]:
+            if nxt not in depth:
+                depth[nxt] = depth[node] + 1
+                parent[nxt] = node
+                edges.append((node, nxt))
+                queue.append(nxt)
+            else:  # a second acquaintance one layer up would mean overlapping circles
+                assert depth[nxt] != depth[node] - 1 or parent[node] == nxt, (root, node)
+    return OrderedTree.from_edges(root, edges)
+
+
 def test_lazy_rootings_match_root_tree():
     rng, ties = np.random.default_rng(5006), np.random.default_rng(5106)
     checked = 0
@@ -135,7 +159,8 @@ def test_lazy_rootings_match_root_tree():
             g = _tied(ties, g)
         blocks = BlockDecomposition(g)
         for root in g.nodes:
-            want = root_tree(g, root)
+            want = _depth_walk(g, root)
+            assert root_tree(g, root) == want, (draw, root)
             view = RootedView(blocks, root)
             assert _walk(view) == list(want.agents), (draw, root)
             for agent in want.agents:
@@ -155,22 +180,33 @@ def test_rooted_view_refuses_strangers():
         RootedView(blocks, "1").children_of("99")
 
 
-def test_large_sweep_never_enumerates_and_roots_once(monkeypatch):
+def test_large_sweep_never_enumerates_and_roots_once(monkeypatch, tmp_path, capsys):
     rng = np.random.default_rng(5007)
     g = undirected_closure(random_tree(rng, 2000))
-    attrs = {
-        a: AgentProfile(type_set=TypeSet.singleton(float(rng.uniform(0.12, 0.88))), lam=1.0)
-        for a in g.nodes
-    }
-    enumerations, rootings = [], []
-    enumerate_all, root = network._graph_violations, network.root_tree
+    path = tmp_path / "closure.json"
+    path.write_text(json.dumps({
+        "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+        "topology": {"kind": "graph", "edges": [list(e) for e in g.edges()]},
+        "agents": {a: {"types": float(rng.uniform(0.12, 0.88)), "lambda": 1.0} for a in g.nodes},
+        "beliefs": "dirac-truth",
+    }), encoding="utf-8")
+    enumerations, decompositions = [], []
+    enumerate_all = network._graph_violations
     monkeypatch.setattr(network, "_graph_violations", lambda g: enumerations.append(g) or enumerate_all(g))
-    monkeypatch.setattr(network, "root_tree", lambda *a, **k: rootings.append(a) or root(*a, **k))
+
+    class Counted(BlockDecomposition):
+        def __init__(self, g: SocialGraph) -> None:
+            decompositions.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(network, "BlockDecomposition", Counted)
     assert validate_graph(g).ok
-    sweep = reach_by_root(g, attrs, canonical_mu())
-    assert len(sweep) == 2000
+    for argv, rows in ((["sweep-root"], 2000), (["solve", "--root", "1"], 2001)):
+        decompositions.clear()
+        assert main([argv[0], str(path), *argv[1:], "--format", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == rows + 1  # and a header
+        assert len(decompositions) == 1, argv  # one decomposition roots every rooting
     assert enumerations == []
-    assert len(rootings) <= 1
     # a graph that fails the fast accept is enumerated, for its witnesses
     bad = SocialGraph.from_edges(list(undirected_closure(canonical_tree()).edges()) + [("1", "1")])
     with pytest.raises(InvalidGraph, match="self-loop witness"):

@@ -314,6 +314,16 @@ class TestSweepLambda:
         assert len(values) == 10_001
         assert values[0] == 0.0 and values[-1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("spec, count", [("1e20:1e20:1e-5", 1), ("1e15:1000000000000001:0.1", 9)])
+    def test_range_lists_each_value_once(self, spec, count):
+        # near 1e15 the spacing of floats is 0.125, so steps of 0.1 round onto each other
+        values = _lambda_values(argparse.Namespace(lambdas=None, lambda_range=spec))
+        assert len(values) == count
+        assert values == sorted(set(values))
+        assert values[0] == float(spec.split(":")[0])
+        # a list is swept as written, repeats included
+        assert _lambda_values(argparse.Namespace(lambdas="1,1,0.5", lambda_range=None)) == [1.0, 1.0, 0.5]
+
     def test_bad_sensitivity_names_its_flag(self, capsys):
         # a sensitivity must be finite and >= 0, and the error says which flag gave it
         for bad in ("nan", "inf", "1e400", "-1", "1,-0.5", "-inf,2"):
@@ -412,6 +422,61 @@ class TestValidate:
         assert [r["agent"] for r in jl(out)[:-1]] == ["1", "01", "2"]
         obj["topology"]["edges"] = [["1", "01"], ["1", "2"]]
         assert run(capsys, "solve", write(tmp_path, obj), "--root", "1", "--format", "json-lines") == (0, out)
+
+
+# graphs that generate no tree, each with its agents
+_NO_TREE = {
+    "five-cycle": ([["1", "2"], ["2", "3"], ["3", "4"], ["4", "5"], ["5", "1"]], "12345"),
+    "disconnected": ([["1", "2"], ["3", "4"]], "1234"),
+    "self-loop": ([["1", "2"], ["2", "3"], ["1", "3"], ["3", "3"]], "123"),
+}
+
+
+class TestGraphsThatGenerateNoTree:
+    """Every command accepts and rejects the same graph files: a graph is
+    rooted only when it is valid, and the check cannot be switched off."""
+
+    @staticmethod
+    def _path(tmp_path, name: str, **topology) -> str:
+        edges, agents = _NO_TREE[name]
+        return write(tmp_path, {
+            "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+            "topology": {"kind": "graph", "edges": edges, **topology},
+            "agents": {a: {"types": 0.5, "lambda": 1.0} for a in agents},
+            "beliefs": "dirac-truth",
+        })
+
+    @staticmethod
+    def _fails(capsys, *argv: str) -> str:
+        assert main(list(argv)) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("name", sorted(_NO_TREE))
+    def test_rooting_commands_fail_with_the_first_witness(self, capsys, tmp_path, name):
+        path = self._path(tmp_path, name)
+        code, out = run(capsys, "validate", path, "--format", "json-lines")
+        assert code == 1
+        first = jl(out)[0]
+        assert first["kind"] == name.replace("five-cycle", "open-circle")
+        want = f"error: graph cannot generate a tree: {first['kind']} {first['detail']}\n"
+        assert self._fails(capsys, "solve", path, "--root", "1") == want
+        assert self._fails(capsys, "sweep-root", path) == want
+        assert self._fails(capsys, "sweep-lambda", path, "--root", "1", "--agent", "all", "--lambdas", "1") == want
+
+    @pytest.mark.parametrize("name", sorted(_NO_TREE))
+    def test_structure_check_cannot_be_switched_off(self, capsys, tmp_path, name):
+        path = self._path(tmp_path, name, check_structure=False)
+        schema = "topology.check_structure: graphs are always checked: expected true, got False"
+        assert run(capsys, "validate", path) == (1, f"kind          detail\nschema-error  {schema}\n")
+        for argv in (
+            ["solve", path, "--root", "1"],
+            ["sweep-root", path],
+            ["sweep-lambda", path, "--root", "1", "--agent", "all", "--lambdas", "1"],
+            ["normalize", path],
+        ):
+            assert self._fails(capsys, *argv) == f"error: {schema}\n"
 
 
 class TestOutputPlumbing:

@@ -89,12 +89,15 @@ def _ref_parse_topology(raw: Any, path: str = "topology") -> Topology:
         root = _ref_as_id(_ref_need(raw, "root", path), f"{path}.root")
     elif "root" in raw:
         raise SchemaError(f"{path}.root: only tree topologies carry a root")
-    check = raw.get("check_structure", True)
-    if not isinstance(check, bool):
-        raise SchemaError(f"{path}.check_structure: expected a boolean")
     if kind == "tree" and "check_structure" in raw:
         raise SchemaError(f"{path}.check_structure: only graph topologies carry this flag")
-    return Topology(kind=kind, edges=tuple(edges), root=root, check_structure=check)
+    # a graph is always checked: only the value true is accepted, for older files
+    if "check_structure" in raw and raw["check_structure"] is not True:
+        raise SchemaError(
+            f"{path}.check_structure: graphs are always checked: "
+            f"expected true, got {raw['check_structure']!r}"
+        )
+    return Topology(kind=kind, edges=tuple(edges), root=root)
 
 
 def _ref_parse_type_set(raw: Any, path: str) -> TypeSet:

@@ -17,7 +17,12 @@ and strings come from the schema's own words.  For every mutant:
   (cascade resolved) or 2 (a reached room has no equilibrium), never 1;
 - every exit 2 of ``solve`` on a tree scenario is confirmed by
   ``oracle_chatroom_profiles``: enumeration finds no equilibrium profile in
-  the failing room either (rooms too large to enumerate are skipped).
+  the failing room either (rooms too large to enumerate are skipped);
+- a ``three_cliques`` mutant, its edges also dropped, added and moved,
+  that loads as a graph with an agent is rooted only when it is valid: its
+  diagnostics hold a structure row exactly when ``root_tree`` at its first
+  agent refuses it, with that row's witness, and then ``solve --root``
+  exits 1.
 
 Small random trees with explicit beliefs and spread type sets, where rooms
 without an equilibrium are common, feed the last check as well.
@@ -43,8 +48,8 @@ from hypothesis import strategies as st
 from rumorcast import load_scenario, normalize_scenario, parse_scenario, scenario_diagnostics
 from rumorcast.chatroom import ChatroomGame, ReceiverSpec
 from rumorcast.cli import main
-from rumorcast.errors import InstanceTooLarge, ParseError, RumorcastError, SchemaError
-from rumorcast.network import solve_global
+from rumorcast.errors import InstanceTooLarge, InvalidGraph, ParseError, RumorcastError, SchemaError
+from rumorcast.network import root_tree, solve_global
 from rumorcast.oracle import oracle_chatroom_profiles
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -202,6 +207,60 @@ def test_commands_exit_cleanly(workdir, data):
             assert codes["solve"] in (0, 2), codes
         if codes["solve"] == 2:
             _confirm_no_equilibrium(path)
+
+
+_STRUCTURE = ("self-loop", "disconnected", "open-circle", "overlapping-circles")
+
+
+def _rewire(rnd: random.Random, doc: Any) -> Any:
+    """``doc`` with one acquaintance dropped, added or moved, in place, when
+    it still holds a list of edges; a type-changing mutation cannot do that."""
+    topology = doc.get("topology") if isinstance(doc, dict) else None
+    edges = topology.get("edges") if isinstance(topology, dict) else None
+    if not isinstance(edges, list) or not edges:
+        return doc
+    ids = ["1", "2", "3", "4", "5"]
+    how = rnd.choice(["drop", "add", "move"])
+    if how == "drop":
+        del edges[rnd.randrange(len(edges))]
+    elif how == "add":
+        edges.append([rnd.choice(ids), rnd.choice(ids)])
+    elif isinstance(pair := rnd.choice(edges), list) and pair:
+        pair[rnd.randrange(len(pair))] = rnd.choice(ids)
+    return doc
+
+
+def test_graph_files_are_rooted_only_when_valid(tmp_path):
+    rnd = random.Random(20261019)
+    bases = [text for name, text in BASES if name == "three_cliques.json"]
+    path = tmp_path / "graph.json"
+    rooted, refused = 0, []
+    for _ in range(500):
+        doc = json.loads(rnd.choice(bases))
+        for _ in range(3):
+            doc = _mutate(rnd, doc) if rnd.random() < 0.5 else _rewire(rnd, doc)
+            text = json.dumps(doc)
+            path.write_text(text, encoding="utf-8")
+            try:
+                scenario = load_scenario(str(path))
+            except RumorcastError:
+                continue
+            if scenario.topology.kind != "graph" or not scenario.attrs:
+                continue
+            structure = [d for d in scenario_diagnostics(text) if d.kind in _STRUCTURE]
+            graph = scenario.graph()
+            try:
+                root_tree(graph, graph.nodes[0])
+            except InvalidGraph as exc:
+                assert structure, text
+                assert str(exc) == f"graph cannot generate a tree: {structure[0].kind} {structure[0].detail}", text
+                assert _run("solve", str(path), "--root", graph.nodes[0]) == 1, text
+                refused.append(structure[0].kind)
+            else:
+                assert not structure, text
+                rooted += 1
+    print(f"{rooted} graph mutants rooted, {len(refused)} refused: {sorted(set(refused))}")
+    assert rooted >= 100 and len(refused) >= 100 and set(refused) == set(_STRUCTURE)
 
 
 def _confirm_no_equilibrium(path: Path) -> bool:

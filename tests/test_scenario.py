@@ -208,16 +208,23 @@ class TestDiagnostics:
         assert "overlapping-circles" in kinds
         assert "open-circle" in kinds
 
-    def test_graph_check_can_be_waived(self):
-        text = _minimal(
-            topology={
-                "kind": "graph",
-                "check_structure": False,
-                "edges": [["1", "2"], ["2", "4"], ["4", "3"], ["3", "1"]],
-            },
-            agents={str(k): {"types": 0.3, "lambda": 1.0} for k in range(1, 5)},
-        )
-        assert scenario_diagnostics(text) == []
+    @pytest.mark.parametrize("check", [False, 0, None])
+    def test_graph_check_cannot_be_waived(self, check):
+        # a graph is always checked: true still parses, anything else is refused
+        topology = {
+            "kind": "graph",
+            "check_structure": check,
+            "edges": [["1", "2"], ["2", "4"], ["4", "3"], ["3", "1"]],
+        }
+        agents = {str(k): {"types": 0.3, "lambda": 1.0} for k in range(1, 5)}
+        text = _minimal(topology=topology, agents=agents)
+        with pytest.raises(SchemaError, match=r"^topology\.check_structure: graphs are always checked") as exc:
+            parse_scenario(text)
+        assert [(d.kind, d.detail) for d in scenario_diagnostics(text)] == [("schema-error", str(exc.value))]
+        topology["check_structure"] = True
+        text = _minimal(topology=topology, agents=agents)
+        assert parse_scenario(text).topology.kind == "graph"
+        assert {d.kind for d in scenario_diagnostics(text)} == {"overlapping-circles", "open-circle"}
 
     def test_belief_support_outside_type_set(self):
         beliefs = {
@@ -343,7 +350,7 @@ class TestCredenceDiagnostics:
 
     def test_graph_senders_are_agents_with_a_neighbour(self):
         # 1 and 2 each send under their own rooting; the isolated 3 never does
-        topology = {"kind": "graph", "check_structure": False, "edges": [["1", "2"]]}
+        topology = {"kind": "graph", "edges": [["1", "2"]]}
         agents = {
             "1": {"types": 0.5, "lambda": 1.0, "ell": 1},
             "2": {"types": 0.3, "lambda": 1.0, "ell": 1},
@@ -352,6 +359,7 @@ class TestCredenceDiagnostics:
         beliefs = {"default": "dirac-truth", "agents": {"2": {"sender": {"dirac": [0.95]}}}}
         diags = scenario_diagnostics(_minimal(topology=topology, agents=agents, beliefs=beliefs))
         assert [(d.kind, d.detail) for d in diags] == [
+            ("disconnected", "witness ('1', '3')"),
             (
                 "credence-error",
                 "agent '2': sender belief: credence 0.95 outside the open interval (0.1, 0.9)",
