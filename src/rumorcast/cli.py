@@ -15,10 +15,9 @@ import io
 import json
 import math
 import sys
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .belief import EPS
 from .errors import RumorcastError
@@ -58,14 +57,6 @@ def _send_word(action: SenderAction | None) -> str | None:
     return "send" if action is SenderAction.SEND else "no-send"
 
 
-def _cell(value: Any, fmt: str) -> str:
-    if value is None:
-        return "-" if fmt == "table" else ""
-    if isinstance(value, bool):
-        return ("yes" if value else "no") if fmt == "table" else ("true" if value else "false")
-    return str(value)
-
-
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
@@ -78,55 +69,93 @@ def _json_value(value: Any) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-def _json_column(values: list[Any]) -> Iterable[str]:
-    """``_json_value`` of each value, without a Python call per value when
-    the column holds only strings, None and bools."""
+def _table_cell(value: Any) -> str:
+    if value is None:
+        return "-"
+    if value is True or value is False:
+        return "yes" if value else "no"
+    return str(value)
+
+
+def _csv_cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if value is True or value is False:
+        return "true" if value else "false"
+    return str(value)
+
+
+def _column(
+    values: list[Any], cell: Callable[[Any], str], text: Callable[[str], str]
+) -> Iterable[str]:
+    """``cell`` of each value, ``text`` of each when all are strings, and
+    one ``cell`` call per distinct value when the column holds only strings,
+    None and bools, as few-valued columns do."""
     kinds = set(map(type, values))
     if kinds <= {str}:
-        return map(encode_basestring_ascii, values)
+        return map(text, values)
     if kinds <= {str, type(None), bool}:  # no ints, which would hash like the bools
-        written = {value: _json_value(value) for value in set(values)}
+        written = {value: cell(value) for value in set(values)}
         return map(written.__getitem__, values)
-    return map(_json_value, values)
+    return map(cell, values)
 
 
-def _json_lines(rows: list[dict[str, Any]]) -> str:
-    """``json.dumps(row, sort_keys=True)`` for each row, one per line.
+# A report is a list of blocks.  A block maps each of its keys (at least one) to
+# a column, one value per row, all columns of one length; its rows have exactly
+# those keys.  Table and csv reports show a key a block lacks as None.
 
-    Keys must be strings.  Each run of rows with the same keys is written a
-    column at a time, and the columns are then interleaved with the keys.
-    """
+
+def _length(block: Mapping[str, list[Any]]) -> int:
+    return len(next(iter(block.values())))
+
+
+def _json_lines(blocks: list[Mapping[str, list[Any]]]) -> str:
+    """``json.dumps(row, sort_keys=True)`` for each row, one per line, written
+    a column at a time and then interleaved with the keys."""
     pieces: list[Iterable[str]] = []
-    for keys, run in groupby(rows, dict.keys):
-        block = list(run)
-        cells: list[Iterable[str]] = [repeat("{", len(block))]
-        for k, name in enumerate(sorted(keys)):
+    for block in blocks:
+        cells: list[Iterable[str]] = [repeat("{", _length(block))]
+        for k, name in enumerate(sorted(block)):
             cells.append(repeat((", " if k else "") + encode_basestring_ascii(name) + ": "))
-            cells.append(_json_column(list(map(itemgetter(name), block))))
+            cells.append(_column(block[name], _json_value, encode_basestring_ascii))
         cells.append(repeat("}\n"))
         pieces.append(chain.from_iterable(zip(*cells)))
     return "".join(chain.from_iterable(pieces))
 
 
-def _render(rows: list[dict[str, Any]], columns: list[str], fmt: str) -> str:
+def _render(blocks: list[Mapping[str, list[Any]]], columns: list[str], fmt: str) -> str:
+    """The report of ``blocks`` in ``fmt``, each column of ``columns`` written
+    at once; json-lines rows hold their block's keys."""
     if fmt == "json-lines":
-        return _json_lines(rows)
+        return _json_lines(blocks)
+    cell = _csv_cell if fmt == "csv" else _table_cell
+    missing = cell(None)
+    cells = [
+        list(chain.from_iterable(
+            _column(block[name], cell, str) if name in block else repeat(missing, _length(block))
+            for block in blocks
+        ))
+        for name in columns
+    ]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(c), fmt) for c in columns])
+        writer.writerows(zip(*cells))
         return buf.getvalue()
-    cells = [[_cell(row.get(c), fmt) for c in columns] for row in rows]
-    widths = [
-        max(len(columns[i]), max((len(r[i]) for r in cells), default=0))
-        for i in range(len(columns))
-    ]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
-    for r in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "".join(line + "\n" for line in lines)
+    padded = [_padded([name, *column]) for name, column in zip(columns, cells)]
+    return "\n".join(map(str.rstrip, map("  ".join, zip(*padded)))) + "\n"
+
+
+def _padded(column: list[str]) -> Iterable[str]:
+    """The cells of ``column`` padded to the widest one's length, each
+    distinct cell once when few are distinct."""
+    distinct = set(column)
+    width = max(map(len, distinct))
+    if len(distinct) * 4 > len(column):
+        return map(str.ljust, column, repeat(width))
+    padded = {cell: cell.ljust(width) for cell in distinct}
+    return map(padded.__getitem__, column)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -137,32 +166,30 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cascade_rows(tree: OrderedTree, result: CascadeResult) -> list[dict[str, Any]]:
-    reach, reactions, sends = result.reach, result.receiver_actions, result.sender_actions
-    rows: list[dict[str, Any]] = [
-        # agents the message missed have no actions to look up
-        {"kind": "agent", "agent": agent, "reached": False, "reaction": None, "send": None}
-        if agent not in reach
-        else {
-            "kind": "agent",
-            "agent": agent,
-            "reached": True,
-            "reaction": _reaction_word(reactions.get(agent)),
-            "send": _send_word(sends.get(agent)),
-        }
-        for agent in natural_sorted(tree.agents)
-    ]
-    rows.append(
+def _cascade_blocks(tree: OrderedTree, result: CascadeResult) -> list[dict[str, list[Any]]]:
+    agents = natural_sorted(tree.agents)
+    reach = result.reach
+    # agents the message missed have no actions to look up
+    reactions = {a: _reaction_word(result.reaction_of(a)) for a in reach}
+    sends = {a: _send_word(result.send_of(a)) for a in reach}
+    summary = {
+        "kind": "summary",
+        "exists": result.exists,
+        "unique": result.unique,
+        "reach_count": result.reach_count,
+        "multiple_rooms": ";".join(str(a) for a in result.multiple_rooms) or None,
+        "failing_room": result.failing_room,
+    }
+    return [
         {
-            "kind": "summary",
-            "exists": result.exists,
-            "unique": result.unique,
-            "reach_count": result.reach_count,
-            "multiple_rooms": ";".join(str(a) for a in result.multiple_rooms) or None,
-            "failing_room": result.failing_room,
-        }
-    )
-    return rows
+            "kind": ["agent"] * len(agents),
+            "agent": agents,
+            "reached": list(map(reach.__contains__, agents)),
+            "reaction": list(map(reactions.get, agents)),
+            "send": list(map(sends.get, agents)),
+        },
+        {key: [value] for key, value in summary.items()},
+    ]
 
 
 _CASCADE_COLUMNS = [
@@ -201,7 +228,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     tree = _scenario_tree(scenario, args.root)
     result = solve_global(tree, scenario.profiles_for(tree), scenario.evidence, args.tolerance)
-    _emit(_render(_cascade_rows(tree, result), _CASCADE_COLUMNS, args.format), args.out)
+    _emit(_render(_cascade_blocks(tree, result), _CASCADE_COLUMNS, args.format), args.out)
     return 0 if result.exists else 2
 
 
@@ -254,17 +281,11 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
         result = solve_global(tree, swept.profiles_for(tree), scenario.evidence, args.tolerance)
         reactions, sends = _joined_actions(result)
         rows.append(
-            {
-                "lambda": lam,
-                "reactions": reactions or None,
-                "sends": sends or None,
-                "reach_count": result.reach_count,
-                "exists": result.exists,
-                "unique": result.unique,
-            }
+            (lam, reactions or None, sends or None, result.reach_count, result.exists, result.unique)
         )
     columns = ["lambda", "reactions", "sends", "reach_count", "exists", "unique"]
-    _emit(_render(rows, columns, args.format), args.out)
+    block = dict(zip(columns, map(list, zip(*rows))))
+    _emit(_render([block], columns, args.format), args.out)
     return 0
 
 
@@ -279,48 +300,46 @@ def cmd_sweep_root(args: argparse.Namespace) -> int:
     else:
         graph = scenario.graph()
     sweep = reach_by_root(graph, scenario.attrs, scenario.evidence, args.tolerance)
-    rows = []
-    best = 0
-    for root, result in sweep.items():
-        no_send = ";".join(
-            str(a)
-            for a in natural_sorted(result.sender_actions)
-            if result.send_of(a) is SenderAction.NOSEND
-        )
-        rows.append(
-            {
-                "root": root,
-                "reach_count": result.reach_count,
-                "exists": result.exists,
-                "unique": result.unique,
-                "no_send_at": no_send or None,
-                "failing_room": result.failing_room,
-            }
-        )
-        if result.exists:
-            best = max(best, result.reach_count)
-    for row in rows:
-        row["is_max"] = bool(row["exists"]) and row["reach_count"] == best
-    columns = ["root", "reach_count", "exists", "unique", "no_send_at", "failing_room", "is_max"]
-    _emit(_render(rows, columns, args.format), args.out)
+    results = list(sweep.values())
+    counts = [result.reach_count for result in results]
+    exists = [result.exists for result in results]
+    best = max((count for count, ok in zip(counts, exists) if ok), default=0)
+    block = {
+        "root": list(sweep),
+        "reach_count": counts,
+        "exists": exists,
+        "unique": [result.unique for result in results],
+        "no_send_at": [
+            ";".join(
+                str(a)
+                for a in natural_sorted(result.sender_actions)
+                if result.send_of(a) is SenderAction.NOSEND
+            )
+            or None
+            for result in results
+        ],
+        "failing_room": [result.failing_room for result in results],
+        "is_max": [ok and count == best for count, ok in zip(counts, exists)],
+    }
+    _emit(_render([block], list(block), args.format), args.out)
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    with open(args.scenario, encoding="utf-8") as fh:
-        text = fh.read()
-    diagnostics = scenario_diagnostics(text)
-    rows = [{"kind": d.kind, "detail": d.detail} for d in diagnostics]
-    if not rows:
-        rows = [{"kind": "ok", "detail": "no problems found"}]
-    _emit(_render(rows, ["kind", "detail"], args.format), args.out)
+    with open(args.scenario, "rb") as fh:
+        diagnostics = scenario_diagnostics(fh.read())
+    block = {
+        "kind": [d.kind for d in diagnostics] or ["ok"],
+        "detail": [d.detail for d in diagnostics] or ["no problems found"],
+    }
+    _emit(_render([block], list(block), args.format), args.out)
     return 0 if not diagnostics else 1
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    with open(args.scenario, encoding="utf-8") as fh:
-        text = fh.read()
-    _emit(normalize_scenario(text), args.out)
+    with open(args.scenario, "rb") as fh:
+        document = fh.read()
+    _emit(normalize_scenario(document), args.out)
     return 0
 
 

@@ -14,8 +14,10 @@ find so a validation command can report them all.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -171,6 +173,10 @@ def _as_id(value: Any, where: str = "") -> str:
     raise _Bad(f"agent id must be a string or integer, got {value!r}", where)
 
 
+class _Unclear(Exception):
+    """The passes over whole columns found a bad value."""
+
+
 _TOPOLOGY_KEYS = frozenset({"kind", "edges", "root", "check_structure"})
 
 
@@ -183,14 +189,18 @@ def _parse_topology(raw: Any) -> Topology:
     edges_raw = _need(raw, "edges")
     if not isinstance(edges_raw, list):
         raise _Bad("expected an array of pairs", ".edges")
-    edges = []
-    for pair in edges_raw:
-        try:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise _Bad("expected a two-element array")
-            edges.append((_as_id(pair[0], "[0]"), _as_id(pair[1], "[1]")))
-        except _Bad as bad:
-            raise bad.within(f".edges[{len(edges)}]")
+    try:
+        edges = _edge_pairs(edges_raw)
+    except _Unclear:
+        edges = []
+        # some edge is bad, or holds a subclass of str or int: check edge by edge
+        for pair in edges_raw:
+            try:
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise _Bad("expected a two-element array")
+                edges.append((_as_id(pair[0], "[0]"), _as_id(pair[1], "[1]")))
+            except _Bad as bad:
+                raise bad.within(f".edges[{len(edges)}]")
     extra = raw.keys() - _TOPOLOGY_KEYS
     if extra:
         raise _Bad(f"unknown fields {sorted(extra)!r}")
@@ -205,6 +215,25 @@ def _parse_topology(raw: Any) -> Topology:
     if check is not True:
         raise _Bad(f"graphs are always checked: expected true, got {check!r}", ".check_structure")
     return Topology(kind=kind, edges=tuple(edges), root=root)
+
+
+_ID_TYPES = frozenset({str, int})
+
+
+def _edge_pairs(edges_raw: list[Any]) -> list[tuple[str, str]]:
+    """The edges as (parent, child) id pairs.  Passes over the two id columns
+    check every edge first and raise :class:`_Unclear` when some edge is bad."""
+    if not set(map(type, edges_raw)) <= {list} or not set(map(len, edges_raw)) <= {2}:
+        raise _Unclear
+    parents = list(map(itemgetter(0), edges_raw))
+    children = list(map(itemgetter(1), edges_raw))
+    kinds = set(map(type, parents))
+    kinds.update(map(type, children))
+    if not kinds <= _ID_TYPES:  # bools, floats, None, arrays and objects, or subclasses
+        raise _Unclear
+    if int in kinds:
+        parents, children = list(map(str, parents)), list(map(str, children))
+    return list(zip(parents, children))
 
 
 def _type_set(raw: Any) -> TypeSet:
@@ -229,10 +258,6 @@ def _type_set(raw: Any) -> TypeSet:
 _AGENT_KEYS = frozenset({"types", "lambda", "ell"})
 _NUMBER_TYPES = frozenset({int, float})
 _types_of, _lambda_of = itemgetter("types"), itemgetter("lambda")
-
-
-class _Unclear(Exception):
-    """The passes over whole columns found a bad agent."""
 
 
 def _parse_agents(raw: Any) -> AgentTable:
@@ -403,14 +428,15 @@ def _override(spec: Any) -> BeliefOverride:
 
 
 def _check_ids(topology: Topology, agents: Mapping[str, AgentProfile]) -> None:
-    # ids are listed in natural order, and ids with one natural key ("1", "01")
-    # in the order the file names them, so the message never varies between runs
-    named = dict.fromkeys(chain.from_iterable(topology.edges))
+    named = set(chain.from_iterable(topology.edges))
     if topology.root is not None:
-        named[topology.root] = None
-    unknown = named.keys() - agents.keys()
+        named.add(topology.root)
+    unknown = named - agents.keys()
     if unknown:
-        listed = natural_sorted(a for a in named if a in unknown)
+        # ids are listed in natural order, and ids with one natural key ("1", "01")
+        # in the order the file names them, so the message never varies between runs
+        in_order = chain(chain.from_iterable(topology.edges), (topology.root,))
+        listed = natural_sorted(a for a in dict.fromkeys(in_order) if a in unknown)
         raise SchemaError(f"topology: edges mention agents without profiles: {listed!r}")
     # every named agent has a profile, so the counts tell whether some profile is unplaced
     if named and topology.kind == "tree" and len(named) < len(agents):
@@ -460,13 +486,44 @@ def _parse_shape(raw: Any) -> _Shape:
     )
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and fully validate one scenario document."""
+def _decode(document: str | bytes) -> Any:
+    """The JSON value of ``document``, or a :class:`ParseError` saying why it
+    has none.  Bytes are read as a text file reads them: UTF-8, with every
+    line end ("\\r\\n", "\\r") as "\\n"."""
+    if isinstance(document, bytes):
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte {exc.start}: not UTF-8 text ({exc.reason})") from None
+        if "\r" in document:
+            document = document.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        raw = json.loads(text)
+        return json.loads(document)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    shape = _parse_shape(raw)
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply") from None
+    except ValueError:  # the only other one: an integer past the int-string limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"an integer has more than {limit:,} digits") from None
+
+
+def _read_shape(document: str | bytes) -> _Shape:
+    """``document`` decoded and checked for shape, with the cyclic collector
+    paused: decoding makes no reference cycles, so reference counting frees
+    all it builds, and a collection would only rescan the new containers."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_shape(_decode(document))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def parse_scenario(document: str | bytes) -> Scenario:
+    """Parse and fully validate one scenario document (text, or UTF-8 bytes)."""
+    shape = _read_shape(document)
     evidence = validate_evidence(*shape.mu_pair)
     return Scenario(
         evidence=evidence,
@@ -479,7 +536,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_scenario(fh.read())
 
 
@@ -493,7 +550,7 @@ class Diagnostic:
     detail: str
 
 
-def scenario_diagnostics(text: str) -> list[Diagnostic]:
+def scenario_diagnostics(document: str | bytes) -> list[Diagnostic]:
     """Everything wrong with a scenario document, empty when clean.
 
     Stages run independently where possible: a bad evidence relation does
@@ -501,13 +558,11 @@ def scenario_diagnostics(text: str) -> list[Diagnostic]:
     """
     out: list[Diagnostic] = []
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return [Diagnostic("parse-error", f"line {exc.lineno} column {exc.colno}: {exc.msg}")]
-    try:
-        shape = _parse_shape(raw)
+        shape = _read_shape(document)
+    except ParseError as exc:
+        return [Diagnostic("parse-error", str(exc))]
     except SchemaError as exc:
-        return out + [Diagnostic("schema-error", str(exc))]
+        return [Diagnostic("schema-error", str(exc))]
 
     evidence: EvidenceRelation | None = None
     try:
@@ -656,6 +711,6 @@ def scenario_to_obj(scenario: Scenario) -> dict[str, Any]:
     return obj
 
 
-def normalize_scenario(text: str) -> str:
+def normalize_scenario(document: str | bytes) -> str:
     """Canonical byte form; idempotent, and re-parses to an equivalent model."""
-    return json.dumps(scenario_to_obj(parse_scenario(text)), indent=2) + "\n"
+    return json.dumps(scenario_to_obj(parse_scenario(document)), indent=2) + "\n"

@@ -155,3 +155,13 @@ def random_chatroom_game(rng: np.random.Generator) -> ChatroomGame:
             )
         )
     return ChatroomGame(sender="s", sender_types=sender_types, receivers=tuple(specs))
+
+
+# Scenario files that hold no JSON value Python can build: not UTF-8 text,
+# nested past the interpreter's recursion limit, and an integer past its
+# int-string digit limit.  Every command must refuse each as a parse error.
+UNREADABLE_DOCUMENTS = {
+    "not-utf-8": b'{"name": "caf\xe9"}',
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+    "integer-of-5000-digits": b'{"name": ' + b"7" * 5000 + b"}",
+}

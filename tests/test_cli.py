@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import UNREADABLE_DOCUMENTS
 from rumorcast.cli import _lambda_values, main
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -156,6 +157,49 @@ class TestSolve:
         bad.write_text("{", encoding="utf-8")
         code, _ = run(capsys, "solve", str(bad))
         assert code == 1
+
+
+class TestUnreadableDocuments:
+    """A file that decodes to no JSON value is a parse error on every
+    command, never an exception out of ``main``."""
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_DOCUMENTS))
+    def test_every_command_reports_a_parse_error(self, capsys, tmp_path, name):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(UNREADABLE_DOCUMENTS[name])
+        code, out = run(capsys, "validate", str(path), "--format", "json-lines")
+        assert code == 1
+        [row] = jl(out)
+        assert row["kind"] == "parse-error"
+        for argv in (
+            ["solve"],
+            ["normalize"],
+            ["sweep-root"],
+            ["sweep-lambda", "--agent", "all", "--lambdas", "1"],
+        ):
+            assert main([argv[0], str(path), *argv[1:]]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {row['detail']}\n")
+
+    def test_the_error_says_what_is_wrong(self, capsys, tmp_path):
+        details = {}
+        for name, document in UNREADABLE_DOCUMENTS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(document)
+            details[name] = run(capsys, "validate", str(path), "--format", "csv")[1]
+        assert details == {
+            "not-utf-8": "kind,detail\nparse-error,byte 13: not UTF-8 text (invalid continuation byte)\n",
+            "nested-100000-deep": "kind,detail\nparse-error,arrays or objects nested too deeply\n",
+            "integer-of-5000-digits": 'kind,detail\nparse-error,"an integer has more than 4,300 digits"\n',
+        }
+
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_line_ends_count_as_in_a_text_file(self, capsys, tmp_path, end):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(end.join(["{", '  "name": "x",', "  ]"]).encode())
+        code, out = run(capsys, "validate", str(path), "--format", "csv")
+        assert (code, out) == (1, "kind,detail\nparse-error,line 3 column 3: Expecting property name enclosed in double quotes\n")
 
 
 class TestMalformedBeliefs:

@@ -12,7 +12,9 @@ and strings come from the schema's own words.  For every mutant:
 - ``scenario_diagnostics`` returns a list and never raises;
 - ``parse_scenario`` raises a parse or schema error exactly when the
   diagnostics hold a ``parse-error`` or ``schema-error`` row, with its text;
-- ``validate``, ``solve`` and ``sweep-root`` exit 0, 1 or 2 and never raise;
+- ``validate``, ``solve`` and ``sweep-root`` exit 0, 1 or 2 and never raise,
+  on these mutants and on three files that decode to no JSON value (not
+  UTF-8, nested too deeply, an integer of too many digits);
 - a tree scenario that ``validate`` finds clean solves: ``solve`` exits 0
   (cascade resolved) or 2 (a reached room has no equilibrium), never 1;
 - every exit 2 of ``solve`` on a tree scenario is confirmed by
@@ -45,6 +47,7 @@ import pytest
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
+from helpers import UNREADABLE_DOCUMENTS
 from rumorcast import load_scenario, normalize_scenario, parse_scenario, scenario_diagnostics
 from rumorcast.chatroom import ChatroomGame, ReceiverSpec
 from rumorcast.cli import main
@@ -191,22 +194,37 @@ def workdir(tmp_path_factory) -> Path:
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _check_commands(path: Path, doc: Any, rooted: bool) -> None:
+    codes = {cmd: _run(cmd, str(path)) for cmd in ("validate", "solve", "sweep-root")}
+    if rooted:
+        codes["solve --root 1"] = _run("solve", str(path), "--root", "1")
+    assert set(codes.values()) <= {0, 1, 2}, codes
+
+    topology = doc.get("topology") if isinstance(doc, dict) else None
+    if codes["validate"] == 0 and isinstance(topology, dict) and topology.get("kind") == "tree":
+        assert codes["solve"] in (0, 2), codes
+    if codes["solve"] == 2:
+        _confirm_no_equilibrium(path)
+
+
 @settings(_FUZZ, max_examples=200)
 @given(data=st.data())
 def test_commands_exit_cleanly(workdir, data):
     path = workdir / "scenario.json"
     for name, doc, text in _mutants(data, 3):
         path.write_text(text, encoding="utf-8")
-        codes = {cmd: _run(cmd, str(path)) for cmd in ("validate", "solve", "sweep-root")}
-        if name == "three_cliques.json":
-            codes["solve --root 1"] = _run("solve", str(path), "--root", "1")
-        assert set(codes.values()) <= {0, 1, 2}, codes
+        _check_commands(path, doc, rooted=name == "three_cliques.json")
 
-        topology = doc.get("topology") if isinstance(doc, dict) else None
-        if codes["validate"] == 0 and isinstance(topology, dict) and topology.get("kind") == "tree":
-            assert codes["solve"] in (0, 2), codes
-        if codes["solve"] == 2:
-            _confirm_no_equilibrium(path)
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_DOCUMENTS))
+def test_unreadable_files_exit_cleanly(workdir, name):
+    path = workdir / "unreadable.json"
+    document = UNREADABLE_DOCUMENTS[name]
+    path.write_bytes(document)
+    _check_commands(path, None, rooted=True)
+    [diagnostic] = scenario_diagnostics(document)
+    assert [(diagnostic.kind, diagnostic.detail)] == _entry_errors(document)
+    assert diagnostic.kind == "parse-error"
 
 
 _STRUCTURE = ("self-loop", "disconnected", "open-circle", "overlapping-circles")
