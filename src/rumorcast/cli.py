@@ -148,14 +148,9 @@ def _render(blocks: list[Mapping[str, list[Any]]], columns: list[str], fmt: str)
 
 
 def _padded(column: list[str]) -> Iterable[str]:
-    """The cells of ``column`` padded to the widest one's length, each
-    distinct cell once when few are distinct."""
-    distinct = set(column)
-    width = max(map(len, distinct))
-    if len(distinct) * 4 > len(column):
-        return map(str.ljust, column, repeat(width))
-    padded = {cell: cell.ljust(width) for cell in distinct}
-    return map(padded.__getitem__, column)
+    """The cells of ``column`` padded to the widest one's length."""
+    width = max(map(len, column))
+    return map(str.ljust, column, repeat(width))
 
 
 def _emit(text: str, out: str | None) -> None:

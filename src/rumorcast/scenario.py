@@ -173,10 +173,6 @@ def _as_id(value: Any, where: str = "") -> str:
     raise _Bad(f"agent id must be a string or integer, got {value!r}", where)
 
 
-class _Unclear(Exception):
-    """The passes over whole columns found a bad value."""
-
-
 _TOPOLOGY_KEYS = frozenset({"kind", "edges", "root", "check_structure"})
 
 
@@ -189,18 +185,14 @@ def _parse_topology(raw: Any) -> Topology:
     edges_raw = _need(raw, "edges")
     if not isinstance(edges_raw, list):
         raise _Bad("expected an array of pairs", ".edges")
-    try:
-        edges = _edge_pairs(edges_raw)
-    except _Unclear:
-        edges = []
-        # some edge is bad, or holds a subclass of str or int: check edge by edge
-        for pair in edges_raw:
-            try:
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise _Bad("expected a two-element array")
-                edges.append((_as_id(pair[0], "[0]"), _as_id(pair[1], "[1]")))
-            except _Bad as bad:
-                raise bad.within(f".edges[{len(edges)}]")
+    edges = []
+    for pair in edges_raw:
+        try:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise _Bad("expected a two-element array")
+            edges.append((_as_id(pair[0], "[0]"), _as_id(pair[1], "[1]")))
+        except _Bad as bad:
+            raise bad.within(f".edges[{len(edges)}]")
     extra = raw.keys() - _TOPOLOGY_KEYS
     if extra:
         raise _Bad(f"unknown fields {sorted(extra)!r}")
@@ -215,25 +207,6 @@ def _parse_topology(raw: Any) -> Topology:
     if check is not True:
         raise _Bad(f"graphs are always checked: expected true, got {check!r}", ".check_structure")
     return Topology(kind=kind, edges=tuple(edges), root=root)
-
-
-_ID_TYPES = frozenset({str, int})
-
-
-def _edge_pairs(edges_raw: list[Any]) -> list[tuple[str, str]]:
-    """The edges as (parent, child) id pairs.  Passes over the two id columns
-    check every edge first and raise :class:`_Unclear` when some edge is bad."""
-    if not set(map(type, edges_raw)) <= {list} or not set(map(len, edges_raw)) <= {2}:
-        raise _Unclear
-    parents = list(map(itemgetter(0), edges_raw))
-    children = list(map(itemgetter(1), edges_raw))
-    kinds = set(map(type, parents))
-    kinds.update(map(type, children))
-    if not kinds <= _ID_TYPES:  # bools, floats, None, arrays and objects, or subclasses
-        raise _Unclear
-    if int in kinds:
-        parents, children = list(map(str, parents)), list(map(str, children))
-    return list(zip(parents, children))
 
 
 def _type_set(raw: Any) -> TypeSet:
@@ -258,6 +231,10 @@ def _type_set(raw: Any) -> TypeSet:
 _AGENT_KEYS = frozenset({"types", "lambda", "ell"})
 _NUMBER_TYPES = frozenset({int, float})
 _types_of, _lambda_of = itemgetter("types"), itemgetter("lambda")
+
+
+class _Unclear(Exception):
+    """The passes over whole columns found a bad agent."""
 
 
 def _parse_agents(raw: Any) -> AgentTable:
@@ -428,15 +405,14 @@ def _override(spec: Any) -> BeliefOverride:
 
 
 def _check_ids(topology: Topology, agents: Mapping[str, AgentProfile]) -> None:
-    named = set(chain.from_iterable(topology.edges))
+    # ids are listed in natural order, and ids with one natural key ("1", "01")
+    # in the order the file names them, so the message never varies between runs
+    named = dict.fromkeys(chain.from_iterable(topology.edges))
     if topology.root is not None:
-        named.add(topology.root)
-    unknown = named - agents.keys()
+        named[topology.root] = None
+    unknown = named.keys() - agents.keys()
     if unknown:
-        # ids are listed in natural order, and ids with one natural key ("1", "01")
-        # in the order the file names them, so the message never varies between runs
-        in_order = chain(chain.from_iterable(topology.edges), (topology.root,))
-        listed = natural_sorted(a for a in dict.fromkeys(in_order) if a in unknown)
+        listed = natural_sorted(a for a in named if a in unknown)
         raise SchemaError(f"topology: edges mention agents without profiles: {listed!r}")
     # every named agent has a profile, so the counts tell whether some profile is unplaced
     if named and topology.kind == "tree" and len(named) < len(agents):

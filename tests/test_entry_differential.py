@@ -1,9 +1,8 @@
 """Scenario entry against the code it replaced, on fuzzed input.
 
-The parser builds no field path on its success path, checks the agents
-and the edge list a column at a time and looks for the offending entry only
-on failure, ``OrderedTree`` checks its edges in bulk, and ``natural_sorted``
-sorts string ids without a key per id.  Each is compared
+The parser builds no field path on its success path, ``OrderedTree`` checks
+its edges in bulk and looks for the offending edge only on failure, and
+``natural_sorted`` sorts string ids without a key per id.  Each is compared
 here with a copy of the code it replaced (the ``_ref_*`` functions below,
 kept as they were): both must give equal results, or raise the same
 exception type with the same message.
@@ -436,61 +435,6 @@ _UNTIED_IDS = st.sampled_from(["1", "2", "3", "10", "x", "²"])
 def test_ids_check_as_before(kind, edges, root, known):
     topology = Topology(kind=kind, edges=tuple(edges), root=root)
     _same(_check_ids, _ref_check_ids, topology, dict.fromkeys(known))
-
-
-_FAULTS = ["not a pair", "wrong length", "bad id", "unknown id", "unplaced agent"]
-
-
-@st.composite
-def _edge_lists(draw) -> tuple[dict, dict]:
-    """A random tree's topology section and its agents.  Ids are strings,
-    some sharing a natural key ("1", "01"), and those that read as an int
-    are written as one at random.  Perhaps one fault is planted."""
-    n = draw(st.integers(1, 40))
-    ids = draw(st.lists(st.one_of(_IDS, st.integers(0, 60).map(str)), min_size=n, max_size=n, unique=True))
-    edges = [[ids[draw(st.integers(0, k - 1))], ids[k]] for k in range(1, n)]
-    for pair in edges:
-        for side in (0, 1):
-            written = pair[side]
-            if written.isdecimal() and str(int(written)) == written and draw(st.booleans()):
-                pair[side] = int(pair[side])
-    agents = dict.fromkeys(ids)
-    kind = draw(st.sampled_from(["tree", "graph"]))
-    fault = draw(st.one_of(st.none(), st.sampled_from(_FAULTS)))
-    if fault == "unplaced agent":
-        agents["77"] = None
-    elif fault is not None and edges:
-        k, side = draw(st.integers(0, len(edges) - 1)), draw(st.integers(0, 1))
-        if fault == "not a pair":
-            edges[k] = draw(st.sampled_from([None, "1", 1, {"0": "1"}, True]))
-        elif fault == "wrong length":
-            edges[k] = draw(st.sampled_from([[], edges[k][:1], edges[k] + edges[k][:1]]))
-        elif fault == "bad id":
-            edges[k][side] = draw(st.sampled_from([True, False, 1.0, 2.5, None, [], {}]))
-        else:
-            edges[k][side] = draw(st.sampled_from(["99", 99, "x9"]))
-    raw = {"kind": kind, "edges": edges}
-    if kind == "tree":
-        raw["root"] = ids[0]
-    return raw, agents
-
-
-def _topology_and_ids(raw: dict, agents: dict) -> Topology:
-    topology = _at("topology", _parse_topology, raw)
-    _check_ids(topology, agents)
-    return topology
-
-
-def _ref_topology_and_ids(raw: dict, agents: dict) -> Topology:
-    topology = _ref_parse_topology(raw)
-    _ref_check_ids(topology, agents)
-    return topology
-
-
-@_SETTINGS
-@given(drawn=_edge_lists())
-def test_edge_columns_check_as_the_edge_loop(drawn):
-    _same(_topology_and_ids, _ref_topology_and_ids, *drawn)
 
 
 @_SETTINGS
