@@ -21,14 +21,15 @@ share more than one member (no overlapping circles).  :func:`validate_graph`
 checks exactly that and reports concrete witnesses.  Such graphs are the
 connected block graphs, whose biconnected components are all cliques, so one
 linear pass over the blocks (:class:`BlockDecomposition`) both accepts a
-graph and roots it, lazily, at any agent.
+graph and roots it, lazily, at any agent; an invalid graph's witnesses are
+read off the same blocks.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, filterfalse, groupby
 from operator import itemgetter
@@ -291,6 +292,22 @@ class AgentTable(Mapping[Agent, AgentProfile]):
         return repr(dict(self.items()))
 
 
+def _truth_credences(table: AgentTable, agents: Sequence[Agent]) -> dict[Agent, float]:
+    """The credence of each of ``agents``, as known-type beliefs read them.
+    Raises for the first of them, in order, without a profile or without a
+    single type."""
+    theta = table.theta
+    # the column serves as it is when it holds exactly these agents
+    if len(theta) == len(agents) and all(map(theta.__contains__, agents)):
+        return theta
+    for agent in agents:
+        if agent not in theta:
+            if agent in table:
+                raise InvariantViolation(f"agent {agent!r}: known-type beliefs need singleton type sets")
+            raise InvariantViolation(f"no profile for agent {agent!r}")
+    return {agent: theta[agent] for agent in agents}
+
+
 class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
     """Known-type beliefs on ``tree``, built only when asked for.
 
@@ -311,18 +328,8 @@ class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
     ) -> None:
         self.tree = tree
         self.attrs = table = AgentTable.of(attrs)
-        theta, agents = table.theta, tree.agents
-        # the column serves as it is when it holds exactly the tree's agents
-        if len(theta) != len(agents) or not all(map(theta.__contains__, agents)):
-            for agent in agents:  # the first bad agent in tree order
-                if agent not in theta:
-                    if agent in table:
-                        raise InvariantViolation(
-                            f"agent {agent!r}: known-type beliefs need singleton type sets"
-                        )
-                    raise InvariantViolation(f"no profile for agent {agent!r}")
-            theta = {agent: theta[agent] for agent in agents}
-        self.theta: dict[Agent, float] = theta
+        agents = tree.agents
+        self.theta: dict[Agent, float] = _truth_credences(table, agents)
         # in tree order, so checks report the first bad agent as the dict path does
         self.overrides: dict[Agent, BeliefOverride] = (
             {a: overrides[a] for a in agents if a in overrides} if overrides else {}
@@ -651,23 +658,6 @@ class GraphReport:
         return not self.violations
 
 
-def _connected_avoiding(g: SocialGraph, start: Agent, goal: Agent, banned: Agent) -> bool:
-    # path existence in the graph with one agent removed
-    if start == banned or goal == banned:
-        return False
-    queue = deque([start])
-    seen = {start, banned}
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            return True
-        for nxt in g.adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
-
-
 def validate_graph(g: SocialGraph) -> GraphReport:
     """Structural check for tree-generating acquaintance graphs.
 
@@ -683,59 +673,47 @@ def validate_graph(g: SocialGraph) -> GraphReport:
       ``i`` (so they sit in one circle around ``i`` without being
       introduced).
 
-    A valid graph is accepted by its block decomposition in O(n + m); only
-    an invalid one is searched, exhaustively, for every witness.
+    A valid graph is accepted by its block decomposition in O(n + m).  An
+    invalid one has its witnesses read off that same decomposition: two
+    acquaintances of ``i`` are linked avoiding ``i`` exactly when their
+    edges to her lie in one block, and two strangers share acquaintances
+    only when they are two steps apart.  Scanning each agent's
+    acquaintances' acquaintances costs O(Σ deg²) over the agents.
     """
-    if BlockDecomposition(g).valid:
+    blocks = BlockDecomposition(g)
+    if blocks.valid:
         return GraphReport(violations=())
-    return GraphReport(violations=_graph_violations(g))
+    return GraphReport(violations=tuple(_graph_violations(g, blocks)))
 
 
-def _graph_violations(g: SocialGraph) -> tuple[GraphViolation, ...]:
-    # every witness of every kind, in report order; quadratic in the agents
-    violations: list[GraphViolation] = []
+def _graph_violations(g: SocialGraph, blocks: BlockDecomposition) -> Iterator[GraphViolation]:
+    # every witness of every kind, in report order, each as soon as it is found
     for agent in g.loops:
-        violations.append(GraphViolation(kind="self-loop", witness=(agent,)))
+        yield GraphViolation(kind="self-loop", witness=(agent,))
+    if blocks.stranded is not None:
+        yield GraphViolation(kind="disconnected", witness=(g.nodes[0], blocks.stranded))
 
-    nodes = g.nodes
-    if nodes:
-        start = nodes[0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for nxt in g.adjacency[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        for node in nodes:
-            if node not in seen:
-                violations.append(GraphViolation(kind="disconnected", witness=(start, node)))
-                break
+    adjacency = g.adjacency
+    rank = dict(zip(g.nodes, range(len(g.nodes))))
+    known = {a: set(nbrs) for a, nbrs in adjacency.items()}
 
-    # strangers with two shared acquaintances
-    for idx, i in enumerate(nodes):
-        for k in nodes[idx + 1 :]:
-            if g.adjacent(i, k):
-                continue
-            shared = set(g.adjacency[k]) - {i, k}
-            common = [j for j in g.adjacency[i] if j in shared]
-            if len(common) >= 2:
-                violations.append(
-                    GraphViolation(kind="overlapping-circles", witness=(i, common[0], common[1], k))
-                )
+    # strangers with two shared acquaintances are two steps apart
+    for i, r in rank.items():
+        around, mine = adjacency[i], known[i]
+        steps = Counter(chain.from_iterable(map(adjacency.__getitem__, around)))
+        far = [k for k, paths in steps.items() if paths > 1 and rank[k] > r and k not in mine]
+        for k in sorted(far, key=rank.__getitem__):
+            common = [j for j in around if j in known[k]]
+            yield GraphViolation(kind="overlapping-circles", witness=(i, common[0], common[1], k))
 
-    # unintroduced members of one circle
-    for i in nodes:
-        nbrs = g.adjacency[i]
-        for x, j in enumerate(nbrs):
-            for jp in nbrs[x + 1 :]:
-                if g.adjacent(j, jp):
-                    continue
-                if _connected_avoiding(g, j, jp, i):
-                    violations.append(GraphViolation(kind="open-circle", witness=(i, j, jp)))
-
-    return tuple(violations)
+    # unintroduced members of one circle: one block around i, yet strangers
+    for i in g.nodes:
+        around, block_of = adjacency[i], blocks.block_of[i]
+        for x, j in enumerate(around):
+            block, theirs = block_of[j], known[j]
+            for jp in around[x + 1 :]:
+                if block_of[jp] == block and jp not in theirs:
+                    yield GraphViolation(kind="open-circle", witness=(i, j, jp))
 
 
 class BlockDecomposition:
@@ -745,7 +723,12 @@ class BlockDecomposition:
     recursion, assigns every edge to its block.  A block of b agents holds at
     most C(b, 2) edges, so the blocks are all cliques exactly when those
     bounds add up to m; ``valid`` adds no loops and one connected component,
-    which is the structure :func:`validate_graph` accepts.
+    which is the structure :func:`validate_graph` accepts.  Components are
+    entered in node order, so ``stranded``, the agent that starts the second
+    one (None if there is none), is the first agent in node order that the
+    first agent cannot reach.  With ``block_of``, which holds every edge's
+    block, it is what :func:`validate_graph` reads an invalid graph's
+    witnesses from.
 
     On a valid graph, :meth:`children` lists an agent's children in any
     rooting: the root's are her neighbours, and an agent entered through
@@ -763,11 +746,13 @@ class BlockDecomposition:
         index: dict[Agent, int] = {}  # depth-first discovery order
         low: dict[Agent, int] = {}
         block_of, block_count = self.block_of, self.block_count
-        blocks = pairs = components = 0
+        self.stranded: Agent | None = None
+        blocks = pairs = 0
         for start in g.nodes:
             if start in index:
                 continue
-            components += 1
+            if index and self.stranded is None:
+                self.stranded = start
             index[start] = low[start] = len(index)
             stack: list[tuple[Agent, Agent | None, Iterator[Agent]]] = [
                 (start, None, iter(adjacency[start]))
@@ -807,7 +792,7 @@ class BlockDecomposition:
                     pairs += len(members) * (len(members) - 1) // 2
                     blocks += 1
         edge_count = sum(len(nbrs) for nbrs in adjacency.values()) // 2
-        self.valid = not g.loops and components <= 1 and pairs == edge_count
+        self.valid = not g.loops and self.stranded is None and pairs == edge_count
         self._children: dict[tuple[Agent, int], tuple[Agent, ...]] = {}
 
     def children(self, agent: Agent, entry: int) -> tuple[Agent, ...]:
@@ -866,7 +851,7 @@ def _valid_blocks(g: SocialGraph) -> BlockDecomposition:
     # the decomposition of a valid graph; else the first witness, as validate_graph lists them
     blocks = BlockDecomposition(g)
     if not blocks.valid:
-        first = _graph_violations(g)[0]
+        first = next(_graph_violations(g, blocks))
         raise InvalidGraph(f"graph cannot generate a tree: {first.kind} witness {first.witness!r}")
     return blocks
 

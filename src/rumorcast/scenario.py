@@ -34,6 +34,7 @@ from .network import (
     OrderedTree,
     SocialGraph,
     _check_profiles,
+    _truth_credences,
     dirac_truth_profiles,  # unused here; bench/tracer.py wraps this binding by name
     natural_sorted,
     validate_graph,
@@ -563,6 +564,11 @@ def scenario_diagnostics(document: str | bytes) -> list[Diagnostic]:
         graph = SocialGraph.from_edges(shape.topology.edges, nodes=shape.attrs)
         for violation in validate_graph(graph).violations:
             out.append(Diagnostic(violation.kind, f"witness {violation.witness!r}"))
+        if shape.belief_default == DIRAC_TRUTH:
+            try:
+                _truth_credences(shape.attrs, graph.nodes)
+            except RumorcastError as exc:
+                out.append(Diagnostic("belief-error", str(exc)))
         # under the rooting at her, every agent with a neighbour sends
         senders = tuple(a for a in graph.nodes if graph.neighbors(a))
 

@@ -1,17 +1,19 @@
 """Block decompositions: the fast accept, lazy rootings and their cost.
 
 ``validate_graph`` accepts a graph when its block decomposition shows a
-connected, loop-free block graph, and enumerates witnesses only otherwise;
-``reach_by_root`` roots that one decomposition lazily at every agent.  These
-tests check the accept against the exhaustive enumerator, every lazy rooting
-and every ``root_tree`` against an independent depth-map walk, and count the
-work a large sweep does.
+connected, loop-free block graph, and otherwise reads every witness off that
+decomposition; ``reach_by_root`` roots the one decomposition lazily at every
+agent.  These tests check the accept and the witnesses against an exhaustive
+enumerator that searches a path per pair of acquaintances, every lazy
+rooting and every ``root_tree`` against an independent depth-map walk, and
+count the work a large sweep does.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 from collections import deque
 
 import numpy as np
@@ -33,7 +35,7 @@ from rumorcast import (
 )
 from rumorcast import network
 from rumorcast.cli import main
-from rumorcast.network import BlockDecomposition, GraphReport, RootedView
+from rumorcast.network import BlockDecomposition, GraphReport, GraphViolation, RootedView
 
 from helpers import canonical_attrs, canonical_mu, canonical_profiles, canonical_tree, random_tree, random_wide_tree
 
@@ -86,9 +88,93 @@ def _tied(rng: np.random.Generator, g: SocialGraph) -> SocialGraph:
     return SocialGraph.from_edges(edges + again, nodes=nodes)
 
 
+def _scatter(rng: np.random.Generator, g: SocialGraph) -> SocialGraph:
+    """``g`` beside one to three more small closures, every agent relabelled
+    at random so that the components interleave in node order."""
+    parts = [g] + [_closure(rng, 6) for _ in range(int(rng.integers(1, 4)))]
+    agents = [(p, a) for p, part in enumerate(parts) for a in part.nodes]
+    label = dict(zip(agents, (str(int(k) + 1) for k in rng.permutation(len(agents)))))
+    edges = [(label[p, a], label[p, b]) for p, part in enumerate(parts) for a, b in part.edges()]
+    return SocialGraph.from_edges(edges, nodes=label.values())
+
+
+def _looped(rng: np.random.Generator, g: SocialGraph) -> SocialGraph:
+    """``g`` with self-loops at two or three of its agents."""
+    picked = rng.choice(len(g.nodes), min(len(g.nodes), int(rng.integers(2, 4))), replace=False)
+    loops = [(g.nodes[int(k)],) * 2 for k in picked]
+    return SocialGraph.from_edges(list(g.edges()) + loops, nodes=g.nodes)
+
+
 def _block_size(blocks: BlockDecomposition, a, b) -> int:
     block = blocks.block_of[a][b]
     return len({x for x, nbrs in blocks.block_of.items() if block in nbrs.values()})
+
+
+def _connected_avoiding(g: SocialGraph, start, goal, banned) -> bool:
+    # path existence in the graph with one agent removed
+    if start == banned or goal == banned:
+        return False
+    queue = deque([start])
+    seen = {start, banned}
+    while queue:
+        node = queue.popleft()
+        if node == goal:
+            return True
+        for nxt in g.adjacency[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False
+
+
+def _graph_violations(g: SocialGraph) -> tuple[GraphViolation, ...]:
+    """Every witness of every kind, in report order, without the blocks: a
+    breadth-first search for connectivity, every pair of agents tried for
+    shared acquaintances, and a path search around each agent for every
+    pair of her acquaintances who are strangers."""
+    violations: list[GraphViolation] = []
+    for agent in g.loops:
+        violations.append(GraphViolation(kind="self-loop", witness=(agent,)))
+
+    nodes = g.nodes
+    if nodes:
+        start = nodes[0]
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for nxt in g.adjacency[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        for node in nodes:
+            if node not in seen:
+                violations.append(GraphViolation(kind="disconnected", witness=(start, node)))
+                break
+
+    # strangers with two shared acquaintances
+    for idx, i in enumerate(nodes):
+        for k in nodes[idx + 1 :]:
+            if g.adjacent(i, k):
+                continue
+            shared = set(g.adjacency[k]) - {i, k}
+            common = [j for j in g.adjacency[i] if j in shared]
+            if len(common) >= 2:
+                violations.append(
+                    GraphViolation(kind="overlapping-circles", witness=(i, common[0], common[1], k))
+                )
+
+    # unintroduced members of one circle
+    for i in nodes:
+        nbrs = g.adjacency[i]
+        for x, j in enumerate(nbrs):
+            for jp in nbrs[x + 1 :]:
+                if g.adjacent(j, jp):
+                    continue
+                if _connected_avoiding(g, j, jp, i):
+                    violations.append(GraphViolation(kind="open-circle", witness=(i, j, jp)))
+
+    return tuple(violations)
 
 
 def test_fast_accept_matches_the_enumerator():
@@ -100,7 +186,7 @@ def test_fast_accept_matches_the_enumerator():
             g = _tied(ties, g)
         if draw % 3:
             g = _mutate(rng, g)
-        witnesses = network._graph_violations(g)
+        witnesses = _graph_violations(g)
         assert BlockDecomposition(g).valid == (not witnesses), (draw, g.edges(), g.loops)
         assert validate_graph(g) == GraphReport(violations=witnesses)
         if not draw % 3:  # a closure is a valid graph, whatever its ids
@@ -109,6 +195,30 @@ def test_fast_accept_matches_the_enumerator():
         rejected += bool(witnesses)
     print(f"2400 graphs: {accepted} accepted, {rejected} rejected alike")
     assert accepted >= 900 and rejected >= 900
+    # several components and several self-loops in one graph
+    kinds: dict[str, int] = {}
+    for draw in range(600):
+        g = _scatter(rng, _closure(rng, 12))
+        if draw % 2:
+            g = _tied(ties, g)
+        if draw % 3:
+            g = _mutate(rng, g)
+        g = _looped(rng, g)
+        witnesses = _graph_violations(g)
+        assert validate_graph(g) == GraphReport(violations=witnesses), (draw, g.edges(), g.loops)
+        for violation in witnesses:
+            kinds[violation.kind] = kinds.get(violation.kind, 0) + 1
+    print(f"600 scattered graphs: {kinds}")
+    assert kinds["disconnected"] >= 500 and kinds["self-loop"] >= 1200  # a chord may join two parts
+    assert kinds["open-circle"] >= 100 and kinds["overlapping-circles"] >= 100
+    # dense random graphs: many witnesses of each kind around one agent
+    for draw in range(300):
+        n, p = int(rng.integers(2, 16)), rng.uniform(0.1, 0.6)
+        edges = [(str(a), str(b)) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        g = SocialGraph.from_edges(edges, nodes=[str(a) for a in rng.permutation(n)])
+        if draw % 2:
+            g = _tied(ties, g)
+        assert validate_graph(g) == GraphReport(violations=_graph_violations(g)), (draw, g.edges())
 
 
 def test_decomposition_needs_no_recursion():
@@ -192,7 +302,9 @@ def test_large_sweep_never_enumerates_and_roots_once(monkeypatch, tmp_path, caps
     }), encoding="utf-8")
     enumerations, decompositions = [], []
     enumerate_all = network._graph_violations
-    monkeypatch.setattr(network, "_graph_violations", lambda g: enumerations.append(g) or enumerate_all(g))
+    monkeypatch.setattr(
+        network, "_graph_violations", lambda g, blocks: enumerations.append(g) or enumerate_all(g, blocks)
+    )
 
     class Counted(BlockDecomposition):
         def __init__(self, g: SocialGraph) -> None:
@@ -212,6 +324,33 @@ def test_large_sweep_never_enumerates_and_roots_once(monkeypatch, tmp_path, caps
     with pytest.raises(InvalidGraph, match="self-loop witness"):
         reach_by_root(bad, canonical_attrs(), canonical_mu())
     assert len(enumerations) == 1
+
+
+def test_large_invalid_graph_is_refused_in_seconds(tmp_path, capsys):
+    # the closure of a 20,000-agent tree with three chords between strangers,
+    # each closing circles that no room introduces
+    rng = np.random.default_rng(5008)
+    g = undirected_closure(random_tree(rng, 20_000))
+    chords = []
+    while len(chords) < 3:
+        a, b = (str(int(k)) for k in rng.integers(1, 20_001, size=2))
+        if a != b and not g.adjacent(a, b):
+            chords.append([a, b])
+    path = tmp_path / "chords.json"
+    path.write_text(json.dumps({
+        "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+        "topology": {"kind": "graph", "edges": [list(e) for e in g.edges()] + chords},
+        "agents": {a: {"types": 0.5, "lambda": 1.0} for a in g.nodes},
+        "beliefs": "dirac-truth",
+    }), encoding="utf-8")
+    for argv in (["validate"], ["solve", "--root", "1"]):
+        start = time.perf_counter()
+        assert main([argv[0], str(path), *argv[1:]]) == 1, argv
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, (argv, elapsed)
+    witnesses = capsys.readouterr()
+    assert "open-circle" in witnesses.out
+    assert witnesses.err.startswith("error: graph cannot generate a tree: ")
 
 
 def test_sweep_reports_the_first_bad_agent_breadth_first():

@@ -448,6 +448,20 @@ class TestValidate:
         code, _ = run(capsys, "sweep-root", path)
         assert code == 1
 
+    def test_spread_types_in_a_dirac_truth_graph(self, capsys, tmp_path):
+        # every rooting refuses known-type beliefs over a spread type set, so
+        # validate does too, naming the first such agent in node order
+        obj = json.loads(Path(CLIQUES).read_text(encoding="utf-8"))
+        obj["agents"]["3"]["types"] = [0.3, 0.4]
+        obj["agents"]["1"]["types"] = {"interval": [0.3, 0.4]}
+        path = write(tmp_path, obj)
+        message = "agent '1': known-type beliefs need singleton type sets"
+        code, out = run(capsys, "validate", path, "--format", "json-lines")
+        assert (code, jl(out)) == (1, [{"kind": "belief-error", "detail": message}])
+        for argv in (["solve", path, "--root", "1"], ["sweep-root", path]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
 
     @pytest.mark.parametrize("again", [["1", "01"], ["01", "1"]])
     def test_duplicate_edge_is_one_acquaintance_either_way(self, capsys, tmp_path, again):

@@ -4,8 +4,10 @@ Python salts string hashes per process, so anything that orders agents by
 iterating a set can print different bytes from one run to the next.  Each
 case here runs one CLI command in two fresh processes, under
 ``PYTHONHASHSEED=0`` and ``=5``, and requires the same stdout, stderr and
-exit code.  Besides the shipped scenarios, a graph whose ids share natural
-keys ("1", "01", "001") is run: only the file orders such ids.
+exit code.  Besides the shipped scenarios, two graphs whose ids share
+natural keys ("1", "01", "001") are run: only the file orders such ids.
+The second is broken four ways, so ``validate`` lists a witness of every
+kind, each found by scanning dicts and sets.
 """
 
 from __future__ import annotations
@@ -48,6 +50,23 @@ TIED = {
     "beliefs": "dirac-truth",
 }
 
+# TIED with a self-loop at "01", "4" and "04" apart from the rest and "004"
+# alone: witnesses of all four kinds, every kind naming tied ids
+TIED_BROKEN = {
+    **TIED,
+    "topology": {
+        "kind": "graph",
+        "edges": [*TIED["topology"]["edges"], ["01", "01"], ["04", "4"]],
+    },
+    "agents": {
+        **TIED["agents"],
+        "04": {"types": 0.4, "lambda": 1.0},
+        "4": {"types": 0.4, "lambda": 1.0},
+        "004": {"types": 0.4, "lambda": 1.0},
+    },
+}
+_GRAPHS = {"tied": TIED, "tied-broken": TIED_BROKEN}
+
 
 def _run(argv: list[str], hash_seed: str) -> tuple[str, str, int]:
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(_REPO / "src")}
@@ -63,12 +82,16 @@ def _run(argv: list[str], hash_seed: str) -> tuple[str, str, int]:
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))
-@pytest.mark.parametrize("scenario", [*_SCENARIOS, "tied"])
+@pytest.mark.parametrize("scenario", [*_SCENARIOS, *_GRAPHS])
 def test_report_is_the_same_under_every_hash_seed(tmp_path, scenario, command):
-    if scenario == "tied":
-        path = tmp_path / "tied.json"
-        path.write_text(json.dumps(TIED), encoding="utf-8")
+    if scenario in _GRAPHS:
+        path = tmp_path / f"{scenario}.json"
+        path.write_text(json.dumps(_GRAPHS[scenario]), encoding="utf-8")
     else:
         path = _SCENARIOS[scenario]
     argv = [*_COMMANDS[command], str(path)]
-    assert _run(argv, "0") == _run(argv, "5")
+    report = _run(argv, "0")
+    assert report == _run(argv, "5")
+    if scenario == "tied-broken" and command == "validate":
+        kinds = {line.split()[0] for line in report[0].splitlines()[1:]}
+        assert kinds == {"self-loop", "disconnected", "overlapping-circles", "open-circle"}

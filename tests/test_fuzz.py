@@ -17,11 +17,16 @@ and strings come from the schema's own words.  For every mutant:
   UTF-8, nested too deeply, an integer of too many digits);
 - a tree scenario that ``validate`` finds clean solves: ``solve`` exits 0
   (cascade resolved) or 2 (a reached room has no equilibrium), never 1;
+- a graph scenario with plain ``"dirac-truth"`` beliefs that ``validate``
+  finds clean is rooted and solved: ``sweep-root`` and ``solve --root`` at
+  its first agent both exit 0 (a room of singleton types always has an
+  equilibrium);
 - every exit 2 of ``solve`` on a tree scenario is confirmed by
   ``oracle_chatroom_profiles``: enumeration finds no equilibrium profile in
   the failing room either (rooms too large to enumerate are skipped);
-- a ``three_cliques`` mutant, its edges also dropped, added and moved,
-  that loads as a graph with an agent is rooted only when it is valid: its
+- a ``three_cliques`` mutant, its edges also dropped, added and moved and
+  its credences widened into type sets, that loads as a graph with an agent
+  passes the command checks above and is rooted only when it is valid: its
   diagnostics hold a structure row exactly when ``root_tree`` at its first
   agent refuses it, with that row's witness, and then ``solve --root``
   exits 1.
@@ -54,6 +59,7 @@ from rumorcast.cli import main
 from rumorcast.errors import InstanceTooLarge, InvalidGraph, ParseError, RumorcastError, SchemaError
 from rumorcast.network import root_tree, solve_global
 from rumorcast.oracle import oracle_chatroom_profiles
+from rumorcast.scenario import DIRAC_TRUTH
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 _SHIPPED = {path.name: path.read_text(encoding="utf-8") for path in sorted(_SCENARIOS.glob("*.json"))}
@@ -203,6 +209,12 @@ def _check_commands(path: Path, doc: Any, rooted: bool) -> None:
     topology = doc.get("topology") if isinstance(doc, dict) else None
     if codes["validate"] == 0 and isinstance(topology, dict) and topology.get("kind") == "tree":
         assert codes["solve"] in (0, 2), codes
+    if codes["validate"] == 0 and isinstance(topology, dict) and topology.get("kind") == "graph" \
+            and doc.get("beliefs") in (None, DIRAC_TRUTH):
+        assert codes["sweep-root"] == 0, codes
+        graph = load_scenario(str(path)).graph()
+        if graph.nodes:
+            assert _run("solve", str(path), "--root", graph.nodes[0]) == 0, codes
     if codes["solve"] == 2:
         _confirm_no_equilibrium(path)
 
@@ -248,6 +260,21 @@ def _rewire(rnd: random.Random, doc: Any) -> Any:
     return doc
 
 
+def _spread(rnd: random.Random, doc: Any) -> Any:
+    """``doc`` with one agent's single credence widened into two credences
+    or an interval, in place, when some agent still has one."""
+    agents = doc.get("agents") if isinstance(doc, dict) else None
+    single = [
+        spec for spec in (agents.values() if isinstance(agents, dict) else ())
+        if isinstance(spec, dict) and isinstance(spec.get("types"), float)
+    ]
+    if single:
+        spec = rnd.choice(single)
+        low = spec["types"]
+        spec["types"] = rnd.choice([[low, low + 0.05], {"interval": [low, low + 0.05]}])
+    return doc
+
+
 def test_graph_files_are_rooted_only_when_valid(tmp_path):
     rnd = random.Random(20261019)
     bases = [text for name, text in BASES if name == "three_cliques.json"]
@@ -256,7 +283,8 @@ def test_graph_files_are_rooted_only_when_valid(tmp_path):
     for _ in range(500):
         doc = json.loads(rnd.choice(bases))
         for _ in range(3):
-            doc = _mutate(rnd, doc) if rnd.random() < 0.5 else _rewire(rnd, doc)
+            how = rnd.random()
+            doc = _mutate(rnd, doc) if how < 0.5 else _rewire(rnd, doc) if how < 0.9 else _spread(rnd, doc)
             text = json.dumps(doc)
             path.write_text(text, encoding="utf-8")
             try:
@@ -265,6 +293,7 @@ def test_graph_files_are_rooted_only_when_valid(tmp_path):
                 continue
             if scenario.topology.kind != "graph" or not scenario.attrs:
                 continue
+            _check_commands(path, doc, rooted=False)
             structure = [d for d in scenario_diagnostics(text) if d.kind in _STRUCTURE]
             graph = scenario.graph()
             try:
