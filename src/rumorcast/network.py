@@ -308,16 +308,16 @@ def _truth_credences(table: AgentTable, agents: Sequence[Agent]) -> dict[Agent, 
     return {agent: theta[agent] for agent in agents}
 
 
-class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
-    """Known-type beliefs on ``tree``, built only when asked for.
+class TreeProfiles(Mapping[Agent, AgentProfile]):
+    """Beliefs on ``tree``, built only when asked for: the explicit
+    ``overrides``, and every other belief the known-type one that
+    :func:`dirac_truth_profiles` holds with ``truth`` (a file's
+    ``"dirac-truth"`` default), or absent without it.
 
-    Looking an agent up materializes the profile :func:`dirac_truth_profiles`
-    holds for her, with her explicit ``overrides`` (if any) applied on top.
     :func:`solve_global` does not look agents up.  A receiver without an
-    explicit receiver belief gets her peer mean from her room's credence
-    total, and a sender's belief is built only when her gate is open, so
-    agents the message never reaches cost only the checks made here, which
-    read the credence column of ``attrs`` as a whole.
+    explicit belief gets her peer mean from her room's credence total, and a
+    sender's belief is built only when her gate is open, so agents the
+    message never reaches cost only the checks made here.
     """
 
     def __init__(
@@ -325,22 +325,33 @@ class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
         tree: OrderedTree,
         attrs: Mapping[Agent, AgentProfile],
         overrides: Mapping[Agent, BeliefOverride] | None = None,
+        *,
+        truth: bool = True,
     ) -> None:
         self.tree = tree
         self.attrs = table = AgentTable.of(attrs)
         agents = tree.agents
-        self.theta: dict[Agent, float] = _truth_credences(table, agents)
-        # in tree order, so checks report the first bad agent as the dict path does
+        self.theta: dict[Agent, float] | None = _truth_credences(table, agents) if truth else None
+        # in tree order, so checks report the first bad agent
         self.overrides: dict[Agent, BeliefOverride] = (
             {a: overrides[a] for a in agents if a in overrides} if overrides else {}
         )
 
-    def _reroot(self, tree: "RootedView") -> "DiracTruthProfiles":
+    @classmethod
+    def of(cls, tree: OrderedTree, profiles: Mapping[Agent, AgentProfile]) -> "TreeProfiles":
+        """``profiles`` itself when it is built on ``tree``; else every
+        profile's beliefs become her override, and no belief is known-type."""
+        if isinstance(profiles, TreeProfiles) and profiles.tree == tree:
+            return profiles
+        stated = {a: BeliefOverride(p.receiver_belief, p.sender_belief) for a, p in profiles.items()}
+        return cls(tree, profiles, stated, truth=False)
+
+    def _reroot(self, tree: "RootedView") -> "TreeProfiles":
         """The same checked attributes and credences on another rooting.
 
         Explicit beliefs are shaped by one rooting, so they cannot follow.
         """
-        assert not self.overrides
+        assert not self.overrides and self.theta is not None
         other = copy.copy(self)
         other.tree = tree  # type: ignore[assignment]
         return other
@@ -348,39 +359,38 @@ class DiracTruthProfiles(Mapping[Agent, AgentProfile]):
     def _dirac(self, agents: Sequence[Agent]) -> SecondOrderBelief | None:
         return SecondOrderBelief.dirac([self.theta[a] for a in agents]) if agents else None
 
-    def __getitem__(self, agent: Agent) -> AgentProfile:
-        if agent not in self.theta:
-            raise KeyError(agent)
-        base = self.attrs[agent]
-        parent = self.tree.parent_of(agent)
-        peers = [] if parent is None else [parent] + [
-            s for s in self.tree.children_of(parent) if s != agent
-        ]
-        prof = AgentProfile(
-            type_set=base.type_set,
-            lam=base.lam,
-            ell=base.ell,
-            receiver_belief=self._dirac(peers),
-            sender_belief=self._dirac(self.tree.children_of(agent)),
-        )
+    def receiver_belief(self, agent: Agent) -> SecondOrderBelief | None:
+        """``agent``'s explicit receiver belief, or None."""
         override = self.overrides.get(agent)
-        return prof if override is None else override.apply(prof)
-
-    def __contains__(self, agent: object) -> bool:
-        return agent in self.theta
-
-    def __iter__(self) -> Iterator[Agent]:
-        return iter(self.tree.agents)
-
-    def __len__(self) -> int:
-        return len(self.tree.agents)
+        return None if override is None else override.receiver
 
     def sender_belief(self, agent: Agent) -> SecondOrderBelief | None:
         """``self[agent].sender_belief`` without building her receiver belief."""
         override = self.overrides.get(agent)
         if override is not None and override.sender is not None:
             return override.sender
-        return self._dirac(self.tree.children_of(agent))
+        return None if self.theta is None else self._dirac(self.tree.children_of(agent))
+
+    def __getitem__(self, agent: Agent) -> AgentProfile:
+        if agent not in self:
+            raise KeyError(agent)
+        base = self.attrs[agent]
+        receiver = self.receiver_belief(agent)
+        parent = self.tree.parent_of(agent)
+        if receiver is None and self.theta is not None and parent is not None:
+            receiver = self._dirac([parent] + [s for s in self.tree.children_of(parent) if s != agent])
+        return AgentProfile(base.type_set, base.lam, base.ell, receiver, self.sender_belief(agent))
+
+    def __contains__(self, agent: object) -> bool:
+        if self.theta is not None:
+            return agent in self.theta
+        return agent in self.attrs and (agent == self.tree.root or self.tree.parent_of(agent) is not None)
+
+    def __iter__(self) -> Iterator[Agent]:
+        return iter(self.tree.agents)
+
+    def __len__(self) -> int:
+        return len(self.tree.agents)
 
 
 def dirac_truth_profiles(
@@ -391,9 +401,9 @@ def dirac_truth_profiles(
 
     Requires singleton type sets; every belief becomes a point mass on the
     peers' actual credences.  Existing beliefs in ``attrs`` are ignored.
-    Every belief is built; :class:`DiracTruthProfiles` builds them on demand.
+    Every belief is built; :class:`TreeProfiles` builds them on demand.
     """
-    return dict(DiracTruthProfiles(tree, attrs))
+    return dict(TreeProfiles(tree, attrs))
 
 
 @dataclass(frozen=True)
@@ -427,36 +437,24 @@ class CascadeResult:
         return self.sender_actions.get(agent)
 
 
-def _truth_profiles(
-    tree: OrderedTree, profiles: Mapping[Agent, AgentProfile]
-) -> DiracTruthProfiles | None:
-    # the lazy mapping, when it was built on this very tree
-    if isinstance(profiles, DiracTruthProfiles) and profiles.tree == tree:
-        return profiles
-    return None
-
-
 def _check_tol(tol: float) -> None:
     # the rule the CLI applies to --tolerance; NaN fails the comparison
     if not 0.0 <= tol < math.inf:
         raise RangeViolation(f"tol must be finite and >= 0, got {tol!r}")
 
 
-def _check_profiles(tree: OrderedTree, profiles: Mapping[Agent, AgentProfile]) -> None:
-    """Check every explicit belief against ``tree``: sender beliefs in tree
-    order, then receiver beliefs room by room.  Truth beliefs fit the tree by
-    construction, so on :class:`DiracTruthProfiles` only overrides are checked."""
-    truth = _truth_profiles(tree, profiles)
+def _check_profiles(profiles: TreeProfiles) -> None:
+    """Check every explicit belief against the tree: sender beliefs in tree
+    order, then receiver beliefs room by room.  Known-type beliefs fit the
+    tree by construction, so with them only the overrides are checked."""
+    tree, attrs, truth = profiles.tree, profiles.attrs, profiles.theta is not None
     receiver_beliefs: list[tuple[Agent, SecondOrderBelief | None]] = []
-    for agent in tree.agents if truth is None else truth.overrides:
-        if truth is None:
-            if agent not in profiles:
-                raise InvariantViolation(f"no profile for agent {agent!r}")
-            receiver, sender = profiles[agent].receiver_belief, profiles[agent].sender_belief
-        else:
-            receiver, sender = truth.overrides[agent].receiver, truth.overrides[agent].sender
+    for agent in profiles.overrides if truth else tree.agents:
+        if agent not in attrs:
+            raise InvariantViolation(f"no profile for agent {agent!r}")
         kids = tree.children_of(agent)
-        if kids and (truth is None or sender is not None):
+        if kids:
+            sender = profiles.sender_belief(agent)
             if sender is None:
                 raise InvariantViolation(f"agent {agent!r} can send but has no sender belief")
             if sender.dim != len(kids):
@@ -464,9 +462,9 @@ def _check_profiles(tree: OrderedTree, profiles: Mapping[Agent, AgentProfile]) -
                     f"agent {agent!r}: sender belief covers {sender.dim} "
                     f"receivers, has {len(kids)} successors"
                 )
-        if agent != tree.root and (truth is None or receiver is not None):
+        receiver = profiles.receiver_belief(agent)
+        if agent != tree.root and (receiver is not None or not truth):
             receiver_beliefs.append((agent, receiver))
-    attrs = profiles if truth is None else truth.attrs
     for parent, room in groupby(receiver_beliefs, key=lambda item: tree.parent[item[0]]):
         # within a room, a missing belief is reported before a malformed one
         for agent, belief in sorted(room, key=lambda item: item[1] is not None):
@@ -488,31 +486,29 @@ def solve_global(
     resolved.  Returns diagnostics instead of raising when some reached room
     has no equilibrium; malformed explicit beliefs raise at entry.
 
-    Receivers' beliefs enter only through peer distances: from an explicit
-    belief when she has one (every receiver of a plain dict), otherwise, on
-    :class:`DiracTruthProfiles` for ``tree``, from her room's credence total,
-    so a truth room with k receivers costs O(k).  A sender's belief is looked
-    up only when her gate is open.
+    ``profiles`` is read through :meth:`TreeProfiles.of`, so any mapping
+    of profiles, every belief in it explicit, serves as well.  Receivers'
+    beliefs enter only through peer distances: from an explicit belief when
+    she has one, otherwise from her room's credence total, so a room of
+    known-type beliefs with k receivers costs O(k).  A sender's belief is
+    looked up only when her gate is open.
 
     A :class:`RootedView` may stand in for ``tree`` when ``profiles`` are
-    override-free :class:`DiracTruthProfiles` on it: then only ``root``,
-    ``children_of``, ``is_terminal`` and ``agents`` are read, and only for
-    the root and the agents the cascade has reached.
+    override-free known-type :class:`TreeProfiles` on it: then only
+    ``root``, ``children_of``, ``is_terminal`` and ``agents`` are read, and
+    only for the root and the agents the cascade has reached.
     """
     _check_tol(tol)
-    _check_profiles(tree, profiles)
-    truth = _truth_profiles(tree, profiles)
-    attrs = profiles if truth is None else truth.attrs
+    profiles = TreeProfiles.of(tree, profiles)
+    _check_profiles(profiles)
+    attrs, theta = profiles.attrs, profiles.theta
 
     def distances(sender: Agent, receivers: tuple[Agent, ...]) -> Iterator[PeerDistanceProfile]:
-        if truth is None:
-            yield from (peer_distance(profiles[r].receiver_belief) for r in receivers)  # type: ignore[arg-type]
-            return
-        # truth peers are the sender and the other receivers, at their credences
-        theta, k = truth.theta, len(receivers)
-        total = math.fsum([theta[sender], *(theta[r] for r in receivers)])
-        for r in receivers:
-            belief = truth.overrides[r].receiver if r in truth.overrides else None
+        beliefs = list(map(profiles.receiver_belief, receivers))
+        if None in beliefs:
+            # known-type peers are the sender and the other receivers, at their credences
+            total, k = math.fsum([theta[sender], *(theta[r] for r in receivers)]), len(receivers)
+        for r, belief in zip(receivers, beliefs):
             yield PeerDistanceProfile.from_dirac((total - theta[r]) / k) if belief is None else peer_distance(belief)
 
     receiver_actions: dict[Agent, ReceiverAction] = {}
@@ -528,7 +524,7 @@ def solve_global(
         # a closed gate decides without reading the belief, so none is built for it
         belief = None
         if ell > disapprovals:
-            belief = profiles[agent].sender_belief if truth is None else truth.sender_belief(agent)
+            belief = profiles.sender_belief(agent)
         decision = decide_send(type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
         sender_actions[agent] = decision
         if decision is SenderAction.SEND:
@@ -676,9 +672,9 @@ def validate_graph(g: SocialGraph) -> GraphReport:
     A valid graph is accepted by its block decomposition in O(n + m).  An
     invalid one has its witnesses read off that same decomposition: two
     acquaintances of ``i`` are linked avoiding ``i`` exactly when their
-    edges to her lie in one block, and two strangers share acquaintances
-    only when they are two steps apart.  Scanning each agent's
-    acquaintances' acquaintances costs O(Σ deg²) over the agents.
+    edges to her lie in one block, and strangers sharing two acquaintances
+    are two steps apart inside one block.  The scan stays inside blocks, so
+    it costs Σ deg² only where blocks are as large as the agents' degrees.
     """
     blocks = BlockDecomposition(g)
     if blocks.valid:
@@ -696,11 +692,18 @@ def _graph_violations(g: SocialGraph, blocks: BlockDecomposition) -> Iterator[Gr
     adjacency = g.adjacency
     rank = dict(zip(g.nodes, range(len(g.nodes))))
     known = {a: set(nbrs) for a, nbrs in adjacency.items()}
+    # every agent's acquaintances by the block of their edge, in neighbour order
+    groups: dict[Agent, dict[int, list[Agent]]] = {}
+    for a, nbrs in adjacency.items():
+        block_of, by_block = blocks.block_of[a], groups.setdefault(a, {})
+        for b in nbrs:
+            by_block.setdefault(block_of[b], []).append(b)
 
-    # strangers with two shared acquaintances are two steps apart
+    # strangers i, k with shared acquaintances j, j' close the circle i-j-k-j'-i,
+    # so all four edges lie in one block: both steps stay inside it
     for i, r in rank.items():
-        around, mine = adjacency[i], known[i]
-        steps = Counter(chain.from_iterable(map(adjacency.__getitem__, around)))
+        around, mine, block_of = adjacency[i], known[i], blocks.block_of[i]
+        steps = Counter(chain.from_iterable(groups[j][block_of[j]] for j in around))
         far = [k for k, paths in steps.items() if paths > 1 and rank[k] > r and k not in mine]
         for k in sorted(far, key=rank.__getitem__):
             common = [j for j in around if j in known[k]]
@@ -708,11 +711,13 @@ def _graph_violations(g: SocialGraph, blocks: BlockDecomposition) -> Iterator[Gr
 
     # unintroduced members of one circle: one block around i, yet strangers
     for i in g.nodes:
-        around, block_of = adjacency[i], blocks.block_of[i]
-        for x, j in enumerate(around):
+        block_of, by_block = blocks.block_of[i], groups[i]
+        place = dict.fromkeys(by_block, 0)  # j's position among her block's members
+        for j in adjacency[i]:
             block, theirs = block_of[j], known[j]
-            for jp in around[x + 1 :]:
-                if block_of[jp] == block and jp not in theirs:
+            x = place[block] = place[block] + 1
+            for jp in by_block[block][x:]:
+                if jp not in theirs:
                     yield GraphViolation(kind="open-circle", witness=(i, j, jp))
 
 
@@ -813,7 +818,7 @@ class BlockDecomposition:
 class RootedView:
     """A valid graph oriented away from ``root``, built only as far as it is walked.
 
-    Offers what :func:`solve_global` and :class:`DiracTruthProfiles` read of
+    Offers what :func:`solve_global` and :class:`TreeProfiles` read of
     an :class:`OrderedTree`: ``root``, ``children_of``, ``is_terminal``,
     ``parent_of`` and ``agents``, which holds every agent in natural order
     rather than breadth-first.  A cascade walks top-down, so it only asks
@@ -895,7 +900,7 @@ def reach_by_root(
 ) -> dict[Agent, CascadeResult]:
     """Re-root the graph at every agent and resolve each cascade.
 
-    Beliefs follow each rooting (:class:`DiracTruthProfiles`), so the
+    Beliefs follow each rooting (:class:`TreeProfiles`), so the
     agents' type sets must be singletons.  Returns results keyed by root in
     natural id order.
 
@@ -908,7 +913,7 @@ def reach_by_root(
     if not blocks.agents:
         return {}
     # the first bad agent is reported in the breadth-first order of the first root
-    truth = DiracTruthProfiles(_rooted(blocks, blocks.agents[0]), attrs)
+    truth = TreeProfiles(_rooted(blocks, blocks.agents[0]), attrs)
     out: dict[Agent, CascadeResult] = {}
     for root in blocks.agents:
         view = RootedView(blocks, root)

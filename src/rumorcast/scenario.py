@@ -30,9 +30,9 @@ from .network import (
     AgentProfile,
     AgentTable,
     BeliefOverride,
-    DiracTruthProfiles,
     OrderedTree,
     SocialGraph,
+    TreeProfiles,
     _check_profiles,
     _truth_credences,
     dirac_truth_profiles,  # unused here; bench/tracer.py wraps this binding by name
@@ -83,27 +83,15 @@ class Scenario:
             raise SchemaError("topology: not a graph scenario")
         return SocialGraph.from_edges(self.topology.edges, nodes=self.attrs)
 
-    def profiles_for(self, tree: OrderedTree) -> Mapping[str, AgentProfile]:
+    def profiles_for(self, tree: OrderedTree) -> TreeProfiles:
         """Attach beliefs to the bare attributes, given a concrete rooting.
 
-        Dirac-truth beliefs come as :class:`DiracTruthProfiles`, built on
-        demand; explicit-only beliefs as a plain dict.
+        Explicit beliefs are the overrides; under a ``"dirac-truth"`` default
+        the others are known-type beliefs, built on demand, and otherwise
+        they are absent.
         """
-        return _attach_beliefs(tree, self.attrs, self.belief_default, self.belief_overrides)
-
-
-def _attach_beliefs(
-    tree: OrderedTree,
-    attrs: Mapping[str, AgentProfile],
-    default: str | None,
-    overrides: Mapping[str, BeliefOverride],
-) -> Mapping[str, AgentProfile]:
-    if default == DIRAC_TRUTH:
-        return DiracTruthProfiles(tree, attrs, overrides)
-    return {
-        agent: overrides[agent].apply(attrs[agent]) if agent in overrides else attrs[agent]
-        for agent in tree.agents
-    }
+        truth = self.belief_default == DIRAC_TRUTH
+        return TreeProfiles(tree, self.attrs, self.belief_overrides, truth=truth)
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +563,9 @@ def scenario_diagnostics(document: str | bytes) -> list[Diagnostic]:
     if tree is not None:
         senders = tree.non_terminals
         try:
-            profiles = _attach_beliefs(tree, shape.attrs, shape.belief_default, overrides)
-            if isinstance(profiles, DiracTruthProfiles):
-                sender_belief = profiles.sender_belief
-            _check_profiles(tree, profiles)
+            profiles = TreeProfiles(tree, shape.attrs, overrides, truth=shape.belief_default == DIRAC_TRUTH)
+            sender_belief = profiles.sender_belief
+            _check_profiles(profiles)
         except RumorcastError as exc:
             out.append(Diagnostic("belief-error", str(exc)))
     if evidence is not None:
@@ -663,7 +650,7 @@ def scenario_to_obj(scenario: Scenario) -> dict[str, Any]:
 
     default = scenario.belief_default
     overrides = dict(scenario.belief_overrides)
-    if default == DIRAC_TRUTH and scenario.topology.kind == "tree":
+    if scenario.topology.kind == "tree":
         profiles = scenario.profiles_for(scenario.tree())
         merged: dict[str, BeliefOverride] = {}
         for agent in scenario.agent_ids:

@@ -22,7 +22,7 @@ from rumorcast import network, scenario
 from rumorcast.chatroom import TypeSet
 from rumorcast.cli import main
 from rumorcast.errors import InvariantViolation, RangeViolation, SchemaError
-from rumorcast.network import AgentProfile, AgentTable, DiracTruthProfiles, OrderedTree
+from rumorcast.network import AgentProfile, AgentTable, OrderedTree, TreeProfiles
 from rumorcast.scenario import _at, _parse_agents
 
 from test_entry_differential import _outcome, _ref_parse_agents, _same
@@ -202,7 +202,7 @@ def test_with_lam_swaps_one_column():
 def test_truth_profiles_read_the_credence_column():
     tree = OrderedTree.from_edges("1", [("1", "2"), ("1", "3")])
     table = AgentTable.of({a: AgentProfile(TypeSet.singleton(0.3), 1.0) for a in ("1", "2", "3")})
-    truth = DiracTruthProfiles(tree, table)
+    truth = TreeProfiles(tree, table)
     assert truth.theta is table.theta and truth.attrs is table
     # a table holding more agents than the tree is narrowed to the tree
     wider = AgentTable.of({
@@ -210,7 +210,7 @@ def test_truth_profiles_read_the_credence_column():
         "4": AgentProfile(TypeSet.singleton(0.2), 1.0),
         "5": AgentProfile(TypeSet.interval(0.1, 0.2), 1.0),
     })
-    narrowed = DiracTruthProfiles(tree, wider)
+    narrowed = TreeProfiles(tree, wider)
     assert narrowed.theta == {"1": 0.3, "2": 0.3, "3": 0.3}
     assert "4" not in narrowed and len(narrowed) == 3
     with pytest.raises(KeyError):
@@ -218,9 +218,9 @@ def test_truth_profiles_read_the_credence_column():
     # the first bad tree agent, in tree order, is reported
     bigger = OrderedTree.from_edges("1", [("1", "5"), ("1", "2"), ("2", "6")])
     with pytest.raises(InvariantViolation, match="agent '5': known-type beliefs need singleton type sets"):
-        DiracTruthProfiles(bigger, wider)
+        TreeProfiles(bigger, wider)
     with pytest.raises(InvariantViolation, match="no profile for agent '6'"):
-        DiracTruthProfiles(OrderedTree.from_edges("1", [("1", "2"), ("2", "6"), ("6", "5")]), wider)
+        TreeProfiles(OrderedTree.from_edges("1", [("1", "2"), ("2", "6"), ("6", "5")]), wider)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Dirac-truth cascades solved from room totals, against built beliefs.
 
-``solve_global`` on :class:`DiracTruthProfiles` takes each receiver's peer
-mean from one credence total, ``(theta_sender + sum_room theta - theta_j) / k``,
+``solve_global`` on known-type :class:`TreeProfiles` takes each receiver's
+peer mean from one credence total, ``(theta_sender + sum_room theta - theta_j) / k``,
 unless she has an explicit receiver belief, and builds a sender's belief
 only when her gate is open.  These tests check it against ``solve_global`` on
-the plain dict from ``dirac_truth_profiles``, which builds every belief, and
-check every room it solves against ``solve_chatroom`` on a ``ChatroomGame``
-assembled from the built beliefs.
+the plain dict from ``dirac_truth_profiles``, which builds every belief and
+which ``solve_global`` reads as explicit beliefs throughout, and check every
+room it solves against ``solve_chatroom`` on a ``ChatroomGame`` assembled
+from the built beliefs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import pytest
 from rumorcast import (
     AgentProfile,
     ChatroomGame,
-    DiracTruthProfiles,
     InvariantViolation,
     Multiplicity,
     OrderedTree,
@@ -27,6 +27,7 @@ from rumorcast import (
     RumorcastError,
     SecondOrderBelief,
     SenderAction,
+    TreeProfiles,
     TypeSet,
     dirac_truth_profiles,
     reach_by_root,
@@ -173,7 +174,7 @@ def test_room_totals_match_built_beliefs():
             for a, p in dirac_truth_profiles(tree, attrs).items()
         }
         want = _outcome(lambda: solve_global(tree, reference, mu))
-        got = _outcome(lambda: solve_global(tree, DiracTruthProfiles(tree, attrs, overrides), mu))
+        got = _outcome(lambda: solve_global(tree, TreeProfiles(tree, attrs, overrides), mu))
         if got != want:
             disagreements.append((draw, dyadic))
             continue
@@ -234,7 +235,7 @@ def test_only_deciding_senders_get_beliefs(monkeypatch):
     mu = validate_evidence(0.9, 0.1)
     attrs = {a: AgentProfile(type_set=TypeSet.singleton(0.3), lam=1.0, ell=0) for a in tree.agents}
     attrs["0"] = AgentProfile(type_set=TypeSet.singleton(0.895), lam=1.0)
-    profiles = DiracTruthProfiles(tree, attrs)
+    profiles = TreeProfiles(tree, attrs)
     built = _count_dirac(monkeypatch)
     result = solve_global(tree, profiles, mu)
     assert result.send_of("0") is SenderAction.SEND
@@ -262,7 +263,7 @@ def _star(receivers: int):
 def test_wide_star_builds_one_belief(monkeypatch):
     tree, attrs = _star(3000)
     built = _count_dirac(monkeypatch)
-    result = solve_global(tree, DiracTruthProfiles(tree, attrs), validate_evidence(0.9, 0.1))
+    result = solve_global(tree, TreeProfiles(tree, attrs), validate_evidence(0.9, 0.1))
     assert built == [3000]
     assert result.reach_count == 3001
 
@@ -272,7 +273,7 @@ def test_override_builds_no_truth_belief_in_her_room(monkeypatch):
     # agent 2 pictures her peers at their credences, in two equal atoms
     peers = [attrs[a].type_set.value for a in tree.agents if a != "2"]
     belief = SecondOrderBelief.mixture([(peers, 0.5), (peers, 0.5)])
-    profiles = DiracTruthProfiles(tree, attrs, {"2": BeliefOverride(receiver=belief)})
+    profiles = TreeProfiles(tree, attrs, {"2": BeliefOverride(receiver=belief)})
     built = _count_dirac(monkeypatch)
     result = solve_global(tree, profiles, validate_evidence(0.9, 0.1))
     assert built == [3000]  # the root's sender belief only
@@ -295,7 +296,7 @@ def test_validate_builds_no_receiver_belief(monkeypatch):
 class TestMapping:
     def test_lookups_match_the_dict(self):
         tree, attrs = canonical_tree(), canonical_attrs()
-        lazy = DiracTruthProfiles(tree, attrs)
+        lazy = TreeProfiles(tree, attrs)
         assert list(lazy) == list(tree.agents) and len(lazy) == len(tree.agents)
         assert dict(lazy) == dirac_truth_profiles(tree, attrs)
         assert "3" in lazy and "11" not in lazy
@@ -305,7 +306,7 @@ class TestMapping:
     def test_overrides_replace_one_side(self):
         tree, attrs = canonical_tree(), canonical_attrs()
         sender = SecondOrderBelief.dirac([0.5, 0.5])
-        lazy = DiracTruthProfiles(tree, attrs, {"3": BeliefOverride(sender=sender)})
+        lazy = TreeProfiles(tree, attrs, {"3": BeliefOverride(sender=sender)})
         truth = dirac_truth_profiles(tree, attrs)
         assert lazy["3"].sender_belief == sender == lazy.sender_belief("3")
         assert lazy["3"].receiver_belief == truth["3"].receiver_belief
@@ -320,7 +321,7 @@ class TestMapping:
         missing = {"1": finite["2"]}
         for attrs in (finite, missing):
             with pytest.raises(InvariantViolation) as lazy_err:
-                DiracTruthProfiles(tree, attrs)
+                TreeProfiles(tree, attrs)
             with pytest.raises(InvariantViolation) as dict_err:
                 dirac_truth_profiles(tree, attrs)
             assert str(lazy_err.value) == str(dict_err.value)
@@ -328,7 +329,7 @@ class TestMapping:
     def test_other_tree_takes_the_general_path(self):
         # profiles built for one tree, solved on another: looked up, not trusted
         attrs = canonical_attrs()
-        lazy = DiracTruthProfiles(canonical_tree(), attrs)
+        lazy = TreeProfiles(canonical_tree(), attrs)
         edges = [(p, c) for p, c in canonical_tree().edges() if c != "10"] + [("9", "10")]
         other = OrderedTree.from_edges("1", edges)
         with pytest.raises(InvariantViolation):
