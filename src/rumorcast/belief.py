@@ -87,12 +87,14 @@ def require_credence(theta, mu: EvidenceRelation, tol: float = EPS):
     """Check that ``theta`` is an admissible credence for ``mu``.
 
     Admissible means strictly inside ``(mu_given_not_c, mu_given_c)`` with an
-    ``tol`` margin.  Accepts scalars or arrays; returns the input unchanged.
+    ``tol`` margin; the error says so when ``tol`` exceeds the default.
+    Accepts scalars or arrays; returns the input unchanged.
     """
     if not _holds((theta > mu.mu_given_not_c + tol) & (theta < mu.mu_given_c - tol)):
+        narrowed = f" narrowed by the tolerance {tol!r} at each end" if tol > EPS else ""
         raise DomainError(
             f"credence {theta!r} outside the open interval "
-            f"({mu.mu_given_not_c!r}, {mu.mu_given_c!r})"
+            f"({mu.mu_given_not_c!r}, {mu.mu_given_c!r}){narrowed}"
         )
     return theta
 

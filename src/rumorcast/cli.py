@@ -236,6 +236,8 @@ def _lambda_values(args: argparse.Namespace) -> list[float]:
             values = [float(part) for part in args.lambdas.split(",") if part.strip()]
         except ValueError as exc:
             raise RumorcastError(f"--lambdas: {exc}") from exc
+        if not values:  # a range lists at least LO
+            raise RumorcastError("--lambdas: no lambda values to sweep")
     else:
         try:
             lo_s, hi_s, step_s = args.lambda_range.split(":")
@@ -255,8 +257,6 @@ def _lambda_values(args: argparse.Namespace) -> list[float]:
         # ascending, so a value that rounds onto its predecessor's is listed once
         listed = (lo + k * step for k in range(int(last) + 2))
         values = list(dict.fromkeys(value for value in listed if value <= hi + 1e-12))
-    if not values:
-        raise RumorcastError("no lambda values to sweep")
     bad = [value for value in values if not 0.0 <= value < math.inf]  # NaN fails too
     if bad:
         flag = "--lambdas" if args.lambdas is not None else "--lambda-range"

@@ -35,7 +35,7 @@ from itertools import chain, filterfalse, groupby
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .belief import EPS, EvidenceRelation
+from .belief import EPS, EvidenceRelation, require_credence
 from .chatroom import (
     ChatroomEquilibrium,
     ChatroomGame,  # unused here; bench/tracer.py wraps this binding by name
@@ -45,7 +45,7 @@ from .chatroom import (
     room_equilibrium,
     solve_chatroom,  # unused here; bench/tracer.py wraps this binding by name
 )
-from .errors import InvalidGraph, InvariantViolation, RangeViolation
+from .errors import DomainError, InvalidGraph, InvariantViolation, RangeViolation
 from .receiver import (
     PeerDistanceProfile,
     ReceiverAction,
@@ -472,6 +472,19 @@ def _check_profiles(profiles: TreeProfiles) -> None:
             check_receiver_belief(agent, belief, [attrs[p].type_set for p in peers])
 
 
+def _off_band(
+    agent: Agent, type_set: TypeSet, mu: EvidenceRelation, tol: float, exc: DomainError
+) -> DomainError:
+    """``exc``, an off-band credence in ``agent``'s send decision, placed in
+    her types or her sender belief, in the words of ``validate``."""
+    try:
+        for x in type_set.hull:
+            require_credence(x, mu, tol)
+    except DomainError:
+        return DomainError(f"agent {agent!r}: types: {exc}")
+    return DomainError(f"agent {agent!r}: sender belief: {exc}")
+
+
 def solve_global(
     tree: OrderedTree,
     profiles: Mapping[Agent, AgentProfile],
@@ -484,7 +497,9 @@ def solve_global(
     selection among them when several do), senders apply the gated
     positive-gain rule, and the message spreads until every open room is
     resolved.  Returns diagnostics instead of raising when some reached room
-    has no equilibrium; malformed explicit beliefs raise at entry.
+    has no equilibrium; malformed explicit beliefs raise at entry, and an
+    off-band credence a send decision reads raises naming the agent and
+    whether it sits in her types or her sender belief.
 
     ``profiles`` is read through :meth:`TreeProfiles.of`, so any mapping
     of profiles, every belief in it explicit, serves as well.  Receivers'
@@ -514,7 +529,6 @@ def solve_global(
     receiver_actions: dict[Agent, ReceiverAction] = {}
     sender_actions: dict[Agent, SenderAction] = {}
     room_eqs: dict[Agent, ChatroomEquilibrium] = {}
-    reach: set[Agent] = {tree.root}
     multiple: list[Agent] = []
     failing: Agent | None = None
 
@@ -525,7 +539,10 @@ def solve_global(
         belief = None
         if ell > disapprovals:
             belief = profiles.sender_belief(agent)
-        decision = decide_send(type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
+        try:
+            decision = decide_send(type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
+        except DomainError as exc:
+            raise _off_band(agent, type_set, mu, tol, exc) from exc
         sender_actions[agent] = decision
         if decision is SenderAction.SEND:
             queue.append(agent)
@@ -552,9 +569,7 @@ def solve_global(
         if eq.multiplicity is Multiplicity.MULTIPLE:
             multiple.append(sender)
         assert eq.actions is not None
-        for agent in receivers:
-            receiver_actions[agent] = eq.actions[agent]
-            reach.add(agent)
+        receiver_actions.update(eq.actions)
         disapprovals = sum(
             1 for agent in receivers
             if eq.actions[agent] is ReceiverAction.DISAPPROVE
@@ -567,7 +582,7 @@ def solve_global(
     return CascadeResult(
         receiver_actions=receiver_actions,
         sender_actions=sender_actions,
-        reach=frozenset(reach),
+        reach=frozenset(chain((tree.root,), receiver_actions)),  # a failing room adds nobody
         exists=exists,
         unique=exists and not multiple,
         multiple_rooms=tuple(multiple),
@@ -689,9 +704,9 @@ def _graph_violations(g: SocialGraph, blocks: BlockDecomposition) -> Iterator[Gr
     if blocks.stranded is not None:
         yield GraphViolation(kind="disconnected", witness=(g.nodes[0], blocks.stranded))
 
+    # every edge lies in one block, so blocks.block_of[x] has x's acquaintances as keys
     adjacency = g.adjacency
     rank = dict(zip(g.nodes, range(len(g.nodes))))
-    known = {a: set(nbrs) for a, nbrs in adjacency.items()}
     # every agent's acquaintances by the block of their edge, in neighbour order
     groups: dict[Agent, dict[int, list[Agent]]] = {}
     for a, nbrs in adjacency.items():
@@ -702,11 +717,11 @@ def _graph_violations(g: SocialGraph, blocks: BlockDecomposition) -> Iterator[Gr
     # strangers i, k with shared acquaintances j, j' close the circle i-j-k-j'-i,
     # so all four edges lie in one block: both steps stay inside it
     for i, r in rank.items():
-        around, mine, block_of = adjacency[i], known[i], blocks.block_of[i]
+        around, block_of = adjacency[i], blocks.block_of[i]
         steps = Counter(chain.from_iterable(groups[j][block_of[j]] for j in around))
-        far = [k for k, paths in steps.items() if paths > 1 and rank[k] > r and k not in mine]
+        far = [k for k, paths in steps.items() if paths > 1 and rank[k] > r and k not in block_of]
         for k in sorted(far, key=rank.__getitem__):
-            common = [j for j in around if j in known[k]]
+            common = [j for j in around if j in blocks.block_of[k]]
             yield GraphViolation(kind="overlapping-circles", witness=(i, common[0], common[1], k))
 
     # unintroduced members of one circle: one block around i, yet strangers
@@ -714,7 +729,7 @@ def _graph_violations(g: SocialGraph, blocks: BlockDecomposition) -> Iterator[Gr
         block_of, by_block = blocks.block_of[i], groups[i]
         place = dict.fromkeys(by_block, 0)  # j's position among her block's members
         for j in adjacency[i]:
-            block, theirs = block_of[j], known[j]
+            block, theirs = block_of[j], blocks.block_of[j]
             x = place[block] = place[block] + 1
             for jp in by_block[block][x:]:
                 if jp not in theirs:
@@ -738,8 +753,8 @@ class BlockDecomposition:
     On a valid graph, :meth:`children` lists an agent's children in any
     rooting: the root's are her neighbours, and an agent entered through
     block B gets the members of her other blocks, in the graph's node order
-    either way.  Each list is built once per (agent, B) and shared by every
-    rooting.
+    either way.  The list is filtered from her neighbours whenever it is
+    asked for, and not kept.
     """
 
     def __init__(self, g: SocialGraph) -> None:
@@ -798,21 +813,14 @@ class BlockDecomposition:
                     blocks += 1
         edge_count = sum(len(nbrs) for nbrs in adjacency.values()) // 2
         self.valid = not g.loops and self.stranded is None and pairs == edge_count
-        self._children: dict[tuple[Agent, int], tuple[Agent, ...]] = {}
 
     def children(self, agent: Agent, entry: int) -> tuple[Agent, ...]:
         """``agent``'s children when she is entered through block ``entry``;
         -1 for the root."""
         if self.block_count[agent] == (entry != -1):
             return ()  # no block but the one she was entered through
-        key = (agent, entry)
-        kids = self._children.get(key)
-        if kids is None:
-            block_of = self.block_of[agent]
-            kids = self._children[key] = tuple(
-                u for u in self._adjacency[agent] if block_of[u] != entry
-            )
-        return kids
+        block_of = self.block_of[agent]
+        return tuple(u for u in self._adjacency[agent] if block_of[u] != entry)
 
 
 class RootedView:

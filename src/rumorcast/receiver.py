@@ -179,8 +179,6 @@ class PeerDistanceProfile:
 
 def peer_distance(p: SecondOrderBelief) -> PeerDistanceProfile:
     """Collapse a second-order belief into per-action expected distances."""
-    if not p.atoms:
-        raise EmptySupport("cannot take expectations over an empty belief")
     dist = {a: 0.0 for a in ACTIONS}
     for atom in p.atoms:
         mean = sum(atom.profile) / len(atom.profile)
@@ -260,14 +258,14 @@ def support_interval(
     action: ReceiverAction,
     d: PeerDistanceProfile,
     lam: float,
-    tol: float = EPS,
 ) -> SupportInterval:
     """Closed-form support set of ``action`` over credences in [0, 1].
 
     Intersects, for each competing action ``a'``, the half-line on which
     ``|a - theta| - |a' - theta| <= lam * (d_a' - d_a)``.  The left side is
     monotone in ``theta`` with range ``[-|a - a'|, |a - a'|]``, so each
-    constraint is either vacuous, infeasible, or a single cut.
+    constraint is either vacuous, infeasible, or a single cut.  The bounds
+    are exact: no tolerance enters, and a nonempty set has ``lo <= hi``.
     """
     check_sensitivity(lam)
     lo, hi = 0.0, 1.0
@@ -286,19 +284,17 @@ def support_interval(
             hi = min(hi, (a + o + c) / 2.0)
         else:
             lo = max(lo, (a + o - c) / 2.0)
-    if lo > hi:
-        if lo - hi <= tol:
-            mid = (lo + hi) / 2.0
-            return SupportInterval(action=action, lo=mid, hi=mid)
-        return SupportInterval(action=action, lo=None, hi=None)
+    # the bounds cannot cross: as -gap <= c, every upper cut lies at or above
+    # a and every lower cut at or below it (a + o is exact and rounding is
+    # monotone), so lo <= a <= hi
     return SupportInterval(action=action, lo=lo, hi=hi)
 
 
 def support_intervals(
-    d: PeerDistanceProfile, lam: float, tol: float = EPS
+    d: PeerDistanceProfile, lam: float
 ) -> tuple[SupportInterval, SupportInterval, SupportInterval]:
     """Support sets for all three actions, in action order."""
-    return tuple(support_interval(a, d, lam, tol) for a in ACTIONS)  # type: ignore[return-value]
+    return tuple(support_interval(a, d, lam) for a in ACTIONS)  # type: ignore[return-value]
 
 
 def interval_ordering_check(
@@ -310,7 +306,7 @@ def interval_ordering_check(
     increase along 0, 0.5, 1.  A failure indicates an implementation bug, so
     it raises ``OrderingViolation`` rather than returning a flag.
     """
-    intervals = support_intervals(d, lam, tol)
+    intervals = support_intervals(d, lam)
     present = [iv for iv in intervals if not iv.empty]
     for left, right in zip(present, present[1:]):
         if left.lo > right.lo + tol or left.hi > right.hi + tol:  # type: ignore[operator]

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from operator import itemgetter
 from typing import Any, Callable, Mapping, TypeVar
 
@@ -154,6 +154,16 @@ def _numbers(raw: list[Any], where: str = "") -> list[float]:
     return out
 
 
+def _is_text(s: str) -> bool:
+    """Whether ``s`` is valid Unicode text: JSON's ``\\u`` escapes can write a
+    lone surrogate, which no report could encode."""
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _as_id(value: Any, where: str = "") -> str:
     if isinstance(value, str):
         return value
@@ -229,6 +239,9 @@ class _Unclear(Exception):
 def _parse_agents(raw: Any) -> AgentTable:
     if not isinstance(raw, dict) or not raw:
         raise _Bad("expected a nonempty object keyed by agent id")
+    if not _is_text("".join(raw)):  # every id at once
+        bad = next(filterfalse(_is_text, raw))
+        raise _Bad(f"agent id {bad!r} is not valid Unicode text")
     try:
         return _agent_table(raw)
     except _Unclear:
@@ -376,7 +389,8 @@ def _parse_beliefs(
                 raise _Bad("unknown agent id")
             overrides[str(agent)] = _override(spec)
         except _Bad as bad:
-            raise bad.within(f".agents.{agent}")
+            # a key that is no text shows escaped, as a refused agent id does
+            raise bad.within(f".agents.{agent if _is_text(agent) else repr(agent)}")
     return default, overrides
 
 

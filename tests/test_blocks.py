@@ -428,3 +428,28 @@ def test_rooted_view_answers_only_for_listed_agents():
     assert view.children_of("1") == ("2", "3", "4")
     assert (view.parent_of("2"), view.children_of("2")) == ("1", ("5", "6"))
     assert view.parent_of("5") == "2"
+
+
+def test_known_type_sweeps_never_fail_a_room():
+    # a receiver with one type always has a best response, so under known-type
+    # beliefs no room of any rooting lacks an equilibrium
+    rng = np.random.default_rng(5015)
+    mu, roots = canonical_mu(), 0
+    grid = [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875]  # dyadic credences, for exact ties
+    for draw in range(240):
+        g = _closure(rng, 30)
+        attrs = {
+            a: AgentProfile(
+                type_set=TypeSet.singleton(
+                    float(rng.choice(grid)) if draw % 2 else float(rng.uniform(0.12, 0.88))
+                ),
+                lam=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0, float(rng.uniform(0.0, 8.0))])),
+                ell=int(rng.integers(0, 3)),
+            )
+            for a in g.nodes
+        }
+        for root, result in reach_by_root(g, attrs, mu).items():
+            assert result.exists and result.failing_room is None, (draw, root)
+            roots += 1
+    assert roots >= 2_000
+    assert reach_by_root(SocialGraph.from_edges([]), {}, mu) == {}

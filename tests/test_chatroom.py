@@ -35,6 +35,9 @@ class TestTypeSet:
     def test_singleton(self):
         ts = TypeSet.singleton(0.26)
         assert ts.is_singleton and ts.value == 0.26
+        for other in (TypeSet.finite([0.2, 0.3]), TypeSet.interval(0.2, 0.3)):
+            with pytest.raises(InvariantViolation, match="not a singleton"):
+                other.value
 
     def test_interval(self):
         ts = TypeSet.interval(0.2, 0.4)
@@ -87,6 +90,8 @@ class TestGameInvariants:
         )
         with pytest.raises(InvariantViolation):
             ChatroomGame(sender="s", sender_types=TypeSet.singleton(0.8), receivers=(spec, spec))
+        with pytest.raises(InvariantViolation, match="at least one receiver"):
+            ChatroomGame(sender="s", sender_types=TypeSet.singleton(0.8), receivers=())
 
     def test_belief_dimension_must_match_room_size(self):
         spec = ReceiverSpec(

@@ -6,6 +6,9 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -225,6 +228,114 @@ class TestMalformedBeliefs:
         assert captured.err == f"error: {row['detail']}\n"
 
 
+# 1 -> 2, 3 and 2 -> 4: agent 1's known-type belief over her receivers holds 0.05
+OFF_BAND = {
+    **GATE_FLIP,
+    "agents": {
+        "1": {"types": 0.85, "lambda": 1.0},
+        "2": {"types": 0.5, "lambda": 1.0},
+        "3": {"types": 0.05, "lambda": 1.0},
+        "4": {"types": 0.95, "lambda": 1.0},
+    },
+}
+
+
+class TestOffBandCredence:
+    """An off-band credence that a send decision reads fails every solving
+    command with the agent and the field ``validate`` names."""
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
+    def test_solving_commands_say_what_validate_says(self, capsys, tmp_path, fmt):
+        path = write(tmp_path, OFF_BAND)
+        code, out = run(capsys, "validate", path, "--format", "json-lines")
+        assert code == 1
+        detail = "agent '1': sender belief: credence 0.05 outside the open interval (0.1, 0.9)"
+        assert jl(out)[0] == {"kind": "credence-error", "detail": detail}
+        for argv in (["solve"], ["sweep-lambda", "--agent", "all", "--lambdas", "1"], ["sweep-root"]):
+            assert main([argv[0], path, *argv[1:], "--format", fmt]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {detail}\n")
+
+    def test_a_narrowing_tolerance_is_named(self, capsys):
+        # 0.26 lies inside (0.1, 0.9), but not inside the band narrowed by 0.2 at each end
+        assert main(["solve", CANONICAL, "--tolerance", "0.2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: agent '1': sender belief: credence 0.26 outside the open interval (0.1, 0.9)"
+            " narrowed by the tolerance 0.2 at each end\n"
+        )
+
+
+_SURROGATE = "\ud800"  # JSON writes it as an escape; it is no Unicode text
+
+
+def _with_surrogate(where: str) -> dict:
+    obj = json.loads(json.dumps(GATE_FLIP))
+    if where == "agent id":
+        obj["agents"][_SURROGATE] = obj["agents"].pop("4")
+        obj["topology"]["edges"][2][1] = _SURROGATE
+    elif where == "edge end":
+        obj["topology"]["edges"][2][1] = _SURROGATE
+    elif where == "root":
+        obj["topology"]["root"] = _SURROGATE
+    elif where == "beliefs key":
+        obj["beliefs"] = {"default": "dirac-truth", "agents": {_SURROGATE: {"receiver": {"dirac": [0.6, 0.55]}}}}
+    else:
+        obj["name"] = _SURROGATE
+    return obj
+
+
+class TestLoneSurrogates:
+    """A lone surrogate in a file is refused, or never reaches a report:
+    every command exits 0 or 1 with a report or one error line that can be
+    written as UTF-8."""
+
+    _COMMANDS = {
+        "solve": [],
+        "sweep-lambda": ["--agent", "all", "--lambdas", "1"],
+        "sweep-root": [],
+        "validate": [],
+        "normalize": [],
+    }
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    @pytest.mark.parametrize("where", ["agent id", "edge end", "root", "beliefs key", "name"])
+    def test_every_command_exits_cleanly(self, capsys, tmp_path, where, command, fmt):
+        path, out = write(tmp_path, _with_surrogate(where)), tmp_path / "report"
+        code = main([command, path, *self._COMMANDS[command], "--format", fmt, "--out", str(out)])
+        captured = capsys.readouterr()
+        captured.err.encode("utf-8")
+        if where == "name":  # a name is never printed but by normalize, which escapes it
+            assert (code, captured.err) == (0, "")
+            assert _SURROGATE not in out.read_text(encoding="utf-8")
+        elif command == "validate":
+            assert (code, captured.err) == (1, "")
+            rows = out.read_text(encoding="utf-8").splitlines()
+            assert len(rows) == (1 if fmt == "json-lines" else 2) and "schema-error" in rows[-1], rows
+        else:
+            assert code == 1
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "where, command, said",
+        [
+            ("agent id", "solve", "error: agents: agent id '\\ud800' is not valid Unicode text\n"),
+            ("beliefs key", "validate", "beliefs.agents.'\\ud800': unknown agent id"),
+        ],
+    )
+    def test_reports_reach_a_strict_stdout(self, tmp_path, where, command, said):
+        path = write(tmp_path, _with_surrogate(where))
+        env = {**os.environ, "PYTHONPATH": str(_SCENARIOS.parent / "src"), "PYTHONIOENCODING": "utf-8"}
+        done = subprocess.run(
+            [sys.executable, "-m", "rumorcast.cli", command, path],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert said in done.stdout + done.stderr
+
+
 class TestNonObjectBeliefAgents:
     def test_validate_and_solve_report_the_field(self, capsys, tmp_path):
         path = write(tmp_path, {**EXAMPLE_REGIMES, "beliefs": {"default": "none", "agents": [1, 2]}})
@@ -338,6 +449,10 @@ class TestSweepLambda:
         assert code == 1
         code, _ = run(capsys, "sweep-lambda", CANONICAL, "--agent", "1", "--lambda-range", "2:1:1")
         assert code == 1
+        # an unreadable or empty list of values names the flag it came from
+        for flag, value in (("--lambdas", "abc"), ("--lambdas", ","), ("--lambda-range", "1:2")):
+            assert main(["sweep-lambda", CANONICAL, "--agent", "1", f"{flag}={value}"]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {flag}: ")
         # a sweep with an infinite end would never end
         for bad in ("0:inf:1", "-inf:1:0.5", "1:2:inf", "nan:1:1"):
             assert main(["sweep-lambda", CANONICAL, "--agent", "1", f"--lambda-range={bad}"]) == 1

@@ -12,8 +12,9 @@ and strings come from the schema's own words.  For every mutant:
 - ``scenario_diagnostics`` returns a list and never raises;
 - ``parse_scenario`` raises a parse or schema error exactly when the
   diagnostics hold a ``parse-error`` or ``schema-error`` row, with its text;
-- ``validate``, ``solve`` and ``sweep-root`` exit 0, 1 or 2 and never raise,
-  on these mutants and on three files that decode to no JSON value (not
+- ``validate``, ``solve`` and ``sweep-root`` exit 0, 1 or 2, never raise,
+  and write only what encodes as UTF-8 (a lone surrogate is among the
+  words), on these mutants and on three files that decode to no JSON value (not
   UTF-8, nested too deeply, an integer of too many digits);
 - a tree scenario that ``validate`` finds clean solves: ``solve`` exits 0
   (cascade resolved) or 2 (a reached room has no equilibrium), never 1;
@@ -70,6 +71,7 @@ _WORDS = (
     "edges", "check_structure", "agents", "types", "lambda", "ell", "interval",
     "beliefs", "default", "receiver", "sender", "dirac", "atoms", "profile", "weight",
     "tree", "graph", "dirac-truth", "none", "1", "2", "3", "99", "", "x", "0.5", "-1",
+    "\ud800",  # a lone surrogate: JSON can escape it, but it is no text
 )
 _NUMBERS = (0, 1, 2, 3, -1, 12, 0.0, -0.0, 0.1, 0.5, 0.9, 1.0, 1.5, 1e-300, 1e308, 10**400,
             math.nan, math.inf, -math.inf)
@@ -191,8 +193,12 @@ def test_diagnostics_never_raise(data):
 
 
 def _run(*argv: str) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(list(argv))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    # a StringIO takes any str; a real stdout takes only what encodes
+    (out.getvalue() + err.getvalue()).encode("utf-8")
+    return code
 
 
 @pytest.fixture(scope="module")

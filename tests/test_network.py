@@ -9,11 +9,13 @@ import pytest
 
 from rumorcast import (
     AgentProfile,
+    DomainError,
     InvalidGraph,
     InvariantViolation,
     OrderedTree,
     RangeViolation,
     ReceiverAction,
+    SecondOrderBelief,
     SenderAction,
     SocialGraph,
     TypeSet,
@@ -120,8 +122,36 @@ class TestSolveGlobal:
     def test_missing_profile_rejected(self):
         tree = OrderedTree.from_edges("1", [("1", "2")])
         prof = {"1": AgentProfile(type_set=TypeSet.singleton(0.5), lam=1.0)}
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="agent '1' can send but has no sender belief"):
             solve_global(tree, prof, WIDE)
+        prof["1"] = dataclasses.replace(prof["1"], sender_belief=SecondOrderBelief.dirac([0.5]))
+        with pytest.raises(InvariantViolation, match="no profile for agent '2'"):
+            solve_global(tree, prof, WIDE)
+
+    def test_off_band_credence_names_the_agent_and_the_field(self):
+        # 1 -> 2, 3 and 2 -> 4: agent 1's belief over her receivers holds 0.05
+        tree = OrderedTree.from_edges("1", [("1", "2"), ("1", "3"), ("2", "4")])
+        theta = {"1": 0.85, "2": 0.5, "3": 0.05, "4": 0.95}
+        attrs = {a: AgentProfile(type_set=TypeSet.singleton(x), lam=1.0) for a, x in theta.items()}
+        band = "outside the open interval (0.1, 0.9)"
+        with pytest.raises(DomainError) as caught:
+            solve_global(tree, dirac_truth_profiles(tree, attrs), WIDE)
+        assert str(caught.value) == f"agent '1': sender belief: credence 0.05 {band}"
+        at_half = SecondOrderBelief.dirac([0.5])
+        profiles = {
+            "1": AgentProfile(type_set=TypeSet.finite([0.5, 0.95]), lam=1.0, sender_belief=at_half),
+            "2": AgentProfile(type_set=TypeSet.singleton(0.5), lam=1.0, receiver_belief=at_half),
+        }
+        with pytest.raises(DomainError) as caught:
+            solve_global(OrderedTree.from_edges("1", [("1", "2")]), profiles, WIDE)
+        assert str(caught.value) == f"agent '1': types: credence 0.95 {band}"
+        # a tolerance that narrows the band says so
+        attrs = {a: AgentProfile(type_set=TypeSet.singleton(x), lam=1.0) for a, x in CANONICAL_THETA.items()}
+        with pytest.raises(DomainError) as caught:
+            solve_global(canonical_tree(), dirac_truth_profiles(canonical_tree(), attrs), WIDE, tol=0.2)
+        assert str(caught.value) == (
+            f"agent '1': sender belief: credence 0.26 {band} narrowed by the tolerance 0.2 at each end"
+        )
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_non_finite_sensitivity_rejected(self, lam):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,6 +14,7 @@ from rumorcast import (
     ChatroomGame,
     GridSpec,
     InstanceTooLarge,
+    InvariantViolation,
     Multiplicity,
     OrderedTree,
     PeerDistanceProfile,
@@ -130,6 +132,8 @@ class TestChatroomOracle:
             oracle_chatroom_profiles(game_with(4, TypeSet.singleton(0.5)))
         with pytest.raises(InstanceTooLarge):
             oracle_chatroom_profiles(game_with(2, TypeSet.interval(0.4, 0.6)))
+        with pytest.raises(InstanceTooLarge, match="4 types > 3"):
+            oracle_chatroom_profiles(game_with(2, TypeSet.finite([0.4, 0.45, 0.5, 0.55])))
 
 
 class TestGlobalOracle:
@@ -199,3 +203,15 @@ class TestGlobalOracle:
         profiles = dirac_truth_profiles(tree, attrs)
         with pytest.raises(InstanceTooLarge):
             oracle_global(tree, profiles, WIDE)
+
+    def test_needs_singleton_types_and_every_belief(self):
+        tree = OrderedTree.from_edges("1", [("1", "2")])
+        base = dirac_truth_profiles(tree, {a: AgentProfile(type_set=TypeSet.singleton(0.5), lam=1.0) for a in "12"})
+        for agent, change, said in (
+            ("2", {"type_set": TypeSet.finite([0.4, 0.5])}, "needs singleton type sets"),
+            ("2", {"receiver_belief": None}, "agent '2' has no receiver belief"),
+            ("1", {"sender_belief": None}, "agent '1' has no sender belief"),
+        ):
+            changed = {**base, agent: dataclasses.replace(base[agent], **change)}
+            with pytest.raises(InvariantViolation, match=said):
+                oracle_global(tree, changed, WIDE)

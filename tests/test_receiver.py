@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from rumorcast import (
     utility,
 )
 from rumorcast.chatroom import TypeSet, room_equilibrium
+from rumorcast.receiver import BeliefAtom
 from rumorcast.oracle import GridSpec, oracle_min_lambda, oracle_support_points
 
 from helpers import random_belief
@@ -62,6 +64,8 @@ class TestPeerDistance:
     def test_empty_belief_rejected(self):
         with pytest.raises(EmptySupport):
             SecondOrderBelief(atoms=())
+        with pytest.raises(InvariantViolation, match="at least one peer"):
+            SecondOrderBelief(atoms=(BeliefAtom(profile=(), weight=1.0),))
 
     def test_bad_weights_rejected(self):
         with pytest.raises(RangeViolation):
@@ -78,6 +82,9 @@ class TestPeerDistance:
             PeerDistanceProfile(d0=-0.1, d05=0.4, d1=1.1)
         with pytest.raises(InvariantViolation):
             PeerDistanceProfile(d0=0.2, d05=0.3, d1=0.2)
+        for b in (-0.01, 1.01):
+            with pytest.raises(RangeViolation, match="peer mean"):
+                PeerDistanceProfile.from_dirac(b)
 
 
 class TestUtility:
@@ -152,6 +159,49 @@ class TestSupportInterval:
         iv = support_interval(S, d, 3.0)
         assert iv.contains(0.6 + 1e-10)
         assert not iv.contains(0.61)
+        none = support_interval(D, d, 3.0)
+        assert none.empty
+        assert not none.contains(0.5, tol=1.0)
+        assert not none.contains_interval(0.4, 0.6, tol=1.0)
+
+    def test_bounds_never_cross(self):
+        # a cut applies only when -gap <= c, so every upper cut lies at or above
+        # the action's value and every lower cut at or below it, with no rounding
+        # slack: a nonempty support set holds its own action's value
+        rnd = random.Random(15)
+        dyadic = [k / 64 for k in range(65)]
+        nonempty = 0
+        for draw in range(100_000):
+            how = draw % 4
+            if how == 0:  # dyadic distances, ties among them common
+                d0 = rnd.choice(dyadic)
+                d1 = 1.0 - d0 + rnd.choice([0.0, rnd.choice(dyadic)])
+                d05 = rnd.choice([d0, d1, rnd.choice(dyadic), abs(0.5 - d0)])
+                d = PeerDistanceProfile(d0=d0, d05=d05, d1=d1)
+            elif how == 1:  # a point mass, on the dyadic grid or anywhere
+                d = PeerDistanceProfile.from_dirac(rnd.choice([rnd.choice(dyadic), rnd.random()]))
+            elif how == 2:
+                w = rnd.random() * 0.98 + 0.01
+                d = peer_distance(SecondOrderBelief.mixture([([rnd.random()], w), ([rnd.random()], 1.0 - w)]))
+            else:  # unstructured distances, d0 + d1 >= 1
+                d0 = rnd.uniform(0.0, 3.0)
+                d = PeerDistanceProfile(d0=d0, d05=rnd.uniform(0.0, 3.0), d1=max(0.0, 1.0 - d0) + rnd.uniform(0.0, 2.0))
+            a, o = rnd.sample(ACTIONS, 2)
+            diff = d.get(o) - d.get(a)
+            lam = rnd.choice([
+                0.0,
+                rnd.choice(dyadic) * 8,
+                rnd.uniform(0.0, 10.0),
+                10.0 ** rnd.uniform(-300.0, 300.0),
+                1e300,
+                abs(float(o) - float(a)) / abs(diff) if diff else 1.0,  # a cut at the edge of its range
+            ])
+            for action in ACTIONS:
+                iv = support_interval(action, d, lam)
+                if not iv.empty:
+                    nonempty += 1
+                    assert 0.0 <= iv.lo <= float(action) <= iv.hi <= 1.0, (d, lam, iv)
+        assert nonempty >= 100_000
 
     def test_degenerate_tie_keeps_weak_ordering(self):
         # peers at 0 with lam = 1 makes 0 and 0.5 tie on [0.5, 1]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,10 @@ def _minimal(**patches) -> str:
     return json.dumps(obj)
 
 
+def _sender_belief(belief, agent: str = "1") -> dict:
+    return {"beliefs": {"default": "none", "agents": {agent: {"sender": belief}}}}
+
+
 class TestParsing:
     def test_canonical_fixture_loads(self):
         sc = parse_scenario(_read(CANONICAL_PATH))
@@ -84,10 +89,25 @@ class TestParsing:
             ({"agents": {}}, "nonempty"),
             ({"beliefs": "sometimes"}, "beliefs"),
             ({"beliefs": {"default": "none", "agents": [1, 2]}}, "beliefs.agents"),
+            (_sender_belief({"dirac": 0.5}), "beliefs.agents.1.sender.dirac: expected an array of credences"),
+            (_sender_belief({"atoms": {"profile": [0.3]}}), "beliefs.agents.1.sender.atoms: expected an array"),
+            (
+                _sender_belief({"atoms": [{"profile": 0.3, "weight": 1}]}),
+                "beliefs.agents.1.sender.atoms[0].profile: expected an array of credences",
+            ),
+            (
+                _sender_belief({"atoms": [{"profile": [0.3], "weight": 0.5}, {"profile": [0.4], "weight": 0.4}]}),
+                "beliefs.agents.1.sender: atom weights sum to 0.9, expected 1",
+            ),
+            (_sender_belief({"dirac": [1.5]}), "beliefs.agents.1.sender: profile coordinate 1.5 outside [0, 1]"),
+            # JSON can escape a lone surrogate, which is no text and no report could print
+            ({"agents": {"1": {"types": 0.5, "lambda": 1.0}, "\ud800": {"types": 0.3, "lambda": 1.0}}},
+             "agents: agent id '\\ud800' is not valid Unicode text"),
+            (_sender_belief({"dirac": [0.3]}, agent="\ud800"), "beliefs.agents.'\\ud800': unknown agent id"),
         ],
     )
     def test_schema_errors_carry_field_context(self, patches, fragment):
-        with pytest.raises(SchemaError, match=fragment):
+        with pytest.raises(SchemaError, match=re.escape(fragment)):
             parse_scenario(_minimal(**patches))
 
     def test_agent_attribute_errors_name_the_agent(self):
@@ -117,6 +137,9 @@ class TestParsing:
         sc = parse_scenario(_minimal())
         with pytest.raises(SchemaError):
             sc.graph()
+        graph = parse_scenario(_minimal(topology={"kind": "graph", "edges": [["1", "2"]]}))
+        with pytest.raises(SchemaError, match="not a tree scenario"):
+            graph.tree()
 
     @pytest.mark.parametrize("hash_seed", ["1", "2", "3", "4"])
     def test_ids_with_one_natural_key_keep_file_order(self, hash_seed):
@@ -242,6 +265,12 @@ class TestDiagnostics:
         diags = scenario_diagnostics(_minimal(beliefs="none"))
         assert any(d.kind == "belief-error" for d in diags)
 
+    def test_tree_with_two_parents_is_a_topology_error(self):
+        topology = {"kind": "tree", "root": "1", "edges": [["1", "2"], ["1", "3"], ["2", "3"]]}
+        agents = {k: {"types": 0.3, "lambda": 1.0} for k in "123"}
+        diags = scenario_diagnostics(_minimal(topology=topology, agents=agents))
+        assert [(d.kind, d.detail) for d in diags] == [("topology-error", "agent '3' has two parents: '1' and '2'")]
+
 
 class TestNormalize:
     def test_idempotent(self):
@@ -260,6 +289,18 @@ class TestNormalize:
         assert res_a.sender_actions == res_b.sender_actions
         assert res_a.reach == res_b.reach
         assert res_a.unique == res_b.unique
+
+    def test_type_sets_round_trip(self):
+        agents = {
+            "1": {"types": [0.6, 0.4], "lambda": 1.0},
+            "2": {"types": {"interval": [0.2, 0.3]}, "lambda": 1.0, "ell": 0},
+        }
+        once = normalize_scenario(_minimal(agents=agents, beliefs="none"))
+        assert json.loads(once)["agents"] == {
+            "1": {"types": [0.4, 0.6], "lambda": 1.0, "ell": 1},
+            "2": {"types": {"interval": [0.2, 0.3]}, "lambda": 1.0, "ell": 0},
+        }
+        assert normalize_scenario(once) == once
 
     def test_graph_scenarios_keep_the_shorthand(self):
         out = normalize_scenario(_read(str(_SCENARIOS / "three_cliques.json")))

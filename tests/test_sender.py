@@ -59,6 +59,9 @@ class TestContextValidation:
         with pytest.raises(RangeViolation):
             _ctx([0.019], disapprovals=-2)
 
+    def test_actions_print_as_report_codes(self):
+        assert (str(SenderAction.SEND), str(SenderAction.NOSEND)) == ("S", "NS")
+
     def test_gate_floor_is_zero(self):
         assert _ctx([0.019], ell=1, disapprovals=3).gate == 0
         assert _ctx([0.019], ell=3, disapprovals=1).gate == 2
@@ -113,6 +116,9 @@ class TestNu:
         lo, hi = nu_breakpoints(0.5, WIDE)
         assert lo == pytest.approx(0.18, abs=1e-12)
         assert hi == pytest.approx(0.5, abs=1e-12)
+        for tau in (0.0, 1.0, -0.1):
+            with pytest.raises(RangeViolation, match="own prior"):
+                nu_breakpoints(tau, WIDE)
 
     def test_three_region_shape_on_random_draws(self):
         rng = np.random.default_rng(59)
