@@ -322,7 +322,7 @@ def cmd_sweep_root(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     with open(args.scenario, "rb") as fh:
-        diagnostics = scenario_diagnostics(fh.read())
+        diagnostics = scenario_diagnostics(fh.read(), args.tolerance)
     block = {
         "kind": [d.kind for d in diagnostics] or ["ok"],
         "detail": [d.detail for d in diagnostics] or ["no problems found"],

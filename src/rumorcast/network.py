@@ -366,10 +366,14 @@ class TreeProfiles(Mapping[Agent, AgentProfile]):
 
     def sender_belief(self, agent: Agent) -> SecondOrderBelief | None:
         """``self[agent].sender_belief`` without building her receiver belief."""
+        return self._sender_belief(agent, self.tree.children_of(agent))
+
+    def _sender_belief(self, agent: Agent, kids: Sequence[Agent]) -> SecondOrderBelief | None:
+        # ``kids``: her children, for a caller that already holds them
         override = self.overrides.get(agent)
         if override is not None and override.sender is not None:
             return override.sender
-        return None if self.theta is None else self._dirac(self.tree.children_of(agent))
+        return None if self.theta is None else self._dirac(kids)
 
     def __getitem__(self, agent: Agent) -> AgentProfile:
         if agent not in self:
@@ -454,7 +458,7 @@ def _check_profiles(profiles: TreeProfiles) -> None:
             raise InvariantViolation(f"no profile for agent {agent!r}")
         kids = tree.children_of(agent)
         if kids:
-            sender = profiles.sender_belief(agent)
+            sender = profiles._sender_belief(agent, kids)
             if sender is None:
                 raise InvariantViolation(f"agent {agent!r} can send but has no sender belief")
             if sender.dim != len(kids):
@@ -472,17 +476,25 @@ def _check_profiles(profiles: TreeProfiles) -> None:
             check_receiver_belief(agent, belief, [attrs[p].type_set for p in peers])
 
 
-def _off_band(
-    agent: Agent, type_set: TypeSet, mu: EvidenceRelation, tol: float, exc: DomainError
-) -> DomainError:
-    """``exc``, an off-band credence in ``agent``'s send decision, placed in
-    her types or her sender belief, in the words of ``validate``."""
-    try:
-        for x in type_set.hull:
+def _credence_errors(
+    agent: Agent,
+    type_set: TypeSet,
+    sender_belief: SecondOrderBelief | None,
+    mu: EvidenceRelation,
+    tol: float,
+) -> Iterator[str]:
+    """The text of every distinct off-band credence in ``agent``'s send
+    decision, in the order :func:`decide_send` reads them: her type hull,
+    then her sender-belief coordinates in atom order."""
+    checked = [("types", x) for x in dict.fromkeys(type_set.hull)]
+    if sender_belief is not None:
+        coords = dict.fromkeys(chain.from_iterable(atom.profile for atom in sender_belief.atoms))
+        checked += [("sender belief", x) for x in coords]
+    for where, x in checked:
+        try:
             require_credence(x, mu, tol)
-    except DomainError:
-        return DomainError(f"agent {agent!r}: types: {exc}")
-    return DomainError(f"agent {agent!r}: sender belief: {exc}")
+        except DomainError as exc:
+            yield f"agent {agent!r}: {where}: {exc}"
 
 
 def solve_global(
@@ -532,28 +544,28 @@ def solve_global(
     multiple: list[Agent] = []
     failing: Agent | None = None
 
-    queue: deque[Agent] = deque()
+    queue: deque[tuple[Agent, tuple[Agent, ...]]] = deque()  # senders with their receivers
 
     def decide(agent: Agent, type_set: TypeSet, ell: int, disapprovals: int) -> None:
         # a closed gate decides without reading the belief, so none is built for it
-        belief = None
+        belief = kids = None
         if ell > disapprovals:
-            belief = profiles.sender_belief(agent)
+            kids = tree.children_of(agent)
+            belief = profiles._sender_belief(agent, kids)
         try:
             decision = decide_send(type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
         except DomainError as exc:
-            raise _off_band(agent, type_set, mu, tol, exc) from exc
+            raise DomainError(next(_credence_errors(agent, type_set, belief, mu, tol))) from exc
         sender_actions[agent] = decision
         if decision is SenderAction.SEND:
-            queue.append(agent)
+            queue.append((agent, kids))  # type: ignore[arg-type]
 
     if not tree.is_terminal(tree.root):
         # nobody gates the root: threshold 1 against zero disapprovals
         decide(tree.root, attrs[tree.root].type_set, 1, 0)
 
     while queue and failing is None:
-        sender = queue.popleft()
-        receivers = tree.children_of(sender)
+        sender, receivers = queue.popleft()
         profs = [attrs[agent] for agent in receivers]  # one lookup per reached agent
         eq = room_equilibrium(
             (
@@ -869,23 +881,18 @@ def _valid_blocks(g: SocialGraph) -> BlockDecomposition:
     return blocks
 
 
-def _rooted(blocks: BlockDecomposition, root: Agent) -> OrderedTree:
-    # a full breadth-first walk of the view, the list growing while it is walked
-    view = RootedView(blocks, root)
-    children: dict[Agent, tuple[Agent, ...]] = {}
-    order = [root]
-    for agent in order:
-        children[agent] = kids = view.children_of(agent)
-        order.extend(kids)
-    return OrderedTree(root=root, children=children, parent=view._parent, agents=tuple(order))
-
-
 def root_tree(g: SocialGraph, root: Agent) -> OrderedTree:
     """Orient a valid acquaintance graph away from ``root``: the whole
     :class:`RootedView`, walked breadth-first."""
     if root not in g.adjacency:
         raise InvalidGraph(f"unknown root {root!r}")
-    return _rooted(_valid_blocks(g), root)
+    view = RootedView(_valid_blocks(g), root)
+    children: dict[Agent, tuple[Agent, ...]] = {}
+    order = [root]
+    for agent in order:  # the list grows while it is walked
+        children[agent] = kids = view.children_of(agent)
+        order.extend(kids)
+    return OrderedTree(root=root, children=children, parent=view._parent, agents=tuple(order))
 
 
 def undirected_closure(tree: OrderedTree) -> SocialGraph:
@@ -920,8 +927,8 @@ def reach_by_root(
     blocks = _valid_blocks(graph)
     if not blocks.agents:
         return {}
-    # the first bad agent is reported in the breadth-first order of the first root
-    truth = TreeProfiles(_rooted(blocks, blocks.agents[0]), attrs)
+    # checked in node order, so the first bad agent is the one validate names
+    truth = TreeProfiles(RootedView(blocks, blocks.agents[0]), attrs)  # type: ignore[arg-type]
     out: dict[Agent, CascadeResult] = {}
     for root in blocks.agents:
         view = RootedView(blocks, root)

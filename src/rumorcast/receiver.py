@@ -191,8 +191,9 @@ def peer_distance(p: SecondOrderBelief) -> PeerDistanceProfile:
     )
 
 
-def _check_theta(theta: float, tol: float) -> None:
-    if not (-tol <= theta <= 1.0 + tol):
+def _check_theta(theta: float) -> None:
+    # the range TypeSet accepts; a tolerance slackens utility ties, not credences
+    if not (-EPS <= theta <= 1.0 + EPS):
         raise DomainError(f"credence {theta!r} outside [0, 1]")
 
 
@@ -207,10 +208,9 @@ def utility(
     theta: float,
     d: PeerDistanceProfile,
     lam: float,
-    tol: float = EPS,
 ) -> float:
     """Receiver loss (negated) for one action."""
-    _check_theta(theta, tol)
+    _check_theta(theta)
     check_sensitivity(lam)
     return -(abs(float(action) - theta) + lam * d.get(action))
 
@@ -222,7 +222,7 @@ def best_actions(
     tol: float = EPS,
 ) -> frozenset[ReceiverAction]:
     """Utility-maximizing actions; ties within ``tol`` are all included."""
-    values = {a: utility(a, theta, d, lam, tol) for a in ACTIONS}
+    values = {a: utility(a, theta, d, lam) for a in ACTIONS}
     top = max(values.values())
     return frozenset(a for a, u in values.items() if u >= top - tol)
 
@@ -328,7 +328,7 @@ def min_lambda_for_action(
     finite sensitivity makes it optimal for every tie-breaking and the
     request is ``Infeasible``.
     """
-    _check_theta(theta, tol)
+    _check_theta(theta)
     m = d.get(target)
     lam = 0.0
     for other in ACTIONS:
@@ -370,7 +370,6 @@ def alt_utility(
     theta: float,
     peer_credences: Sequence[float],
     lam: float,
-    tol: float = EPS,
 ) -> float:
     """Variant loss that penalizes distance to each peer separately.
 
@@ -378,12 +377,12 @@ def alt_utility(
     Compared with :func:`utility` this punishes polarized audiences even
     when their mean is agreeable.
     """
-    _check_theta(theta, tol)
+    _check_theta(theta)
     check_sensitivity(lam)
     peers = list(peer_credences)
     if not peers:
         raise EmptyPeers("alt_utility needs at least one peer credence")
     for x in peers:
-        _check_theta(x, tol)
+        _check_theta(x)
     spread = sum(abs(float(action) - x) for x in peers) / len(peers)
     return -(abs(float(action) - theta) + lam * spread)

@@ -23,7 +23,7 @@ from itertools import chain, filterfalse, repeat
 from operator import itemgetter
 from typing import Any, Callable, Mapping, TypeVar
 
-from .belief import EPS, EvidenceRelation, require_credence, validate_evidence
+from .belief import EPS, EvidenceRelation, validate_evidence
 from .chatroom import TypeSet
 from .errors import ParseError, RumorcastError, SchemaError
 from .network import (
@@ -34,6 +34,8 @@ from .network import (
     SocialGraph,
     TreeProfiles,
     _check_profiles,
+    _check_tol,
+    _credence_errors,
     _truth_credences,
     dirac_truth_profiles,  # unused here; bench/tracer.py wraps this binding by name
     natural_sorted,
@@ -529,12 +531,15 @@ class Diagnostic:
     detail: str
 
 
-def scenario_diagnostics(document: str | bytes) -> list[Diagnostic]:
+def scenario_diagnostics(document: str | bytes, tol: float = EPS) -> list[Diagnostic]:
     """Everything wrong with a scenario document, empty when clean.
 
     Stages run independently where possible: a bad evidence relation does
-    not hide a malformed topology, and vice versa.
+    not hide a malformed topology, and vice versa.  ``tol`` narrows the
+    evidence band for the credences the send rule reads, as it does for
+    :func:`solve_global`.
     """
+    _check_tol(tol)
     out: list[Diagnostic] = []
     try:
         shape = _read_shape(document)
@@ -583,30 +588,9 @@ def scenario_diagnostics(document: str | bytes) -> list[Diagnostic]:
         except RumorcastError as exc:
             out.append(Diagnostic("belief-error", str(exc)))
     if evidence is not None:
-        out.extend(_credence_diagnostics(senders, shape.attrs, sender_belief, evidence))
-    return out
-
-
-def _credence_diagnostics(
-    senders: tuple[str, ...],
-    attrs: Mapping[str, AgentProfile],
-    sender_belief: Callable[[str], SecondOrderBelief | None],
-    mu: EvidenceRelation,
-) -> list[Diagnostic]:
-    """Off-band credences the send rule would evaluate: each sender's type
-    hull and her sender-belief coordinates."""
-    out: list[Diagnostic] = []
-    for agent in senders:
-        checked = [("types", x) for x in dict.fromkeys(attrs[agent].type_set.hull)]
-        belief = sender_belief(agent)
-        if belief is not None:
-            coords = dict.fromkeys(x for atom in belief.atoms for x in atom.profile)
-            checked += [("sender belief", x) for x in coords]
-        for where, x in checked:
-            try:
-                require_credence(x, mu)
-            except RumorcastError as exc:
-                out.append(Diagnostic("credence-error", f"agent {agent!r}: {where}: {exc}"))
+        for agent in senders:
+            errors = _credence_errors(agent, shape.attrs[agent].type_set, sender_belief(agent), evidence, tol)
+            out.extend(Diagnostic("credence-error", text) for text in errors)
     return out
 
 

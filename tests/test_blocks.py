@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from rumorcast import (
     TypeSet,
     reach_by_root,
     root_tree,
+    scenario_diagnostics,
     solve_global,
     undirected_closure,
     validate_graph,
@@ -397,14 +398,16 @@ def test_windmill_with_a_chord_is_validated_in_seconds(tmp_path, capsys):
     assert len(rows) == 7 and all(" witness (" in row for row in rows), rows
 
 
-def test_sweep_reports_the_first_bad_agent_breadth_first():
-    # from root 1 the breadth-first order is 1, 10, 2; natural order puts 2 first
+def test_sweep_reports_the_first_bad_agent_in_node_order():
+    # from root 1 the breadth-first order is 1, 10, 2; node order puts 2 first,
+    # and validate names the first bad agent in node order too
     g = SocialGraph.from_edges([("1", "10"), ("10", "2")])
     attrs = {a: AgentProfile(type_set=TypeSet.finite([0.3, 0.4]), lam=1.0) for a in ("10", "2")}
     attrs["1"] = AgentProfile(type_set=TypeSet.singleton(0.5), lam=1.0)
-    with pytest.raises(InvariantViolation, match="agent '10'"):
+    with pytest.raises(InvariantViolation, match="agent '2'"):
         reach_by_root(g, attrs, canonical_mu())
     del attrs["10"]
+    attrs["2"] = attrs["1"]
     with pytest.raises(InvariantViolation, match="no profile for agent '10'"):
         reach_by_root(g, attrs, canonical_mu())
 
@@ -415,6 +418,19 @@ def test_tolerance_checked_at_entry(tol):
         solve_global(canonical_tree(), canonical_profiles(), canonical_mu(), tol)
     with pytest.raises(RangeViolation, match="tol"):
         reach_by_root(undirected_closure(canonical_tree()), canonical_attrs(), canonical_mu(), tol)
+    with pytest.raises(RangeViolation, match="tol"):
+        scenario_diagnostics("{}", tol)
+
+
+def test_each_sender_is_asked_for_her_children_once(monkeypatch):
+    asked = []
+    children_of = RootedView.children_of
+    monkeypatch.setattr(
+        RootedView, "children_of", lambda view, agent: asked.append((view.root, agent)) or children_of(view, agent)
+    )
+    sweep = reach_by_root(undirected_closure(canonical_tree()), canonical_attrs(), canonical_mu())
+    assert sweep["1"].reach_count == 10
+    assert max(Counter(asked).values()) == 1
 
 
 def test_rooted_view_answers_only_for_listed_agents():

@@ -4,11 +4,13 @@ A scenario whose beliefs default to ``"none"`` states every belief it has
 as an override, and ``Scenario.profiles_for`` reads them through
 :class:`TreeProfiles` without known-type beliefs.  These tests check that
 mapping against the dict of one profile per agent that explicit beliefs
-were once attached as (``_ref_attach_beliefs``), and the belief check against
-the check that dict was once given (``_ref_check_profiles``).  Random small
-trees with list and interval types carry beliefs that are sometimes missing,
-misshapen, off their peers' type sets, of the wrong width for a sender, or
-off the evidence band.  For every draw:
+were once attached as (``_ref_attach_beliefs``), the belief check against
+the check that dict was once given (``_ref_check_profiles``), and the
+credence rows against the check ``validate`` once made on its own
+(``_ref_credence_diagnostics``).  Random small trees with list and interval
+types carry beliefs that are sometimes missing, misshapen, off their peers'
+type sets, of the wrong width for a sender, or off the evidence band.  For
+every draw:
 
 - ``dict(profiles_for(tree))`` equals the reference dict;
 - ``solve_global`` gives equal results on the mapping and on the dict, or
@@ -36,8 +38,8 @@ from rumorcast import (
     solve_chatroom,
     solve_global,
 )
+from rumorcast.belief import require_credence
 from rumorcast.chatroom import check_receiver_belief
-from rumorcast.scenario import _credence_diagnostics
 
 from test_fuzz import _small_explicit_scenario
 from test_truth_rooms import _game, _outcome
@@ -79,6 +81,24 @@ def _ref_check_profiles(tree, profiles) -> None:
         for agent, belief in sorted(room, key=lambda item: item[1] is not None):
             peers = [parent] + [sib for sib in tree.children_of(parent) if sib != agent]
             check_receiver_belief(agent, belief, [profiles[p].type_set for p in peers])
+
+
+def _ref_credence_diagnostics(senders, attrs, sender_belief, mu) -> list[Diagnostic]:
+    """Off-band credences the send rule would evaluate: each sender's type
+    hull and her sender-belief coordinates."""
+    out = []
+    for agent in senders:
+        checked = [("types", x) for x in dict.fromkeys(attrs[agent].type_set.hull)]
+        belief = sender_belief(agent)
+        if belief is not None:
+            coords = dict.fromkeys(x for atom in belief.atoms for x in atom.profile)
+            checked += [("sender belief", x) for x in coords]
+        for where, x in checked:
+            try:
+                require_credence(x, mu)
+            except RumorcastError as exc:
+                out.append(Diagnostic("credence-error", f"agent {agent!r}: {where}: {exc}"))
+    return out
 
 
 def _atom_profiles(belief: dict) -> list[list[float]]:
@@ -132,7 +152,7 @@ def _ref_diagnostics(scenario, tree, reference) -> list[Diagnostic]:
         out.append(Diagnostic("belief-error", str(exc)))
     overrides = scenario.belief_overrides
     stated = lambda agent: overrides[agent].sender if agent in overrides else None  # noqa: E731
-    return out + _credence_diagnostics(tree.non_terminals, scenario.attrs, stated, scenario.evidence)
+    return out + _ref_credence_diagnostics(tree.non_terminals, scenario.attrs, stated, scenario.evidence)
 
 
 def test_explicit_beliefs_match_the_dict_path():

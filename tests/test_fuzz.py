@@ -12,19 +12,24 @@ and strings come from the schema's own words.  For every mutant:
 - ``scenario_diagnostics`` returns a list and never raises;
 - ``parse_scenario`` raises a parse or schema error exactly when the
   diagnostics hold a ``parse-error`` or ``schema-error`` row, with its text;
-- ``validate``, ``solve`` and ``sweep-root`` exit 0, 1 or 2, never raise,
-  and write only what encodes as UTF-8 (a lone surrogate is among the
-  words), on these mutants and on three files that decode to no JSON value (not
-  UTF-8, nested too deeply, an integer of too many digits);
-- a tree scenario that ``validate`` finds clean solves: ``solve`` exits 0
-  (cascade resolved) or 2 (a reached room has no equilibrium), never 1;
+- ``validate``, ``solve``, ``sweep-lambda --agent all --lambdas 1`` and
+  ``sweep-root`` exit 0, 1 or 2, never raise, and write only what encodes
+  as UTF-8 (a lone surrogate is among the words), on these mutants and on
+  three files that decode to no JSON value (not UTF-8, nested too deeply,
+  an integer of too many digits);
+- a tree scenario that ``validate`` finds clean solves: ``solve`` and
+  ``sweep-lambda`` exit 0 (cascade resolved) or 2 (a reached room has no
+  equilibrium), never 1;
+- conversely, every exit 1 of ``solve`` or ``sweep-lambda`` on a tree
+  scenario prints one of ``validate``'s rows;
 - a graph scenario with plain ``"dirac-truth"`` beliefs that ``validate``
   finds clean is rooted and solved: ``sweep-root`` and ``solve --root`` at
-  its first agent both exit 0 (a room of singleton types always has an
+  every agent exit 0 (a room of singleton types always has an
   equilibrium);
-- every exit 2 of ``solve`` on a tree scenario is confirmed by
-  ``oracle_chatroom_profiles``: enumeration finds no equilibrium profile in
-  the failing room either (rooms too large to enumerate are skipped);
+- every exit 2 of ``solve`` on a tree scenario at the default tolerance is
+  confirmed by ``oracle_chatroom_profiles``: enumeration finds no
+  equilibrium profile in the failing room either (rooms too large to
+  enumerate are skipped);
 - a ``three_cliques`` mutant, its edges also dropped, added and moved and
   its credences widened into type sets, that loads as a graph with an agent
   passes the command checks above and is rooted only when it is valid: its
@@ -32,8 +37,13 @@ and strings come from the schema's own words.  For every mutant:
   agent refuses it, with that row's witness, and then ``solve --root``
   exits 1.
 
+Every command runs, and every check holds, at each ``--tolerance`` in
+``TOLERANCES``.  Three pinned files hold the same checks: the canonical cascade at
+``--tolerance 0.2``, a path graph whose breadth-first and node orders meet
+its bad agents differently, and a leaf credence just past 1.
+
 Small random trees with explicit beliefs and spread type sets, where rooms
-without an equilibrium are common, feed the last check as well.
+without an equilibrium are common, feed the oracle check as well.
 
 The hypothesis example only seeds the walk (``randoms``), so a failure is
 reported with the mutant's text (``note``) rather than shrunk.
@@ -42,6 +52,7 @@ reported with the mutant's text (``note``) rather than shrunk.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -55,6 +66,7 @@ from hypothesis import strategies as st
 
 from helpers import UNREADABLE_DOCUMENTS
 from rumorcast import load_scenario, normalize_scenario, parse_scenario, scenario_diagnostics
+from rumorcast import cli
 from rumorcast.chatroom import ChatroomGame, ReceiverSpec
 from rumorcast.cli import main
 from rumorcast.errors import InstanceTooLarge, InvalidGraph, ParseError, RumorcastError, SchemaError
@@ -192,13 +204,18 @@ def test_diagnostics_never_raise(data):
             assert boundary == _entry_errors(document)
 
 
-def _run(*argv: str) -> int:
+def _output(*argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     # a StringIO takes any str; a real stdout takes only what encodes
     (out.getvalue() + err.getvalue()).encode("utf-8")
-    return code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run(*argv: str) -> int:
+    return _output(*argv)[0]
 
 
 @pytest.fixture(scope="module")
@@ -206,23 +223,53 @@ def workdir(tmp_path_factory) -> Path:
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _check_commands(path: Path, doc: Any, rooted: bool) -> None:
-    codes = {cmd: _run(cmd, str(path)) for cmd in ("validate", "solve", "sweep-root")}
-    if rooted:
-        codes["solve --root 1"] = _run("solve", str(path), "--root", "1")
-    assert set(codes.values()) <= {0, 1, 2}, codes
+@pytest.fixture(scope="module", autouse=True)
+def _one_parser():
+    """``main`` builds its argument parser on every call, most of the time a
+    command takes on these small files; here one parser serves every call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+        yield
 
+
+def _rows(*argv: str) -> tuple[int, list[dict]]:
+    """``validate``'s exit code and rows."""
+    code, out, _ = _output("validate", *argv, "--format", "json-lines")
+    return code, [json.loads(line) for line in out.splitlines()]
+
+
+# --tolerance values: none, the default, and two that narrow the band more
+TOLERANCES = ("0", "1e-09", "0.001", "0.2")
+_SOLVERS = {"solve": (), "sweep-lambda": ("--agent", "all", "--lambdas", "1"), "sweep-root": ()}
+
+
+def _check_commands(path: Path, doc: Any, rooted: bool) -> None:
     topology = doc.get("topology") if isinstance(doc, dict) else None
-    if codes["validate"] == 0 and isinstance(topology, dict) and topology.get("kind") == "tree":
-        assert codes["solve"] in (0, 2), codes
-    if codes["validate"] == 0 and isinstance(topology, dict) and topology.get("kind") == "graph" \
-            and doc.get("beliefs") in (None, DIRAC_TRUTH):
-        assert codes["sweep-root"] == 0, codes
-        graph = load_scenario(str(path)).graph()
-        if graph.nodes:
-            assert _run("solve", str(path), "--root", graph.nodes[0]) == 0, codes
-    if codes["solve"] == 2:
-        _confirm_no_equilibrium(path)
+    kind = topology.get("kind") if isinstance(topology, dict) else None
+    for tol in TOLERANCES:
+        flag = ("--tolerance", tol)
+        code, rows = _rows(str(path), *flag)
+        codes, errors = {"validate": code}, {}
+        for cmd, extra in _SOLVERS.items():
+            codes[cmd], _, errors[cmd] = _output(cmd, str(path), *extra, *flag)
+        if rooted:
+            codes["solve --root 1"] = _run("solve", str(path), "--root", "1", *flag)
+        assert set(codes.values()) <= {0, 1, 2}, (tol, codes)
+
+        if kind == "tree":
+            if codes["validate"] == 0:
+                assert codes["solve"] in (0, 2) and codes["sweep-lambda"] in (0, 2), (tol, codes)
+            # every refusal is one of validate's rows at the same tolerance
+            printed = {f"error: {row['detail']}\n" for row in rows}
+            for cmd in ("solve", "sweep-lambda"):
+                assert codes[cmd] != 1 or errors[cmd] in printed, (tol, cmd, errors[cmd], printed)
+        if codes["validate"] == 0 and kind == "graph" and doc.get("beliefs") in (None, DIRAC_TRUTH):
+            # a room of singleton types always has an equilibrium
+            assert codes["sweep-root"] == 0, (tol, codes)
+            for agent in load_scenario(str(path)).graph().nodes:
+                assert _run("solve", str(path), "--root", agent, *flag) == 0, (tol, agent, codes)
+        if codes["solve"] == 2 and tol == "1e-09":  # the oracle's tolerance
+            _confirm_no_equilibrium(path)
 
 
 @settings(_FUZZ, max_examples=200)
@@ -243,6 +290,57 @@ def test_unreadable_files_exit_cleanly(workdir, name):
     [diagnostic] = scenario_diagnostics(document)
     assert [(diagnostic.kind, diagnostic.detail)] == _entry_errors(document)
     assert diagnostic.kind == "parse-error"
+
+
+def _pinned(tmp_path: Path, doc: Any) -> Path:
+    """``doc`` written to a file that passes the command checks."""
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _check_commands(path, doc, rooted=False)
+    return path
+
+
+def test_wide_tolerance_narrows_the_band_for_validate_too(tmp_path):
+    path = _pinned(tmp_path, json.loads(_SHIPPED["canonical_cascade.json"]))
+    message = (
+        "agent '1': sender belief: credence 0.26 outside the open interval (0.1, 0.9) "
+        "narrowed by the tolerance 0.2 at each end"
+    )
+    code, rows = _rows(str(path), "--tolerance", "0.2")
+    assert code == 1 and rows[0] == {"kind": "credence-error", "detail": message}
+    for cmd in ("solve", "sweep-root"):
+        assert _output(cmd, str(path), "--tolerance", "0.2") == (1, "", f"error: {message}\n")
+
+
+def test_sweep_root_names_the_agent_validate_names(tmp_path):
+    # the path 1 - 5 - 2: breadth first from 1 meets 5 first, node order 2
+    doc = {
+        "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+        "topology": {"kind": "graph", "edges": [["1", "5"], ["5", "2"]]},
+        "agents": {a: {"types": [0.3, 0.4] if a != "1" else 0.5, "lambda": 1.0} for a in ("1", "2", "5")},
+        "beliefs": DIRAC_TRUTH,
+    }
+    path = _pinned(tmp_path, doc)
+    message = "agent '2': known-type beliefs need singleton type sets"
+    assert _rows(str(path)) == (1, [{"kind": "belief-error", "detail": message}])
+    assert _output("sweep-root", str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_receiver_credence_range_ignores_the_tolerance(tmp_path):
+    # a leaf credence past 1 by less than the range slack that type sets accept
+    doc = {
+        "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+        "topology": {"kind": "tree", "root": "1", "edges": [["1", "2"]]},
+        "agents": {"1": {"types": 0.8, "lambda": 1.0}, "2": {"types": 1.0000000005, "lambda": 1.0}},
+        "beliefs": {
+            "default": "none",
+            "agents": {"1": {"sender": {"dirac": [0.5]}}, "2": {"receiver": {"dirac": [0.8]}}},
+        },
+    }
+    path = _pinned(tmp_path, doc)
+    for tol in TOLERANCES[:-1]:  # at 0.2 the band (0.3, 0.7) leaves out the sender's 0.8
+        assert _rows(str(path), "--tolerance", tol)[0] == 0
+        assert _run("solve", str(path), "--tolerance", tol) == 0, tol
 
 
 _STRUCTURE = ("self-loop", "disconnected", "open-circle", "overlapping-circles")
