@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -216,7 +217,11 @@ def _scenario_tree(scenario: Scenario, root: str | None) -> OrderedTree:
         return scenario.tree()
     if root is None:
         raise RumorcastError("graph scenarios need --root to pick the initial sender")
-    return root_tree(scenario.graph(), root)
+    tree = root_tree(scenario.graph(), root)
+    # every rooting reads every agent's credence: known types are checked with
+    # the agents listed in node order, whatever the root, as validate checks them
+    scenario.profiles_for(dataclasses.replace(tree, agents=scenario.agent_ids))
+    return tree
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -352,6 +357,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache  # built on the first call, once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rumorcast",
@@ -401,10 +407,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except RumorcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RumorcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

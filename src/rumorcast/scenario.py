@@ -30,16 +30,17 @@ from .network import (
     AgentProfile,
     AgentTable,
     BeliefOverride,
+    BlockDecomposition,
     OrderedTree,
+    RootedView,
     SocialGraph,
     TreeProfiles,
     _check_profiles,
     _check_tol,
     _credence_errors,
-    _truth_credences,
+    _graph_violations,
     dirac_truth_profiles,  # unused here; bench/tracer.py wraps this binding by name
     natural_sorted,
-    validate_graph,
 )
 from .receiver import SecondOrderBelief
 
@@ -554,42 +555,36 @@ def scenario_diagnostics(document: str | bytes, tol: float = EPS) -> list[Diagno
     except RumorcastError as exc:
         out.append(Diagnostic("evidence-error", str(exc)))
 
-    # the send rule's inputs, for the credence check: who may send, with what belief
-    overrides = shape.belief_overrides
-    senders: tuple[str, ...] = ()
-    sender_belief: Callable[[str], SecondOrderBelief | None] = (
-        lambda agent: overrides[agent].sender if agent in overrides else None
-    )
-    tree: OrderedTree | None = None
+    # the send rule's inputs, for the credence check: every room some rooting
+    # opens, as a sender with her audience, and one belief mapping to read them
     if shape.topology.kind == "tree":
         try:
             assert shape.topology.root is not None
-            tree = OrderedTree.from_edges(shape.topology.root, shape.topology.edges)
+            view = tree = OrderedTree.from_edges(shape.topology.root, shape.topology.edges)
         except RumorcastError as exc:
-            out.append(Diagnostic("topology-error", str(exc)))
+            return out + [Diagnostic("topology-error", str(exc))]
+        rooms = ((agent, tree.children_of(agent)) for agent in tree.non_terminals)
     else:
         graph = SocialGraph.from_edges(shape.topology.edges, nodes=shape.attrs)
-        for violation in validate_graph(graph).violations:
-            out.append(Diagnostic(violation.kind, f"witness {violation.witness!r}"))
-        if shape.belief_default == DIRAC_TRUTH:
-            try:
-                _truth_credences(shape.attrs, graph.nodes)
-            except RumorcastError as exc:
-                out.append(Diagnostic("belief-error", str(exc)))
-        # under the rooting at her, every agent with a neighbour sends
-        senders = tuple(a for a in graph.nodes if graph.neighbors(a))
+        blocks = BlockDecomposition(graph)
+        if not blocks.valid:
+            out.extend(Diagnostic(v.kind, f"witness {v.witness!r}") for v in _graph_violations(graph, blocks))
+        # some rooting makes each of an agent's acquaintances her child
+        rooms = ((agent, graph.neighbors(agent)) for agent in graph.nodes if graph.neighbors(agent))
+        view = RootedView(blocks, graph.nodes[0])  # type: ignore[assignment]  # agents in node order
 
-    if tree is not None:
-        senders = tree.non_terminals
-        try:
-            profiles = TreeProfiles(tree, shape.attrs, overrides, truth=shape.belief_default == DIRAC_TRUTH)
-            sender_belief = profiles.sender_belief
+    # a failed known-type check leaves the explicit beliefs to read
+    profiles = TreeProfiles(view, shape.attrs, shape.belief_overrides, truth=False)
+    try:
+        profiles = TreeProfiles(view, shape.attrs, shape.belief_overrides, truth=shape.belief_default == DIRAC_TRUTH)
+        if shape.topology.kind == "tree":  # a graph's explicit beliefs fit only the rooting chosen
             _check_profiles(profiles)
-        except RumorcastError as exc:
-            out.append(Diagnostic("belief-error", str(exc)))
+    except RumorcastError as exc:
+        out.append(Diagnostic("belief-error", str(exc)))
     if evidence is not None:
-        for agent in senders:
-            errors = _credence_errors(agent, shape.attrs[agent].type_set, sender_belief(agent), evidence, tol)
+        for agent, kids in rooms:
+            belief = profiles._sender_belief(agent, kids)
+            errors = _credence_errors(agent, shape.attrs[agent].type_set, belief, evidence, tol)
             out.extend(Diagnostic("credence-error", text) for text in errors)
     return out
 

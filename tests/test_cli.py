@@ -548,24 +548,27 @@ class TestValidate:
 
 
     def test_off_band_credence_in_graph(self, capsys, tmp_path):
-        # under the rooting at agent 1, she sends and her credence is evaluated
+        # under the rooting at agent 1, she sends and her credence is evaluated;
+        # under a rooting that makes her a child of her acquaintance 2, agent
+        # 2's known-type sender belief reads it
         obj = json.loads(Path(CLIQUES).read_text(encoding="utf-8"))
         obj["agents"]["1"]["types"] = 0.97
         path = write(tmp_path, obj)
         code, out = run(capsys, "validate", path, "--format", "json-lines")
         assert code == 1
-        assert jl(out) == [
-            {
-                "kind": "credence-error",
-                "detail": "agent '1': types: credence 0.97 outside the open interval (0.1, 0.9)",
-            }
+        band = "credence 0.97 outside the open interval (0.1, 0.9)"
+        rows = [
+            {"kind": "credence-error", "detail": f"agent '1': types: {band}"},
+            {"kind": "credence-error", "detail": f"agent '2': sender belief: {band}"},
         ]
-        code, _ = run(capsys, "sweep-root", path)
-        assert code == 1
+        assert jl(out) == rows
+        assert main(["sweep-root", path]) == 1
+        assert capsys.readouterr().err in {f"error: {row['detail']}\n" for row in rows}
 
     def test_spread_types_in_a_dirac_truth_graph(self, capsys, tmp_path):
         # every rooting refuses known-type beliefs over a spread type set, so
-        # validate does too, naming the first such agent in node order
+        # validate does too, naming the first such agent in node order, and
+        # every rooting command names her, whatever the root
         obj = json.loads(Path(CLIQUES).read_text(encoding="utf-8"))
         obj["agents"]["3"]["types"] = [0.3, 0.4]
         obj["agents"]["1"]["types"] = {"interval": [0.3, 0.4]}
@@ -573,9 +576,11 @@ class TestValidate:
         message = "agent '1': known-type beliefs need singleton type sets"
         code, out = run(capsys, "validate", path, "--format", "json-lines")
         assert (code, jl(out)) == (1, [{"kind": "belief-error", "detail": message}])
-        for argv in (["solve", path, "--root", "1"], ["sweep-root", path]):
+        rooted = [["solve", path, "--root", a] for a in ("1", "2", "3", "4", "5")]
+        swept = ["sweep-lambda", path, "--root", "3", "--agent", "all", "--lambdas", "1"]
+        for argv in [*rooted, swept, ["sweep-root", path]]:
             assert main(argv) == 1
-            assert capsys.readouterr().err == f"error: {message}\n"
+            assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
     @pytest.mark.parametrize("again", [["1", "01"], ["01", "1"]])

@@ -26,6 +26,12 @@ and strings come from the schema's own words.  For every mutant:
   finds clean is rooted and solved: ``sweep-root`` and ``solve --root`` at
   every agent exit 0 (a room of singleton types always has an
   equilibrium);
+- conversely, every exit 1 of ``sweep-root`` or of ``solve --root`` at any
+  agent on such a graph prints one of ``validate``'s rows (a structure row
+  as ``graph cannot generate a tree: <kind> <witness>``).  Graph files with
+  explicit beliefs, and ``sweep-root`` on tree files, are left out: an
+  explicit sender belief fits one rooting only, and in a tree's clique
+  closure any room-mate can be the sender;
 - every exit 2 of ``solve`` on a tree scenario at the default tolerance is
   confirmed by ``oracle_chatroom_profiles``: enumeration finds no
   equilibrium profile in the failing room either (rooms too large to
@@ -38,9 +44,10 @@ and strings come from the schema's own words.  For every mutant:
   exits 1.
 
 Every command runs, and every check holds, at each ``--tolerance`` in
-``TOLERANCES``.  Three pinned files hold the same checks: the canonical cascade at
-``--tolerance 0.2``, a path graph whose breadth-first and node orders meet
-its bad agents differently, and a leaf credence just past 1.
+``TOLERANCES``.  Five pinned files hold the same checks: the canonical cascade at
+``--tolerance 0.2``, a path graph and a ``three_cliques`` copy whose
+breadth-first and node orders meet their bad agents differently, a
+``three_cliques`` copy with an off-band leaf, and a leaf credence just past 1.
 
 Small random trees with explicit beliefs and spread type sets, where rooms
 without an equilibrium are common, feed the oracle check as well.
@@ -52,7 +59,6 @@ reported with the mutant's text (``note``) rather than shrunk.
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import json
 import math
@@ -66,7 +72,6 @@ from hypothesis import strategies as st
 
 from helpers import UNREADABLE_DOCUMENTS
 from rumorcast import load_scenario, normalize_scenario, parse_scenario, scenario_diagnostics
-from rumorcast import cli
 from rumorcast.chatroom import ChatroomGame, ReceiverSpec
 from rumorcast.cli import main
 from rumorcast.errors import InstanceTooLarge, InvalidGraph, ParseError, RumorcastError, SchemaError
@@ -223,15 +228,6 @@ def workdir(tmp_path_factory) -> Path:
     return tmp_path_factory.mktemp("fuzz")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _one_parser():
-    """``main`` builds its argument parser on every call, most of the time a
-    command takes on these small files; here one parser serves every call."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
-        yield
-
-
 def _rows(*argv: str) -> tuple[int, list[dict]]:
     """``validate``'s exit code and rows."""
     code, out, _ = _output("validate", *argv, "--format", "json-lines")
@@ -243,9 +239,13 @@ TOLERANCES = ("0", "1e-09", "0.001", "0.2")
 _SOLVERS = {"solve": (), "sweep-lambda": ("--agent", "all", "--lambdas", "1"), "sweep-root": ()}
 
 
-def _check_commands(path: Path, doc: Any, rooted: bool) -> None:
+def _check_commands(path: Path, doc: Any, rooted: bool) -> int:
+    """Run every check on ``path``; the number of refusals (exit 1) that the
+    converse compared with ``validate``'s rows."""
+    compared = 0
     topology = doc.get("topology") if isinstance(doc, dict) else None
     kind = topology.get("kind") if isinstance(topology, dict) else None
+    truth_graph = kind == "graph" and doc.get("beliefs") in (None, DIRAC_TRUTH)
     for tol in TOLERANCES:
         flag = ("--tolerance", tol)
         code, rows = _rows(str(path), *flag)
@@ -254,22 +254,40 @@ def _check_commands(path: Path, doc: Any, rooted: bool) -> None:
             codes[cmd], _, errors[cmd] = _output(cmd, str(path), *extra, *flag)
         if rooted:
             codes["solve --root 1"] = _run("solve", str(path), "--root", "1", *flag)
+        checked = ["solve", "sweep-lambda"] if kind == "tree" else ["sweep-root"] if truth_graph else []
+        for agent in _graph_agents(path) if truth_graph else ():
+            cmd = f"solve --root {agent}"
+            codes[cmd], _, errors[cmd] = _output("solve", str(path), "--root", agent, *flag)
+            checked.append(cmd)
         assert set(codes.values()) <= {0, 1, 2}, (tol, codes)
 
-        if kind == "tree":
-            if codes["validate"] == 0:
-                assert codes["solve"] in (0, 2) and codes["sweep-lambda"] in (0, 2), (tol, codes)
-            # every refusal is one of validate's rows at the same tolerance
-            printed = {f"error: {row['detail']}\n" for row in rows}
-            for cmd in ("solve", "sweep-lambda"):
-                assert codes[cmd] != 1 or errors[cmd] in printed, (tol, cmd, errors[cmd], printed)
-        if codes["validate"] == 0 and kind == "graph" and doc.get("beliefs") in (None, DIRAC_TRUTH):
+        if codes["validate"] == 0:
+            # a clean tree solves; so does a clean graph from every root, for
             # a room of singleton types always has an equilibrium
-            assert codes["sweep-root"] == 0, (tol, codes)
-            for agent in load_scenario(str(path)).graph().nodes:
-                assert _run("solve", str(path), "--root", agent, *flag) == 0, (tol, agent, codes)
+            assert all(codes[cmd] in ((0, 2) if kind == "tree" else (0,)) for cmd in checked), (tol, codes)
+        # every refusal is one of validate's rows at the same tolerance
+        printed = {f"error: {_refusal(row)}\n" for row in rows}
+        for cmd in checked:
+            assert codes[cmd] != 1 or errors[cmd] in printed, (tol, cmd, errors[cmd], printed)
+            compared += codes[cmd] == 1
         if codes["solve"] == 2 and tol == "1e-09":  # the oracle's tolerance
             _confirm_no_equilibrium(path)
+    return compared
+
+
+def _refusal(row: dict) -> str:
+    """What a command that stops on ``validate``'s ``row`` prints after ``error: ``."""
+    if row["kind"] in _STRUCTURE:
+        return f"graph cannot generate a tree: {row['kind']} {row['detail']}"
+    return row["detail"]
+
+
+def _graph_agents(path: Path) -> tuple[str, ...]:
+    """Every agent of the graph in ``path``, or "1" when it does not load."""
+    try:
+        return load_scenario(str(path)).graph().nodes
+    except RumorcastError:
+        return ("1",)
 
 
 @settings(_FUZZ, max_examples=200)
@@ -324,6 +342,32 @@ def test_sweep_root_names_the_agent_validate_names(tmp_path):
     message = "agent '2': known-type beliefs need singleton type sets"
     assert _rows(str(path)) == (1, [{"kind": "belief-error", "detail": message}])
     assert _output("sweep-root", str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_every_root_names_the_agent_validate_names(tmp_path):
+    # breadth first from 3, 4 or 5 meets the spread agent 3 before 1; node order meets 1
+    doc = json.loads(_SHIPPED["three_cliques.json"])
+    for agent in ("1", "3"):
+        doc["agents"][agent]["types"] = [0.3, 0.4]
+    path = _pinned(tmp_path, doc)
+    message = "agent '1': known-type beliefs need singleton type sets"
+    assert _rows(str(path)) == (1, [{"kind": "belief-error", "detail": message}])
+    for root in ("1", "2", "3", "4", "5"):
+        assert _output("solve", str(path), "--root", root) == (1, "", f"error: {message}\n"), root
+
+
+def test_validate_lists_the_sender_beliefs_that_read_a_leaf(tmp_path):
+    # agent 5's only acquaintance is 4, so every rooting but hers makes her a child
+    # of 4; the cascades from 2 and 4 reach 4's send decision
+    doc = json.loads(_SHIPPED["three_cliques.json"])
+    doc["agents"]["5"]["types"] = 0.97
+    path = _pinned(tmp_path, doc)
+    band = "credence 0.97 outside the open interval (0.1, 0.9)"
+    message = f"agent '4': sender belief: {band}"
+    rows = [{"kind": "credence-error", "detail": text} for text in (message, f"agent '5': types: {band}")]
+    assert _rows(str(path)) == (1, rows)
+    for argv in (["sweep-root"], ["solve", "--root", "2"], ["solve", "--root", "4"]):
+        assert _output(argv[0], str(path), *argv[1:]) == (1, "", f"error: {message}\n"), argv
 
 
 def test_receiver_credence_range_ignores_the_tolerance(tmp_path):
@@ -383,7 +427,7 @@ def test_graph_files_are_rooted_only_when_valid(tmp_path):
     rnd = random.Random(20261019)
     bases = [text for name, text in BASES if name == "three_cliques.json"]
     path = tmp_path / "graph.json"
-    rooted, refused = 0, []
+    rooted, refused, truthful, compared = 0, [], 0, 0
     for _ in range(500):
         doc = json.loads(rnd.choice(bases))
         for _ in range(3):
@@ -397,7 +441,8 @@ def test_graph_files_are_rooted_only_when_valid(tmp_path):
                 continue
             if scenario.topology.kind != "graph" or not scenario.attrs:
                 continue
-            _check_commands(path, doc, rooted=False)
+            compared += _check_commands(path, doc, rooted=False)
+            truthful += doc.get("beliefs") in (None, DIRAC_TRUTH)
             structure = [d for d in scenario_diagnostics(text) if d.kind in _STRUCTURE]
             graph = scenario.graph()
             try:
@@ -411,7 +456,9 @@ def test_graph_files_are_rooted_only_when_valid(tmp_path):
                 assert not structure, text
                 rooted += 1
     print(f"{rooted} graph mutants rooted, {len(refused)} refused: {sorted(set(refused))}")
+    print(f"{truthful} with dirac-truth beliefs; {compared} refusals matched to validate rows")
     assert rooted >= 100 and len(refused) >= 100 and set(refused) == set(_STRUCTURE)
+    assert truthful >= 500 and compared >= 5000
 
 
 def _confirm_no_equilibrium(path: Path) -> bool:
