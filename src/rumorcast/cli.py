@@ -21,10 +21,12 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .belief import EPS
-from .errors import RumorcastError
+from .errors import DomainError, RumorcastError
 from .network import (
     CascadeResult,
     OrderedTree,
+    chatrooms_of,
+    credence_errors,
     natural_sorted,
     reach_by_root,
     root_tree,
@@ -56,18 +58,6 @@ def _send_word(action: SenderAction | None) -> str | None:
     if action is None:
         return None
     return "send" if action is SenderAction.SEND else "no-send"
-
-
-_LITERALS = {None: "null", True: "true", False: "false"}
-
-
-def _json_value(value: Any) -> str:
-    """``value`` as ``json.dumps(value, sort_keys=True)`` writes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return _LITERALS[value]
-    return json.dumps(value, sort_keys=True)
 
 
 def _table_cell(value: Any) -> str:
@@ -102,8 +92,9 @@ def _column(
 
 
 # A report is a list of blocks.  A block maps each of its keys (at least one) to
-# a column, one value per row, all columns of one length; its rows have exactly
-# those keys.  Table and csv reports show a key a block lacks as None.
+# a column, one scalar (str, int, float, bool or None) per row, all columns of
+# one length; its rows have exactly those keys.  Table and csv reports show a
+# key a block lacks as None.
 
 
 def _length(block: Mapping[str, list[Any]]) -> int:
@@ -118,7 +109,7 @@ def _json_lines(blocks: list[Mapping[str, list[Any]]]) -> str:
         cells: list[Iterable[str]] = [repeat("{", _length(block))]
         for k, name in enumerate(sorted(block)):
             cells.append(repeat((", " if k else "") + encode_basestring_ascii(name) + ": "))
-            cells.append(_column(block[name], _json_value, encode_basestring_ascii))
+            cells.append(_column(block[name], json.dumps, encode_basestring_ascii))
         cells.append(repeat("}\n"))
         pieces.append(chain.from_iterable(zip(*cells)))
     return "".join(chain.from_iterable(pieces))
@@ -217,11 +208,7 @@ def _scenario_tree(scenario: Scenario, root: str | None) -> OrderedTree:
         return scenario.tree()
     if root is None:
         raise RumorcastError("graph scenarios need --root to pick the initial sender")
-    tree = root_tree(scenario.graph(), root)
-    # every rooting reads every agent's credence: known types are checked with
-    # the agents listed in node order, whatever the root, as validate checks them
-    scenario.profiles_for(dataclasses.replace(tree, agents=scenario.agent_ids))
-    return tree
+    return root_tree(scenario.graph(), root)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -296,7 +283,13 @@ def cmd_sweep_root(args: argparse.Namespace) -> int:
             "sweep-root needs dirac-truth beliefs: explicit atoms cannot follow the re-rooting"
         )
     if scenario.topology.kind == "tree":
-        graph = undirected_closure(scenario.tree())
+        tree = scenario.tree()
+        # any room-mate sends in some rooting, so the sweep reads every credence
+        # and stops on the first off-band one that validate lists
+        profiles = scenario.profiles_for(tree)
+        for text in credence_errors(profiles, chatrooms_of(tree), scenario.evidence, args.tolerance):
+            raise DomainError(text)
+        graph = undirected_closure(tree)
     else:
         graph = scenario.graph()
     sweep = reach_by_root(graph, scenario.attrs, scenario.evidence, args.tolerance)

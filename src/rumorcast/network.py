@@ -294,17 +294,20 @@ class AgentTable(Mapping[Agent, AgentProfile]):
 
 def _truth_credences(table: AgentTable, agents: Sequence[Agent]) -> dict[Agent, float]:
     """The credence of each of ``agents``, as known-type beliefs read them.
-    Raises for the first of them, in order, without a profile or without a
-    single type."""
+    Raises for the first of them without a profile or without a single
+    type, in natural id order with ties in the table's row order, so every
+    rooting of one file names the same agent."""
     theta = table.theta
     # the column serves as it is when it holds exactly these agents
     if len(theta) == len(agents) and all(map(theta.__contains__, agents)):
         return theta
-    for agent in agents:
-        if agent not in theta:
-            if agent in table:
-                raise InvariantViolation(f"agent {agent!r}: known-type beliefs need singleton type sets")
-            raise InvariantViolation(f"no profile for agent {agent!r}")
+    bad = [agent for agent in agents if agent not in theta]
+    if bad:
+        row = table._index
+        agent = min(bad, key=lambda a: (natural_key(a), row.get(a, len(row))))
+        if agent in table:
+            raise InvariantViolation(f"agent {agent!r}: known-type beliefs need singleton type sets")
+        raise InvariantViolation(f"no profile for agent {agent!r}")
     return {agent: theta[agent] for agent in agents}
 
 
@@ -476,25 +479,25 @@ def _check_profiles(profiles: TreeProfiles) -> None:
             check_receiver_belief(agent, belief, [attrs[p].type_set for p in peers])
 
 
-def _credence_errors(
-    agent: Agent,
-    type_set: TypeSet,
-    sender_belief: SecondOrderBelief | None,
-    mu: EvidenceRelation,
-    tol: float,
+def credence_errors(
+    profiles: TreeProfiles, rooms: Iterable[Chatroom], mu: EvidenceRelation, tol: float
 ) -> Iterator[str]:
-    """The text of every distinct off-band credence in ``agent``'s send
-    decision, in the order :func:`decide_send` reads them: her type hull,
-    then her sender-belief coordinates in atom order."""
-    checked = [("types", x) for x in dict.fromkeys(type_set.hull)]
-    if sender_belief is not None:
-        coords = dict.fromkeys(chain.from_iterable(atom.profile for atom in sender_belief.atoms))
-        checked += [("sender belief", x) for x in coords]
-    for where, x in checked:
-        try:
-            require_credence(x, mu, tol)
-        except DomainError as exc:
-            yield f"agent {agent!r}: {where}: {exc}"
+    """The text of every distinct off-band credence in the send decisions
+    of ``rooms``, room by room, each in the order :func:`decide_send` reads
+    them: the sender's type hull, then her sender-belief coordinates (from
+    ``profiles``) in atom order."""
+    for room in rooms:
+        sender = room.sender
+        checked = [("types", x) for x in dict.fromkeys(profiles.attrs[sender].type_set.hull)]
+        belief = profiles._sender_belief(sender, room.receivers)
+        if belief is not None:
+            coords = dict.fromkeys(chain.from_iterable(atom.profile for atom in belief.atoms))
+            checked += [("sender belief", x) for x in coords]
+        for where, x in checked:
+            try:
+                require_credence(x, mu, tol)
+            except DomainError as exc:
+                yield f"agent {sender!r}: {where}: {exc}"
 
 
 def solve_global(
@@ -555,7 +558,8 @@ def solve_global(
         try:
             decision = decide_send(type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
         except DomainError as exc:
-            raise DomainError(next(_credence_errors(agent, type_set, belief, mu, tol))) from exc
+            room = Chatroom(agent, kids)  # type: ignore[arg-type]  # only an open gate reads credences
+            raise DomainError(next(credence_errors(profiles, [room], mu, tol))) from exc
         sender_actions[agent] = decision
         if decision is SenderAction.SEND:
             queue.append((agent, kids))  # type: ignore[arg-type]
@@ -829,8 +833,11 @@ class BlockDecomposition:
     def children(self, agent: Agent, entry: int) -> tuple[Agent, ...]:
         """``agent``'s children when she is entered through block ``entry``;
         -1 for the root."""
+        # no block but the one she was entered through.  The bench's sweeps do
+        # not gain by this, but root_tree walks every agent: without it each of
+        # the k receivers in a star's clique closure would scan k acquaintances
         if self.block_count[agent] == (entry != -1):
-            return ()  # no block but the one she was entered through
+            return ()
         block_of = self.block_of[agent]
         return tuple(u for u in self._adjacency[agent] if block_of[u] != entry)
 
@@ -927,7 +934,6 @@ def reach_by_root(
     blocks = _valid_blocks(graph)
     if not blocks.agents:
         return {}
-    # checked in node order, so the first bad agent is the one validate names
     truth = TreeProfiles(RootedView(blocks, blocks.agents[0]), attrs)  # type: ignore[arg-type]
     out: dict[Agent, CascadeResult] = {}
     for root in blocks.agents:

@@ -31,14 +31,16 @@ from .network import (
     AgentTable,
     BeliefOverride,
     BlockDecomposition,
+    Chatroom,
     OrderedTree,
     RootedView,
     SocialGraph,
     TreeProfiles,
     _check_profiles,
     _check_tol,
-    _credence_errors,
     _graph_violations,
+    chatrooms_of,
+    credence_errors,
     dirac_truth_profiles,  # unused here; bench/tracer.py wraps this binding by name
     natural_sorted,
 )
@@ -563,15 +565,15 @@ def scenario_diagnostics(document: str | bytes, tol: float = EPS) -> list[Diagno
             view = tree = OrderedTree.from_edges(shape.topology.root, shape.topology.edges)
         except RumorcastError as exc:
             return out + [Diagnostic("topology-error", str(exc))]
-        rooms = ((agent, tree.children_of(agent)) for agent in tree.non_terminals)
+        rooms = chatrooms_of(tree)
     else:
         graph = SocialGraph.from_edges(shape.topology.edges, nodes=shape.attrs)
         blocks = BlockDecomposition(graph)
         if not blocks.valid:
             out.extend(Diagnostic(v.kind, f"witness {v.witness!r}") for v in _graph_violations(graph, blocks))
         # some rooting makes each of an agent's acquaintances her child
-        rooms = ((agent, graph.neighbors(agent)) for agent in graph.nodes if graph.neighbors(agent))
-        view = RootedView(blocks, graph.nodes[0])  # type: ignore[assignment]  # agents in node order
+        rooms = (Chatroom(agent, graph.neighbors(agent)) for agent in graph.nodes if graph.neighbors(agent))
+        view = RootedView(blocks, graph.nodes[0])  # type: ignore[assignment]
 
     # a failed known-type check leaves the explicit beliefs to read
     profiles = TreeProfiles(view, shape.attrs, shape.belief_overrides, truth=False)
@@ -582,10 +584,8 @@ def scenario_diagnostics(document: str | bytes, tol: float = EPS) -> list[Diagno
     except RumorcastError as exc:
         out.append(Diagnostic("belief-error", str(exc)))
     if evidence is not None:
-        for agent, kids in rooms:
-            belief = profiles._sender_belief(agent, kids)
-            errors = _credence_errors(agent, shape.attrs[agent].type_set, belief, evidence, tol)
-            out.extend(Diagnostic("credence-error", text) for text in errors)
+        errors = credence_errors(profiles, rooms, evidence, tol)
+        out.extend(Diagnostic("credence-error", text) for text in errors)
     return out
 
 

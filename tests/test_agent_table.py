@@ -215,11 +215,11 @@ def test_truth_profiles_read_the_credence_column():
     assert "4" not in narrowed and len(narrowed) == 3
     with pytest.raises(KeyError):
         narrowed["4"]
-    # the first bad tree agent, in tree order, is reported
+    # the first bad tree agent, in natural id order, is reported
     bigger = OrderedTree.from_edges("1", [("1", "5"), ("1", "2"), ("2", "6")])
     with pytest.raises(InvariantViolation, match="agent '5': known-type beliefs need singleton type sets"):
         TreeProfiles(bigger, wider)
-    with pytest.raises(InvariantViolation, match="no profile for agent '6'"):
+    with pytest.raises(InvariantViolation, match="agent '5': known-type beliefs need singleton type sets"):
         TreeProfiles(OrderedTree.from_edges("1", [("1", "2"), ("2", "6"), ("6", "5")]), wider)
 
 

@@ -19,9 +19,11 @@ and strings come from the schema's own words.  For every mutant:
   an integer of too many digits);
 - a tree scenario that ``validate`` finds clean solves: ``solve`` and
   ``sweep-lambda`` exit 0 (cascade resolved) or 2 (a reached room has no
-  equilibrium), never 1;
+  equilibrium), never 1, and so does ``sweep-root`` under plain
+  ``"dirac-truth"`` beliefs;
 - conversely, every exit 1 of ``solve`` or ``sweep-lambda`` on a tree
-  scenario prints one of ``validate``'s rows;
+  scenario, and of ``sweep-root`` on one with plain ``"dirac-truth"``
+  beliefs, prints one of ``validate``'s rows;
 - a graph scenario with plain ``"dirac-truth"`` beliefs that ``validate``
   finds clean is rooted and solved: ``sweep-root`` and ``solve --root`` at
   every agent exit 0 (a room of singleton types always has an
@@ -29,9 +31,8 @@ and strings come from the schema's own words.  For every mutant:
 - conversely, every exit 1 of ``sweep-root`` or of ``solve --root`` at any
   agent on such a graph prints one of ``validate``'s rows (a structure row
   as ``graph cannot generate a tree: <kind> <witness>``).  Graph files with
-  explicit beliefs, and ``sweep-root`` on tree files, are left out: an
-  explicit sender belief fits one rooting only, and in a tree's clique
-  closure any room-mate can be the sender;
+  explicit beliefs are left out: an explicit sender belief fits one rooting
+  only;
 - every exit 2 of ``solve`` on a tree scenario at the default tolerance is
   confirmed by ``oracle_chatroom_profiles``: enumeration finds no
   equilibrium profile in the failing room either (rooms too large to
@@ -44,10 +45,11 @@ and strings come from the schema's own words.  For every mutant:
   exits 1.
 
 Every command runs, and every check holds, at each ``--tolerance`` in
-``TOLERANCES``.  Five pinned files hold the same checks: the canonical cascade at
-``--tolerance 0.2``, a path graph and a ``three_cliques`` copy whose
-breadth-first and node orders meet their bad agents differently, a
-``three_cliques`` copy with an off-band leaf, and a leaf credence just past 1.
+``TOLERANCES``.  Seven pinned files hold the same checks: the canonical cascade
+at ``--tolerance 0.2``, a path graph, a ``three_cliques`` copy and a tree whose
+breadth-first and natural orders meet their bad agents differently, a
+``three_cliques`` copy with an off-band leaf, a tree whose off-band leaf only
+its parent's sender belief reads, and a leaf credence just past 1.
 
 Small random trees with explicit beliefs and spread type sets, where rooms
 without an equilibrium are common, feed the oracle check as well.
@@ -245,7 +247,7 @@ def _check_commands(path: Path, doc: Any, rooted: bool) -> int:
     compared = 0
     topology = doc.get("topology") if isinstance(doc, dict) else None
     kind = topology.get("kind") if isinstance(topology, dict) else None
-    truth_graph = kind == "graph" and doc.get("beliefs") in (None, DIRAC_TRUTH)
+    truth = kind in ("tree", "graph") and doc.get("beliefs") in (None, DIRAC_TRUTH)
     for tol in TOLERANCES:
         flag = ("--tolerance", tol)
         code, rows = _rows(str(path), *flag)
@@ -254,8 +256,9 @@ def _check_commands(path: Path, doc: Any, rooted: bool) -> int:
             codes[cmd], _, errors[cmd] = _output(cmd, str(path), *extra, *flag)
         if rooted:
             codes["solve --root 1"] = _run("solve", str(path), "--root", "1", *flag)
-        checked = ["solve", "sweep-lambda"] if kind == "tree" else ["sweep-root"] if truth_graph else []
-        for agent in _graph_agents(path) if truth_graph else ():
+        checked = ["solve", "sweep-lambda"] if kind == "tree" else []
+        checked += ["sweep-root"] if truth else []
+        for agent in _graph_agents(path) if truth and kind == "graph" else ():
             cmd = f"solve --root {agent}"
             codes[cmd], _, errors[cmd] = _output("solve", str(path), "--root", agent, *flag)
             checked.append(cmd)
@@ -368,6 +371,37 @@ def test_validate_lists_the_sender_beliefs_that_read_a_leaf(tmp_path):
     assert _rows(str(path)) == (1, rows)
     for argv in (["sweep-root"], ["solve", "--root", "2"], ["solve", "--root", "4"]):
         assert _output(argv[0], str(path), *argv[1:]) == (1, "", f"error: {message}\n"), argv
+
+
+def test_every_command_names_the_first_spread_agent_in_natural_order(tmp_path):
+    # breadth first from 1 meets 10 before 2
+    doc = {
+        "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+        "topology": {"kind": "tree", "root": "1", "edges": [["1", "10"], ["1", "2"]]},
+        "agents": {a: {"types": [0.3, 0.4] if a != "1" else 0.5, "lambda": 1.0} for a in ("1", "10", "2")},
+        "beliefs": DIRAC_TRUTH,
+    }
+    path = _pinned(tmp_path, doc)
+    message = "agent '2': known-type beliefs need singleton type sets"
+    assert _rows(str(path)) == (1, [{"kind": "belief-error", "detail": message}])
+    for cmd, extra in _SOLVERS.items():
+        assert _output(cmd, str(path), *extra) == (1, "", f"error: {message}\n"), cmd
+
+
+def test_sweep_root_stops_on_the_credence_row_validate_lists(tmp_path):
+    # the tree's rooms read leaf 2 only through 9's sender belief; the closure's
+    # rooting at 2 reads her own type first
+    doc = {
+        "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+        "topology": {"kind": "tree", "root": "5", "edges": [["5", "1"], ["5", "9"], ["9", "2"]]},
+        "agents": {a: {"types": x, "lambda": 1.0} for a, x in (("5", 0.5), ("1", 0.15), ("9", 0.5), ("2", 0.97))},
+        "beliefs": DIRAC_TRUTH,
+    }
+    path = _pinned(tmp_path, doc)
+    message = "agent '9': sender belief: credence 0.97 outside the open interval (0.1, 0.9)"
+    assert _rows(str(path)) == (1, [{"kind": "credence-error", "detail": message}])
+    assert _output("sweep-root", str(path)) == (1, "", f"error: {message}\n")
+    assert _run("solve", str(path)) == 0
 
 
 def test_receiver_credence_range_ignores_the_tolerance(tmp_path):
