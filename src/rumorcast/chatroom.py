@@ -23,6 +23,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from .belief import EPS
 from .errors import InvariantViolation, RangeViolation
 from .receiver import (
+    ACTIONS,
     PeerDistanceProfile,
     ReceiverAction,
     SecondOrderBelief,
@@ -229,7 +230,41 @@ def eligible_actions(
 
 def _select(eligible: frozenset[ReceiverAction], centroid: float) -> ReceiverAction:
     # closest eligible action to the type centroid; ties go to the lower action
+    if len(eligible) == 1:
+        return next(iter(eligible))
     return min(eligible, key=lambda a: (abs(float(a) - centroid), float(a)))
+
+
+#: every set of actions, indexed by the bits of the actions it holds, in action order
+_SUBSETS = tuple(frozenset(a for i, a in enumerate(ACTIONS) if mask >> i & 1) for mask in range(8))
+
+
+def known_type_eligible(theta: float, lam: float, b: float, tol: float = EPS) -> frozenset[ReceiverAction]:
+    """``best_actions(theta, PeerDistanceProfile.from_dirac(b), lam, tol)``
+    for a credence and sensitivity already checked, without the profile: the
+    same check of the peer mean ``b``, then the same three utilities,
+    compared the same way."""
+    if not -EPS <= b <= 1.0 + EPS:
+        PeerDistanceProfile.from_dirac(b)  # raises for the peer mean
+    u0 = -(abs(theta) + lam * abs(b))
+    u05 = -(abs(0.5 - theta) + lam * abs(0.5 - b))
+    u1 = -(abs(1.0 - theta) + lam * abs(1.0 - b))
+    cut = max(u0, u05, u1) - tol
+    return _SUBSETS[(u0 >= cut) | (u05 >= cut) << 1 | (u1 >= cut) << 2]
+
+
+def fold_room(
+    eligible: dict[Agent, frozenset[ReceiverAction]], centroids: Mapping[Agent, float]
+) -> ChatroomEquilibrium:
+    """The room's equilibrium from each receiver's eligible set: the action
+    nearest her type centroid, and whether every set was a singleton."""
+    if not all(eligible.values()):
+        return ChatroomEquilibrium(eligible=eligible, actions=None, multiplicity=Multiplicity.NONE)
+    actions = {agent: _select(e, centroids[agent]) for agent, e in eligible.items()}
+    unique = all(len(e) == 1 for e in eligible.values())
+    return ChatroomEquilibrium(
+        eligible=eligible, actions=actions, multiplicity=Multiplicity.UNIQUE if unique else Multiplicity.MULTIPLE
+    )
 
 
 def room_equilibrium(
@@ -242,19 +277,11 @@ def room_equilibrium(
     the receivers' beliefs enter only through their peer distances.
     """
     eligible: dict[Agent, frozenset[ReceiverAction]] = {}
-    type_sets: dict[Agent, TypeSet] = {}
+    centroids: dict[Agent, float] = {}
     for agent, type_set, lam, d in receivers:
         eligible[agent] = _eligible(type_set, d, lam, tol)
-        type_sets[agent] = type_set
-    if any(not e for e in eligible.values()):
-        return ChatroomEquilibrium(eligible=eligible, actions=None, multiplicity=Multiplicity.NONE)
-    actions = {agent: _select(e, type_sets[agent].centroid) for agent, e in eligible.items()}
-    multiplicity = (
-        Multiplicity.UNIQUE
-        if all(len(e) == 1 for e in eligible.values())
-        else Multiplicity.MULTIPLE
-    )
-    return ChatroomEquilibrium(eligible=eligible, actions=actions, multiplicity=multiplicity)
+        centroids[agent] = type_set.centroid
+    return fold_room(eligible, centroids)
 
 
 def solve_chatroom(game: ChatroomGame, tol: float = EPS) -> ChatroomEquilibrium:

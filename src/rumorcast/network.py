@@ -41,19 +41,20 @@ from .chatroom import (
     ChatroomGame,  # unused here; bench/tracer.py wraps this binding by name
     Multiplicity,
     TypeSet,
+    _eligible,
     check_receiver_belief,
-    room_equilibrium,
+    fold_room,
+    known_type_eligible,
     solve_chatroom,  # unused here; bench/tracer.py wraps this binding by name
 )
 from .errors import DomainError, InvalidGraph, InvariantViolation, RangeViolation
 from .receiver import (
-    PeerDistanceProfile,
     ReceiverAction,
     SecondOrderBelief,
     check_sensitivity,
     peer_distance,
 )
-from .sender import SenderAction, decide_send
+from .sender import SenderAction, decide_send, known_type_gain, send_rule
 
 Agent = Hashable
 
@@ -267,6 +268,16 @@ class AgentTable(Mapping[Agent, AgentProfile]):
         other._built = {}
         return other
 
+    def check_known(self, agents: Iterable[Agent]) -> None:
+        """Raise what building the profiles of ``agents``, in order, raises,
+        without building them; every one of them has a single type."""
+        theta, lam, ell, row = self.theta, self.lam, self.ell, self._index
+        for agent in agents:
+            k = row[agent]
+            e = ell[k]
+            if not (-EPS <= theta[agent] <= 1.0 + EPS and 0.0 <= lam[k] < math.inf and isinstance(e, int) and e >= 0):
+                self[agent]  # her profile raises it
+
     def __getitem__(self, agent: Agent) -> AgentProfile:
         prof = self._built.get(agent)
         if prof is None:
@@ -319,8 +330,9 @@ class TreeProfiles(Mapping[Agent, AgentProfile]):
 
     :func:`solve_global` does not look agents up.  A receiver without an
     explicit belief gets her peer mean from her room's credence total, and a
-    sender's belief is built only when her gate is open, so agents the
-    message never reaches cost only the checks made here.
+    sender without one her gain from her audience's credences, read only
+    when her gate is open, so agents the message never reaches cost only the
+    checks made here.
     """
 
     def __init__(
@@ -369,14 +381,16 @@ class TreeProfiles(Mapping[Agent, AgentProfile]):
 
     def sender_belief(self, agent: Agent) -> SecondOrderBelief | None:
         """``self[agent].sender_belief`` without building her receiver belief."""
-        return self._sender_belief(agent, self.tree.children_of(agent))
+        stated = self._stated_sender(agent)
+        if stated is None and self.theta is not None:
+            return self._dirac(self.tree.children_of(agent))
+        return stated
 
-    def _sender_belief(self, agent: Agent, kids: Sequence[Agent]) -> SecondOrderBelief | None:
-        # ``kids``: her children, for a caller that already holds them
+    def _stated_sender(self, agent: Agent) -> SecondOrderBelief | None:
+        # her explicit sender belief; without one, a known type pictures her
+        # audience at their credences
         override = self.overrides.get(agent)
-        if override is not None and override.sender is not None:
-            return override.sender
-        return None if self.theta is None else self._dirac(kids)
+        return None if override is None else override.sender
 
     def __getitem__(self, agent: Agent) -> AgentProfile:
         if agent not in self:
@@ -460,11 +474,11 @@ def _check_profiles(profiles: TreeProfiles) -> None:
         if agent not in attrs:
             raise InvariantViolation(f"no profile for agent {agent!r}")
         kids = tree.children_of(agent)
+        sender = profiles._stated_sender(agent)
         if kids:
-            sender = profiles._sender_belief(agent, kids)
-            if sender is None:
+            if sender is None and not truth:
                 raise InvariantViolation(f"agent {agent!r} can send but has no sender belief")
-            if sender.dim != len(kids):
+            if sender is not None and sender.dim != len(kids):
                 raise InvariantViolation(
                     f"agent {agent!r}: sender belief covers {sender.dim} "
                     f"receivers, has {len(kids)} successors"
@@ -485,14 +499,17 @@ def credence_errors(
     """The text of every distinct off-band credence in the send decisions
     of ``rooms``, room by room, each in the order :func:`decide_send` reads
     them: the sender's type hull, then her sender-belief coordinates (from
-    ``profiles``) in atom order."""
+    ``profiles``) in atom order; a known type's are her audience's
+    credences, read from ``profiles.theta``."""
     for room in rooms:
         sender = room.sender
         checked = [("types", x) for x in dict.fromkeys(profiles.attrs[sender].type_set.hull)]
-        belief = profiles._sender_belief(sender, room.receivers)
+        belief = profiles._stated_sender(sender)
         if belief is not None:
-            coords = dict.fromkeys(chain.from_iterable(atom.profile for atom in belief.atoms))
-            checked += [("sender belief", x) for x in coords]
+            coords: Iterable[float] = chain.from_iterable(atom.profile for atom in belief.atoms)
+        else:
+            coords = () if profiles.theta is None else map(profiles.theta.__getitem__, room.receivers)
+        checked += [("sender belief", x) for x in dict.fromkeys(coords)]
         for where, x in checked:
             try:
                 require_credence(x, mu, tol)
@@ -519,9 +536,11 @@ def solve_global(
     ``profiles`` is read through :meth:`TreeProfiles.of`, so any mapping
     of profiles, every belief in it explicit, serves as well.  Receivers'
     beliefs enter only through peer distances: from an explicit belief when
-    she has one, otherwise from her room's credence total, so a room of
-    known-type beliefs with k receivers costs O(k).  A sender's belief is
-    looked up only when her gate is open.
+    she has one, otherwise from her room's credence total.  A known type is
+    read from the attribute columns, through the same arithmetic as the
+    general path and with the same checks, and no belief is built for her,
+    so a room of known types with k receivers costs O(k).  A sender's
+    belief is looked up only when her gate is open.
 
     A :class:`RootedView` may stand in for ``tree`` when ``profiles`` are
     override-free known-type :class:`TreeProfiles` on it: then only
@@ -532,14 +551,25 @@ def solve_global(
     profiles = TreeProfiles.of(tree, profiles)
     _check_profiles(profiles)
     attrs, theta = profiles.attrs, profiles.theta
+    row, lams, ells = attrs._index, attrs.lam, attrs.ell
 
-    def distances(sender: Agent, receivers: tuple[Agent, ...]) -> Iterator[PeerDistanceProfile]:
+    def solve_room(sender: Agent, receivers: tuple[Agent, ...]) -> ChatroomEquilibrium:
         beliefs = list(map(profiles.receiver_belief, receivers))
         if None in beliefs:
+            attrs.check_known(receivers)
             # known-type peers are the sender and the other receivers, at their credences
             total, k = math.fsum([theta[sender], *(theta[r] for r in receivers)]), len(receivers)
+        eligible: dict[Agent, frozenset[ReceiverAction]] = {}
+        centroids: dict[Agent, float] = {}
         for r, belief in zip(receivers, beliefs):
-            yield PeerDistanceProfile.from_dirac((total - theta[r]) / k) if belief is None else peer_distance(belief)
+            if belief is None:
+                t = centroids[r] = theta[r]
+                eligible[r] = known_type_eligible(t, lams[row[r]], (total - t) / k, tol)
+            else:
+                prof = attrs[r]
+                eligible[r] = _eligible(prof.type_set, peer_distance(belief), prof.lam, tol)
+                centroids[r] = prof.type_set.centroid
+        return fold_room(eligible, centroids)
 
     receiver_actions: dict[Agent, ReceiverAction] = {}
     sender_actions: dict[Agent, SenderAction] = {}
@@ -549,36 +579,36 @@ def solve_global(
 
     queue: deque[tuple[Agent, tuple[Agent, ...]]] = deque()  # senders with their receivers
 
-    def decide(agent: Agent, type_set: TypeSet, ell: int, disapprovals: int) -> None:
-        # a closed gate decides without reading the belief, so none is built for it
-        belief = kids = None
+    def decide(agent: Agent, ell: int, disapprovals: int) -> None:
+        # a closed gate decides without reading the belief, so none is read for it
+        belief, kids = None, ()
         if ell > disapprovals:
             kids = tree.children_of(agent)
-            belief = profiles._sender_belief(agent, kids)
+            belief = profiles._stated_sender(agent)
         try:
-            decision = decide_send(type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
+            if belief is None and theta is not None:
+                # a known type gains from her audience at their credences
+                credences = [theta[kid] for kid in kids]
+                gain = lambda tau: known_type_gain(tau, credences, mu, tol)
+                decision = send_rule((theta[agent], theta[agent]), gain, mu, ell, disapprovals, tol)
+            else:
+                type_set = attrs[agent].type_set
+                decision = decide_send(type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
         except DomainError as exc:
-            room = Chatroom(agent, kids)  # type: ignore[arg-type]  # only an open gate reads credences
+            room = Chatroom(agent, kids)  # only an open gate reads credences
             raise DomainError(next(credence_errors(profiles, [room], mu, tol))) from exc
         sender_actions[agent] = decision
         if decision is SenderAction.SEND:
-            queue.append((agent, kids))  # type: ignore[arg-type]
+            queue.append((agent, kids))
 
     if not tree.is_terminal(tree.root):
+        attrs[tree.root]  # her profile checks her columns
         # nobody gates the root: threshold 1 against zero disapprovals
-        decide(tree.root, attrs[tree.root].type_set, 1, 0)
+        decide(tree.root, 1, 0)
 
     while queue and failing is None:
         sender, receivers = queue.popleft()
-        profs = [attrs[agent] for agent in receivers]  # one lookup per reached agent
-        eq = room_equilibrium(
-            (
-                (agent, prof.type_set, prof.lam, d)
-                for agent, prof, d in zip(receivers, profs, distances(sender, receivers))
-            ),
-            tol,
-        )
-        room_eqs[sender] = eq
+        eq = room_eqs[sender] = solve_room(sender, receivers)
         if eq.multiplicity is Multiplicity.NONE:
             failing = sender
             break
@@ -590,9 +620,9 @@ def solve_global(
             1 for agent in receivers
             if eq.actions[agent] is ReceiverAction.DISAPPROVE
         )
-        for agent, prof in zip(receivers, profs):
+        for agent in receivers:
             if not tree.is_terminal(agent):
-                decide(agent, prof.type_set, prof.ell, disapprovals)
+                decide(agent, ells[row[agent]], disapprovals)
 
     exists = failing is None
     return CascadeResult(

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Sequence
 
 from .belief import EPS, EvidenceRelation, _holds, require_credence, worldview_posterior, worldview_prior
 from .chatroom import TypeSet
@@ -137,6 +138,21 @@ def expected_send_gain(
     return total
 
 
+def known_type_gain(
+    own_prior: float, credences: Sequence[float], mu: EvidenceRelation, tol: float = EPS
+) -> float:
+    """``expected_send_gain(own_prior, SecondOrderBelief.dirac(credences), mu, tol)``
+    without the belief: after the same checks, the same terms summed by
+    ``sum`` in the same order, so the same float on any Python."""
+    lo, hi = mu.mu_given_not_c + tol, mu.mu_given_c - tol
+    if not (tol < own_prior < 1.0 - tol and all(lo < x < hi for x in credences)):
+        # some check fails: the general path raises what it raises
+        return expected_send_gain(own_prior, SecondOrderBelief.dirac(credences), mu, tol)
+    b, c, spread = mu.mu_given_not_c, mu.mu_given_c, mu.spread
+    # nu_value's terms: prior (x - b) / spread, posterior c * prior / x
+    return sum(abs(own_prior - (x - b) / spread) - abs(own_prior - c * ((x - b) / spread) / x) for x in credences)
+
+
 def decide_send(
     type_set: TypeSet,
     belief: SecondOrderBelief,
@@ -152,11 +168,25 @@ def decide_send(
     the own prior ``tau`` (the posterior exceeds the prior on the admissible
     band), so the lowest type binds, for finite and interval sets alike.
     """
-    if max(ell - disapproval_count, 0) <= 0:
+    gain = lambda tau: expected_send_gain(tau, belief, mu, tol)
+    return send_rule(type_set.hull, gain, mu, ell, disapproval_count, tol)
+
+
+def send_rule(
+    hull: tuple[float, float],
+    gain: Callable[[float], float],
+    mu: EvidenceRelation,
+    ell: int,
+    disapprovals: int,
+    tol: float,
+) -> SenderAction:
+    """:func:`decide_send` for a sender with type hull ``hull`` whose
+    expected gain at a prior is ``gain``, which a closed gate never calls."""
+    if max(ell - disapprovals, 0) <= 0:
         return SenderAction.NOSEND
-    lo, hi = type_set.hull
+    lo, hi = hull
     tau = worldview_prior(lo, mu, tol)
     require_credence(hi, mu, tol)  # every type must be admissible, not only the binding one
-    if expected_send_gain(tau, belief, mu, tol) <= tol:
+    if gain(tau) <= tol:
         return SenderAction.NOSEND
     return SenderAction.SEND

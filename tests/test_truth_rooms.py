@@ -2,8 +2,9 @@
 
 ``solve_global`` on known-type :class:`TreeProfiles` takes each receiver's
 peer mean from one credence total, ``(theta_sender + sum_room theta - theta_j) / k``,
-unless she has an explicit receiver belief, and builds a sender's belief
-only when her gate is open.  These tests check it against ``solve_global`` on
+unless she has an explicit receiver belief, and reads a sender's gain off
+her audience's credences only when her gate is open, building no belief.
+These tests check it against ``solve_global`` on
 the plain dict from ``dirac_truth_profiles``, which builds every belief and
 which ``solve_global`` reads as explicit beliefs throughout, and check every
 room it solves against ``solve_chatroom`` on a ``ChatroomGame`` assembled
@@ -244,8 +245,8 @@ def test_only_deciding_senders_get_beliefs(monkeypatch):
     assert len(built) <= len(result.sender_actions)
     assert set(result.sender_actions) <= result.reach
     assert sum(built) <= sum(len(tree.children_of(a)) for a in result.sender_actions)
-    # the hubs' gates are shut (ell 0), so only the root's belief is built
-    assert built == [40]
+    # the hubs' gates are shut (ell 0), and the root's gain is read from the credences
+    assert built == []
 
 
 def _star(receivers: int):
@@ -264,7 +265,7 @@ def test_wide_star_builds_one_belief(monkeypatch):
     tree, attrs = _star(3000)
     built = _count_dirac(monkeypatch)
     result = solve_global(tree, TreeProfiles(tree, attrs), validate_evidence(0.9, 0.1))
-    assert built == [3000]
+    assert built == []  # the root's gain is read from the credences
     assert result.reach_count == 3001
 
 
@@ -276,7 +277,7 @@ def test_override_builds_no_truth_belief_in_her_room(monkeypatch):
     profiles = TreeProfiles(tree, attrs, {"2": BeliefOverride(receiver=belief)})
     built = _count_dirac(monkeypatch)
     result = solve_global(tree, profiles, validate_evidence(0.9, 0.1))
-    assert built == [3000]  # the root's sender belief only
+    assert built == []  # not even the root's sender belief
     assert result.reach_count == 3001
 
 
@@ -290,7 +291,7 @@ def test_validate_builds_no_receiver_belief(monkeypatch):
     }
     built = _count_dirac(monkeypatch)
     assert scenario_diagnostics(json.dumps(doc)) == []
-    assert built == [3000]  # the root's sender belief, for the credence check
+    assert built == []  # the credence check reads the credences too
 
 
 class TestMapping:
