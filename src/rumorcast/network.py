@@ -221,7 +221,8 @@ class AgentTable(Mapping[Agent, AgentProfile]):
     builds her :class:`AgentProfile` (no beliefs) and caches it, so a
     cascade that reads a few agents of a large file builds a few profiles.
     ``repr`` and ``==`` are those of the dict of every profile.  Tables
-    share columns, so the columns are never changed.
+    share columns, so the columns are never changed; they are checked when
+    the table is made, by the parser, :meth:`of` or :meth:`with_lam`.
     """
 
     def __init__(
@@ -267,16 +268,6 @@ class AgentTable(Mapping[Agent, AgentProfile]):
             other.lam[self._index[agent]] = lam
         other._built = {}
         return other
-
-    def check_known(self, agents: Iterable[Agent]) -> None:
-        """Raise what building the profiles of ``agents``, in order, raises,
-        without building them; every one of them has a single type."""
-        theta, lam, ell, row = self.theta, self.lam, self.ell, self._index
-        for agent in agents:
-            k = row[agent]
-            e = ell[k]
-            if not (-EPS <= theta[agent] <= 1.0 + EPS and 0.0 <= lam[k] < math.inf and isinstance(e, int) and e >= 0):
-                self[agent]  # her profile raises it
 
     def __getitem__(self, agent: Agent) -> AgentProfile:
         prof = self._built.get(agent)
@@ -517,6 +508,16 @@ def credence_errors(
                 yield f"agent {sender!r}: {where}: {exc}"
 
 
+def _exact_parts(xs: Iterable[float]) -> list[float]:
+    """Floats whose exact sum is that of ``xs``, so ``fsum([*parts, -x])``
+    is ``fsum`` of ``xs`` without ``x``, the peer sum ``peer_distance`` takes."""
+    xs, parts = list(xs), []
+    while s := math.fsum(xs):
+        parts.append(s)
+        xs.append(-s)
+    return parts
+
+
 def solve_global(
     tree: OrderedTree,
     profiles: Mapping[Agent, AgentProfile],
@@ -537,8 +538,8 @@ def solve_global(
     of profiles, every belief in it explicit, serves as well.  Receivers'
     beliefs enter only through peer distances: from an explicit belief when
     she has one, otherwise from her room's credence total.  A known type is
-    read from the attribute columns, through the same arithmetic as the
-    general path and with the same checks, and no belief is built for her,
+    read from the attribute columns, checked when the table was made, through
+    the same arithmetic as the general path, and no belief is built for her,
     so a room of known types with k receivers costs O(k).  A sender's
     belief is looked up only when her gate is open.
 
@@ -554,17 +555,16 @@ def solve_global(
     row, lams, ells = attrs._index, attrs.lam, attrs.ell
 
     def solve_room(sender: Agent, receivers: tuple[Agent, ...]) -> ChatroomEquilibrium:
-        beliefs = list(map(profiles.receiver_belief, receivers))
+        beliefs = list(map(profiles.receiver_belief, receivers)) if profiles.overrides else [None] * len(receivers)
         if None in beliefs:
-            attrs.check_known(receivers)
             # known-type peers are the sender and the other receivers, at their credences
-            total, k = math.fsum([theta[sender], *(theta[r] for r in receivers)]), len(receivers)
+            parts, k = _exact_parts([theta[sender], *(theta[r] for r in receivers)]), len(receivers)
         eligible: dict[Agent, frozenset[ReceiverAction]] = {}
         centroids: dict[Agent, float] = {}
         for r, belief in zip(receivers, beliefs):
             if belief is None:
                 t = centroids[r] = theta[r]
-                eligible[r] = known_type_eligible(t, lams[row[r]], (total - t) / k, tol)
+                eligible[r] = known_type_eligible(t, lams[row[r]], math.fsum([*parts, -t]) / k, tol)
             else:
                 prof = attrs[r]
                 eligible[r] = _eligible(prof.type_set, peer_distance(belief), prof.lam, tol)
@@ -602,7 +602,6 @@ def solve_global(
             queue.append((agent, kids))
 
     if not tree.is_terminal(tree.root):
-        attrs[tree.root]  # her profile checks her columns
         # nobody gates the root: threshold 1 against zero disapprovals
         decide(tree.root, 1, 0)
 

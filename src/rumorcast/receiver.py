@@ -181,7 +181,7 @@ def peer_distance(p: SecondOrderBelief) -> PeerDistanceProfile:
     """Collapse a second-order belief into per-action expected distances."""
     dist = {a: 0.0 for a in ACTIONS}
     for atom in p.atoms:
-        mean = sum(atom.profile) / len(atom.profile)
+        mean = math.fsum(atom.profile) / len(atom.profile)
         for a in ACTIONS:
             dist[a] += atom.weight * abs(float(a) - mean)
     return PeerDistanceProfile(

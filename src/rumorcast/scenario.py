@@ -625,9 +625,21 @@ def scenario_to_obj(scenario: Scenario) -> dict[str, Any]:
         "mu_given_not_c": scenario.evidence.mu_given_not_c,
     }
     topo: dict[str, Any] = {"kind": scenario.topology.kind}
+    default = scenario.belief_default
+    overrides = dict(scenario.belief_overrides)
     if scenario.topology.kind == "tree":
+        tree = scenario.tree()
         topo["root"] = scenario.topology.root
-        topo["edges"] = [list(e) for e in scenario.tree().edges()]
+        topo["edges"] = [list(e) for e in tree.edges()]
+        profiles = scenario.profiles_for(tree)
+        merged: dict[str, BeliefOverride] = {}
+        for agent in scenario.agent_ids:
+            prof = profiles[agent]
+            if prof.receiver_belief is not None or prof.sender_belief is not None:
+                merged[agent] = BeliefOverride(
+                    receiver=prof.receiver_belief, sender=prof.sender_belief
+                )
+        default, overrides = None, merged
     else:
         topo["check_structure"] = True
         topo["edges"] = [list(e) for e in scenario.graph().edges()]
@@ -640,19 +652,6 @@ def scenario_to_obj(scenario: Scenario) -> dict[str, Any]:
         }
         for agent in scenario.agent_ids
     }
-
-    default = scenario.belief_default
-    overrides = dict(scenario.belief_overrides)
-    if scenario.topology.kind == "tree":
-        profiles = scenario.profiles_for(scenario.tree())
-        merged: dict[str, BeliefOverride] = {}
-        for agent in scenario.agent_ids:
-            prof = profiles[agent]
-            if prof.receiver_belief is not None or prof.sender_belief is not None:
-                merged[agent] = BeliefOverride(
-                    receiver=prof.receiver_belief, sender=prof.sender_belief
-                )
-        default, overrides = None, merged
 
     if not overrides:
         obj["beliefs"] = DIRAC_TRUTH if default == DIRAC_TRUTH else "none"

@@ -266,4 +266,4 @@ def test_sweep_builds_profiles_only_for_reached_agents(tmp_path, monkeypatch, ag
     assert code == 0
     reach = [json.loads(line)["reach_count"] for line in out.getvalue().splitlines()]
     assert len(reach) == 4 and max(reach) < 100
-    assert 0 < len(built) <= sum(reach)
+    assert built == []  # every reached agent is read from the columns

@@ -20,7 +20,8 @@ and strings come from the schema's own words.  For every mutant:
 - a tree scenario that ``validate`` finds clean solves: ``solve`` and
   ``sweep-lambda`` exit 0 (cascade resolved) or 2 (a reached room has no
   equilibrium), never 1, and so does ``sweep-root`` under plain
-  ``"dirac-truth"`` beliefs;
+  ``"dirac-truth"`` beliefs; its ``normalize`` output, every belief spelled
+  out, makes ``solve`` print the same bytes with the same exit code;
 - conversely, every exit 1 of ``solve`` or ``sweep-lambda`` on a tree
   scenario, and of ``sweep-root`` on one with plain ``"dirac-truth"``
   beliefs, prints one of ``validate``'s rows;
@@ -251,9 +252,9 @@ def _check_commands(path: Path, doc: Any, rooted: bool) -> int:
     for tol in TOLERANCES:
         flag = ("--tolerance", tol)
         code, rows = _rows(str(path), *flag)
-        codes, errors = {"validate": code}, {}
+        codes, outs, errors = {"validate": code}, {}, {}
         for cmd, extra in _SOLVERS.items():
-            codes[cmd], _, errors[cmd] = _output(cmd, str(path), *extra, *flag)
+            codes[cmd], outs[cmd], errors[cmd] = _output(cmd, str(path), *extra, *flag)
         if rooted:
             codes["solve --root 1"] = _run("solve", str(path), "--root", "1", *flag)
         checked = ["solve", "sweep-lambda"] if kind == "tree" else []
@@ -268,6 +269,10 @@ def _check_commands(path: Path, doc: Any, rooted: bool) -> int:
             # a clean tree solves; so does a clean graph from every root, for
             # a room of singleton types always has an equilibrium
             assert all(codes[cmd] in ((0, 2) if kind == "tree" else (0,)) for cmd in checked), (tol, codes)
+            if kind == "tree":  # and its canonical form, beliefs spelled out, solves to the same bytes
+                spelled = path.with_name(f"{path.stem}-normalized.json")
+                spelled.write_text(normalize_scenario(path.read_bytes()), encoding="utf-8")
+                assert _output("solve", str(spelled), *flag)[:2] == (codes["solve"], outs["solve"]), tol
         # every refusal is one of validate's rows at the same tolerance
         printed = {f"error: {_refusal(row)}\n" for row in rows}
         for cmd in checked:

@@ -7,7 +7,11 @@ over her audience's credences, building no belief.  These tests hold the
 kernel to the general path exactly, with no tolerance: ``best_actions`` over
 ``PeerDistanceProfile.from_dirac`` and ``room_equilibrium`` for receivers,
 ``expected_send_gain`` and ``decide_send`` over ``SecondOrderBelief.dirac``
-for senders, and a reference cascade assembled from those alone.
+for senders, and a reference cascade assembled from those alone.  The
+peer mean is ``peer_distance``'s: the room total is held as exact parts, so
+each receiver's peer sum is rounded once, and stars whose decimal credences
+sit on utility ties must solve as over explicit beliefs at tolerance 0, and
+inside ``oracle_global``'s set.
 """
 
 from __future__ import annotations
@@ -36,16 +40,18 @@ from rumorcast import (
     TreeProfiles,
     TypeSet,
     best_actions,
+    canonicalize_result,
     decide_send,
     dirac_truth_profiles,
     expected_send_gain,
+    oracle_global,
     scenario_diagnostics,
     solve_global,
     validate_evidence,
 )
 from rumorcast.belief import require_credence
 from rumorcast.chatroom import known_type_eligible, room_equilibrium
-from rumorcast.network import AgentTable, _check_profiles
+from rumorcast.network import AgentTable, _check_profiles, _exact_parts
 from rumorcast.receiver import peer_distance
 from rumorcast.sender import known_type_gain, send_rule
 
@@ -171,8 +177,8 @@ def _off_band_text(agent, type_set, belief, mu, tol) -> str:
 
 def _reference(tree: OrderedTree, profiles: TreeProfiles, mu, tol: float):
     """``solve_global`` through the general path alone: each room is
-    ``room_equilibrium`` over ``PeerDistanceProfile.from_dirac`` of the peer
-    mean from the room total (or the explicit belief's ``peer_distance``),
+    ``room_equilibrium`` over ``peer_distance`` of each receiver's belief
+    (``SecondOrderBelief.dirac`` of her peers' credences when not explicit),
     and each sender ``decide_send`` over ``SecondOrderBelief.dirac`` (or her
     explicit belief), after the same entry checks.  Returns what
     ``_outcome`` returns."""
@@ -199,12 +205,12 @@ def _reference(tree: OrderedTree, profiles: TreeProfiles, mu, tol: float):
             sender = queue.popleft()
             receivers = tree.children_of(sender)
             profs = [attrs[r] for r in receivers]
-            total, k = math.fsum([theta[sender], *(theta[r] for r in receivers)]), len(receivers)
             rows = []
             for r, prof in zip(receivers, profs):
                 belief = profiles.receiver_belief(r)
-                d = PeerDistanceProfile.from_dirac((total - theta[r]) / k) if belief is None else peer_distance(belief)
-                rows.append((r, prof.type_set, prof.lam, d))
+                if belief is None:
+                    belief = SecondOrderBelief.dirac([theta[sender], *(theta[o] for o in receivers if o != r)])
+                rows.append((r, prof.type_set, prof.lam, peer_distance(belief)))
             eq = room_eqs[sender] = room_equilibrium(rows, tol)
             if eq.multiplicity is Multiplicity.NONE:
                 failing = sender
@@ -313,22 +319,6 @@ def test_off_band_child_credence_raises_as_the_general_path(tol):
     assert [d.detail for d in scenario_diagnostics(json.dumps(doc), tol=tol)][0] == want
 
 
-@pytest.mark.parametrize(
-    "lam, ell",
-    [(-1.0, 1), (math.nan, 1), (math.inf, 1), (1.0, -1), (1.0, 1.5)],
-)
-def test_bad_columns_raise_as_profiles_do(lam, ell):
-    # a table made by hand skips the checks a parsed one passed; the room
-    # raises what building the receiver's profile raises
-    tree = OrderedTree.from_edges("1", [("1", "2"), ("1", "3")])
-    table = AgentTable(["1", "2", "3"], {"1": 0.895, "2": 0.5, "3": 0.5}, {}, [1.0, 1.0, lam], [1, 1, ell])
-    want = _raised(lambda: AgentProfile(TypeSet.singleton(0.5), lam, ell))
-    assert isinstance(want, tuple)
-    profiles = TreeProfiles(tree, table)
-    assert _outcome(lambda: solve_global(tree, profiles, validate_evidence(0.9, 0.1))) == want
-    assert _reference(tree, profiles, validate_evidence(0.9, 0.1), 1e-9) == want
-
-
 def test_known_type_solve_runs_no_general_path(monkeypatch):
     calls: list[str] = []
 
@@ -350,7 +340,7 @@ def test_known_type_solve_runs_no_general_path(monkeypatch):
     tree, attrs = _star(3000)
     result = solve_global(tree, TreeProfiles(tree, attrs), validate_evidence(0.9, 0.1))
     assert result.reach_count == 3001
-    assert calls == ["profile"]  # the root's, for her checks; no receiver's
+    assert calls == []
     calls.clear()
 
     rng = np.random.default_rng(1905)
@@ -360,5 +350,72 @@ def test_known_type_solve_runs_no_general_path(monkeypatch):
         attrs, mu, _ = _draw_attrs_within(rng, tree, False, 1e-9)
         attrs["1"] = AgentProfile(type_set=TypeSet.singleton(mu.mu_given_c - 0.005), lam=1.0)
         reached += solve_global(tree, TreeProfiles(tree, attrs), mu).reach_count
-    assert calls == ["profile"] * 20
+    assert calls == []
     assert reached >= 20 * 30
+
+
+def _tie_star(rng: np.random.Generator, small: bool):
+    """A star at lambda 1, its root near the top of the band, with
+    two-decimal credences placed so that one receiver's credence plus her
+    peer mean is, in decimals, exactly 0.5 (disapproval ties silence) or 1.5
+    (silence ties approval).  At most 5 receivers when ``small``.  Returns
+    the tree and the profiles."""
+    while True:
+        k = int(rng.integers(1, 6 if small else 40))  # receivers
+        sender = int(rng.integers(80, 90))  # in hundredths, near the top of the band (0.1, 0.9)
+        tied = int(rng.integers(11, 90))
+        mean = int(rng.choice([50, 150])) - tied
+        if not 11 <= mean <= 89:
+            continue
+        others = [int(x) for x in rng.integers(max(11, mean - 10), min(89, mean + 10) + 1, size=max(k - 2, 0))]
+        if k > 1:  # the last one makes the peers' total k * mean
+            others.append(k * mean - sender - sum(others))
+        if k * mean == sender + sum(others) and all(11 <= x <= 89 for x in others):
+            break
+    credences = others[:]
+    credences.insert(int(rng.integers(0, k)), tied)
+    tree = OrderedTree.from_edges("1", [("1", str(i)) for i in range(2, k + 2)])
+    attrs = {a: AgentProfile(TypeSet.singleton(x / 100), 1.0) for a, x in zip(tree.agents, [sender, *credences])}
+    return tree, attrs
+
+
+def test_peer_means_on_ties_round_as_explicit_beliefs():
+    # the kernel's peer mean and peer_distance's are one correctly rounded
+    # sum over k, so exact decimal ties fall the same way on both paths
+    rng = np.random.default_rng(2001)
+    mu = validate_evidence(0.9, 0.1)
+    opened = ties = enumerated = 0
+    while opened < 2000:
+        tree, attrs = _tie_star(rng, small=opened % 2 == 0)
+        explicit = dirac_truth_profiles(tree, attrs)
+        for tol in (0.0, 1e-9):
+            got = solve_global(tree, TreeProfiles(tree, attrs), mu, tol)
+            want = solve_global(tree, explicit, mu, tol)
+            assert (got.receiver_actions, got.sender_actions, got.unique, got.multiple_rooms) == (
+                want.receiver_actions, want.sender_actions, want.unique, want.multiple_rooms
+            ), (opened, tol)
+            ties += not got.unique
+            if len(tree.agents) <= 6:
+                found = oracle_global(tree, explicit, mu, tol)
+                assert canonicalize_result(tree, got) in found and got.unique == (len(found) == 1), (opened, tol)
+                enumerated += 1
+        opened += got.send_of("1") is SenderAction.SEND
+    print(ties, enumerated)
+    assert ties >= 1000 and enumerated >= 2000
+
+
+def test_exact_parts_give_every_peer_sum_rounded_once():
+    rng = np.random.default_rng(2002)
+    ends = [0.0, 1e-9, -1e-9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9]
+    for draw in range(60):
+        n = 3000 if draw < 3 else int(10.0 ** rng.uniform(0.0, math.log10(3000)))
+        kind = draw % 3
+        if kind == 0:  # two decimals
+            xs = [float(x) / 100 for x in rng.integers(0, 101, size=n)]
+        elif kind == 1:
+            xs = [float(x) for x in rng.uniform(0.0, 1.0, size=n)]
+        else:  # the ends of the credence range, among uniform floats
+            xs = [ends[int(i)] if i < len(ends) else float(x) for i, x in zip(rng.integers(0, 9, size=n), rng.uniform(0.0, 1.0, size=n))]
+        parts = _exact_parts(xs)
+        for i, x in enumerate(xs):
+            assert math.fsum([*parts, -x]) == math.fsum(xs[:i] + xs[i + 1:]), (draw, i)

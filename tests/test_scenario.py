@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -21,6 +23,7 @@ from rumorcast import (
     scenario_diagnostics,
     solve_global,
 )
+from rumorcast.cli import main
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 _SRC = Path(__file__).resolve().parent.parent / "src"
@@ -44,6 +47,13 @@ def _minimal(**patches) -> str:
     }
     obj.update(patches)
     return json.dumps(obj)
+
+
+def _solve_stdout(path: Path, tol: str) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["solve", str(path), "--tolerance", tol]) == 0
+    return out.getvalue().encode("utf-8")
 
 
 def _sender_belief(belief, agent: str = "1") -> dict:
@@ -277,7 +287,7 @@ class TestNormalize:
         once = normalize_scenario(_read(CANONICAL_PATH))
         assert normalize_scenario(once) == once
 
-    def test_round_trip_solves_identically(self):
+    def test_round_trip_solves_identically(self, tmp_path):
         original = parse_scenario(_read(CANONICAL_PATH))
         rebuilt = parse_scenario(normalize_scenario(_read(CANONICAL_PATH)))
         assert rebuilt.belief_default is None and rebuilt.belief_overrides
@@ -289,6 +299,26 @@ class TestNormalize:
         assert res_a.sender_actions == res_b.sender_actions
         assert res_a.reach == res_b.reach
         assert res_a.unique == res_b.unique
+        # in decimals agent 3 (credence 0.82, peer mean 0.61, lambda 0.5)
+        # loses 0.375 by silence and by approval: at tolerance 0 the tie holds
+        # or not by the last bit of her peer mean, which both forms round alike
+        pinned = {
+            "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+            "topology": {"kind": "tree", "root": "1", "edges": [["1", "2"], ["1", "3"]]},
+            "agents": {
+                "1": {"types": 0.85, "lambda": 0.5},
+                "2": {"types": 0.37, "lambda": 0.5},
+                "3": {"types": 0.82, "lambda": 0.5},
+            },
+            "beliefs": "dirac-truth",
+        }
+        for name, text in (("canonical", _read(CANONICAL_PATH)), ("pinned", json.dumps(pinned))):
+            shorthand, spelled = tmp_path / f"{name}.json", tmp_path / f"{name}-normalized.json"
+            shorthand.write_text(text, encoding="utf-8")
+            spelled.write_text(normalize_scenario(text), encoding="utf-8")
+            for tol in ("0", "1e-9"):
+                want = _solve_stdout(shorthand, tol)
+                assert _solve_stdout(spelled, tol) == want, (name, tol)
 
     def test_type_sets_round_trip(self):
         agents = {

@@ -1,7 +1,8 @@
 """Dirac-truth cascades solved from room totals, against built beliefs.
 
 ``solve_global`` on known-type :class:`TreeProfiles` takes each receiver's
-peer mean from one credence total, ``(theta_sender + sum_room theta - theta_j) / k``,
+peer mean from one credence total, ``fsum(theta_sender + sum_room theta - theta_j) / k``
+(the room total held exactly, so the sum of her k peers is rounded once),
 unless she has an explicit receiver belief, and reads a sender's gain off
 her audience's credences only when her gate is open, building no belief.
 These tests check it against ``solve_global`` on
