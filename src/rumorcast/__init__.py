@@ -18,11 +18,8 @@ recent disapproval has not shut them down.  Modules:
 from .belief import (
     EPS,
     EvidenceRelation,
-    Worldview,
     credence_from_prior,
-    message_favors_claim,
     validate_evidence,
-    worldview,
     worldview_posterior,
     worldview_prior,
 )
@@ -33,12 +30,10 @@ from .chatroom import (
     ReceiverSpec,
     TypeSet,
     eligible_actions,
-    equilibrium_exists_for_all_types,
     solve_chatroom,
 )
 from .errors import (
     DomainError,
-    EmptyPeers,
     EmptySupport,
     Infeasible,
     InstanceTooLarge,
@@ -81,14 +76,11 @@ from .receiver import (
     ReceiverAction,
     SecondOrderBelief,
     SupportInterval,
-    alt_utility,
     best_actions,
-    interval_ordering_check,
     lambda_star,
     min_lambda_for_action,
     peer_distance,
     support_interval,
-    support_intervals,
     utility,
 )
 from .scenario import (
@@ -105,14 +97,10 @@ from .scenario import (
 )
 from .sender import (
     SenderAction,
-    SenderContext,
     decide_send,
     expected_send_gain,
     nu_breakpoints,
     nu_value,
-    send_gain,
-    send_payoff,
-    similarity_status_quo,
 )
 
 __version__ = "0.1.0"
@@ -130,7 +118,6 @@ __all__ = [
     "Diagnostic",
     "DomainError",
     "EPS",
-    "EmptyPeers",
     "EmptySupport",
     "EvidenceRelation",
     "GridSpec",
@@ -151,14 +138,11 @@ __all__ = [
     "SchemaError",
     "SecondOrderBelief",
     "SenderAction",
-    "SenderContext",
     "SocialGraph",
     "SupportInterval",
     "Topology",
     "TreeProfiles",
     "TypeSet",
-    "Worldview",
-    "alt_utility",
     "best_actions",
     "canonicalize_result",
     "chatrooms_of",
@@ -166,12 +150,9 @@ __all__ = [
     "decide_send",
     "dirac_truth_profiles",
     "eligible_actions",
-    "equilibrium_exists_for_all_types",
     "expected_send_gain",
-    "interval_ordering_check",
     "lambda_star",
     "load_scenario",
-    "message_favors_claim",
     "min_lambda_for_action",
     "normalize_scenario",
     "nu_breakpoints",
@@ -187,18 +168,13 @@ __all__ = [
     "root_tree",
     "scenario_diagnostics",
     "scenario_to_obj",
-    "send_gain",
-    "send_payoff",
-    "similarity_status_quo",
     "solve_chatroom",
     "solve_global",
     "support_interval",
-    "support_intervals",
     "undirected_closure",
     "utility",
     "validate_evidence",
     "validate_graph",
-    "worldview",
     "worldview_posterior",
     "worldview_prior",
 ]

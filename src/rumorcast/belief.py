@@ -65,15 +65,6 @@ class EvidenceRelation:
         return self.mu_given_c - self.mu_given_not_c
 
 
-@dataclass(frozen=True)
-class Worldview:
-    """Claim probabilities induced by one credence: before and after the
-    message is observed."""
-
-    prior: float
-    posterior: float
-
-
 def validate_evidence(mu_given_c: float, mu_given_not_c: float) -> EvidenceRelation:
     """Build an :class:`EvidenceRelation`, raising on bad rates.
 
@@ -119,14 +110,6 @@ def worldview_posterior(theta, mu: EvidenceRelation, tol: float = EPS):
     return mu.mu_given_c * prior / theta
 
 
-def worldview(theta: float, mu: EvidenceRelation, tol: float = EPS) -> Worldview:
-    """Bundle prior and posterior for one credence."""
-    return Worldview(
-        prior=worldview_prior(theta, mu, tol),
-        posterior=worldview_posterior(theta, mu, tol),
-    )
-
-
 def credence_from_prior(prior, mu: EvidenceRelation, tol: float = EPS):
     """Invert :func:`worldview_prior`: the credence whose prior is ``prior``.
 
@@ -138,12 +121,3 @@ def credence_from_prior(prior, mu: EvidenceRelation, tol: float = EPS):
         raise RangeViolation(f"prior {prior!r} outside the open interval (0, 1)")
     return mu.mu_given_not_c + prior * mu.spread
 
-
-def message_favors_claim(theta: float, mu: EvidenceRelation, tol: float = EPS) -> bool:
-    """True when the message raises the claim's probability.
-
-    On the admissible band this always holds; exposed for symmetry and for
-    property checks.
-    """
-    w = worldview(theta, mu, tol)
-    return w.posterior > w.prior

@@ -297,32 +297,3 @@ def solve_chatroom(game: ChatroomGame, tol: float = EPS) -> ChatroomEquilibrium:
         tol,
     )
 
-
-def equilibrium_exists_for_all_types(
-    game: ChatroomGame,
-    credence_band: tuple[float, float],
-    tol: float = EPS,
-) -> tuple[bool, ChatroomEquilibrium]:
-    """Robustness probe: replace every receiver's type set with the full
-    admissible credence band and re-solve.
-
-    Returns (exists, witness equilibrium).  The band is typically the open
-    evidence interval; support sets are closed, so checking its closure is
-    equivalent.
-    """
-    lo, hi = credence_band
-    widened = ChatroomGame(
-        sender=game.sender,
-        sender_types=game.sender_types,
-        receivers=tuple(
-            ReceiverSpec(
-                agent=spec.agent,
-                type_set=TypeSet.interval(lo, hi),
-                lam=spec.lam,
-                belief=spec.belief,
-            )
-            for spec in game.receivers
-        ),
-    )
-    eq = solve_chatroom(widened, tol)
-    return eq.multiplicity is not Multiplicity.NONE, eq

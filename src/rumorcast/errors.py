@@ -17,8 +17,7 @@ class RangeViolation(RumorcastError, ValueError):
 
 
 class OrderingViolation(RumorcastError, ValueError):
-    """Values that must be strictly ordered are not (e.g. evidence rates,
-    or interval endpoints that should form a monotone chain)."""
+    """Values that must be strictly ordered are not (e.g. evidence rates)."""
 
 
 class DomainError(RumorcastError, ValueError):
@@ -27,10 +26,6 @@ class DomainError(RumorcastError, ValueError):
 
 class EmptySupport(RumorcastError, ValueError):
     """A belief with no support atoms was supplied where mass is required."""
-
-
-class EmptyPeers(RumorcastError, ValueError):
-    """An operation that averages over peers received an empty peer list."""
 
 
 class Infeasible(RumorcastError):

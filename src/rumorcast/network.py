@@ -191,8 +191,8 @@ class AgentProfile:
 
     def __post_init__(self) -> None:
         check_sensitivity(self.lam)
-        if not isinstance(self.ell, int) or self.ell < 0:
-            raise RangeViolation(f"disapproval threshold must be an int >= 0, got {self.ell!r}")
+        if isinstance(self.ell, bool) or not isinstance(self.ell, int) or self.ell < 0:
+            raise RangeViolation(f"disapproval threshold ell must be an int >= 0, got {self.ell!r}")
 
 
 @dataclass(frozen=True)

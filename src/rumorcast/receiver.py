@@ -31,11 +31,9 @@ from typing import Iterable, Sequence
 from .belief import EPS
 from .errors import (
     DomainError,
-    EmptyPeers,
     EmptySupport,
     Infeasible,
     InvariantViolation,
-    OrderingViolation,
     RangeViolation,
 )
 
@@ -198,7 +196,10 @@ def _check_theta(theta: float) -> None:
 
 
 def check_sensitivity(lam: float) -> None:
-    """Sensitivities are finite and nonnegative; NaN fails the comparison."""
+    """Sensitivities are finite and nonnegative numbers, not bools; NaN
+    fails the comparison."""
+    if isinstance(lam, bool):
+        raise RangeViolation(f"sensitivity lambda must be a number, got {lam!r}")
     if not 0.0 <= lam < math.inf:
         raise RangeViolation(f"sensitivity must be finite and nonnegative, got {lam!r}")
 
@@ -247,11 +248,6 @@ class SupportInterval:
             return False
         return self.lo - tol <= theta <= self.hi + tol  # type: ignore[operator]
 
-    def contains_interval(self, lo: float, hi: float, tol: float = EPS) -> bool:
-        """Whole-interval containment, endpoints slack by ``tol``."""
-        if self.empty:
-            return False
-        return self.lo - tol <= lo and hi <= self.hi + tol  # type: ignore[operator]
 
 
 def support_interval(
@@ -288,32 +284,6 @@ def support_interval(
     # a and every lower cut at or below it (a + o is exact and rounding is
     # monotone), so lo <= a <= hi
     return SupportInterval(action=action, lo=lo, hi=hi)
-
-
-def support_intervals(
-    d: PeerDistanceProfile, lam: float
-) -> tuple[SupportInterval, SupportInterval, SupportInterval]:
-    """Support sets for all three actions, in action order."""
-    return tuple(support_interval(a, d, lam) for a in ACTIONS)  # type: ignore[return-value]
-
-
-def interval_ordering_check(
-    d: PeerDistanceProfile, lam: float, tol: float = EPS
-) -> tuple[SupportInterval, SupportInterval, SupportInterval]:
-    """Compute all support sets and verify their endpoint ordering.
-
-    Nonempty support sets must appear in action order: both endpoints weakly
-    increase along 0, 0.5, 1.  A failure indicates an implementation bug, so
-    it raises ``OrderingViolation`` rather than returning a flag.
-    """
-    intervals = support_intervals(d, lam)
-    present = [iv for iv in intervals if not iv.empty]
-    for left, right in zip(present, present[1:]):
-        if left.lo > right.lo + tol or left.hi > right.hi + tol:  # type: ignore[operator]
-            raise OrderingViolation(
-                f"support sets out of order: {left} before {right}"
-            )
-    return intervals
 
 
 def min_lambda_for_action(
@@ -364,25 +334,3 @@ def lambda_star(d: PeerDistanceProfile, tol: float = EPS) -> float:
         worst = max(worst, abs(float(other) - float(target)) / (d.get(other) - m))
     return worst
 
-
-def alt_utility(
-    action: ReceiverAction,
-    theta: float,
-    peer_credences: Sequence[float],
-    lam: float,
-) -> float:
-    """Variant loss that penalizes distance to each peer separately.
-
-    ``-( |a - theta| + (lam / n) * sum_j |a - theta_j| )`` over ``n`` peers.
-    Compared with :func:`utility` this punishes polarized audiences even
-    when their mean is agreeable.
-    """
-    _check_theta(theta)
-    check_sensitivity(lam)
-    peers = list(peer_credences)
-    if not peers:
-        raise EmptyPeers("alt_utility needs at least one peer credence")
-    for x in peers:
-        _check_theta(x)
-    spread = sum(abs(float(action) - x) for x in peers) / len(peers)
-    return -(abs(float(action) - theta) + lam * spread)

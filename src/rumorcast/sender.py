@@ -3,14 +3,13 @@
 A potential sender holds a worldview prior ``tau`` and cares about how close
 her receivers' worldviews sit to her own.  Forwarding moves each receiver
 from prior to posterior, so the value of sending is the drop in total
-distance:
+distance from the status quo:
 
-    similarity_status_quo = sum_j |prior_j - tau|
-    send_gain             = similarity_status_quo - sum_j |posterior_j - tau|
+    gain = sum_j |prior_j - tau| - sum_j |posterior_j - tau|
 
 Peer pressure enters as a hard gate: with disapproval threshold ``ell`` and
 ``k`` disapprovals in the sender's own receiving chatroom, the realized
-payoff is ``max(ell - k, 0) * send_gain``.  She sends only when the gate is
+payoff is ``max(ell - k, 0) * gain``.  She sends only when the gate is
 open and the expected gain is strictly positive for every type she might
 have; an exact tie stays with the status quo.
 
@@ -23,13 +22,12 @@ first breakpoint, decreasing to a second, then increasing again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 from .belief import EPS, EvidenceRelation, _holds, require_credence, worldview_posterior, worldview_prior
 from .chatroom import TypeSet
-from .errors import EmptyPeers, RangeViolation
+from .errors import RangeViolation
 from .receiver import SecondOrderBelief
 
 
@@ -39,59 +37,6 @@ class SenderAction(str, Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class SenderContext:
-    """Inputs to one sending decision at a fixed own type.
-
-    ``receiver_credences`` are the credences the sender ascribes to her
-    audience; ``disapproval_count`` counts reactions of 0 in her own
-    receiving chatroom (zero for the root of a cascade, which nobody can
-    disapprove of).
-    """
-
-    own_prior: float
-    receiver_credences: tuple[float, ...]
-    mu: EvidenceRelation
-    ell: int = 1
-    disapproval_count: int = 0
-
-    def __post_init__(self) -> None:
-        if not (EPS < self.own_prior < 1.0 - EPS):
-            raise RangeViolation(f"own prior {self.own_prior!r} outside (0, 1)")
-        if not self.receiver_credences:
-            raise EmptyPeers("a potential sender needs at least one receiver")
-        for x in self.receiver_credences:
-            worldview_prior(x, self.mu)  # validates the credence band
-        if not isinstance(self.ell, int) or self.ell < 0:
-            raise RangeViolation(f"disapproval threshold must be an int >= 0, got {self.ell!r}")
-        if not isinstance(self.disapproval_count, int) or self.disapproval_count < 0:
-            raise RangeViolation(
-                f"disapproval count must be an int >= 0, got {self.disapproval_count!r}"
-            )
-
-    @property
-    def gate(self) -> int:
-        """Open slots left before disapproval shuts the sender down."""
-        return max(self.ell - self.disapproval_count, 0)
-
-
-def similarity_status_quo(ctx: SenderContext) -> float:
-    """Total worldview distance if the message is not sent."""
-    return float(
-        sum(abs(worldview_prior(x, ctx.mu) - ctx.own_prior) for x in ctx.receiver_credences)
-    )
-
-
-def send_gain(ctx: SenderContext) -> float:
-    """Distance saved by sending: status quo minus post-message distance."""
-    return expected_send_gain(ctx.own_prior, SecondOrderBelief.dirac(ctx.receiver_credences), ctx.mu)
-
-
-def send_payoff(ctx: SenderContext) -> float:
-    """Gate-scaled gain: ``max(ell - disapprovals, 0) * send_gain``."""
-    return ctx.gate * send_gain(ctx)
 
 
 def nu_value(x, own_prior, mu: EvidenceRelation, tol: float = EPS):

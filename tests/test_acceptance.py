@@ -15,6 +15,7 @@ import pytest
 
 from rumorcast import (
     ACTIONS,
+    EPS,
     AgentProfile,
     ChatroomGame,
     Multiplicity,
@@ -23,15 +24,13 @@ from rumorcast import (
     ReceiverSpec,
     SecondOrderBelief,
     SenderAction,
-    SenderContext,
     TypeSet,
-    alt_utility,
     best_actions,
     canonicalize_result,
     decide_send,
     dirac_truth_profiles,
     eligible_actions,
-    interval_ordering_check,
+    expected_send_gain,
     lambda_star,
     nu_breakpoints,
     nu_value,
@@ -39,8 +38,6 @@ from rumorcast import (
     oracle_global,
     peer_distance,
     root_tree,
-    send_gain,
-    similarity_status_quo,
     solve_chatroom,
     solve_global,
     support_interval,
@@ -48,6 +45,7 @@ from rumorcast import (
     utility,
     validate_evidence,
     worldview_posterior,
+    worldview_prior,
 )
 from helpers import (
     canonical_attrs,
@@ -181,11 +179,12 @@ def test_2_conformity_room_silence_and_approval():
 
 def test_3_worked_sending_decision():
     mu = validate_evidence(0.02, 0.01)
-    ctx = SenderContext(own_prior=0.7, receiver_credences=(0.019, 0.012), mu=mu)
-    assert similarity_status_quo(ctx) == pytest.approx(0.7, abs=1e-12)
+    # the status quo: the audience's total worldview distance from prior 0.7
+    status_quo = sum(abs(worldview_prior(x, mu) - 0.7) for x in (0.019, 0.012))
+    assert status_quo == pytest.approx(0.7, abs=1e-12)
     assert worldview_posterior(0.019, mu) == pytest.approx(18 / 19, abs=1e-12)
     assert worldview_posterior(0.012, mu) == pytest.approx(1 / 3, abs=1e-12)
-    gain = send_gain(ctx)
+    gain = expected_send_gain(0.7, SecondOrderBelief.dirac([0.019, 0.012]), mu)
     assert gain == pytest.approx(0.7 - 35 / 57, abs=1e-12)
     assert gain > 0
 
@@ -236,9 +235,13 @@ class TestPropertySuite:
     def test_6a_interval_ordering_chain(self):
         rng = np.random.default_rng(60601)
         for _ in range(N_DRAWS):
-            intervals = interval_ordering_check(_random_profile(rng), _random_lam(rng))
-            for iv in intervals:
-                assert iv.empty or iv.lo <= iv.hi
+            d, lam = _random_profile(rng), _random_lam(rng)
+            present = [iv for iv in (support_interval(a, d, lam) for a in ACTIONS) if not iv.empty]
+            for iv in present:
+                assert iv.lo <= iv.hi
+            # both endpoints weakly increase along 0, 0.5, 1
+            for left, right in zip(present, present[1:]):
+                assert left.lo <= right.lo + EPS and left.hi <= right.hi + EPS, (d, lam, left, right)
         _ok("6a support intervals keep the ordered-endpoint chain")
 
     def test_6b_intermediate_action_emptiness(self):
@@ -266,7 +269,8 @@ class TestPropertySuite:
             lam_hi = lam_lo + float(rng.uniform(1e-6, 5.0))
             small = support_interval(star, d, lam_lo)
             assert not small.empty  # the minimizer always serves its own value
-            assert support_interval(star, d, lam_hi).contains_interval(small.lo, small.hi)
+            big = support_interval(star, d, lam_hi)
+            assert not big.empty and big.lo - EPS <= small.lo and small.hi <= big.hi + EPS
             # past the dominance threshold the support covers all credences
             full = support_interval(star, d, lambda_star(d) * (1.0 + 1e-9) + 1e-9)
             assert full.lo == 0.0 and full.hi == 1.0
@@ -285,7 +289,8 @@ class TestPropertySuite:
             if at_hi.empty:
                 continue
             populated += 1
-            assert support_interval(D, d, lam_lo).contains_interval(at_hi.lo, at_hi.hi)
+            at_lo = support_interval(D, d, lam_lo)
+            assert not at_lo.empty and at_lo.lo - EPS <= at_hi.lo and at_hi.hi <= at_lo.hi + EPS
             theta = float(rng.uniform(at_hi.lo, at_hi.hi))
             assert D in best_actions(theta, d, lam_lo)
         assert populated > 1000
@@ -412,7 +417,11 @@ def test_7_average_versus_per_peer_penalty():
     assert mean_based == pytest.approx((-0.7, -0.3, -1.3), abs=1e-12)
     assert best_actions(0.2, d, 1.0) == {S}
 
-    per_peer = tuple(alt_utility(a, 0.2, (0.0, 1.0), 1.0) for a in ACTIONS)
+    # penalize the distance to each peer, averaged, instead of to the peer mean
+    peers = (0.0, 1.0)
+    per_peer = tuple(
+        -(abs(float(a) - 0.2) + 1.0 * sum(abs(float(a) - x) for x in peers) / len(peers)) for a in ACTIONS
+    )
     assert per_peer == pytest.approx((-0.7, -0.8, -1.3), abs=1e-12)
     top = max(per_peer)
     assert {a for a, v in zip(ACTIONS, per_peer) if abs(v - top) <= 1e-12} == {D}

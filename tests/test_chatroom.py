@@ -15,7 +15,6 @@ from rumorcast import (
     SecondOrderBelief,
     TypeSet,
     eligible_actions,
-    equilibrium_exists_for_all_types,
     solve_chatroom,
 )
 
@@ -221,16 +220,15 @@ class TestSolveChatroom:
 
 
 class TestAllTypesRobustness:
+    """Whether a receiver has an equilibrium action whatever her credence in
+    the admissible band: the eligible set of the band as one interval type."""
+
+    BAND = TypeSet.interval(0.1, 0.9)
+
     def test_high_sensitivity_survives_any_types(self):
-        game = _game([TypeSet.singleton(0.8)], lam=10.0, belief_profile=(0.9,),
-                     sender_types=TypeSet.singleton(0.9))
-        ok, eq = equilibrium_exists_for_all_types(game, (0.1, 0.9))
-        assert ok
-        assert eq.actions == {"r0": A}
+        belief = SecondOrderBelief.dirac((0.9,))
+        assert eligible_actions(self.BAND, belief, 10.0) == {A}
 
     def test_moderate_sensitivity_fails_somewhere(self):
-        game = _game([TypeSet.singleton(0.8)], lam=1.0, belief_profile=(0.9,),
-                     sender_types=TypeSet.singleton(0.9))
-        ok, eq = equilibrium_exists_for_all_types(game, (0.1, 0.9))
-        assert not ok
-        assert eq.multiplicity is Multiplicity.NONE
+        belief = SecondOrderBelief.dirac((0.9,))
+        assert eligible_actions(self.BAND, belief, 1.0) == frozenset()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,14 +16,18 @@ import pytest
 
 from rumorcast import (
     DIRAC_TRUTH,
+    AgentProfile,
     ParseError,
+    RangeViolation,
     SchemaError,
     TypeSet,
     normalize_scenario,
     parse_scenario,
     scenario_diagnostics,
+    scenario_to_obj,
     solve_global,
 )
+from rumorcast.network import AgentTable
 from rumorcast.cli import main
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -331,6 +336,31 @@ class TestNormalize:
             "2": {"types": {"interval": [0.2, 0.3]}, "lambda": 1.0, "ell": 0},
         }
         assert normalize_scenario(once) == once
+
+    def test_library_built_scenario_round_trips(self):
+        # integer sensitivities and thresholds set in the library are written
+        # as JSON integers, which the parser reads back
+        scenario = parse_scenario(_read(CANONICAL_PATH))
+        attrs = {
+            agent: AgentProfile(prof.type_set, 2, 3) for agent, prof in scenario.attrs.items()
+        }
+        built = dataclasses.replace(scenario, attrs=AgentTable.of(attrs))
+        text = json.dumps(scenario_to_obj(built))
+        once = normalize_scenario(text)
+        assert json.loads(once)["agents"]["1"] == {"types": 0.5, "lambda": 2, "ell": 3}
+        assert normalize_scenario(once) == once
+
+    def test_bool_ell_or_lambda_is_refused(self):
+        # a bool is an int to Python, but the file format refuses true and
+        # false, so the library refuses them too, naming the field
+        scenario = parse_scenario(_read(CANONICAL_PATH))
+        prof = scenario.attrs["1"]
+        with pytest.raises(RangeViolation, match="disapproval threshold ell .* got True"):
+            AgentProfile(prof.type_set, prof.lam, True)
+        with pytest.raises(RangeViolation, match="sensitivity lambda .* got True"):
+            AgentProfile(prof.type_set, True, prof.ell)
+        with pytest.raises(RangeViolation, match="sensitivity lambda .* got False"):
+            scenario.attrs.with_lam(False, "1")
 
     def test_graph_scenarios_keep_the_shorthand(self):
         out = normalize_scenario(_read(str(_SCENARIOS / "three_cliques.json")))

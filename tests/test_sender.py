@@ -1,4 +1,4 @@
-"""Sending decisions: similarity payoffs, gain shape, the gated send rule."""
+"""Sending decisions: the gain, its shape, the gated send rule."""
 
 from __future__ import annotations
 
@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 from rumorcast import (
-    EmptyPeers,
+    AgentProfile,
+    DomainError,
+    InvariantViolation,
     RangeViolation,
     SecondOrderBelief,
     SenderAction,
-    SenderContext,
     TypeSet,
     decide_send,
     expected_send_gain,
     nu_breakpoints,
     nu_value,
-    send_gain,
-    send_payoff,
-    similarity_status_quo,
     validate_evidence,
     worldview_prior,
 )
@@ -27,67 +25,57 @@ NARROW = validate_evidence(0.02, 0.01)
 WIDE = validate_evidence(0.9, 0.1)
 
 
-def _ctx(receivers, own_prior=0.7, ell=1, disapprovals=0, mu=NARROW):
-    return SenderContext(
-        own_prior=own_prior,
-        receiver_credences=tuple(receivers),
-        mu=mu,
-        ell=ell,
-        disapproval_count=disapprovals,
-    )
-
-
 class TestContextValidation:
+    """The inputs of one sending decision: the sender's own prior, her
+    audience's credences and her disapproval threshold."""
+
     def test_rejects_bad_own_prior(self):
         for p in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(RangeViolation):
-                _ctx([0.019], own_prior=p)
+            with pytest.raises(RangeViolation, match="own prior"):
+                expected_send_gain(p, SecondOrderBelief.dirac([0.019]), NARROW)
 
     def test_rejects_empty_receivers(self):
-        with pytest.raises(EmptyPeers):
-            _ctx([])
+        with pytest.raises(InvariantViolation, match="at least one peer"):
+            SecondOrderBelief.dirac([])
 
     def test_rejects_receiver_credence_off_band(self):
-        from rumorcast import DomainError
-
         with pytest.raises(DomainError):
-            _ctx([0.5])  # far outside (0.01, 0.02)
+            expected_send_gain(0.7, SecondOrderBelief.dirac([0.5]), NARROW)  # far outside (0.01, 0.02)
 
     def test_rejects_bad_counters(self):
-        with pytest.raises(RangeViolation):
-            _ctx([0.019], ell=-1)
-        with pytest.raises(RangeViolation):
-            _ctx([0.019], disapprovals=-2)
+        for ell in (-1, 1.5):
+            with pytest.raises(RangeViolation, match="disapproval threshold ell"):
+                AgentProfile(TypeSet.singleton(0.017), 1.0, ell)
 
     def test_actions_print_as_report_codes(self):
         assert (str(SenderAction.SEND), str(SenderAction.NOSEND)) == ("S", "NS")
 
     def test_gate_floor_is_zero(self):
-        assert _ctx([0.019], ell=1, disapprovals=3).gate == 0
-        assert _ctx([0.019], ell=3, disapprovals=1).gate == 2
+        belief = SecondOrderBelief.dirac([0.019, 0.012])
+        types = TypeSet.singleton(0.017)  # own prior 0.7, a positive gain
+        assert decide_send(types, belief, NARROW, ell=1, disapproval_count=3) is SenderAction.NOSEND
+        assert decide_send(types, belief, NARROW, ell=3, disapproval_count=1) is SenderAction.SEND
 
 
 class TestWorkedPayoffs:
     """Two receivers at credences 0.019 and 0.012 under the narrow evidence
-    band; the sender's own prior is 0.7."""
+    band; the sender's own prior is 0.7.  The status quo is the audience's
+    total worldview distance from her if she does not send."""
 
     def test_status_quo_distance(self):
-        assert similarity_status_quo(_ctx([0.019, 0.012])) == pytest.approx(0.7, abs=1e-12)
+        status_quo = sum(abs(worldview_prior(x, NARROW) - 0.7) for x in (0.019, 0.012))
+        assert status_quo == pytest.approx(0.7, abs=1e-12)
 
     def test_gain_is_small_but_positive(self):
-        gain = send_gain(_ctx([0.019, 0.012]))
+        gain = expected_send_gain(0.7, SecondOrderBelief.dirac([0.019, 0.012]), NARROW)
         assert gain == pytest.approx(0.7 - 35 / 57, abs=1e-12)
         assert gain > 0
 
-    def test_payoff_scales_with_open_gate(self):
-        gain = send_gain(_ctx([0.019, 0.012]))
-        assert send_payoff(_ctx([0.019, 0.012], ell=2)) == pytest.approx(2 * gain)
-        assert send_payoff(_ctx([0.019, 0.012], ell=1, disapprovals=1)) == 0.0
-
     def test_three_replicas_flip_the_sign(self):
-        ctx = _ctx([0.019, 0.019, 0.019, 0.012])
-        assert similarity_status_quo(ctx) == pytest.approx(1.1, abs=1e-12)
-        assert send_gain(ctx) < 0
+        receivers = [0.019, 0.019, 0.019, 0.012]
+        status_quo = sum(abs(worldview_prior(x, NARROW) - 0.7) for x in receivers)
+        assert status_quo == pytest.approx(1.1, abs=1e-12)
+        assert expected_send_gain(0.7, SecondOrderBelief.dirac(receivers), NARROW) < 0
 
 
 class TestNu:
@@ -102,9 +90,9 @@ class TestNu:
             n = int(rng.integers(1, 6))
             xs = rng.uniform(0.011, 0.019, size=n)
             tau = float(rng.uniform(0.05, 0.95))
-            ctx = _ctx(xs.tolist(), own_prior=tau)
             total = sum(float(nu_value(float(x), tau, NARROW)) for x in xs)
-            assert send_gain(ctx) == pytest.approx(total, abs=1e-12)
+            gain = expected_send_gain(tau, SecondOrderBelief.dirac(xs.tolist()), NARROW)
+            assert gain == pytest.approx(total, abs=1e-12)
 
     def test_vectorizes(self):
         xs = np.linspace(0.15, 0.85, 101)
