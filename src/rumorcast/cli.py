@@ -29,6 +29,7 @@ from .network import (
     credence_errors,
     natural_sorted,
     reach_by_root,
+    root_summaries,
     root_tree,
     solve_global,
     undirected_closure,
@@ -292,27 +293,23 @@ def cmd_sweep_root(args: argparse.Namespace) -> int:
         graph = undirected_closure(tree)
     else:
         graph = scenario.graph()
-    sweep = reach_by_root(graph, scenario.attrs, scenario.evidence, args.tolerance)
-    results = list(sweep.values())
-    counts = [result.reach_count for result in results]
-    exists = [result.exists for result in results]
-    best = max((count for count, ok in zip(counts, exists) if ok), default=0)
+    try:
+        rows = root_summaries(graph, scenario.attrs, scenario.evidence, args.tolerance)
+    except DomainError:
+        # name the off-band credence where the first root's cascade reads it, as `solve --root` does
+        reach_by_root(graph, scenario.attrs, scenario.evidence, args.tolerance)
+        raise
+    counts = [row.reach_count for row in rows.values()]
+    best = max(counts, default=0)
+    # under known types every cascade exists and no room fails
     block = {
-        "root": list(sweep),
+        "root": list(rows),
         "reach_count": counts,
-        "exists": exists,
-        "unique": [result.unique for result in results],
-        "no_send_at": [
-            ";".join(
-                str(a)
-                for a in natural_sorted(result.sender_actions)
-                if result.send_of(a) is SenderAction.NOSEND
-            )
-            or None
-            for result in results
-        ],
-        "failing_room": [result.failing_room for result in results],
-        "is_max": [ok and count == best for count, ok in zip(counts, exists)],
+        "exists": [True] * len(rows),
+        "unique": [row.unique for row in rows.values()],
+        "no_send_at": [";".join(map(str, row.no_send_at)) or None for row in rows.values()],
+        "failing_room": [None] * len(rows),
+        "is_max": [count == best for count in counts],
     }
     _emit(_render([block], list(block), args.format), args.out)
     return 0

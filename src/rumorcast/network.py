@@ -33,7 +33,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, filterfalse, groupby
 from operator import itemgetter
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .belief import EPS, EvidenceRelation, require_credence
 from .chatroom import (
@@ -54,7 +54,7 @@ from .receiver import (
     check_sensitivity,
     peer_distance,
 )
-from .sender import SenderAction, decide_send, known_type_gain, send_rule
+from .sender import SenderAction, check_count, decide_send, known_type_gain, send_rule
 
 Agent = Hashable
 
@@ -191,8 +191,7 @@ class AgentProfile:
 
     def __post_init__(self) -> None:
         check_sensitivity(self.lam)
-        if isinstance(self.ell, bool) or not isinstance(self.ell, int) or self.ell < 0:
-            raise RangeViolation(f"disapproval threshold ell must be an int >= 0, got {self.ell!r}")
+        check_count(self.ell, "disapproval threshold ell")
 
 
 @dataclass(frozen=True)
@@ -518,6 +517,56 @@ def _exact_parts(xs: Iterable[float]) -> list[float]:
     return parts
 
 
+def _solve_room(
+    profiles: TreeProfiles, sender: Agent, receivers: tuple[Agent, ...], tol: float
+) -> ChatroomEquilibrium:
+    """The equilibrium of ``sender``'s room: a receiver with an explicit
+    belief gets her peer distances from it, any other one her peer mean from
+    the room's credence total."""
+    attrs, theta = profiles.attrs, profiles.theta
+    beliefs = list(map(profiles.receiver_belief, receivers)) if profiles.overrides else [None] * len(receivers)
+    if None in beliefs:
+        # known-type peers are the sender and the other receivers, at their credences
+        parts, k = _exact_parts([theta[sender], *(theta[r] for r in receivers)]), len(receivers)
+    row, lams = attrs._index, attrs.lam
+    eligible: dict[Agent, frozenset[ReceiverAction]] = {}
+    centroids: dict[Agent, float] = {}
+    for r, belief in zip(receivers, beliefs):
+        if belief is None:
+            t = centroids[r] = theta[r]
+            eligible[r] = known_type_eligible(t, lams[row[r]], math.fsum([*parts, -t]) / k, tol)
+        else:
+            prof = attrs[r]
+            eligible[r] = _eligible(prof.type_set, peer_distance(belief), prof.lam, tol)
+            centroids[r] = prof.type_set.centroid
+    return fold_room(eligible, centroids)
+
+
+def _decide(
+    profiles: TreeProfiles,
+    agent: Agent,
+    kids: tuple[Agent, ...],
+    mu: EvidenceRelation,
+    ell: int,
+    disapprovals: int,
+    tol: float,
+) -> SenderAction:
+    """``agent``'s send decision to ``kids``, her gate ``ell`` against
+    ``disapprovals``: a known type gains from her audience at their
+    credences.  A closed gate reads no belief and no credence.  An off-band
+    credence raises naming the agent and where it sits."""
+    theta = profiles.theta
+    belief = profiles._stated_sender(agent) if ell > disapprovals else None
+    try:
+        if belief is None and theta is not None:
+            credences = [theta[kid] for kid in kids]
+            gain = lambda tau: known_type_gain(tau, credences, mu, tol)
+            return send_rule((theta[agent], theta[agent]), gain, mu, ell, disapprovals, tol)
+        return decide_send(profiles.attrs[agent].type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
+    except DomainError as exc:
+        raise DomainError(next(credence_errors(profiles, [Chatroom(agent, kids)], mu, tol))) from exc
+
+
 def solve_global(
     tree: OrderedTree,
     profiles: Mapping[Agent, AgentProfile],
@@ -551,25 +600,8 @@ def solve_global(
     _check_tol(tol)
     profiles = TreeProfiles.of(tree, profiles)
     _check_profiles(profiles)
-    attrs, theta = profiles.attrs, profiles.theta
-    row, lams, ells = attrs._index, attrs.lam, attrs.ell
-
-    def solve_room(sender: Agent, receivers: tuple[Agent, ...]) -> ChatroomEquilibrium:
-        beliefs = list(map(profiles.receiver_belief, receivers)) if profiles.overrides else [None] * len(receivers)
-        if None in beliefs:
-            # known-type peers are the sender and the other receivers, at their credences
-            parts, k = _exact_parts([theta[sender], *(theta[r] for r in receivers)]), len(receivers)
-        eligible: dict[Agent, frozenset[ReceiverAction]] = {}
-        centroids: dict[Agent, float] = {}
-        for r, belief in zip(receivers, beliefs):
-            if belief is None:
-                t = centroids[r] = theta[r]
-                eligible[r] = known_type_eligible(t, lams[row[r]], math.fsum([*parts, -t]) / k, tol)
-            else:
-                prof = attrs[r]
-                eligible[r] = _eligible(prof.type_set, peer_distance(belief), prof.lam, tol)
-                centroids[r] = prof.type_set.centroid
-        return fold_room(eligible, centroids)
+    attrs = profiles.attrs
+    row, ells = attrs._index, attrs.ell
 
     receiver_actions: dict[Agent, ReceiverAction] = {}
     sender_actions: dict[Agent, SenderAction] = {}
@@ -580,24 +612,8 @@ def solve_global(
     queue: deque[tuple[Agent, tuple[Agent, ...]]] = deque()  # senders with their receivers
 
     def decide(agent: Agent, ell: int, disapprovals: int) -> None:
-        # a closed gate decides without reading the belief, so none is read for it
-        belief, kids = None, ()
-        if ell > disapprovals:
-            kids = tree.children_of(agent)
-            belief = profiles._stated_sender(agent)
-        try:
-            if belief is None and theta is not None:
-                # a known type gains from her audience at their credences
-                credences = [theta[kid] for kid in kids]
-                gain = lambda tau: known_type_gain(tau, credences, mu, tol)
-                decision = send_rule((theta[agent], theta[agent]), gain, mu, ell, disapprovals, tol)
-            else:
-                type_set = attrs[agent].type_set
-                decision = decide_send(type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
-        except DomainError as exc:
-            room = Chatroom(agent, kids)  # only an open gate reads credences
-            raise DomainError(next(credence_errors(profiles, [room], mu, tol))) from exc
-        sender_actions[agent] = decision
+        kids = tree.children_of(agent) if ell > disapprovals else ()
+        decision = sender_actions[agent] = _decide(profiles, agent, kids, mu, ell, disapprovals, tol)
         if decision is SenderAction.SEND:
             queue.append((agent, kids))
 
@@ -607,7 +623,7 @@ def solve_global(
 
     while queue and failing is None:
         sender, receivers = queue.popleft()
-        eq = room_eqs[sender] = solve_room(sender, receivers)
+        eq = room_eqs[sender] = _solve_room(profiles, sender, receivers, tol)
         if eq.multiplicity is Multiplicity.NONE:
             failing = sender
             break
@@ -968,4 +984,125 @@ def reach_by_root(
     for root in blocks.agents:
         view = RootedView(blocks, root)
         out[root] = solve_global(view, truth._reroot(view), mu, tol)  # type: ignore[arg-type]
+    return out
+
+
+class RootSummary(NamedTuple):
+    """What ``sweep-root`` reports of one root's cascade, which under known
+    types always exists and fails no room: how many agents it reaches,
+    whether every room it opened had one equilibrium, and the agents who
+    held the message, had someone to send it to and did not, in natural id
+    order."""
+
+    reach_count: int
+    unique: bool
+    no_send_at: list[Agent]
+
+
+class _Below(NamedTuple):
+    # the sub-cascade below a sender, memoized by her (agent, entry block)
+    reach: int  # agents reached below her
+    multiple: bool  # some room there is MULTIPLE
+    no_sends: int  # agents there who do not send
+    here: list[Agent]  # her receivers who do not send
+    busy: list[tuple[Agent, int]]  # her sending receivers' keys, those with no-sends below them
+
+
+def root_summaries(
+    graph: SocialGraph,
+    attrs: Mapping[Agent, AgentProfile],
+    mu: EvidenceRelation,
+    tol: float = EPS,
+) -> dict[Agent, RootSummary]:
+    """:func:`reach_by_root`'s cascades, summarized, each sub-cascade solved once.
+
+    Under known types, what happens below an agent who sends after being
+    entered through block B is the same whoever the root: her room holds
+    the members of her other blocks, and each non-terminal receiver's
+    decision depends only on its disapprovals and on her own room, entered
+    through the block she shares with the sender.  So each (agent, entry
+    block) room is folded once and each open-gate decision evaluated once.
+    Each sub-cascade keeps its reach, whether some room in it is MULTIPLE,
+    and the no-send agents among its sender's receivers; a root's no-send
+    agents are gathered by walking only the sub-cascades that hold some,
+    breadth first as the cascade decides, so ids that tie in natural order
+    ("1", "01") keep :func:`reach_by_root`'s order.
+
+    Raises what :func:`reach_by_root` raises, save that an off-band credence
+    is named where this sweep reads it first, which need not be where the
+    first root's cascade does.
+    """
+    _check_tol(tol)
+    blocks = _valid_blocks(graph)
+    if not blocks.agents:
+        return {}
+    profiles = TreeProfiles(RootedView(blocks, blocks.agents[0]), attrs)  # type: ignore[arg-type]
+    row, ells = profiles.attrs._index, profiles.attrs.ell
+    block_of, block_count = blocks.block_of, blocks.block_count
+
+    def sends(agent: Agent, kids: tuple[Agent, ...]) -> bool:
+        return _decide(profiles, agent, kids, mu, 1, 0, tol) is SenderAction.SEND  # an open gate
+
+    decided: dict[tuple[Agent, int], bool] = {}  # whether she sends through an open gate
+    below: dict[tuple[Agent, int], _Below] = {}  # for the keys that send
+
+    def solve_below(top: tuple[Agent, int], kids: tuple[Agent, ...]) -> None:
+        # depth first: a sender's room opens her receivers' rooms, and her
+        # sub-cascade is summed up once theirs are
+        opened: dict[tuple[Agent, int], tuple[int, bool, list[Agent], list[tuple[Agent, int]]]] = {}
+        stack = [(top, kids)]
+        while stack:
+            key, kids = stack[-1]
+            room = opened.pop(key, None)
+            if room is None:
+                eq = _solve_room(profiles, key[0], kids, tol)
+                assert eq.actions is not None  # one-type eligible sets are never empty
+                actions, entries = eq.actions, block_of[key[0]]
+                disapprovals = sum(1 for r in kids if actions[r] is ReceiverAction.DISAPPROVE)
+                here, sent = [], []
+                for r in kids:
+                    if block_count[r] == 1:  # terminal
+                        continue
+                    child = (r, entries[r])
+                    if ells[row[r]] <= disapprovals:  # her gate is closed
+                        here.append(r)
+                        continue
+                    if child not in decided:
+                        theirs = blocks.children(*child)
+                        decided[child] = sends(r, theirs)
+                        if decided[child]:
+                            stack.append((child, theirs))
+                    if decided[child]:
+                        sent.append(child)
+                    else:
+                        here.append(r)
+                opened[key] = (len(kids), eq.multiplicity is Multiplicity.MULTIPLE, here, sent)
+            else:
+                stack.pop()
+                reach, multiple, here, sent = room
+                subs = [below[child] for child in sent]
+                below[key] = _Below(
+                    reach + sum(sub.reach for sub in subs),
+                    multiple or any(sub.multiple for sub in subs),
+                    len(here) + sum(sub.no_sends for sub in subs),
+                    here,
+                    [child for child, sub in zip(sent, subs) if sub.no_sends],
+                )
+
+    out: dict[Agent, RootSummary] = {}
+    for root in blocks.agents:
+        if not block_count[root]:  # a lone agent has nobody to send to
+            out[root] = RootSummary(1, True, [])
+            continue
+        top, kids = (root, -1), blocks.children(root, -1)
+        if not sends(root, kids):  # nobody gates the root
+            out[root] = RootSummary(1, True, [root])
+            continue
+        solve_below(top, kids)
+        no_send, walk = [], [top]
+        for key in walk:  # the list grows while it is walked: breadth first
+            no_send += below[key].here
+            walk += below[key].busy
+        sub = below.pop(top)  # only this root's cascade starts at (root, -1)
+        out[root] = RootSummary(1 + sub.reach, not sub.multiple, natural_sorted(no_send))
     return out

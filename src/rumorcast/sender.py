@@ -98,6 +98,12 @@ def known_type_gain(
     return sum(abs(own_prior - (x - b) / spread) - abs(own_prior - c * ((x - b) / spread) / x) for x in credences)
 
 
+def check_count(value: int, what: str) -> None:
+    """Thresholds and disapproval counts are ints >= 0, not bools."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise RangeViolation(f"{what} must be an int >= 0, got {value!r}")
+
+
 def decide_send(
     type_set: TypeSet,
     belief: SecondOrderBelief,
@@ -112,7 +118,11 @@ def decide_send(
     Each receiver's term ``|tau - prior| - |tau - post|`` is nondecreasing in
     the own prior ``tau`` (the posterior exceeds the prior on the admissible
     band), so the lowest type binds, for finite and interval sets alike.
+    ``ell`` and ``disapproval_count`` are checked as ``AgentProfile``
+    checks ``ell``.
     """
+    check_count(ell, "disapproval threshold ell")
+    check_count(disapproval_count, "disapproval_count")
     gain = lambda tau: expected_send_gain(tau, belief, mu, tol)
     return send_rule(type_set.hull, gain, mu, ell, disapproval_count, tol)
 

@@ -3,16 +3,19 @@
 ``validate_graph`` accepts a graph when its block decomposition shows a
 connected, loop-free block graph, and otherwise reads every witness off that
 decomposition; ``reach_by_root`` roots the one decomposition lazily at every
-agent.  These tests check the accept and the witnesses against an exhaustive
-enumerator that searches a path per pair of acquaintances, every lazy
-rooting and every ``root_tree`` against an independent depth-map walk, and
-count the work a large sweep does.
+agent, and ``root_summaries`` solves each (agent, entry block) room once for
+all of them.  These tests check the accept and the witnesses against an
+exhaustive enumerator that searches a path per pair of acquaintances, every
+lazy rooting and every ``root_tree`` against an independent depth-map walk,
+every summary row against the cascade ``reach_by_root`` solves, and count
+the work a large sweep does.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from collections import Counter, deque
 
@@ -20,12 +23,15 @@ import numpy as np
 import pytest
 
 from rumorcast import (
+    EPS,
     AgentProfile,
     InvalidGraph,
     InvariantViolation,
     OrderedTree,
     RangeViolation,
+    SenderAction,
     SocialGraph,
+    TreeProfiles,
     TypeSet,
     reach_by_root,
     root_tree,
@@ -36,7 +42,15 @@ from rumorcast import (
 )
 from rumorcast import network
 from rumorcast.cli import main
-from rumorcast.network import BlockDecomposition, GraphReport, GraphViolation, RootedView
+from rumorcast.network import (
+    BlockDecomposition,
+    GraphReport,
+    GraphViolation,
+    RootedView,
+    RootSummary,
+    natural_sorted,
+    root_summaries,
+)
 
 from helpers import canonical_attrs, canonical_mu, canonical_profiles, canonical_tree, random_tree, random_wide_tree
 
@@ -446,26 +460,135 @@ def test_rooted_view_answers_only_for_listed_agents():
     assert view.parent_of("5") == "2"
 
 
+def _summary(result) -> RootSummary:
+    """The row ``sweep-root`` reports of one cascade, read off the cascade."""
+    no_send = [a for a in natural_sorted(result.sender_actions) if result.send_of(a) is SenderAction.NOSEND]
+    return RootSummary(result.reach_count, result.unique, no_send)
+
+
+def _open_windmill(rng: np.random.Generator, dyadic: bool) -> tuple[SocialGraph, dict]:
+    """A windmill whose centre, at a high credence with threshold 3, sends
+    into rooms that hold every other triangle: her rooms open."""
+    g = _windmill(rng, int(rng.integers(2, 40)), 0)
+    grid = [0.625, 0.75, 0.875]
+    attrs = {
+        a: AgentProfile(
+            type_set=TypeSet.singleton(float(rng.choice(grid)) if dyadic else float(rng.uniform(0.6, 0.85))),
+            lam=float(rng.choice([0.0, 0.5, 1.0, 2.0])),
+            ell=2,
+        )
+        for a in g.nodes
+    }
+    attrs["0"] = AgentProfile(type_set=TypeSet.singleton(0.88), lam=1.0, ell=3)
+    return g, attrs
+
+
+def _known_types(rng: np.random.Generator, g: SocialGraph, dyadic: bool) -> dict:
+    grid = [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875]  # dyadic credences, for exact ties
+    return {
+        a: AgentProfile(
+            type_set=TypeSet.singleton(float(rng.choice(grid)) if dyadic else float(rng.uniform(0.12, 0.88))),
+            lam=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0, float(rng.uniform(0.0, 8.0))])),
+            ell=int(rng.integers(0, 3)),
+        )
+        for a in g.nodes
+    }
+
+
 def test_known_type_sweeps_never_fail_a_room():
     # a receiver with one type always has a best response, so under known-type
-    # beliefs no room of any rooting lacks an equilibrium
+    # beliefs no room of any rooting lacks an equilibrium; sweep-root reports
+    # every cascade as existing, with no failing room, on the strength of this
     rng = np.random.default_rng(5015)
     mu, roots = canonical_mu(), 0
-    grid = [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875]  # dyadic credences, for exact ties
     for draw in range(240):
         g = _closure(rng, 30)
-        attrs = {
-            a: AgentProfile(
-                type_set=TypeSet.singleton(
-                    float(rng.choice(grid)) if draw % 2 else float(rng.uniform(0.12, 0.88))
-                ),
-                lam=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0, float(rng.uniform(0.0, 8.0))])),
-                ell=int(rng.integers(0, 3)),
-            )
-            for a in g.nodes
-        }
-        for root, result in reach_by_root(g, attrs, mu).items():
+        attrs = _known_types(rng, g, dyadic=bool(draw % 2))
+        sweep = reach_by_root(g, attrs, mu)
+        for root, result in sweep.items():
             assert result.exists and result.failing_room is None, (draw, root)
             roots += 1
+        assert list(root_summaries(g, attrs, mu).items()) == [(r, _summary(c)) for r, c in sweep.items()], draw
     assert roots >= 2_000
     assert reach_by_root(SocialGraph.from_edges([]), {}, mu) == {}
+    assert root_summaries(SocialGraph.from_edges([]), {}, mu) == {}
+
+
+def test_root_summaries_match_the_cascades_of_reach_by_root():
+    # random closures and open windmills, half on dyadic credences for exact
+    # ties, some closures with ids that tie in natural order, at two tolerances
+    rng, ties = np.random.default_rng(5321), np.random.default_rng(5331)
+    mu = canonical_mu()
+    roots = multiple = 0
+    for draw in range(180):
+        dyadic = bool(draw % 2)
+        if draw % 3 == 2:
+            g, attrs = _open_windmill(rng, dyadic)
+        else:
+            g = _closure(rng, 30)
+            if draw % 4 == 3:
+                g = _tied(ties, g)
+            attrs = _known_types(rng, g, dyadic)
+        for tol in (0.0, EPS):
+            expected = [(root, _summary(result)) for root, result in reach_by_root(g, attrs, mu, tol).items()]
+            assert list(root_summaries(g, attrs, mu, tol).items()) == expected, (draw, tol)
+            roots += len(expected)
+            multiple += sum(not row.unique for _, row in expected)
+    assert roots >= 2_000 and multiple >= 500, (roots, multiple)
+
+
+def test_a_sweep_folds_each_room_and_makes_each_open_gate_decision_once(monkeypatch):
+    folded: Counter = Counter()
+    decided: Counter = Counter()
+    solve_room, decide = network._solve_room, network._decide
+    monkeypatch.setattr(
+        network, "_solve_room",
+        lambda profiles, sender, receivers, tol: folded.update([(sender, receivers)])
+        or solve_room(profiles, sender, receivers, tol),
+    )
+    monkeypatch.setattr(
+        network, "_decide",
+        lambda profiles, agent, kids, mu, ell, disapprovals, tol: decided.update([(agent, kids, ell > disapprovals)])
+        or decide(profiles, agent, kids, mu, ell, disapprovals, tol),
+    )
+    rng, mu = np.random.default_rng(5341), canonical_mu()
+    ours = theirs = 0
+    for draw in range(60):
+        if draw % 2:
+            g, attrs = _open_windmill(rng, dyadic=False)
+        else:
+            g = _closure(rng, 30)
+            attrs = _known_types(rng, g, dyadic=False)
+        folded.clear()
+        decided.clear()
+        root_summaries(g, attrs, mu)
+        # an (agent, entry block) pair has one audience, so these keys are those pairs
+        assert max(folded.values(), default=1) == 1, draw
+        assert max(decided.values(), default=1) == 1, draw
+        assert all(is_open for _, _, is_open in decided), draw
+        ours += folded.total()
+        folded.clear()
+        reach_by_root(g, attrs, mu)
+        theirs += folded.total()
+    assert ours < theirs, (ours, theirs)  # the per-root cascades fold some rooms again
+
+
+def test_a_cascade_deeper_than_the_recursion_limit():
+    # a path with one pendant agent at each of its agents: from every agent of
+    # the path, the message runs its whole length.  Each room of the path holds
+    # the next agent of the path and a pendant agent far below in credence, whom
+    # a sender gains more by reaching than she loses on her like-minded peer
+    # (a bare path carries no message both ways: a known type sends to one
+    # receiver only when the receiver's credence is well below her own)
+    n = sys.getrecursionlimit() + 200
+    path = [str(k) for k in range(1, n + 1)]
+    pendant = [str(n + k) for k in range(1, n + 1)]
+    g = SocialGraph.from_edges(list(zip(path, path[1:])) + list(zip(path, pendant)))
+    attrs = {a: AgentProfile(type_set=TypeSet.singleton(0.7), lam=1.0, ell=4) for a in path}
+    attrs.update({a: AgentProfile(type_set=TypeSet.singleton(0.3), lam=1.0) for a in pendant})
+    mu = canonical_mu()
+    rows = root_summaries(g, attrs, mu)
+    assert [rows[a].reach_count for a in path] == [2 * n] * n
+    for root in (path[0], path[n // 2], path[-1]):
+        tree = root_tree(g, root)
+        assert rows[root] == _summary(solve_global(tree, TreeProfiles(tree, attrs), mu)), root

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from helpers import UNREADABLE_DOCUMENTS
+from rumorcast import cli
 from rumorcast.cli import _lambda_values, main
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -240,6 +241,22 @@ OFF_BAND = {
 }
 
 
+# root 1 does not send; from root 2 the message reaches agents 3 and 4, whose
+# receivers 5 and 6 each send to an agent off the band
+DEEP_OFF_BAND = {
+    "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+    "topology": {
+        "kind": "graph",
+        "edges": [["1", "2"], ["2", "3"], ["2", "4"], ["3", "5"], ["4", "6"], ["5", "7"], ["6", "8"]],
+    },
+    "agents": {
+        a: {"types": t, "lambda": 1.0, "ell": 3}
+        for a, t in zip("12345678", (0.8, 0.85, 0.5, 0.5, 0.2, 0.2, 0.05, 0.05))
+    },
+    "beliefs": "dirac-truth",
+}
+
+
 class TestOffBandCredence:
     """An off-band credence that a send decision reads fails every solving
     command with the agent and the field ``validate`` names."""
@@ -255,6 +272,20 @@ class TestOffBandCredence:
             assert main([argv[0], path, *argv[1:], "--format", fmt]) == 1
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", f"error: {detail}\n")
+
+    def test_sweep_names_what_the_first_root_reads_first(self, capsys, tmp_path, monkeypatch):
+        # root 2's cascade decides breadth first, so agent 5 reads an off-band
+        # credence before agent 6 does; the sweep itself reaches 6's room first
+        path = write(tmp_path, DEEP_OFF_BAND)
+        assert main(["solve", path, "--root", "1"]) == 0
+        capsys.readouterr()
+        said = "agent '{}': sender belief: credence 0.05 outside the open interval (0.1, 0.9)"
+        assert main(["sweep-root", path]) == 1
+        assert capsys.readouterr() == ("", f"error: {said.format(5)}\n")
+        # had that reference not raised, the sweep's own error would still stop it
+        monkeypatch.setattr(cli, "reach_by_root", lambda *args: {})
+        assert main(["sweep-root", path]) == 1
+        assert capsys.readouterr() == ("", f"error: {said.format(6)}\n")
 
     def test_a_narrowing_tolerance_is_named(self, capsys):
         # 0.26 lies inside (0.1, 0.9), but not inside the band narrowed by 0.2 at each end

@@ -47,6 +47,22 @@ class TestContextValidation:
             with pytest.raises(RangeViolation, match="disapproval threshold ell"):
                 AgentProfile(TypeSet.singleton(0.017), 1.0, ell)
 
+    @pytest.mark.parametrize(
+        "field, counters",
+        [
+            ("disapproval threshold ell", {"ell": -1}),
+            ("disapproval threshold ell", {"ell": True}),
+            ("disapproval threshold ell", {"ell": 1.5}),
+            ("disapproval_count", {"ell": 2, "disapproval_count": -5}),
+            ("disapproval_count", {"disapproval_count": 0.5}),
+        ],
+        ids=["ell=-1", "ell=True", "ell=1.5", "count=-5", "count=0.5"],
+    )
+    def test_decide_send_refuses_bad_counters(self, field, counters):
+        belief = SecondOrderBelief.dirac([0.019, 0.012])
+        with pytest.raises(RangeViolation, match=f"^{field} must be an int >= 0, got "):
+            decide_send(TypeSet.singleton(0.017), belief, NARROW, **counters)
+
     def test_actions_print_as_report_codes(self):
         assert (str(SenderAction.SEND), str(SenderAction.NOSEND)) == ("S", "NS")
 
@@ -55,6 +71,14 @@ class TestContextValidation:
         types = TypeSet.singleton(0.017)  # own prior 0.7, a positive gain
         assert decide_send(types, belief, NARROW, ell=1, disapproval_count=3) is SenderAction.NOSEND
         assert decide_send(types, belief, NARROW, ell=3, disapproval_count=1) is SenderAction.SEND
+
+    def test_valid_counters_open_the_gate_exactly_when_ell_exceeds_the_count(self):
+        belief = SecondOrderBelief.dirac([0.019, 0.012])
+        types = TypeSet.singleton(0.017)  # own prior 0.7, a positive gain
+        for ell in (0, 1, 2, 3, 10**30):
+            for count in (0, 1, 2, 3, 10**30):
+                expected = SenderAction.SEND if ell > count else SenderAction.NOSEND
+                assert decide_send(types, belief, NARROW, ell, count) is expected, (ell, count)
 
 
 class TestWorkedPayoffs:
