@@ -28,7 +28,7 @@ from .network import (
     chatrooms_of,
     credence_errors,
     natural_sorted,
-    reach_by_root,
+    reach_by_root,  # unused here; bench/tracer.py wraps this binding by name
     root_summaries,
     root_tree,
     solve_global,
@@ -293,12 +293,7 @@ def cmd_sweep_root(args: argparse.Namespace) -> int:
         graph = undirected_closure(tree)
     else:
         graph = scenario.graph()
-    try:
-        rows = root_summaries(graph, scenario.attrs, scenario.evidence, args.tolerance)
-    except DomainError:
-        # name the off-band credence where the first root's cascade reads it, as `solve --root` does
-        reach_by_root(graph, scenario.attrs, scenario.evidence, args.tolerance)
-        raise
+    rows = root_summaries(graph, scenario.attrs, scenario.evidence, args.tolerance)
     counts = [row.reach_count for row in rows.values()]
     best = max(counts, default=0)
     # under known types every cascade exists and no room fails

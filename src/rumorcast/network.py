@@ -1028,9 +1028,7 @@ def root_summaries(
     breadth first as the cascade decides, so ids that tie in natural order
     ("1", "01") keep :func:`reach_by_root`'s order.
 
-    Raises what :func:`reach_by_root` raises, save that an off-band credence
-    is named where this sweep reads it first, which need not be where the
-    first root's cascade does.
+    Raises what :func:`reach_by_root` raises.
     """
     _check_tol(tol)
     blocks = _valid_blocks(graph)
@@ -1046,49 +1044,6 @@ def root_summaries(
     decided: dict[tuple[Agent, int], bool] = {}  # whether she sends through an open gate
     below: dict[tuple[Agent, int], _Below] = {}  # for the keys that send
 
-    def solve_below(top: tuple[Agent, int], kids: tuple[Agent, ...]) -> None:
-        # depth first: a sender's room opens her receivers' rooms, and her
-        # sub-cascade is summed up once theirs are
-        opened: dict[tuple[Agent, int], tuple[int, bool, list[Agent], list[tuple[Agent, int]]]] = {}
-        stack = [(top, kids)]
-        while stack:
-            key, kids = stack[-1]
-            room = opened.pop(key, None)
-            if room is None:
-                eq = _solve_room(profiles, key[0], kids, tol)
-                assert eq.actions is not None  # one-type eligible sets are never empty
-                actions, entries = eq.actions, block_of[key[0]]
-                disapprovals = sum(1 for r in kids if actions[r] is ReceiverAction.DISAPPROVE)
-                here, sent = [], []
-                for r in kids:
-                    if block_count[r] == 1:  # terminal
-                        continue
-                    child = (r, entries[r])
-                    if ells[row[r]] <= disapprovals:  # her gate is closed
-                        here.append(r)
-                        continue
-                    if child not in decided:
-                        theirs = blocks.children(*child)
-                        decided[child] = sends(r, theirs)
-                        if decided[child]:
-                            stack.append((child, theirs))
-                    if decided[child]:
-                        sent.append(child)
-                    else:
-                        here.append(r)
-                opened[key] = (len(kids), eq.multiplicity is Multiplicity.MULTIPLE, here, sent)
-            else:
-                stack.pop()
-                reach, multiple, here, sent = room
-                subs = [below[child] for child in sent]
-                below[key] = _Below(
-                    reach + sum(sub.reach for sub in subs),
-                    multiple or any(sub.multiple for sub in subs),
-                    len(here) + sum(sub.no_sends for sub in subs),
-                    here,
-                    [child for child, sub in zip(sent, subs) if sub.no_sends],
-                )
-
     out: dict[Agent, RootSummary] = {}
     for root in blocks.agents:
         if not block_count[root]:  # a lone agent has nobody to send to
@@ -1098,7 +1053,43 @@ def root_summaries(
         if not sends(root, kids):  # nobody gates the root
             out[root] = RootSummary(1, True, [root])
             continue
-        solve_below(top, kids)
+        # her rooms not solved yet, breadth first as solve_global opens them:
+        # a memoized sub-cascade raised nothing, so the first decision that
+        # raises here is the one her cascade raises at
+        opened, rooms = [(top, kids)], []
+        for key, kids in opened:  # the list grows while it is walked
+            eq = _solve_room(profiles, key[0], kids, tol)
+            assert eq.actions is not None  # one-type eligible sets are never empty
+            actions, entries = eq.actions, block_of[key[0]]
+            disapprovals = sum(1 for r in kids if actions[r] is ReceiverAction.DISAPPROVE)
+            here, sent = [], []
+            for r in kids:
+                if block_count[r] == 1:  # terminal
+                    continue
+                child = (r, entries[r])
+                if ells[row[r]] <= disapprovals:  # her gate is closed
+                    here.append(r)
+                    continue
+                if child not in decided:
+                    theirs = blocks.children(*child)
+                    decided[child] = sends(r, theirs)
+                    if decided[child]:
+                        opened.append((child, theirs))
+                if decided[child]:
+                    sent.append(child)
+                else:
+                    here.append(r)
+            rooms.append((key, len(kids), eq.multiplicity is Multiplicity.MULTIPLE, here, sent))
+        # bottom up: a sender's sub-cascade is summed up once her receivers' are
+        for key, reach, multiple, here, sent in reversed(rooms):
+            subs = [below[child] for child in sent]
+            below[key] = _Below(
+                reach + sum(sub.reach for sub in subs),
+                multiple or any(sub.multiple for sub in subs),
+                len(here) + sum(sub.no_sends for sub in subs),
+                here,
+                [child for child, sub in zip(sent, subs) if sub.no_sends],
+            )
         no_send, walk = [], [top]
         for key in walk:  # the list grows while it is walked: breadth first
             no_send += below[key].here

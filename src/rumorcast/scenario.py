@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, filterfalse, repeat
 from operator import itemgetter
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Iterable, Mapping, TypeVar
 
 from .belief import EPS, EvidenceRelation, validate_evidence
 from .chatroom import TypeSet
@@ -177,6 +177,12 @@ def _as_id(value: Any, where: str = "") -> str:
     raise _Bad(f"agent id must be a string or integer, got {value!r}", where)
 
 
+def _overlong(ids: Iterable[str]) -> str | None:
+    # the first decimal id with more digits than int() reads, so natural id order cannot sort it
+    limit = sys.get_int_max_str_digits()
+    return next((s for s in ids if 0 < limit < len(s) and s.isdecimal()), None)
+
+
 _TOPOLOGY_KEYS = frozenset({"kind", "edges", "root", "check_structure"})
 
 
@@ -247,6 +253,8 @@ def _parse_agents(raw: Any) -> AgentTable:
     if not _is_text("".join(raw)):  # every id at once
         bad = next(filterfalse(_is_text, raw))
         raise _Bad(f"agent id {bad!r} is not valid Unicode text")
+    if 0 < sys.get_int_max_str_digits() < max(map(len, raw)) and _overlong(raw) is not None:
+        raise _Bad(f"agent id has more than {sys.get_int_max_str_digits():,} digits")
     try:
         return _agent_table(raw)
     except _Unclear:
@@ -420,6 +428,11 @@ def _check_ids(topology: Topology, agents: Mapping[str, AgentProfile]) -> None:
         named[topology.root] = None
     unknown = named.keys() - agents.keys()
     if unknown:
+        bad = _overlong(a for a in named if a in unknown)  # the agents' ids are checked
+        if bad is not None:
+            ends = (f".edges[{i}][{j}]" for i, pair in enumerate(topology.edges) for j in (0, 1) if pair[j] == bad)
+            limit = sys.get_int_max_str_digits()
+            raise SchemaError(f"topology{next(ends, '.root')}: agent id has more than {limit:,} digits")
         listed = natural_sorted(a for a in named if a in unknown)
         raise SchemaError(f"topology: edges mention agents without profiles: {listed!r}")
     # every named agent has a profile, so the counts tell whether some profile is unplaced

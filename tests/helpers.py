@@ -165,3 +165,20 @@ UNREADABLE_DOCUMENTS = {
     "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
     "integer-of-5000-digits": b'{"name": ' + b"7" * 5000 + b"}",
 }
+
+
+# A graph scenario: root 1 does not send; from root 2 the message reaches
+# agents 3 and 4, whose receivers 5 and 6 each send to an agent off the band.
+# Breadth first, agent 5 decides before agent 6.
+DEEP_OFF_BAND = {
+    "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+    "topology": {
+        "kind": "graph",
+        "edges": [["1", "2"], ["2", "3"], ["2", "4"], ["3", "5"], ["4", "6"], ["5", "7"], ["6", "8"]],
+    },
+    "agents": {
+        a: {"types": t, "lambda": 1.0, "ell": 3}
+        for a, t in zip("12345678", (0.8, 0.85, 0.5, 0.5, 0.2, 0.2, 0.05, 0.05))
+    },
+    "beliefs": "dirac-truth",
+}

@@ -7,8 +7,8 @@ agent, and ``root_summaries`` solves each (agent, entry block) room once for
 all of them.  These tests check the accept and the witnesses against an
 exhaustive enumerator that searches a path per pair of acquaintances, every
 lazy rooting and every ``root_tree`` against an independent depth-map walk,
-every summary row against the cascade ``reach_by_root`` solves, and count
-the work a large sweep does.
+every summary row and every error against the cascades ``reach_by_root``
+solves, and count the work a large sweep does.
 """
 
 from __future__ import annotations
@@ -25,16 +25,19 @@ import pytest
 from rumorcast import (
     EPS,
     AgentProfile,
+    DomainError,
     InvalidGraph,
     InvariantViolation,
     OrderedTree,
     RangeViolation,
+    RumorcastError,
     SenderAction,
     SocialGraph,
     TreeProfiles,
     TypeSet,
     reach_by_root,
     root_tree,
+    parse_scenario,
     scenario_diagnostics,
     solve_global,
     undirected_closure,
@@ -52,7 +55,15 @@ from rumorcast.network import (
     root_summaries,
 )
 
-from helpers import canonical_attrs, canonical_mu, canonical_profiles, canonical_tree, random_tree, random_wide_tree
+from helpers import (
+    DEEP_OFF_BAND,
+    canonical_attrs,
+    canonical_mu,
+    canonical_profiles,
+    canonical_tree,
+    random_tree,
+    random_wide_tree,
+)
 
 
 def _closure(rng: np.random.Generator, n_max: int) -> SocialGraph:
@@ -535,6 +546,72 @@ def test_root_summaries_match_the_cascades_of_reach_by_root():
             roots += len(expected)
             multiple += sum(not row.unique for _, row in expected)
     assert roots >= 2_000 and multiple >= 500, (roots, multiple)
+
+
+def _glued_cliques(rng: np.random.Generator) -> SocialGraph:
+    """A chain of cliques of 2 to 6 agents, each sharing one of its new agents with the next."""
+    edges, glued, fresh = [], 1, 2
+    for _ in range(int(rng.integers(1, 8))):
+        members = [glued] + list(range(fresh, fresh + int(rng.integers(1, 6))))
+        edges += [(str(a), str(b)) for i, a in enumerate(members) for b in members[i + 1:]]
+        glued, fresh = members[int(rng.integers(1, len(members)))], members[-1] + 1
+    return SocialGraph.from_edges(edges)
+
+
+def _rarely_off_band(rng: np.random.Generator, g: SocialGraph) -> dict:
+    """Known types in the band at every tolerance tried, save about 2/n agents
+    (never the first) off it, some of them only once it narrows by 0.05."""
+    n = len(g.nodes)
+    off = {a for a in g.nodes[1:] if rng.random() < 2 / n}
+    return {
+        a: AgentProfile(
+            type_set=TypeSet.singleton(
+                float(rng.choice([0.02, 0.05, 0.12, 0.88, 0.95])) if a in off else float(rng.uniform(0.16, 0.84))
+            ),
+            lam=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])),
+            ell=int(rng.choice([1, 2, 3, 5, 9])),
+        )
+        for a in g.nodes
+    }
+
+
+def _outcome(sweep):
+    try:
+        return sweep()
+    except RumorcastError as exc:
+        return type(exc), str(exc)
+
+
+def test_root_summaries_raise_what_reach_by_root_raises():
+    # rare off-band credences sit deep in some cascade: the sweep names the one
+    # the first failing root's cascade reads first, breadth first
+    rng, mu = np.random.default_rng(5351), canonical_mu()
+    raised = 0
+    for draw in range(900):
+        kind = draw % 3
+        if kind == 0:
+            g = _closure(rng, 30)
+        elif kind == 1:
+            g = _windmill(rng, int(rng.integers(2, 12)), 0)
+        else:
+            g = _glued_cliques(rng)
+        attrs = _rarely_off_band(rng, g)
+        for tol in (0.0, EPS, 0.05):
+            expected = _outcome(
+                lambda: [(root, _summary(result)) for root, result in reach_by_root(g, attrs, mu, tol).items()]
+            )
+            assert _outcome(lambda: list(root_summaries(g, attrs, mu, tol).items())) == expected, (draw, tol)
+            raised += isinstance(expected, tuple)
+    assert raised >= 1_000, raised
+
+
+def test_a_sweep_names_the_off_band_credence_its_first_failing_root_reads_first():
+    scenario = parse_scenario(json.dumps(DEEP_OFF_BAND))
+    said = "agent '5': sender belief: credence 0.05 outside the open interval (0.1, 0.9)"
+    for sweep in (reach_by_root, root_summaries):
+        with pytest.raises(DomainError) as exc:
+            sweep(scenario.graph(), scenario.attrs, scenario.evidence)
+        assert str(exc.value) == said, sweep
 
 
 def test_a_sweep_folds_each_room_and_makes_each_open_gate_decision_once(monkeypatch):

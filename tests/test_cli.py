@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import UNREADABLE_DOCUMENTS
+from helpers import DEEP_OFF_BAND, UNREADABLE_DOCUMENTS
 from rumorcast import cli
 from rumorcast.cli import _lambda_values, main
 
@@ -241,22 +241,6 @@ OFF_BAND = {
 }
 
 
-# root 1 does not send; from root 2 the message reaches agents 3 and 4, whose
-# receivers 5 and 6 each send to an agent off the band
-DEEP_OFF_BAND = {
-    "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
-    "topology": {
-        "kind": "graph",
-        "edges": [["1", "2"], ["2", "3"], ["2", "4"], ["3", "5"], ["4", "6"], ["5", "7"], ["6", "8"]],
-    },
-    "agents": {
-        a: {"types": t, "lambda": 1.0, "ell": 3}
-        for a, t in zip("12345678", (0.8, 0.85, 0.5, 0.5, 0.2, 0.2, 0.05, 0.05))
-    },
-    "beliefs": "dirac-truth",
-}
-
-
 class TestOffBandCredence:
     """An off-band credence that a send decision reads fails every solving
     command with the agent and the field ``validate`` names."""
@@ -275,17 +259,20 @@ class TestOffBandCredence:
 
     def test_sweep_names_what_the_first_root_reads_first(self, capsys, tmp_path, monkeypatch):
         # root 2's cascade decides breadth first, so agent 5 reads an off-band
-        # credence before agent 6 does; the sweep itself reaches 6's room first
+        # credence before agent 6 does
         path = write(tmp_path, DEEP_OFF_BAND)
         assert main(["solve", path, "--root", "1"]) == 0
         capsys.readouterr()
-        said = "agent '{}': sender belief: credence 0.05 outside the open interval (0.1, 0.9)"
+        said = "error: agent '5': sender belief: credence 0.05 outside the open interval (0.1, 0.9)\n"
         assert main(["sweep-root", path]) == 1
-        assert capsys.readouterr() == ("", f"error: {said.format(5)}\n")
-        # had that reference not raised, the sweep's own error would still stop it
-        monkeypatch.setattr(cli, "reach_by_root", lambda *args: {})
+        assert capsys.readouterr() == ("", said)
+        # the sweep names it by itself, with no second engine to ask
+        def called(*args):
+            raise AssertionError("sweep-root ran reach_by_root")
+
+        monkeypatch.setattr(cli, "reach_by_root", called)
         assert main(["sweep-root", path]) == 1
-        assert capsys.readouterr() == ("", f"error: {said.format(6)}\n")
+        assert capsys.readouterr() == ("", said)
 
     def test_a_narrowing_tolerance_is_named(self, capsys):
         # 0.26 lies inside (0.1, 0.9), but not inside the band narrowed by 0.2 at each end
@@ -299,19 +286,20 @@ class TestOffBandCredence:
 _SURROGATE = "\ud800"  # JSON writes it as an escape; it is no Unicode text
 
 
-def _with_surrogate(where: str) -> dict:
+def _with_id(where: str, text: str) -> dict:
+    """``GATE_FLIP`` with ``text`` as an agent id or a name, at ``where``."""
     obj = json.loads(json.dumps(GATE_FLIP))
     if where == "agent id":
-        obj["agents"][_SURROGATE] = obj["agents"].pop("4")
-        obj["topology"]["edges"][2][1] = _SURROGATE
+        obj["agents"][text] = obj["agents"].pop("4")
+        obj["topology"]["edges"][2][1] = text
     elif where == "edge end":
-        obj["topology"]["edges"][2][1] = _SURROGATE
+        obj["topology"]["edges"][2][1] = text
     elif where == "root":
-        obj["topology"]["root"] = _SURROGATE
+        obj["topology"]["root"] = text
     elif where == "beliefs key":
-        obj["beliefs"] = {"default": "dirac-truth", "agents": {_SURROGATE: {"receiver": {"dirac": [0.6, 0.55]}}}}
+        obj["beliefs"] = {"default": "dirac-truth", "agents": {text: {"receiver": {"dirac": [0.6, 0.55]}}}}
     else:
-        obj["name"] = _SURROGATE
+        obj["name"] = text
     return obj
 
 
@@ -332,7 +320,7 @@ class TestLoneSurrogates:
     @pytest.mark.parametrize("command", list(_COMMANDS))
     @pytest.mark.parametrize("where", ["agent id", "edge end", "root", "beliefs key", "name"])
     def test_every_command_exits_cleanly(self, capsys, tmp_path, where, command, fmt):
-        path, out = write(tmp_path, _with_surrogate(where)), tmp_path / "report"
+        path, out = write(tmp_path, _with_id(where, _SURROGATE)), tmp_path / "report"
         code = main([command, path, *self._COMMANDS[command], "--format", fmt, "--out", str(out)])
         captured = capsys.readouterr()
         captured.err.encode("utf-8")
@@ -356,7 +344,7 @@ class TestLoneSurrogates:
         ],
     )
     def test_reports_reach_a_strict_stdout(self, tmp_path, where, command, said):
-        path = write(tmp_path, _with_surrogate(where))
+        path = write(tmp_path, _with_id(where, _SURROGATE))
         env = {**os.environ, "PYTHONPATH": str(_SCENARIOS.parent / "src"), "PYTHONIOENCODING": "utf-8"}
         done = subprocess.run(
             [sys.executable, "-m", "rumorcast.cli", command, path],
@@ -365,6 +353,46 @@ class TestLoneSurrogates:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert said in done.stdout + done.stderr
+
+
+_OVERLONG = "1" * (sys.get_int_max_str_digits() + 700)  # too many digits for int()
+
+
+class TestOverlongDecimalIds:
+    """A decimal id too long for ``int`` to read, which natural id order
+    compares by value, is refused at the parser naming its field: every
+    command exits 1 with one error line, and ``validate`` reports it."""
+
+    _SAID = {
+        "agent id": "agents: agent id has more than {:,} digits",
+        "edge end": "topology.edges[2][1]: agent id has more than {:,} digits",
+        "root": "topology.root: agent id has more than {:,} digits",
+    }
+
+    @pytest.mark.parametrize("command", list(TestLoneSurrogates._COMMANDS))
+    @pytest.mark.parametrize("where", list(_SAID))
+    def test_every_command_names_the_field(self, capsys, tmp_path, where, command):
+        path, out = write(tmp_path, _with_id(where, _OVERLONG)), tmp_path / "report"
+        code = main([command, path, *TestLoneSurrogates._COMMANDS[command], "--format", "json-lines", "--out", str(out)])
+        said = self._SAID[where].format(sys.get_int_max_str_digits())
+        captured = capsys.readouterr()
+        assert code == 1
+        if command == "validate":
+            assert captured.err == ""
+            assert jl(out.read_text(encoding="utf-8")) == [{"kind": "schema-error", "detail": said}]
+        else:
+            assert captured.err == f"error: {said}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text", ["1" * sys.get_int_max_str_digits(), "x" + _OVERLONG], ids=["at the limit", "not decimal"]
+    )
+    def test_ids_int_reads_or_never_reads_are_kept(self, capsys, tmp_path, text):
+        path = write(tmp_path, _with_id("agent id", text))
+        for command, flags in TestLoneSurrogates._COMMANDS.items():
+            assert main([command, path, *flags]) == 0, command
+            out = capsys.readouterr().out
+            assert out == "kind  detail\nok    no problems found\n" if command == "validate" else text in out, command
 
 
 class TestNonObjectBeliefAgents:
