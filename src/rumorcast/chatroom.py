@@ -206,9 +206,10 @@ class ChatroomEquilibrium:
 
 
 def _eligible(
-    type_set: TypeSet, d: PeerDistanceProfile, lam: float, tol: float
+    type_set: TypeSet, lam: float, d: PeerDistanceProfile, tol: float
 ) -> frozenset[ReceiverAction]:
-    # a singleton's two hull ends coincide, so one best-response set decides
+    # known_type_eligible's argument order, so a room folds either rule alike.
+    # A singleton's two hull ends coincide, so one best-response set decides
     lo, hi = type_set.hull
     low = best_actions(lo, d, lam, tol)
     return low if lo == hi else low & best_actions(hi, d, lam, tol)
@@ -225,7 +226,7 @@ def eligible_actions(
     Best-response sets are intervals, so the two ends of the hull decide.
     ``tol`` is slack on utility, as in :func:`rumorcast.receiver.best_actions`.
     """
-    return _eligible(type_set, peer_distance(belief), lam, tol)
+    return _eligible(type_set, lam, peer_distance(belief), tol)
 
 
 def _select(eligible: frozenset[ReceiverAction], centroid: float) -> ReceiverAction:
@@ -279,7 +280,7 @@ def room_equilibrium(
     eligible: dict[Agent, frozenset[ReceiverAction]] = {}
     centroids: dict[Agent, float] = {}
     for agent, type_set, lam, d in receivers:
-        eligible[agent] = _eligible(type_set, d, lam, tol)
+        eligible[agent] = _eligible(type_set, lam, d, tol)
         centroids[agent] = type_set.centroid
     return fold_room(eligible, centroids)
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
 import math
 import sys
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -32,9 +31,9 @@ from .network import (
     root_summaries,
     root_tree,
     solve_global,
+    sweep_lambda,
     undirected_closure,
 )
-from .receiver import ReceiverAction
 from .scenario import (
     DIRAC_TRUTH,
     Scenario,
@@ -42,23 +41,12 @@ from .scenario import (
     normalize_scenario,
     scenario_diagnostics,
 )
-from .sender import SenderAction
 
 _FORMATS = ("table", "csv", "json-lines")
 
 
 # ---------------------------------------------------------------------------
 # report assembly
-
-
-def _reaction_word(action: ReceiverAction | None) -> str | None:
-    return None if action is None else action.word
-
-
-def _send_word(action: SenderAction | None) -> str | None:
-    if action is None:
-        return None
-    return "send" if action is SenderAction.SEND else "no-send"
 
 
 def _table_cell(value: Any) -> str:
@@ -157,9 +145,8 @@ def _emit(text: str, out: str | None) -> None:
 def _cascade_blocks(tree: OrderedTree, result: CascadeResult) -> list[dict[str, list[Any]]]:
     agents = natural_sorted(tree.agents)
     reach = result.reach
-    # agents the message missed have no actions to look up
-    reactions = {a: _reaction_word(result.reaction_of(a)) for a in reach}
-    sends = {a: _send_word(result.send_of(a)) for a in reach}
+    reactions = {a: action.word for a, action in result.receiver_actions.items()}
+    sends = {a: action.word for a, action in result.sender_actions.items()}
     summary = {
         "kind": "summary",
         "exists": result.exists,
@@ -186,16 +173,17 @@ _CASCADE_COLUMNS = [
 ]
 
 
-def _joined_actions(result: CascadeResult) -> tuple[str, str]:
-    reactions = ";".join(
-        f"{a}={_reaction_word(result.reaction_of(a))}"
-        for a in natural_sorted(result.receiver_actions)
-    )
-    sends = ";".join(
-        f"{a}={_send_word(result.send_of(a))}"
-        for a in natural_sorted(result.sender_actions)
-    )
-    return reactions, sends
+class _Cells(dict):
+    """``agent=word`` report cells by (agent, action), each formatted once."""
+
+    def __missing__(self, key: tuple[Any, Any]) -> str:
+        cell = self[key] = f"{key[0]}={key[1].word}"
+        return cell
+
+    def joined(self, actions: Mapping[Any, Any], rank: Mapping[Any, int]) -> str | None:
+        """The cells of ``actions``, in the agents' ``rank`` order."""
+        agents = sorted(actions, key=rank.__getitem__)
+        return ";".join(map(self.__getitem__, zip(agents, map(actions.__getitem__, agents)))) or None
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +250,17 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
     if args.agent != "all" and args.agent not in scenario.attrs:
         raise RumorcastError(f"--agent: unknown agent {args.agent!r}")
     tree = _scenario_tree(scenario, args.root)
-    swept_agent = None if args.agent == "all" else args.agent
-    rows = []
-    for lam in _lambda_values(args):
-        swept = dataclasses.replace(scenario, attrs=scenario.attrs.with_lam(lam, swept_agent))
-        result = solve_global(tree, swept.profiles_for(tree), scenario.evidence, args.tolerance)
-        reactions, sends = _joined_actions(result)
-        rows.append(
-            (lam, reactions or None, sends or None, result.reach_count, result.exists, result.unique)
-        )
+    lams = _lambda_values(args)
+    swept = None if args.agent == "all" else args.agent
+    results = sweep_lambda(tree, scenario.profiles_for(tree), scenario.evidence, lams, swept, args.tolerance)
+    # ids that tie in natural order keep tree order, which is the order the cascade lists them in
+    rank = dict(zip(natural_sorted(tree.agents), count()))
+    cells = _Cells()
+    rows = [
+        (lam, cells.joined(result.receiver_actions, rank), cells.joined(result.sender_actions, rank),
+         result.reach_count, result.exists, result.unique)
+        for lam, result in zip(lams, results)
+    ]
     columns = ["lambda", "reactions", "sends", "reach_count", "exists", "unique"]
     block = dict(zip(columns, map(list, zip(*rows))))
     _emit(_render([block], columns, args.format), args.out)

@@ -33,7 +33,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, filterfalse, groupby
 from operator import itemgetter
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .belief import EPS, EvidenceRelation, require_credence
 from .chatroom import (
@@ -60,20 +60,26 @@ Agent = Hashable
 
 
 def natural_key(agent: Agent) -> tuple[int, int, str]:
-    """Sort key putting numeric ids in numeric order, then the rest."""
+    """Sort key putting numeric ids in numeric order, then the rest; the
+    value is read off the digits, as ``int()`` refuses very long ones."""
     s = str(agent)
     if s.isdecimal():  # not isdigit(): int() rejects digits like "²"
-        return (0, int(s), "")
+        digits = (s if s.isascii() else "".join(map(str, map(int, s)))).lstrip("0")
+        return (0, len(digits), digits)
     return (1, 0, s)
 
 
 def natural_sorted(agents: Iterable[Agent]) -> list[Agent]:
     """``sorted(agents, key=natural_key)``.  Plain string ids are sorted
-    without a key per id: the decimal ones by value, then the rest as text."""
+    with ``int`` as the key of the decimal ones while it takes them."""
     agents = list(agents)
     if not set(map(type, agents)) <= {str}:
         return sorted(agents, key=natural_key)
-    numeric = sorted(filter(str.isdecimal, agents), key=int)
+    decimal = list(filter(str.isdecimal, agents))
+    try:
+        numeric = sorted(decimal, key=int)
+    except ValueError:  # an id too long for int()
+        numeric = sorted(decimal, key=natural_key)
     return numeric + sorted(filterfalse(str.isdecimal, agents))
 
 
@@ -219,9 +225,9 @@ class AgentTable(Mapping[Agent, AgentProfile]):
     the order of ``ids``, which is the table's order.  Looking an agent up
     builds her :class:`AgentProfile` (no beliefs) and caches it, so a
     cascade that reads a few agents of a large file builds a few profiles.
-    ``repr`` and ``==`` are those of the dict of every profile.  Tables
-    share columns, so the columns are never changed; they are checked when
-    the table is made, by the parser, :meth:`of` or :meth:`with_lam`.
+    ``repr`` and ``==`` are those of the dict of every profile.  The
+    columns are never changed; they are checked when the table is made, by
+    the parser or :meth:`of`.
     """
 
     def __init__(
@@ -254,19 +260,6 @@ class AgentTable(Mapping[Agent, AgentProfile]):
             lam.append(prof.lam)
             ell.append(prof.ell)
         return cls(list(attrs), theta, type_sets, lam, ell)
-
-    def with_lam(self, lam: float, agent: Agent | None = None) -> "AgentTable":
-        """This table with sensitivity ``lam`` for ``agent``, or for every
-        agent when None; the other columns are shared."""
-        check_sensitivity(lam)
-        other = copy.copy(self)
-        if agent is None:
-            other.lam = [lam] * len(self.lam)
-        else:
-            other.lam = self.lam.copy()
-            other.lam[self._index[agent]] = lam
-        other._built = {}
-        return other
 
     def __getitem__(self, agent: Agent) -> AgentProfile:
         prof = self._built.get(agent)
@@ -517,29 +510,33 @@ def _exact_parts(xs: Iterable[float]) -> list[float]:
     return parts
 
 
-def _solve_room(
-    profiles: TreeProfiles, sender: Agent, receivers: tuple[Agent, ...], tol: float
-) -> ChatroomEquilibrium:
-    """The equilibrium of ``sender``'s room: a receiver with an explicit
-    belief gets her peer distances from it, any other one her peer mean from
-    the room's credence total."""
-    attrs, theta = profiles.attrs, profiles.theta
+def _room_peers(profiles: TreeProfiles, sender: Agent, receivers: tuple[Agent, ...]) -> tuple[list, dict]:
+    """What ``sender``'s room reads that no sensitivity changes: per receiver
+    (agent, table row, eligible-set rule, types, peers), and the type
+    centroids.  A receiver with an explicit belief gets her peer distances
+    from it, any other one her peer mean from the room's credence total."""
+    attrs, theta, row = profiles.attrs, profiles.theta, profiles.attrs._index
     beliefs = list(map(profiles.receiver_belief, receivers)) if profiles.overrides else [None] * len(receivers)
     if None in beliefs:
         # known-type peers are the sender and the other receivers, at their credences
         parts, k = _exact_parts([theta[sender], *(theta[r] for r in receivers)]), len(receivers)
-    row, lams = attrs._index, attrs.lam
-    eligible: dict[Agent, frozenset[ReceiverAction]] = {}
+    rules: list[tuple[Any, ...]] = []
     centroids: dict[Agent, float] = {}
     for r, belief in zip(receivers, beliefs):
         if belief is None:
             t = centroids[r] = theta[r]
-            eligible[r] = known_type_eligible(t, lams[row[r]], math.fsum([*parts, -t]) / k, tol)
+            rules.append((r, row[r], known_type_eligible, t, math.fsum([*parts, -t]) / k))
         else:
-            prof = attrs[r]
-            eligible[r] = _eligible(prof.type_set, peer_distance(belief), prof.lam, tol)
-            centroids[r] = prof.type_set.centroid
-    return fold_room(eligible, centroids)
+            type_set = attrs[r].type_set
+            rules.append((r, row[r], _eligible, type_set, peer_distance(belief)))
+            centroids[r] = type_set.centroid
+    return rules, centroids
+
+
+def _fold(room: tuple[list, dict], lams: list[float], tol: float) -> ChatroomEquilibrium:
+    """The equilibrium of ``room`` under the sensitivity column ``lams``."""
+    rules, centroids = room
+    return fold_room({r: rule(types, lams[i], peers, tol) for r, i, rule, types, peers in rules}, centroids)
 
 
 def _decide(
@@ -565,6 +562,74 @@ def _decide(
         return decide_send(profiles.attrs[agent].type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
     except DomainError as exc:
         raise DomainError(next(credence_errors(profiles, [Chatroom(agent, kids)], mu, tol))) from exc
+
+
+def _cascades(
+    tree: OrderedTree,
+    profiles: Mapping[Agent, AgentProfile],
+    mu: EvidenceRelation,
+    tol: float,
+    columns: Callable[[AgentTable], Iterable[list[float]]],
+) -> Iterator[CascadeResult]:
+    """:func:`solve_global`'s cascade once per column of sensitivities, one
+    per table row, that ``columns`` lists off the table; see :func:`sweep_lambda`."""
+    _check_tol(tol)
+    profiles = TreeProfiles.of(tree, profiles)
+    _check_profiles(profiles)
+    attrs = profiles.attrs
+    row, ells = attrs._index, attrs.ell
+    rooms: dict[Agent, tuple[list, dict]] = {}  # by sender
+    decided: dict[tuple[Agent, bool], tuple[SenderAction, tuple[Agent, ...]]] = {}  # and her receivers
+
+    for lams in columns(attrs):
+        receiver_actions: dict[Agent, ReceiverAction] = {}
+        sender_actions: dict[Agent, SenderAction] = {}
+        room_eqs: dict[Agent, ChatroomEquilibrium] = {}
+        multiple: list[Agent] = []
+        failing: Agent | None = None
+        queue: deque[tuple[Agent, tuple[Agent, ...]]] = deque()  # senders with their receivers
+
+        def decide(agent: Agent, ell: int, disapprovals: int) -> None:
+            key = (agent, ell > disapprovals)
+            if key not in decided:
+                kids = tree.children_of(agent) if key[1] else ()
+                decided[key] = _decide(profiles, agent, kids, mu, ell, disapprovals, tol), kids
+            sender_actions[agent], kids = decided[key]
+            if sender_actions[agent] is SenderAction.SEND:
+                queue.append((agent, kids))
+
+        if not tree.is_terminal(tree.root):
+            # nobody gates the root: threshold 1 against zero disapprovals
+            decide(tree.root, 1, 0)
+
+        while queue:
+            sender, receivers = queue.popleft()
+            room = rooms.get(sender)
+            if room is None:
+                room = rooms[sender] = _room_peers(profiles, sender, receivers)
+            eq = room_eqs[sender] = _fold(room, lams, tol)
+            if eq.multiplicity is Multiplicity.NONE:
+                failing = sender
+                break
+            if eq.multiplicity is Multiplicity.MULTIPLE:
+                multiple.append(sender)
+            assert eq.actions is not None
+            receiver_actions.update(eq.actions)
+            disapprovals = sum(1 for agent in receivers if eq.actions[agent] is ReceiverAction.DISAPPROVE)
+            for agent in receivers:
+                if not tree.is_terminal(agent):
+                    decide(agent, ells[row[agent]], disapprovals)
+
+        yield CascadeResult(
+            receiver_actions=receiver_actions,
+            sender_actions=sender_actions,
+            reach=frozenset(chain((tree.root,), receiver_actions)),  # a failing room adds nobody
+            exists=failing is None,
+            unique=failing is None and not multiple,
+            multiple_rooms=tuple(multiple),
+            failing_room=failing,
+            room_equilibria=room_eqs,
+        )
 
 
 def solve_global(
@@ -597,59 +662,37 @@ def solve_global(
     ``root``, ``children_of``, ``is_terminal`` and ``agents`` are read, and
     only for the root and the agents the cascade has reached.
     """
-    _check_tol(tol)
-    profiles = TreeProfiles.of(tree, profiles)
-    _check_profiles(profiles)
-    attrs = profiles.attrs
-    row, ells = attrs._index, attrs.ell
+    return next(_cascades(tree, profiles, mu, tol, lambda table: [table.lam]))
 
-    receiver_actions: dict[Agent, ReceiverAction] = {}
-    sender_actions: dict[Agent, SenderAction] = {}
-    room_eqs: dict[Agent, ChatroomEquilibrium] = {}
-    multiple: list[Agent] = []
-    failing: Agent | None = None
 
-    queue: deque[tuple[Agent, tuple[Agent, ...]]] = deque()  # senders with their receivers
+def sweep_lambda(
+    tree: OrderedTree,
+    profiles: Mapping[Agent, AgentProfile],
+    mu: EvidenceRelation,
+    lams: Iterable[float],
+    agent: Agent | None = None,
+    tol: float = EPS,
+) -> Iterator[CascadeResult]:
+    """:func:`solve_global` once per sensitivity in ``lams``, given to
+    ``agent``, or to every agent when None, each result yielded as its
+    cascade ends.  Peer means, peer distances and send decisions read no
+    sensitivity, so the cascades share each room's peers and each (sender,
+    gate open) decision: a sensitivity costs the folds of the rooms its
+    cascade opens.  The beliefs are checked once, each sensitivity as its
+    cascade starts, and a cascade raises what :func:`solve_global` raises.
+    """
 
-    def decide(agent: Agent, ell: int, disapprovals: int) -> None:
-        kids = tree.children_of(agent) if ell > disapprovals else ()
-        decision = sender_actions[agent] = _decide(profiles, agent, kids, mu, ell, disapprovals, tol)
-        if decision is SenderAction.SEND:
-            queue.append((agent, kids))
+    def columns(table: AgentTable) -> Iterator[list[float]]:
+        for lam in lams:
+            check_sensitivity(lam)
+            if agent is None:
+                yield [lam] * len(table)
+            else:
+                column = table.lam.copy()
+                column[table._index[agent]] = lam
+                yield column
 
-    if not tree.is_terminal(tree.root):
-        # nobody gates the root: threshold 1 against zero disapprovals
-        decide(tree.root, 1, 0)
-
-    while queue and failing is None:
-        sender, receivers = queue.popleft()
-        eq = room_eqs[sender] = _solve_room(profiles, sender, receivers, tol)
-        if eq.multiplicity is Multiplicity.NONE:
-            failing = sender
-            break
-        if eq.multiplicity is Multiplicity.MULTIPLE:
-            multiple.append(sender)
-        assert eq.actions is not None
-        receiver_actions.update(eq.actions)
-        disapprovals = sum(
-            1 for agent in receivers
-            if eq.actions[agent] is ReceiverAction.DISAPPROVE
-        )
-        for agent in receivers:
-            if not tree.is_terminal(agent):
-                decide(agent, ells[row[agent]], disapprovals)
-
-    exists = failing is None
-    return CascadeResult(
-        receiver_actions=receiver_actions,
-        sender_actions=sender_actions,
-        reach=frozenset(chain((tree.root,), receiver_actions)),  # a failing room adds nobody
-        exists=exists,
-        unique=exists and not multiple,
-        multiple_rooms=tuple(multiple),
-        failing_room=failing,
-        room_equilibria=room_eqs,
-    )
+    return _cascades(tree, profiles, mu, tol, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +1078,7 @@ def root_summaries(
     if not blocks.agents:
         return {}
     profiles = TreeProfiles(RootedView(blocks, blocks.agents[0]), attrs)  # type: ignore[arg-type]
-    row, ells = profiles.attrs._index, profiles.attrs.ell
+    row, ells, lams = profiles.attrs._index, profiles.attrs.ell, profiles.attrs.lam
     block_of, block_count = blocks.block_of, blocks.block_count
 
     def sends(agent: Agent, kids: tuple[Agent, ...]) -> bool:
@@ -1058,7 +1101,7 @@ def root_summaries(
         # raises here is the one her cascade raises at
         opened, rooms = [(top, kids)], []
         for key, kids in opened:  # the list grows while it is walked
-            eq = _solve_room(profiles, key[0], kids, tol)
+            eq = _fold(_room_peers(profiles, key[0], kids), lams, tol)
             assert eq.actions is not None  # one-type eligible sets are never empty
             actions, entries = eq.actions, block_of[key[0]]
             disapprovals = sum(1 for r in kids if actions[r] is ReceiverAction.DISAPPROVE)

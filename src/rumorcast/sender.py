@@ -38,6 +38,10 @@ class SenderAction(str, Enum):
     def __str__(self) -> str:
         return self.value
 
+    @property
+    def word(self) -> str:
+        return "send" if self is SenderAction.SEND else "no-send"
+
 
 def nu_value(x, own_prior, mu: EvidenceRelation, tol: float = EPS):
     """Per-receiver gain contribution at receiver credence ``x``.

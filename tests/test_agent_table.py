@@ -22,7 +22,8 @@ from rumorcast import network, scenario
 from rumorcast.chatroom import TypeSet
 from rumorcast.cli import main
 from rumorcast.errors import InvariantViolation, RangeViolation, SchemaError
-from rumorcast.network import AgentProfile, AgentTable, OrderedTree, TreeProfiles
+from rumorcast.belief import validate_evidence
+from rumorcast.network import AgentProfile, AgentTable, OrderedTree, TreeProfiles, solve_global, sweep_lambda
 from rumorcast.scenario import _at, _parse_agents
 
 from test_entry_differential import _outcome, _ref_parse_agents, _same
@@ -184,19 +185,35 @@ def test_table_is_the_mapping_it_holds():
         table["4"]
 
 
-def test_with_lam_swaps_one_column():
-    table = AgentTable.of(_profiles())
-    every = table.with_lam(3.0)
-    assert [every[a].lam for a in every] == [3.0] * 4
-    assert every.theta is table.theta and every.type_sets is table.type_sets and every.ell is table.ell
-    one = table.with_lam(3.0, "2")
-    assert [one[a].lam for a in one] == [1.0, 0.5, 3.0, 0.0]
-    assert [table[a].lam for a in table] == [1.0, 0.5, 2.0, 0.0]  # the source is unchanged
+def test_sweep_lambda_swaps_one_column():
+    # each sensitivity goes to one agent, or to every agent, as if that column
+    # entry alone were replaced; the table keeps its own column
+    tree = OrderedTree.from_edges("1", [("1", "2"), ("1", "3"), ("1", "10")])
+    table = AgentTable.of({
+        "1": AgentProfile(TypeSet.singleton(0.85), 1.0, 1),
+        "10": AgentProfile(TypeSet.singleton(0.8), 0.5, 2),
+        "2": AgentProfile(TypeSet.singleton(0.2), 2.0, 0),
+        "3": AgentProfile(TypeSet.singleton(0.5), 0.0, 1),
+    })
+    mu = validate_evidence(0.9, 0.1)
+    for agent in (None, "2"):
+        got = list(sweep_lambda(tree, TreeProfiles(tree, table), mu, [0.0, 3.0], agent))
+        want = [
+            solve_global(tree, TreeProfiles(tree, {
+                a: AgentProfile(p.type_set, lam if agent in (None, a) else p.lam, p.ell) for a, p in table.items()
+            }), mu)
+            for lam in (0.0, 3.0)
+        ]
+        assert got == want, agent
+        assert got[0].reaction_of("2") != got[1].reaction_of("2"), agent  # the swept value is read
+    assert table.lam == [1.0, 0.5, 2.0, 0.0]
     with pytest.raises(KeyError):
-        table.with_lam(1.0, "4")
-    for bad in (math.nan, -1.0, math.inf):
+        next(sweep_lambda(tree, TreeProfiles(tree, table), mu, [1.0], "4"))
+    for bad in (math.nan, -1.0, math.inf, True):
+        sweep = sweep_lambda(tree, TreeProfiles(tree, table), mu, [1.0, bad])
+        next(sweep)  # each sensitivity is checked when its cascade starts
         with pytest.raises(RangeViolation):
-            table.with_lam(bad)
+            next(sweep)
 
 
 def test_truth_profiles_read_the_credence_column():

@@ -617,11 +617,11 @@ def test_a_sweep_names_the_off_band_credence_its_first_failing_root_reads_first(
 def test_a_sweep_folds_each_room_and_makes_each_open_gate_decision_once(monkeypatch):
     folded: Counter = Counter()
     decided: Counter = Counter()
-    solve_room, decide = network._solve_room, network._decide
+    room_peers, decide = network._room_peers, network._decide
     monkeypatch.setattr(
-        network, "_solve_room",
-        lambda profiles, sender, receivers, tol: folded.update([(sender, receivers)])
-        or solve_room(profiles, sender, receivers, tol),
+        network, "_room_peers",
+        lambda profiles, sender, receivers: folded.update([(sender, receivers)])
+        or room_peers(profiles, sender, receivers),
     )
     monkeypatch.setattr(
         network, "_decide",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from decimal import Decimal
 from typing import Any, Mapping
 
 from hypothesis import given, settings
@@ -19,7 +20,14 @@ from hypothesis import strategies as st
 
 from rumorcast.chatroom import TypeSet
 from rumorcast.errors import InvalidGraph, RumorcastError, SchemaError
-from rumorcast.network import AgentProfile, BeliefOverride, OrderedTree, natural_key, natural_sorted
+from rumorcast.network import (
+    AgentProfile,
+    BeliefOverride,
+    OrderedTree,
+    SocialGraph,
+    natural_key,
+    natural_sorted,
+)
 from rumorcast.receiver import SecondOrderBelief
 from rumorcast.scenario import (
     DIRAC_TRUTH,
@@ -452,3 +460,25 @@ def test_trees_build_as_before(root, edges):
 )
 def test_natural_sorted_sorts_as_natural_key(agents):
     _same(natural_sorted, lambda a: sorted(a, key=natural_key), agents)
+
+
+# decimal ids with more digits than int() converts (4,300 by default), some of
+# them in Arabic-Indic digits, some with leading zeros that tie them to others
+_LONG_IDS = st.builds(
+    lambda zeros, digits: "0" * zeros + digits,
+    st.integers(0, 2),
+    st.sampled_from(["1" * 5000, "2" + "1" * 4999, "1" * 5001, "٣" * 4400, "3" * 4400]),
+)
+
+
+@_SETTINGS
+@given(agents=st.lists(st.one_of(_IDS, _LONG_IDS)))
+def test_overlong_decimal_ids_sort_by_value(agents):
+    # Decimal reads a decimal id of any length; ties keep their input order
+    want = sorted(agents, key=lambda a: (0, Decimal(a), "") if a.isdecimal() else (1, 0, a))
+    assert natural_sorted(agents) == want
+    assert sorted(agents, key=natural_key) == want
+
+
+def test_a_graph_with_an_overlong_decimal_id():
+    assert SocialGraph.from_edges([("1" * 5000, "2")]).nodes == ("2", "1" * 5000)

@@ -27,7 +27,7 @@ from rumorcast import (
     scenario_to_obj,
     solve_global,
 )
-from rumorcast.network import AgentTable
+from rumorcast.network import AgentTable, sweep_lambda
 from rumorcast.cli import main
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -359,8 +359,10 @@ class TestNormalize:
             AgentProfile(prof.type_set, prof.lam, True)
         with pytest.raises(RangeViolation, match="sensitivity lambda .* got True"):
             AgentProfile(prof.type_set, True, prof.ell)
+        tree = scenario.tree()
+        sweep = sweep_lambda(tree, scenario.profiles_for(tree), scenario.evidence, [False], "1")
         with pytest.raises(RangeViolation, match="sensitivity lambda .* got False"):
-            scenario.attrs.with_lam(False, "1")
+            next(sweep)
 
     def test_graph_scenarios_keep_the_shorthand(self):
         out = normalize_scenario(_read(str(_SCENARIOS / "three_cliques.json")))

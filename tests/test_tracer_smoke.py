@@ -52,8 +52,11 @@ def test_workload_runs_traced(name, tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
     metrics = tracer.layer_metrics(t)
     assert [m for m in PER_LAYER if m not in metrics] == []
-    if workload.argv(str(path))[0] == "sweep-root":
-        # the sweep solves each (agent, entry block) room once, not one cascade per root
+    if workload.argv(str(path))[0] in ("sweep-root", "sweep-lambda"):
+        # each sweep shares its rooms across cascades, so it runs no solve_global:
+        # sweep-root solves each (agent, entry block) room once, not one cascade per
+        # root, and sweep-lambda builds each room's peers and makes each send
+        # decision once, not one cascade per sensitivity
         assert metrics["network.solve_global.calls"] == 0
     else:
         assert metrics["network.solve_global.calls"] >= 1
