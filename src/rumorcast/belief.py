@@ -21,6 +21,7 @@ heavier machinery (reaction games, sending decisions) builds on them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, OrderingViolation, RangeViolation
@@ -30,9 +31,10 @@ from .errors import DomainError, OrderingViolation, RangeViolation
 EPS: float = 1e-9
 
 
-def _holds(cond) -> bool:
-    # a comparison of plain numbers is already a bool; arrays bring their own .all()
-    return cond if type(cond) is bool else bool(cond.all())
+def check_tol(tol: float) -> None:
+    """Tolerances are finite and >= 0, as ``--tolerance`` is; NaN fails."""
+    if not 0.0 <= tol < math.inf:
+        raise RangeViolation(f"tol must be finite and >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -74,14 +76,14 @@ def validate_evidence(mu_given_c: float, mu_given_not_c: float) -> EvidenceRelat
     return EvidenceRelation(mu_given_c=float(mu_given_c), mu_given_not_c=float(mu_given_not_c))
 
 
-def require_credence(theta, mu: EvidenceRelation, tol: float = EPS):
+def require_credence(theta: float, mu: EvidenceRelation, tol: float = EPS) -> float:
     """Check that ``theta`` is an admissible credence for ``mu``.
 
     Admissible means strictly inside ``(mu_given_not_c, mu_given_c)`` with an
     ``tol`` margin; the error says so when ``tol`` exceeds the default.
-    Accepts scalars or arrays; returns the input unchanged.
+    Returns the input unchanged.
     """
-    if not _holds((theta > mu.mu_given_not_c + tol) & (theta < mu.mu_given_c - tol)):
+    if not mu.mu_given_not_c + tol < theta < mu.mu_given_c - tol:
         narrowed = f" narrowed by the tolerance {tol!r} at each end" if tol > EPS else ""
         raise DomainError(
             f"credence {theta!r} outside the open interval "
@@ -90,34 +92,33 @@ def require_credence(theta, mu: EvidenceRelation, tol: float = EPS):
     return theta
 
 
-def worldview_prior(theta, mu: EvidenceRelation, tol: float = EPS):
+def worldview_prior(theta: float, mu: EvidenceRelation, tol: float = EPS) -> float:
     """Claim probability before the message, as a function of the credence.
 
-    Vectorizes over ``theta``.  Raises ``DomainError`` off the admissible
-    credence band.
+    Raises ``DomainError`` off the admissible credence band.
     """
     require_credence(theta, mu, tol)
     return (theta - mu.mu_given_not_c) / mu.spread
 
 
-def worldview_posterior(theta, mu: EvidenceRelation, tol: float = EPS):
+def worldview_posterior(theta: float, mu: EvidenceRelation, tol: float = EPS) -> float:
     """Claim probability after observing the message.
 
     Bayes' rule with the message probability equal to the credence itself:
-    ``posterior = mu_given_c * prior / theta``.  Vectorizes over ``theta``.
+    ``posterior = mu_given_c * prior / theta``.
     """
     prior = worldview_prior(theta, mu, tol)
     return mu.mu_given_c * prior / theta
 
 
-def credence_from_prior(prior, mu: EvidenceRelation, tol: float = EPS):
+def credence_from_prior(prior: float, mu: EvidenceRelation, tol: float = EPS) -> float:
     """Invert :func:`worldview_prior`: the credence whose prior is ``prior``.
 
     Raises ``RangeViolation`` unless ``prior`` is strictly inside (0, 1);
     the resulting credence then automatically satisfies the admissibility
-    band.  Vectorizes over ``prior``.
+    band.
     """
-    if not _holds((prior > tol) & (prior < 1.0 - tol)):
+    if not tol < prior < 1.0 - tol:
         raise RangeViolation(f"prior {prior!r} outside the open interval (0, 1)")
     return mu.mu_given_not_c + prior * mu.spread
 

@@ -18,18 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
-from .belief import EPS
+from .belief import EPS, check_tol
 from .errors import InvariantViolation, RangeViolation
 from .receiver import (
-    ACTIONS,
-    PeerDistanceProfile,
     ReceiverAction,
     SecondOrderBelief,
-    best_actions,
+    best_actions,  # unused here; bench/tracer.py wraps this binding by name
     check_sensitivity,
     peer_distance,
+    react,
     support_interval,  # unused here; bench/tracer.py wraps this binding by name
 )
 
@@ -206,13 +205,12 @@ class ChatroomEquilibrium:
 
 
 def _eligible(
-    type_set: TypeSet, lam: float, d: PeerDistanceProfile, tol: float
+    lo: float, hi: float, lam: float, d0: float, d05: float, d1: float, tol: float
 ) -> frozenset[ReceiverAction]:
-    # known_type_eligible's argument order, so a room folds either rule alike.
-    # A singleton's two hull ends coincide, so one best-response set decides
-    lo, hi = type_set.hull
-    low = best_actions(lo, d, lam, tol)
-    return low if lo == hi else low & best_actions(hi, d, lam, tol)
+    # the reactions at both ends of the type hull [lo, hi], to a peer
+    # distance profile (d0, d05, d1); a singleton's ends coincide, so one decides
+    low = react(lo, lam, d0, d05, d1, tol)
+    return low if lo == hi else low & react(hi, lam, d0, d05, d1, tol)
 
 
 def eligible_actions(
@@ -226,7 +224,10 @@ def eligible_actions(
     Best-response sets are intervals, so the two ends of the hull decide.
     ``tol`` is slack on utility, as in :func:`rumorcast.receiver.best_actions`.
     """
-    return _eligible(type_set, lam, peer_distance(belief), tol)
+    check_tol(tol)
+    check_sensitivity(lam)
+    d = peer_distance(belief)
+    return _eligible(*type_set.hull, lam, d.d0, d.d05, d.d1, tol)
 
 
 def _select(eligible: frozenset[ReceiverAction], centroid: float) -> ReceiverAction:
@@ -234,24 +235,6 @@ def _select(eligible: frozenset[ReceiverAction], centroid: float) -> ReceiverAct
     if len(eligible) == 1:
         return next(iter(eligible))
     return min(eligible, key=lambda a: (abs(float(a) - centroid), float(a)))
-
-
-#: every set of actions, indexed by the bits of the actions it holds, in action order
-_SUBSETS = tuple(frozenset(a for i, a in enumerate(ACTIONS) if mask >> i & 1) for mask in range(8))
-
-
-def known_type_eligible(theta: float, lam: float, b: float, tol: float = EPS) -> frozenset[ReceiverAction]:
-    """``best_actions(theta, PeerDistanceProfile.from_dirac(b), lam, tol)``
-    for a credence and sensitivity already checked, without the profile: the
-    same check of the peer mean ``b``, then the same three utilities,
-    compared the same way."""
-    if not -EPS <= b <= 1.0 + EPS:
-        PeerDistanceProfile.from_dirac(b)  # raises for the peer mean
-    u0 = -(abs(theta) + lam * abs(b))
-    u05 = -(abs(0.5 - theta) + lam * abs(0.5 - b))
-    u1 = -(abs(1.0 - theta) + lam * abs(1.0 - b))
-    cut = max(u0, u05, u1) - tol
-    return _SUBSETS[(u0 >= cut) | (u05 >= cut) << 1 | (u1 >= cut) << 2]
 
 
 def fold_room(
@@ -268,23 +251,6 @@ def fold_room(
     )
 
 
-def room_equilibrium(
-    receivers: Iterable[tuple[Agent, TypeSet, float, PeerDistanceProfile]],
-    tol: float = EPS,
-) -> ChatroomEquilibrium:
-    """Eligible sets, canonical selection and multiplicity for one room.
-
-    Takes ``(agent, type_set, lam, distances)`` per receiver in room order:
-    the receivers' beliefs enter only through their peer distances.
-    """
-    eligible: dict[Agent, frozenset[ReceiverAction]] = {}
-    centroids: dict[Agent, float] = {}
-    for agent, type_set, lam, d in receivers:
-        eligible[agent] = _eligible(type_set, lam, d, tol)
-        centroids[agent] = type_set.centroid
-    return fold_room(eligible, centroids)
-
-
 def solve_chatroom(game: ChatroomGame, tol: float = EPS) -> ChatroomEquilibrium:
     """Per-receiver eligible sets plus a canonical selection.
 
@@ -292,9 +258,9 @@ def solve_chatroom(game: ChatroomGame, tol: float = EPS) -> ChatroomEquilibrium:
     no action that serves all her types; the caller decides whether that is
     fatal.  Any profile drawn coordinatewise from the eligible sets is an
     equilibrium, so the selection rule only fixes a report, not existence.
+    The receivers' beliefs enter only through their peer distances.
     """
-    return room_equilibrium(
-        ((spec.agent, spec.type_set, spec.lam, peer_distance(spec.belief)) for spec in game.receivers),
-        tol,
-    )
+    check_tol(tol)
+    eligible = {spec.agent: eligible_actions(spec.type_set, spec.belief, spec.lam, tol) for spec in game.receivers}
+    return fold_room(eligible, {spec.agent: spec.type_set.centroid for spec in game.receivers})
 

@@ -35,7 +35,7 @@ from itertools import chain, filterfalse, groupby
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .belief import EPS, EvidenceRelation, require_credence
+from .belief import EPS, EvidenceRelation, check_tol, require_credence
 from .chatroom import (
     ChatroomEquilibrium,
     ChatroomGame,  # unused here; bench/tracer.py wraps this binding by name
@@ -44,17 +44,19 @@ from .chatroom import (
     _eligible,
     check_receiver_belief,
     fold_room,
-    known_type_eligible,
     solve_chatroom,  # unused here; bench/tracer.py wraps this binding by name
 )
-from .errors import DomainError, InvalidGraph, InvariantViolation, RangeViolation
+from .errors import DomainError, InvalidGraph, InvariantViolation
 from .receiver import (
+    BeliefAtom,
+    PeerDistanceProfile,
     ReceiverAction,
     SecondOrderBelief,
     check_sensitivity,
     peer_distance,
 )
-from .sender import SenderAction, check_count, decide_send, known_type_gain, send_rule
+from .sender import SenderAction, check_count, send_rule
+from .sender import decide_send  # unused here; bench/tracer.py wraps this binding by name
 
 Agent = Hashable
 
@@ -441,12 +443,6 @@ class CascadeResult:
         return self.sender_actions.get(agent)
 
 
-def _check_tol(tol: float) -> None:
-    # the rule the CLI applies to --tolerance; NaN fails the comparison
-    if not 0.0 <= tol < math.inf:
-        raise RangeViolation(f"tol must be finite and >= 0, got {tol!r}")
-
-
 def _check_profiles(profiles: TreeProfiles) -> None:
     """Check every explicit belief against the tree: sender beliefs in tree
     order, then receiver beliefs room by room.  Known-type beliefs fit the
@@ -512,31 +508,37 @@ def _exact_parts(xs: Iterable[float]) -> list[float]:
 
 def _room_peers(profiles: TreeProfiles, sender: Agent, receivers: tuple[Agent, ...]) -> tuple[list, dict]:
     """What ``sender``'s room reads that no sensitivity changes: per receiver
-    (agent, table row, eligible-set rule, types, peers), and the type
-    centroids.  A receiver with an explicit belief gets her peer distances
-    from it, any other one her peer mean from the room's credence total."""
+    (agent, table row, type hull ends, peer distances d0, d05, d1), and the
+    type centroids.  A receiver with an explicit belief gets her peer
+    distances from it, any other one from her peer mean, read off the room's
+    credence total."""
     attrs, theta, row = profiles.attrs, profiles.theta, profiles.attrs._index
     beliefs = list(map(profiles.receiver_belief, receivers)) if profiles.overrides else [None] * len(receivers)
     if None in beliefs:
         # known-type peers are the sender and the other receivers, at their credences
         parts, k = _exact_parts([theta[sender], *(theta[r] for r in receivers)]), len(receivers)
-    rules: list[tuple[Any, ...]] = []
+    peers: list[tuple[Any, ...]] = []
     centroids: dict[Agent, float] = {}
     for r, belief in zip(receivers, beliefs):
         if belief is None:
             t = centroids[r] = theta[r]
-            rules.append((r, row[r], known_type_eligible, t, math.fsum([*parts, -t]) / k))
+            b = math.fsum([*parts, -t]) / k
+            if not -EPS <= b <= 1.0 + EPS:
+                PeerDistanceProfile.from_dirac(b)  # raises for the peer mean
+            peers.append((r, row[r], t, t, abs(b), abs(0.5 - b), abs(1.0 - b)))
         else:
-            type_set = attrs[r].type_set
-            rules.append((r, row[r], _eligible, type_set, peer_distance(belief)))
+            type_set, d = attrs[r].type_set, peer_distance(belief)
+            peers.append((r, row[r], *type_set.hull, d.d0, d.d05, d.d1))
             centroids[r] = type_set.centroid
-    return rules, centroids
+    return peers, centroids
 
 
 def _fold(room: tuple[list, dict], lams: list[float], tol: float) -> ChatroomEquilibrium:
     """The equilibrium of ``room`` under the sensitivity column ``lams``."""
-    rules, centroids = room
-    return fold_room({r: rule(types, lams[i], peers, tol) for r, i, rule, types, peers in rules}, centroids)
+    peers, centroids = room
+    return fold_room(
+        {r: _eligible(lo, hi, lams[i], d0, d05, d1, tol) for r, i, lo, hi, d0, d05, d1 in peers}, centroids
+    )
 
 
 def _decide(
@@ -549,17 +551,18 @@ def _decide(
     tol: float,
 ) -> SenderAction:
     """``agent``'s send decision to ``kids``, her gate ``ell`` against
-    ``disapprovals``: a known type gains from her audience at their
-    credences.  A closed gate reads no belief and no credence.  An off-band
-    credence raises naming the agent and where it sits."""
+    ``disapprovals``: a known type pictures her audience at their credences,
+    one atom of weight 1.  A closed gate reads no belief and no credence.
+    An off-band credence raises naming the agent and where it sits."""
     theta = profiles.theta
     belief = profiles._stated_sender(agent) if ell > disapprovals else None
+    hull = profiles.attrs[agent].type_set.hull if theta is None else (theta[agent], theta[agent])
+    atoms = belief.atoms if belief is not None else (
+        # a closed gate comes with no kids, so only an open one reads their credences
+        BeliefAtom(tuple([theta[kid] for kid in kids]), 1.0),  # type: ignore[index]
+    )
     try:
-        if belief is None and theta is not None:
-            credences = [theta[kid] for kid in kids]
-            gain = lambda tau: known_type_gain(tau, credences, mu, tol)
-            return send_rule((theta[agent], theta[agent]), gain, mu, ell, disapprovals, tol)
-        return decide_send(profiles.attrs[agent].type_set, belief, mu, ell, disapprovals, tol)  # type: ignore[arg-type]
+        return send_rule(hull, atoms, mu, ell, disapprovals, tol)
     except DomainError as exc:
         raise DomainError(next(credence_errors(profiles, [Chatroom(agent, kids)], mu, tol))) from exc
 
@@ -573,12 +576,13 @@ def _cascades(
 ) -> Iterator[CascadeResult]:
     """:func:`solve_global`'s cascade once per column of sensitivities, one
     per table row, that ``columns`` lists off the table; see :func:`sweep_lambda`."""
-    _check_tol(tol)
+    check_tol(tol)
     profiles = TreeProfiles.of(tree, profiles)
     _check_profiles(profiles)
     attrs = profiles.attrs
     row, ells = attrs._index, attrs.ell
-    rooms: dict[Agent, tuple[list, dict]] = {}  # by sender
+    rooms: dict[Agent, tuple[tuple[list, dict], Callable[[list[float]], Any]]] = {}  # by sender, with her rows
+    folds: dict[Agent, tuple[Any, ChatroomEquilibrium]] = {}  # by sender: her receivers' sensitivities, and the fold
     decided: dict[tuple[Agent, bool], tuple[SenderAction, tuple[Agent, ...]]] = {}  # and her receivers
 
     for lams in columns(attrs):
@@ -604,10 +608,15 @@ def _cascades(
 
         while queue:
             sender, receivers = queue.popleft()
-            room = rooms.get(sender)
-            if room is None:
-                room = rooms[sender] = _room_peers(profiles, sender, receivers)
-            eq = room_eqs[sender] = _fold(room, lams, tol)
+            if sender not in rooms:
+                room = _room_peers(profiles, sender, receivers)
+                rooms[sender] = room, itemgetter(*(peer[1] for peer in room[0]))
+            room, sensitivities = rooms[sender]
+            # a room folds again only when some receiver's sensitivity changed
+            key, last = sensitivities(lams), folds.get(sender)
+            if last is None or last[0] != key:
+                last = folds[sender] = key, _fold(room, lams, tol)
+            eq = room_eqs[sender] = last[1]
             if eq.multiplicity is Multiplicity.NONE:
                 failing = sender
                 break
@@ -652,10 +661,10 @@ def solve_global(
     of profiles, every belief in it explicit, serves as well.  Receivers'
     beliefs enter only through peer distances: from an explicit belief when
     she has one, otherwise from her room's credence total.  A known type is
-    read from the attribute columns, checked when the table was made, through
-    the same arithmetic as the general path, and no belief is built for her,
-    so a room of known types with k receivers costs O(k).  A sender's
-    belief is looked up only when her gate is open.
+    read from the attribute columns, checked when the table was made, into
+    the reaction and gain kernels an explicit belief feeds, and no belief is
+    built for her, so a room of known types with k receivers costs O(k).  A
+    sender's belief is looked up only when her gate is open.
 
     A :class:`RootedView` may stand in for ``tree`` when ``profiles`` are
     override-free known-type :class:`TreeProfiles` on it: then only
@@ -678,11 +687,14 @@ def sweep_lambda(
     cascade ends.  Peer means, peer distances and send decisions read no
     sensitivity, so the cascades share each room's peers and each (sender,
     gate open) decision: a sensitivity costs the folds of the rooms its
-    cascade opens.  The beliefs are checked once, each sensitivity as its
-    cascade starts, and a cascade raises what :func:`solve_global` raises.
+    cascade opens whose receivers' sensitivities changed since their last
+    fold.  The beliefs and ``agent`` are checked once, each sensitivity as
+    its cascade starts, and a cascade raises what :func:`solve_global` raises.
     """
 
     def columns(table: AgentTable) -> Iterator[list[float]]:
+        if agent is not None and agent not in table:
+            raise InvariantViolation(f"no profile for agent {agent!r}")
         for lam in lams:
             check_sensitivity(lam)
             if agent is None:
@@ -1018,7 +1030,7 @@ def reach_by_root(
     a :class:`RootedView`, and the attributes are checked once, so each root
     costs what its cascade reaches.
     """
-    _check_tol(tol)
+    check_tol(tol)
     blocks = _valid_blocks(graph)
     if not blocks.agents:
         return {}
@@ -1073,7 +1085,7 @@ def root_summaries(
 
     Raises what :func:`reach_by_root` raises.
     """
-    _check_tol(tol)
+    check_tol(tol)
     blocks = _valid_blocks(graph)
     if not blocks.agents:
         return {}

@@ -19,7 +19,7 @@ from .chatroom import ChatroomGame
 from .errors import InstanceTooLarge, InvariantViolation
 from .network import AgentProfile, CascadeResult, OrderedTree, chatrooms_of
 from .receiver import ACTIONS, PeerDistanceProfile, ReceiverAction, peer_distance
-from .sender import SenderAction, expected_send_gain
+from .sender import SenderAction, nu_value
 
 Agent = Hashable
 
@@ -181,7 +181,8 @@ def oracle_global(
         if prof.sender_belief is None:
             raise InvariantViolation(f"agent {agent!r} has no sender belief")
         tau = worldview_prior(theta[agent], mu, tol)
-        gain[agent] = expected_send_gain(tau, prof.sender_belief, mu, tol)
+        atoms = prof.sender_belief.atoms  # the expected gain by its definition, not by the engine's kernel
+        gain[agent] = sum(a.weight * sum(nu_value(x, tau, mu, tol) for x in a.profile) for a in atoms)
 
     found: set[Assignment] = set()
     for reactions in product(ACTIONS, repeat=len(non_roots)):

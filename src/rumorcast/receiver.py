@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .belief import EPS
+from .belief import EPS, check_tol
 from .errors import (
     DomainError,
     EmptySupport,
@@ -223,9 +223,24 @@ def best_actions(
     tol: float = EPS,
 ) -> frozenset[ReceiverAction]:
     """Utility-maximizing actions; ties within ``tol`` are all included."""
-    values = {a: utility(a, theta, d, lam) for a in ACTIONS}
-    top = max(values.values())
-    return frozenset(a for a, u in values.items() if u >= top - tol)
+    check_tol(tol)
+    _check_theta(theta)
+    check_sensitivity(lam)
+    return react(theta, lam, d.d0, d.d05, d.d1, tol)
+
+
+#: every set of actions, indexed by the bits of the actions it holds, in action order
+_SUBSETS = tuple(frozenset(a for i, a in enumerate(ACTIONS) if mask >> i & 1) for mask in range(8))
+
+
+def react(theta: float, lam: float, d0: float, d05: float, d1: float, tol: float) -> frozenset[ReceiverAction]:
+    """:func:`best_actions` on arguments already checked, the distances
+    given as numbers: the three utilities of :func:`utility`, compared once."""
+    u0 = -(abs(theta) + lam * d0)
+    u05 = -(abs(0.5 - theta) + lam * d05)
+    u1 = -(abs(1.0 - theta) + lam * d1)
+    cut = max(u0, u05, u1) - tol
+    return _SUBSETS[(u0 >= cut) | (u05 >= cut) << 1 | (u1 >= cut) << 2]
 
 
 @dataclass(frozen=True)
@@ -298,6 +313,7 @@ def min_lambda_for_action(
     finite sensitivity makes it optimal for every tie-breaking and the
     request is ``Infeasible``.
     """
+    check_tol(tol)
     _check_theta(theta)
     m = d.get(target)
     lam = 0.0
@@ -323,6 +339,7 @@ def lambda_star(d: PeerDistanceProfile, tol: float = EPS) -> float:
     minimizer of ``d`` for all ``theta`` in [0, 1].  Needs a strict minimizer;
     ties make uniform dominance impossible (``Infeasible``).
     """
+    check_tol(tol)
     target = d.strict_min_action(tol)
     if target is None:
         raise Infeasible("peer distances admit no strict minimizer")

@@ -23,7 +23,7 @@ from itertools import chain, filterfalse, repeat
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, TypeVar
 
-from .belief import EPS, EvidenceRelation, validate_evidence
+from .belief import EPS, EvidenceRelation, check_tol, validate_evidence
 from .chatroom import TypeSet
 from .errors import ParseError, RumorcastError, SchemaError
 from .network import (
@@ -37,7 +37,6 @@ from .network import (
     SocialGraph,
     TreeProfiles,
     _check_profiles,
-    _check_tol,
     _graph_violations,
     chatrooms_of,
     credence_errors,
@@ -555,7 +554,7 @@ def scenario_diagnostics(document: str | bytes, tol: float = EPS) -> list[Diagno
     evidence band for the credences the send rule reads, as it does for
     :func:`solve_global`.
     """
-    _check_tol(tol)
+    check_tol(tol)
     out: list[Diagnostic] = []
     try:
         shape = _read_shape(document)

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Sequence
 
-from .belief import EPS, EvidenceRelation, _holds, require_credence, worldview_posterior, worldview_prior
+from .belief import EPS, EvidenceRelation, check_tol, require_credence, worldview_posterior, worldview_prior
 from .chatroom import TypeSet
 from .errors import RangeViolation
-from .receiver import SecondOrderBelief
+from .receiver import BeliefAtom, SecondOrderBelief
 
 
 class SenderAction(str, Enum):
@@ -43,12 +44,10 @@ class SenderAction(str, Enum):
         return "send" if self is SenderAction.SEND else "no-send"
 
 
-def nu_value(x, own_prior, mu: EvidenceRelation, tol: float = EPS):
-    """Per-receiver gain contribution at receiver credence ``x``.
-
-    Vectorizes over ``x`` (and ``own_prior``, though scalar use is typical).
-    """
-    if not _holds((own_prior > tol) & (own_prior < 1.0 - tol)):
+def nu_value(x: float, own_prior: float, mu: EvidenceRelation, tol: float = EPS) -> float:
+    """Per-receiver gain contribution at receiver credence ``x``."""
+    check_tol(tol)
+    if not tol < own_prior < 1.0 - tol:
         raise RangeViolation(f"own prior {own_prior!r} outside (0, 1)")
     prior = worldview_prior(x, mu, tol)
     post = worldview_posterior(x, mu, tol)
@@ -61,6 +60,7 @@ def nu_breakpoints(own_prior: float, mu: EvidenceRelation, tol: float = EPS) -> 
     Returns ``(lo, hi)`` with ``nu`` increasing on the band below ``lo``,
     decreasing between, and increasing again above ``hi``.
     """
+    check_tol(tol)
     if not (tol < own_prior < 1.0 - tol):
         raise RangeViolation(f"own prior {own_prior!r} outside (0, 1)")
     a, b = mu.mu_given_c, mu.mu_given_not_c
@@ -81,25 +81,26 @@ def expected_send_gain(
     The gain is additive over receivers, so the expectation reduces to a
     weighted sum of :func:`nu_value` over all atoms and coordinates.
     """
-    total = 0.0
-    for atom in belief.atoms:
-        total += atom.weight * sum(float(nu_value(x, own_prior, mu, tol)) for x in atom.profile)
-    return total
+    check_tol(tol)
+    return belief_gain(own_prior, belief.atoms, mu, tol)
 
 
-def known_type_gain(
-    own_prior: float, credences: Sequence[float], mu: EvidenceRelation, tol: float = EPS
-) -> float:
-    """``expected_send_gain(own_prior, SecondOrderBelief.dirac(credences), mu, tol)``
-    without the belief: after the same checks, the same terms summed by
-    ``sum`` in the same order, so the same float on any Python."""
+def belief_gain(own_prior: float, atoms: Sequence[BeliefAtom], mu: EvidenceRelation, tol: float) -> float:
+    """:func:`expected_send_gain` over belief atoms, for a checked ``tol``:
+    after the checks :func:`nu_value` makes, each atom's terms summed by
+    ``sum``, weighted and added in atom order."""
     lo, hi = mu.mu_given_not_c + tol, mu.mu_given_c - tol
-    if not (tol < own_prior < 1.0 - tol and all(lo < x < hi for x in credences)):
-        # some check fails: the general path raises what it raises
-        return expected_send_gain(own_prior, SecondOrderBelief.dirac(credences), mu, tol)
+    if not (tol < own_prior < 1.0 - tol and all(lo < x < hi for atom in atoms for x in atom.profile)):
+        for x in chain.from_iterable(atom.profile for atom in atoms):  # nu_value raises for the first failed check
+            nu_value(x, own_prior, mu, tol)
     b, c, spread = mu.mu_given_not_c, mu.mu_given_c, mu.spread
-    # nu_value's terms: prior (x - b) / spread, posterior c * prior / x
-    return sum(abs(own_prior - (x - b) / spread) - abs(own_prior - c * ((x - b) / spread) / x) for x in credences)
+    total = 0.0
+    for atom in atoms:
+        # nu_value's terms: prior (x - b) / spread, posterior c * prior / x
+        total += atom.weight * sum(
+            abs(own_prior - (x - b) / spread) - abs(own_prior - c * ((x - b) / spread) / x) for x in atom.profile
+        )
+    return total
 
 
 def check_count(value: int, what: str) -> None:
@@ -125,27 +126,28 @@ def decide_send(
     ``ell`` and ``disapproval_count`` are checked as ``AgentProfile``
     checks ``ell``.
     """
+    check_tol(tol)
     check_count(ell, "disapproval threshold ell")
     check_count(disapproval_count, "disapproval_count")
-    gain = lambda tau: expected_send_gain(tau, belief, mu, tol)
-    return send_rule(type_set.hull, gain, mu, ell, disapproval_count, tol)
+    return send_rule(type_set.hull, belief.atoms, mu, ell, disapproval_count, tol)
 
 
 def send_rule(
     hull: tuple[float, float],
-    gain: Callable[[float], float],
+    atoms: Sequence[BeliefAtom],
     mu: EvidenceRelation,
     ell: int,
     disapprovals: int,
     tol: float,
 ) -> SenderAction:
-    """:func:`decide_send` for a sender with type hull ``hull`` whose
-    expected gain at a prior is ``gain``, which a closed gate never calls."""
+    """:func:`decide_send` for a sender with type hull ``hull`` and sender
+    belief ``atoms``, on arguments already checked; a closed gate reads
+    neither."""
     if max(ell - disapprovals, 0) <= 0:
         return SenderAction.NOSEND
     lo, hi = hull
     tau = worldview_prior(lo, mu, tol)
     require_credence(hi, mu, tol)  # every type must be admissible, not only the binding one
-    if gain(tau) <= tol:
+    if belief_gain(tau, atoms, mu, tol) <= tol:
         return SenderAction.NOSEND
     return SenderAction.SEND

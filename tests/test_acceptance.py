@@ -321,17 +321,22 @@ class TestPropertySuite:
 
     def test_6f_gain_contribution_shape(self):
         rng = np.random.default_rng(60606)
-        step = 1e-4
+        steps = 60
         for _ in range(N_DRAWS):
             mu = random_evidence(rng)
             tau = float(rng.uniform(0.02, 0.98))
             lo, hi = nu_breakpoints(tau, mu)
-            xs = np.arange(mu.mu_given_not_c + 1e-6, mu.mu_given_c - 1e-6, step)
-            diffs = np.diff(np.asarray(nu_value(xs, tau, mu)))
-            left, right = xs[:-1], xs[1:]
-            assert np.all(diffs[right <= lo + 1e-12] >= -1e-9)
-            assert np.all(diffs[(left >= lo - 1e-12) & (right <= hi + 1e-12)] <= 1e-9)
-            assert np.all(diffs[left >= hi - 1e-12] >= -1e-9)
+            # a random grid holding both breakpoints, one credence at a time
+            ends = (mu.mu_given_not_c + 1e-6, mu.mu_given_c - 1e-6)
+            xs = sorted([*ends, lo, hi, *(float(x) for x in rng.uniform(*ends, size=steps))])
+            vals = [nu_value(x, tau, mu) for x in xs]
+            for left, right, u, v in zip(xs, xs[1:], vals, vals[1:]):
+                if right <= lo + 1e-12:
+                    assert v - u >= -1e-9
+                if left >= lo - 1e-12 and right <= hi + 1e-12:
+                    assert v - u <= 1e-9
+                if left >= hi - 1e-12:
+                    assert v - u >= -1e-9
         assert nu_breakpoints(0.5, validate_evidence(0.9, 0.1)) == pytest.approx(
             (0.18, 0.5), abs=1e-12
         )

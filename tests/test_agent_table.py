@@ -207,7 +207,7 @@ def test_sweep_lambda_swaps_one_column():
         assert got == want, agent
         assert got[0].reaction_of("2") != got[1].reaction_of("2"), agent  # the swept value is read
     assert table.lam == [1.0, 0.5, 2.0, 0.0]
-    with pytest.raises(KeyError):
+    with pytest.raises(InvariantViolation, match="^no profile for agent '4'$"):
         next(sweep_lambda(tree, TreeProfiles(tree, table), mu, [1.0], "4"))
     for bad in (math.nan, -1.0, math.inf, True):
         sweep = sweep_lambda(tree, TreeProfiles(tree, table), mu, [1.0, bad])

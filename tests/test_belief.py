@@ -84,15 +84,6 @@ class TestWorldviewMaps:
             with pytest.raises(RangeViolation):
                 credence_from_prior(p, mu)
 
-    def test_vectorized_matches_scalar(self):
-        mu = validate_evidence(0.9, 0.1)
-        thetas = np.linspace(0.12, 0.88, 41)
-        priors = worldview_prior(thetas, mu)
-        posts = worldview_posterior(thetas, mu)
-        for theta, p, q in zip(thetas, priors, posts):
-            assert p == worldview_prior(float(theta), mu)
-            assert q == worldview_posterior(float(theta), mu)
-
 
 band = st.tuples(
     st.floats(min_value=0.02, max_value=0.45),
@@ -132,6 +123,6 @@ def test_message_always_favors_claim(args):
 def test_prior_strictly_increasing_in_credence():
     rng = np.random.default_rng(7)
     mu = validate_evidence(0.85, 0.15)
-    draws = np.sort(rng.uniform(0.16, 0.84, size=500))
-    priors = worldview_prior(draws, mu)
-    assert np.all(np.diff(priors) > 0)
+    draws = sorted(set(float(x) for x in rng.uniform(0.16, 0.84, size=500)))
+    priors = [worldview_prior(x, mu) for x in draws]
+    assert all(p < q for p, q in zip(priors, priors[1:]))

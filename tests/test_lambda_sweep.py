@@ -324,7 +324,7 @@ def test_a_sweep_builds_each_room_and_makes_each_decision_once(monkeypatch):
         lambda profiles, agent, kids, mu, ell, disapprovals, tol: decided.update([(agent, ell > disapprovals)])
         or decide(profiles, agent, kids, mu, ell, disapprovals, tol),
     )
-    for module in (network, sender):  # the known-type path and decide_send's
+    for module in (network, sender):  # the engine's binding and decide_send's
         rule = module.send_rule
         monkeypatch.setattr(module, "send_rule", lambda *args, rule=rule: rules.update(["calls"]) or rule(*args))
     rng = np.random.default_rng(2428)
@@ -358,3 +358,40 @@ def test_a_sweep_builds_each_room_and_makes_each_decision_once(monkeypatch):
         _per_lambda(tree, profiles, mu, lams, None, 1e-9)
         theirs += sums.total() + distances.total() + rules.total()
     assert 3 * ours < theirs, (ours, theirs)
+
+
+def test_a_sweep_over_one_agent_folds_only_her_room_again(monkeypatch):
+    # a room folds again only when some receiver's sensitivity changed since
+    # its last fold, so a sweep over one agent folds every other room once
+    folds: Counter = Counter()  # by the room's receivers
+    fold = network._fold
+    monkeypatch.setattr(
+        network, "_fold",
+        lambda room, lams, tol: folds.update([tuple(peer[0] for peer in room[0])]) or fold(room, lams, tol),
+    )
+    rng = np.random.default_rng(2430)
+    swept = refolded = reused = 0
+    for draw in range(300):
+        tree = _wide_tree(rng) if draw % 2 else random_tree(rng, int(rng.integers(2, 13)))
+        attrs, mu, theta = _draw_attrs_within(rng, tree, draw % 4 < 2, 1e-9)
+        attrs["1"] = AgentProfile(TypeSet.singleton(max(theta() for _ in range(8))), 1.0)
+        overrides = _draw_overrides(rng, tree, attrs, theta) if draw % 3 == 0 else {}
+        agent = _pick_agent(rng, tree, ("root", "inner", "leaf")[draw % 3])
+        lams = _grid(rng) * 2  # every value twice, so her room sees each again
+        folds.clear()
+        try:
+            results = list(sweep_lambda(tree, TreeProfiles(tree, attrs, overrides), mu, lams, agent, 1e-9))
+        except RumorcastError:
+            continue
+        swept += 1
+        parent = tree.parent_of(agent)
+        hers = None if parent is None else tree.children_of(parent)
+        assert all(n == 1 for room, n in folds.items() if room != hers), draw
+        last, want = None, 0  # her room folds where it opens at another value than at its last fold
+        for lam, result in zip(lams, results):
+            if parent in result.room_equilibria and lam != last:
+                last, want = lam, want + 1
+        assert folds[hers] == want, draw
+        refolded += want > 1
+        reused += want < sum(parent in result.room_equilibria for result in results)
+    assert swept >= 200 and refolded >= 50 and reused >= 30, (swept, refolded, reused)

@@ -26,7 +26,6 @@ from rumorcast import (
     support_interval,
     utility,
 )
-from rumorcast.chatroom import TypeSet, room_equilibrium
 from rumorcast.receiver import BeliefAtom
 from rumorcast.oracle import GridSpec, oracle_min_lambda, oracle_support_points
 
@@ -329,6 +328,4 @@ class TestNonFiniteInvariants:
         # before: the profile was accepted and the room came back
         # Multiplicity.NONE, a false "no equilibrium"
         with pytest.raises(RangeViolation, match="^d0 "):
-            room_equilibrium(
-                [("r", TypeSet.singleton(0.5), 1.0, PeerDistanceProfile(math.nan, math.nan, math.nan))]
-            )
+            best_actions(0.5, PeerDistanceProfile(math.nan, math.nan, math.nan), 1.0)

@@ -1,33 +1,43 @@
-"""The known-type room kernel against the general path it stands in for.
+"""The reaction and gain kernels against references that share no code with them.
 
-``solve_global`` answers a receiver without an explicit belief with
-``known_type_eligible`` on her credence, sensitivity and peer mean, and an
-open-gate sender without an explicit sender belief with ``known_type_gain``
-over her audience's credences, building no belief.  These tests hold the
-kernel to the general path exactly, with no tolerance: ``best_actions`` over
-``PeerDistanceProfile.from_dirac`` and ``room_equilibrium`` for receivers,
-``expected_send_gain`` and ``decide_send`` over ``SecondOrderBelief.dirac``
-for senders, and a reference cascade assembled from those alone.  The
-peer mean is ``peer_distance``'s: the room total is held as exact parts, so
-each receiver's peer sum is rounded once, and stars whose decimal credences
-sit on utility ties must solve as over explicit beliefs at tolerance 0, and
-inside ``oracle_global``'s set.
+Every reaction the engine makes goes through ``receiver.react`` (three
+utilities, compared once), on a credence, a sensitivity and three peer
+distances: ``best_actions`` and ``eligible_actions`` check their arguments
+and call it, and ``solve_global`` feeds it a known type's distances from her
+peer mean and an explicit receiver's from ``peer_distance``.  Every send
+decision goes through ``sender.belief_gain`` over belief atoms: an explicit
+belief's, or for a known type one atom of weight 1 over her audience's
+credences.  These tests hold the kernels to ``oracle_best_actions`` and to a
+test-local weighted sum of ``nu_value``, exactly, with no tolerance, and
+hold whole cascades to a reference assembled from ``utility``,
+``fold_room`` and those sums alone.  The peer mean is ``peer_distance``'s:
+the room total is held as exact parts, so each receiver's peer sum is
+rounded once, and stars whose decimal credences sit on utility ties must
+solve as over explicit beliefs at tolerance 0, and inside
+``oracle_global``'s set.  On success, no solve calls ``utility``,
+``nu_value`` or ``worldview_posterior``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import random
+import sys
 from collections import deque
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rumorcast.belief as belief_module
 import rumorcast.chatroom as chatroom_module
 import rumorcast.receiver as receiver_module
 import rumorcast.sender as sender_module
 from rumorcast import (
+    ACTIONS,
     AgentProfile,
     DomainError,
     Multiplicity,
@@ -43,19 +53,27 @@ from rumorcast import (
     canonicalize_result,
     decide_send,
     dirac_truth_profiles,
+    eligible_actions,
     expected_send_gain,
+    oracle_best_actions,
     oracle_global,
+    parse_scenario,
     scenario_diagnostics,
     solve_global,
+    utility,
     validate_evidence,
+    worldview_prior,
 )
+from rumorcast import network
 from rumorcast.belief import require_credence
-from rumorcast.chatroom import known_type_eligible, room_equilibrium
+from rumorcast.chatroom import fold_room
+from rumorcast.cli import main
 from rumorcast.network import AgentTable, _check_profiles, _exact_parts
-from rumorcast.receiver import peer_distance
-from rumorcast.sender import known_type_gain, send_rule
+from rumorcast.receiver import BeliefAtom, peer_distance
+from rumorcast.sender import nu_value, belief_gain, send_rule
 
 from helpers import random_evidence, random_tree
+from test_explicit_beliefs import _explicit_draw
 from test_truth_rooms import _draw_overrides, _outcome, _star, _wide_tree
 
 TOLS = (0.0, 1e-9, 1e-3, 0.2)
@@ -82,29 +100,59 @@ def _raised(call):
         return type(exc), str(exc)
 
 
+def _distances(rng: np.random.Generator, dyadic: bool) -> tuple[PeerDistanceProfile, SecondOrderBelief]:
+    """A known type's distances (a point mass at a peer mean), or an
+    explicit belief's over one to three atoms; and that belief, over one peer."""
+    atoms = 1 if rng.random() < 0.5 else int(rng.integers(2, 4))
+    if dyadic:  # sums and halves on this grid are exact, so utility ties are exact ties
+        means = [float(x) * GRID for x in rng.integers(0, 17, size=atoms)]
+        weights = [0.5, 0.25, 0.25][:atoms] if atoms > 1 else [1.0]
+        weights[0] += 1.0 - sum(weights)
+    else:
+        means = [float(x) for x in rng.uniform(0.0, 1.0, size=atoms)]
+        raw = rng.uniform(0.1, 1.0, size=atoms)
+        weights = [float(w) for w in raw / raw.sum()]
+    belief = SecondOrderBelief.mixture([([m], w) for m, w in zip(means, weights)])
+    return PeerDistanceProfile.from_dirac(means[0]) if atoms == 1 else peer_distance(belief), belief
+
+
 def test_eligible_sets_match_best_actions():
+    # best_actions and the hull rule of eligible_actions against the
+    # definition, oracle_best_actions, at the hull's ends
     rng = np.random.default_rng(1901)
-    ties = zero = huge = 0
+    ties = zero = huge = mixed = 0
     for draw in range(40_000):
         dyadic = draw % 2 == 0
-        if dyadic:  # sums and halves on this grid are exact, so utility ties are exact ties
-            theta, b = (float(x) * GRID for x in rng.integers(0, 17, size=2))
+        d, belief = _distances(rng, dyadic)
+        if dyadic:
+            lo, hi = sorted(float(x) * GRID for x in rng.integers(0, 17, size=2))
         else:
-            theta, b = (float(x) for x in rng.uniform(0.0, 1.0, size=2))
+            lo, hi = sorted(float(x) for x in rng.uniform(0.0, 1.0, size=2))
         lam, tol = _lam(rng), TOLS[draw % 4]
-        got = known_type_eligible(theta, lam, b, tol)
-        assert got == best_actions(theta, PeerDistanceProfile.from_dirac(b), lam, tol), (theta, lam, b, tol)
+        want = oracle_best_actions(lo, d, lam, tol)
+        got = best_actions(lo, d, lam, tol)
+        assert got == want, (lo, lam, d, tol)
+        both = want & oracle_best_actions(hi, d, lam, tol)
+        assert chatroom_module._eligible(lo, hi, lam, d.d0, d.d05, d.d1, tol) == both, (lo, hi, lam, d, tol)
+        assert eligible_actions(TypeSet.interval(lo, hi), belief, lam, tol) == both
         ties += len(got) > 1
         zero += lam == 0.0
         huge += lam > 1e100
-    assert ties >= 3000 and zero >= 5000 and huge >= 2000
+        mixed += len(belief.atoms) > 1
+    assert ties >= 3000 and zero >= 5000 and huge >= 2000 and mixed >= 5000
 
 
 @pytest.mark.parametrize("b", [-0.5, -2e-9, 1.0 + 2e-9, 1.5, math.nan])
-def test_peer_mean_off_the_unit_interval_raises_alike(b):
+def test_peer_mean_off_the_unit_interval_raises_alike(b, monkeypatch):
+    # a table made without its checks: one receiver, whose peer mean is the
+    # sender's credence b.  The room total is kept as its own terms, which
+    # are exact parts of it, as a NaN total cannot be split into parts
+    monkeypatch.setattr(network, "_exact_parts", list)
+    tree = OrderedTree.from_edges("1", [("1", "2")])
+    table = AgentTable(["1", "2"], {"1": b, "2": 0.5}, {}, [1.0, 1.0], [1, 1])
     want = _raised(lambda: PeerDistanceProfile.from_dirac(b))
     assert isinstance(want, tuple)
-    assert _raised(lambda: known_type_eligible(0.5, 1.0, b)) == want
+    assert _raised(lambda: network._room_peers(TreeProfiles(tree, table), "1", ("2",))) == want
 
 
 def _credences(rng: np.random.Generator, mu, n: int, dyadic: bool) -> list[float]:
@@ -115,51 +163,85 @@ def _credences(rng: np.random.Generator, mu, n: int, dyadic: bool) -> list[float
     return [float(x) for x in rng.uniform(mu.mu_given_not_c + 1e-6, mu.mu_given_c - 1e-6, size=n)]
 
 
+def _atoms(rng: np.random.Generator, mu, n: int, dyadic: bool) -> tuple[BeliefAtom, ...]:
+    """A known type's one atom of weight 1, or one to four weighted atoms."""
+    k = 1 if rng.random() < 0.5 else int(rng.integers(2, 5))
+    if dyadic:
+        weights = [1.0 / k] * k if k in (1, 2, 4) else [0.5, 0.25, 0.25]
+    else:
+        raw = rng.uniform(0.1, 1.0, size=k)
+        weights = [float(w) for w in raw / raw.sum()]
+    return tuple(BeliefAtom(tuple(_credences(rng, mu, n, dyadic)), w) for w in weights)
+
+
+def _ref_gain(own: float, atoms, mu, tol: float) -> float:
+    """The expected gain from its definition: each atom's weight times the
+    sum of its receivers' ``nu_value``."""
+    total = 0.0
+    for atom in atoms:
+        total += atom.weight * sum(nu_value(x, own, mu, tol) for x in atom.profile)
+    return total
+
+
+def _ref_decision(hull, atoms, mu, ell: int, disapprovals: int, tol: float) -> SenderAction:
+    """The send rule from its statement: an open gate, every type admissible,
+    and a gain above ``tol`` at the lowest type's prior."""
+    if ell <= disapprovals:
+        return SenderAction.NOSEND
+    tau = worldview_prior(hull[0], mu, tol)
+    require_credence(hull[1], mu, tol)
+    return SenderAction.SEND if _ref_gain(tau, atoms, mu, tol) > tol else SenderAction.NOSEND
+
+
 def test_gains_are_bit_identical():
     rng = np.random.default_rng(1902)
-    compared = raised = 0
+    compared = raised = several = 0
     for draw in range(6000):
         dyadic = draw % 2 == 0
         mu = validate_evidence(0.875, 0.125) if dyadic else random_evidence(rng)
         tol = TOLS[draw % 4]
-        credences = _credences(rng, mu, int(rng.integers(1, 60)), dyadic)
+        atoms = _atoms(rng, mu, int(rng.integers(1, 60)), dyadic)
         if draw % 50 == 7:  # one credence off the band, or outside [0, 1]
-            credences[int(rng.integers(0, len(credences)))] = [0.0, 1.0, 1.5, mu.mu_given_c][draw % 4]
+            bad = list(atoms[-1].profile)
+            bad[int(rng.integers(0, len(bad)))] = [0.0, 1.0, 1.5, mu.mu_given_c][draw % 4]
+            atoms = (*atoms[:-1], BeliefAtom(tuple(bad), atoms[-1].weight))
         own = [float(rng.uniform(0.0, 1.0)), 0.0, 1.0][0 if draw % 40 else draw % 3]
-        got = _raised(lambda: known_type_gain(own, credences, mu, tol))
-        want = _raised(lambda: expected_send_gain(own, SecondOrderBelief.dirac(credences), mu, tol))
+        want = _raised(lambda: _ref_gain(own, atoms, mu, tol))
+        got = _raised(lambda: belief_gain(own, atoms, mu, tol))
+        belief = SecondOrderBelief(atoms) if all(-1e-9 <= x <= 1.0 + 1e-9 for a in atoms for x in a.profile) else None
+        public = want if belief is None else _raised(lambda: expected_send_gain(own, belief, mu, tol))
         if isinstance(want, float):
-            assert isinstance(got, float) and got.hex() == want.hex(), (draw, got, want)
+            assert isinstance(got, float) and got.hex() == want.hex() == public.hex(), (draw, got, want)
             compared += 1
+            several += len(atoms) > 1
         else:
-            assert got == want, draw
+            assert got == want == public, draw
             raised += 1
-    assert compared >= 4000 and raised >= 150
+    assert compared >= 4000 and raised >= 150 and several >= 1500
 
 
 def test_decisions_match_decide_send():
+    # decide_send and the send rule the engine calls, against the rule as stated
     rng = np.random.default_rng(1903)
-    sends = closed = errors = 0
+    sends = closed = errors = intervals = 0
     for draw in range(6000):
         dyadic = draw % 2 == 0
         mu = validate_evidence(0.875, 0.125) if dyadic else random_evidence(rng)
         tol = TOLS[draw % 4]
-        theta = _credences(rng, mu, 1, dyadic)[0]
-        credences = _credences(rng, mu, int(rng.integers(1, 12)), dyadic)
+        ends = _credences(rng, mu, 2, dyadic)
+        hull = (ends[0], ends[0]) if draw % 3 else (min(ends), max(ends))
+        atoms = _atoms(rng, mu, int(rng.integers(1, 12)), dyadic)
         ell, disapprovals = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-        got = _raised(
-            lambda: send_rule(
-                (theta, theta), lambda tau: known_type_gain(tau, credences, mu, tol), mu, ell, disapprovals, tol
-            )
-        )
-        want = _raised(
-            lambda: decide_send(TypeSet.singleton(theta), SecondOrderBelief.dirac(credences), mu, ell, disapprovals, tol)
-        )
+        types = TypeSet.singleton(hull[0]) if hull[0] == hull[1] else TypeSet.interval(*hull)
+        want = _raised(lambda: _ref_decision(hull, atoms, mu, ell, disapprovals, tol))
+        assert _raised(lambda: send_rule(hull, atoms, mu, ell, disapprovals, tol)) == want, draw
+        got = _raised(lambda: decide_send(types, SecondOrderBelief(atoms), mu, ell, disapprovals, tol))
         assert got == want, draw
         sends += got is SenderAction.SEND
         closed += ell <= disapprovals
         errors += isinstance(got, tuple)
-    assert sends >= 500 and closed >= 1000 and errors >= 200
+        intervals += not types.is_finite
+    assert sends >= 400 and closed >= 1000 and errors >= 200 and intervals >= 1000
 
 
 def _off_band_text(agent, type_set, belief, mu, tol) -> str:
@@ -175,13 +257,23 @@ def _off_band_text(agent, type_set, belief, mu, tol) -> str:
     raise AssertionError("decide_send raised with every credence in the band")
 
 
+def _eligible_by_utility(type_set: TypeSet, lam: float, d: PeerDistanceProfile, tol: float) -> frozenset:
+    """The actions within ``tol`` of the best ``utility`` at both ends of
+    the type hull."""
+    out = set(ACTIONS)
+    for theta in type_set.hull:
+        u = {a: utility(a, theta, d, lam) for a in ACTIONS}
+        out &= {a for a in ACTIONS if u[a] >= max(u.values()) - tol}
+    return frozenset(out)
+
+
 def _reference(tree: OrderedTree, profiles: TreeProfiles, mu, tol: float):
-    """``solve_global`` through the general path alone: each room is
-    ``room_equilibrium`` over ``peer_distance`` of each receiver's belief
-    (``SecondOrderBelief.dirac`` of her peers' credences when not explicit),
-    and each sender ``decide_send`` over ``SecondOrderBelief.dirac`` (or her
-    explicit belief), after the same entry checks.  Returns what
-    ``_outcome`` returns."""
+    """``solve_global`` from the model's statements alone: each room
+    ``fold_room`` over ``utility``-based eligible sets, from ``peer_distance``
+    of each receiver's belief (``SecondOrderBelief.dirac`` of her peers'
+    credences when not explicit), and each sender the stated send rule over
+    ``nu_value`` sums (her audience at their credences when not explicit),
+    after the same entry checks.  Returns what ``_outcome`` returns."""
     attrs, theta = profiles.attrs, profiles.theta
     receiver_actions, sender_actions, room_eqs, multiple = {}, {}, {}, []
     failing = None
@@ -189,8 +281,9 @@ def _reference(tree: OrderedTree, profiles: TreeProfiles, mu, tol: float):
 
     def decide(agent, type_set, ell, disapprovals):
         belief = profiles.sender_belief(agent) if ell > disapprovals else None
+        atoms = () if belief is None else belief.atoms
         try:
-            decision = decide_send(type_set, belief, mu, ell, disapprovals, tol)
+            decision = _ref_decision(type_set.hull, atoms, mu, ell, disapprovals, tol)
         except DomainError:
             raise DomainError(_off_band_text(agent, type_set, belief, mu, tol)) from None
         sender_actions[agent] = decision
@@ -205,13 +298,14 @@ def _reference(tree: OrderedTree, profiles: TreeProfiles, mu, tol: float):
             sender = queue.popleft()
             receivers = tree.children_of(sender)
             profs = [attrs[r] for r in receivers]
-            rows = []
+            eligible = {}
             for r, prof in zip(receivers, profs):
                 belief = profiles.receiver_belief(r)
                 if belief is None:
                     belief = SecondOrderBelief.dirac([theta[sender], *(theta[o] for o in receivers if o != r)])
-                rows.append((r, prof.type_set, prof.lam, peer_distance(belief)))
-            eq = room_eqs[sender] = room_equilibrium(rows, tol)
+                eligible[r] = _eligible_by_utility(prof.type_set, prof.lam, peer_distance(belief), tol)
+            centroids = {r: prof.type_set.centroid for r, prof in zip(receivers, profs)}
+            eq = room_eqs[sender] = fold_room(eligible, centroids)
             if eq.multiplicity is Multiplicity.NONE:
                 failing = sender
                 break
@@ -352,6 +446,58 @@ def test_known_type_solve_runs_no_general_path(monkeypatch):
         reached += solve_global(tree, TreeProfiles(tree, attrs), mu).reach_count
     assert calls == []
     assert reached >= 20 * 30
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_explicit_belief_solve_runs_no_leaf(monkeypatch, tmp_path, capsys):
+    # explicit receivers react through the kernel and explicit senders gain
+    # through it, so a solve that raises nothing evaluates no leaf function
+    calls: list[str] = []
+
+    def counting(name, function):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(receiver_module, "utility", counting("utility", receiver_module.utility))
+    monkeypatch.setattr(sender_module, "nu_value", counting("nu_value", sender_module.nu_value))
+    for module in (sender_module, belief_module):
+        posterior = module.worldview_posterior
+        monkeypatch.setattr(module, "worldview_posterior", counting("worldview_posterior", posterior))
+
+    workloads = _load_workloads()
+    workload = workloads.WORKLOADS["interval_senders"]
+    path = tmp_path / "scenario.json"
+    path.write_text(workloads.scenario_text(workload, 1, toy=0))
+    assert main(workload.argv(str(path))) == 0, capsys.readouterr().err
+    assert '"send": "send"' in capsys.readouterr().out
+    assert calls == []
+
+    rnd = random.Random(1906)
+    solved = intervals = sent = 0
+    for draw in range(300):
+        doc = _explicit_draw(rnd, 0)[0]  # no fault planted
+        scenario = parse_scenario(json.dumps(doc))
+        tree = scenario.tree()
+        try:
+            result = solve_global(tree, scenario.profiles_for(tree), scenario.evidence)
+        except RumorcastError:
+            continue
+        assert calls == [], draw
+        solved += 1
+        intervals += any(isinstance(spec["types"], dict) for spec in doc["agents"].values())
+        sent += SenderAction.SEND in result.sender_actions.values()
+    assert solved >= 200 and intervals >= 100 and sent >= 100, (solved, intervals, sent)
 
 
 def _tie_star(rng: np.random.Generator, small: bool):
