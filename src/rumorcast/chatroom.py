@@ -16,6 +16,7 @@ a type set matters only for selection (centroid) and membership (contains).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Mapping, Sequence
@@ -116,8 +117,33 @@ class TypeSet:
 
 
 def _check_unit(x: float) -> None:
-    if not (-EPS <= x <= 1.0 + EPS):
+    if type(x) is not float and (isinstance(x, bool) or not isinstance(x, (int, float))):
+        raise RangeViolation(f"credence must be a number, got {x!r}")
+    if not (-EPS <= x <= 1.0 + EPS):  # exact for an int of any size
         raise RangeViolation(f"credence {x!r} outside [0, 1]")
+
+
+def _span(v: float) -> tuple[float, float] | None:
+    """The least and the greatest float ``x`` with ``abs(x - v) <= EPS``,
+    the test :meth:`TypeSet.contains` makes at a point ``v``: ``x - v``
+    rounds monotonically in ``x``, so the floats that pass are exactly
+    those between the two.  Each lies within an ulp of ``v - EPS`` or
+    ``v + EPS`` when ``x - v`` is exact there, as it is for ``abs(v) >=
+    2 * EPS``.  None when an end is not found in a few steps: a point near
+    ``EPS`` off zero, where ``x - v`` rounds far coarser than ``x`` steps."""
+    ends = []
+    for x, inward, outward in ((v - EPS, math.inf, -math.inf), (v + EPS, -math.inf, math.inf)):
+        for _ in range(4):
+            if abs(x - v) > EPS:
+                x = math.nextafter(x, inward)
+            elif abs(math.nextafter(x, outward) - v) <= EPS:
+                x = math.nextafter(x, outward)
+            else:
+                ends.append(x)
+                break
+        else:
+            return None
+    return ends[0], ends[1]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, filterfalse, groupby
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .belief import EPS, EvidenceRelation, check_tol, require_credence
@@ -42,6 +42,7 @@ from .chatroom import (
     Multiplicity,
     TypeSet,
     _eligible,
+    _span,
     check_receiver_belief,
     fold_room,
     solve_chatroom,  # unused here; bench/tracer.py wraps this binding by name
@@ -466,10 +467,48 @@ def _check_profiles(profiles: TreeProfiles) -> None:
         if agent != tree.root and (receiver is not None or not truth):
             receiver_beliefs.append((agent, receiver))
     for parent, room in groupby(receiver_beliefs, key=lambda item: tree.parent[item[0]]):
+        members = (parent, *tree.children_of(parent))
+        slots = dict(zip(members, range(len(members))))
+        bounds = _room_bounds(attrs, members)
         # within a room, a missing belief is reported before a malformed one
         for agent, belief in sorted(room, key=lambda item: item[1] is not None):
-            peers = [parent] + [sib for sib in tree.children_of(parent) if sib != agent]
-            check_receiver_belief(agent, belief, [attrs[p].type_set for p in peers])
+            i = slots[agent]
+            if bounds is None or belief is None or not _fits(belief, bounds, i):
+                # the walk names the fault
+                peers = members[:i] + members[i + 1 :]
+                check_receiver_belief(agent, belief, [attrs[p].type_set for p in peers])
+
+
+def _room_bounds(attrs: AgentTable, members: Sequence[Agent]) -> tuple[list[float], list[float]] | None:
+    """The least and the greatest credence each member's type set holds,
+    as :func:`check_receiver_belief` tests it, read off the table's columns;
+    None when some member's type set is not a point or an interval with
+    such bounds (several points, or a point near ``EPS`` off zero)."""
+    theta, type_sets = attrs.theta, attrs.type_sets
+    los: list[float] = []
+    his: list[float] = []
+    for agent in members:
+        if agent in theta:
+            span = _span(theta[agent])
+        else:
+            bounds = type_sets[agent].bounds
+            span = None if bounds is None else (bounds[0] - EPS, bounds[1] + EPS)
+        if span is None:
+            return None
+        los.append(span[0])
+        his.append(span[1])
+    return los, his
+
+
+def _fits(belief: SecondOrderBelief, bounds: tuple[list[float], list[float]], i: int) -> bool:
+    """Whether ``belief`` has one coordinate per member of a room but the
+    ``i``-th, each inside that member's ``bounds``, in passes over whole
+    profiles; NaN fails them."""
+    los, his = bounds
+    los, his = los[:i] + los[i + 1 :], his[:i] + his[i + 1 :]
+    return belief.dim == len(los) and all(
+        all(map(le, los, atom.profile)) and all(map(le, atom.profile, his)) for atom in belief.atoms
+    )
 
 
 def credence_errors(

@@ -24,9 +24,11 @@ it by brute force.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Any, Iterable, Sequence
 
 from .belief import EPS, check_tol
 from .errors import (
@@ -70,6 +72,25 @@ class BeliefAtom:
     weight: float
 
 
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _floatable(x: Any) -> bool:
+    """Whether ``x`` is an int or float, not a bool, that ``float()`` takes
+    as it is: NaN and the infinities pass, an int too large for a float fails."""
+    return not isinstance(x, bool) and isinstance(x, (int, float)) and not abs(x) > sys.float_info.max
+
+
+def _coordinate(x: Any) -> float:
+    """One profile coordinate as a float, or a :class:`RangeViolation`
+    naming it: the walk behind the checks of whole profiles."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise RangeViolation(f"profile coordinate must be a number, got {x!r}")
+    if not -EPS <= x <= 1.0 + EPS:  # exact for an int of any size; NaN fails
+        raise RangeViolation(f"profile coordinate {x!r} outside [0, 1]")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class SecondOrderBelief:
     """Finite-support distribution over peer credence profiles.
@@ -93,32 +114,45 @@ class SecondOrderBelief:
             raise InvariantViolation("belief profiles must have at least one peer")
         total = 0.0
         for atom in self.atoms:
-            if len(atom.profile) != dim:
-                raise InvariantViolation(
-                    f"mixed profile lengths: {len(atom.profile)} vs {dim}"
-                )
-            if not 0.0 < atom.weight < math.inf:
-                raise RangeViolation(f"atom weight must be finite and positive, got {atom.weight!r}")
-            for x in atom.profile:
-                if not (-EPS <= x <= 1.0 + EPS):
-                    raise RangeViolation(f"profile coordinate {x!r} outside [0, 1]")
-            total += atom.weight
+            profile, weight = atom.profile, atom.weight
+            if len(profile) != dim:
+                raise InvariantViolation(f"mixed profile lengths: {len(profile)} vs {dim}")
+            if not (_floatable(weight) and 0.0 < weight < math.inf):
+                raise RangeViolation(f"atom weight must be finite and positive, got {weight!r}")
+            # the walk names the first bad coordinate; NaN fails the comparison
+            if not set(map(type, profile)) <= _NUMBER_TYPES:
+                for x in profile:
+                    _coordinate(x)
+            for x in profile:
+                if not -EPS <= x <= 1.0 + EPS:
+                    _coordinate(x)
+            total += weight
         if abs(total - 1.0) > 1e-6:
             raise InvariantViolation(f"atom weights sum to {total!r}, expected 1")
 
     @classmethod
     def dirac(cls, profile: Sequence[float]) -> "SecondOrderBelief":
         """Point mass on a single peer profile."""
-        return cls(atoms=(BeliefAtom(profile=tuple(float(x) for x in profile), weight=1.0),))
+        return cls.mixture([(profile, 1.0)])
 
     @classmethod
     def mixture(cls, weighted: Iterable[tuple[Sequence[float], float]]) -> "SecondOrderBelief":
-        return cls(
-            atoms=tuple(
-                BeliefAtom(profile=tuple(float(x) for x in prof), weight=float(w))
-                for prof, w in weighted
+        pairs = [(prof, w) for prof, w in weighted]
+        profiles = [prof for prof, _ in pairs]
+        weights = [w for _, w in pairs]
+        atoms = None
+        if set(map(type, chain(weights, *profiles))) <= _NUMBER_TYPES:
+            try:
+                atoms = tuple(map(BeliefAtom, [tuple(map(float, prof)) for prof in profiles], map(float, weights)))
+            except OverflowError:  # an int too large for a float
+                pass
+        if atoms is None:
+            # one value at a time, so the check names the first bad one; a
+            # weight that float() would take wrongly stays as it is for the check
+            atoms = tuple(
+                BeliefAtom(tuple(map(_coordinate, prof)), float(w) if _floatable(w) else w) for prof, w in pairs
             )
-        )
+        return cls(atoms=atoms)
 
     @property
     def dim(self) -> int:

@@ -43,7 +43,7 @@ from .network import (
     dirac_truth_profiles,  # unused here; bench/tracer.py wraps this binding by name
     natural_sorted,
 )
-from .receiver import SecondOrderBelief
+from .receiver import _NUMBER_TYPES, SecondOrderBelief
 
 DIRAC_TRUTH = "dirac-truth"
 
@@ -149,13 +149,14 @@ def _number(value: Any, where: str = "") -> float:
 
 
 def _numbers(raw: list[Any], where: str = "") -> list[float]:
-    out: list[float] = []
-    for value in raw:
-        try:
-            out.append(_number(value))
-        except _Bad as bad:
-            raise bad.within(f"{where}[{len(out)}]")
-    return out
+    if not _finite(raw):
+        # some value is bad: the per-value check names the first
+        for k, value in enumerate(raw):
+            try:
+                _number(value)
+            except _Bad as bad:
+                raise bad.within(f"{where}[{k}]")
+    return list(map(float, raw))
 
 
 def _is_text(s: str) -> bool:
@@ -238,7 +239,6 @@ def _type_set(raw: Any) -> TypeSet:
 
 
 _AGENT_KEYS = frozenset({"types", "lambda", "ell"})
-_NUMBER_TYPES = frozenset({int, float})
 _types_of, _lambda_of = itemgetter("types"), itemgetter("lambda")
 
 
@@ -306,16 +306,20 @@ def _agent_table(raw: dict[Any, Any]) -> AgentTable:
     )
 
 
-def _within(column: list[Any], lo: float, hi: float) -> bool:
-    """Whether every value in ``column`` is an int or float, finite as a
-    float and in [lo, hi]."""
+def _finite(column: list[Any]) -> bool:
+    """Whether every value in ``column`` is an int or float, finite as a float."""
     if not set(map(type, column)) <= _NUMBER_TYPES:
         return False
     try:
-        finite = all(map(math.isfinite, column))
+        return all(map(math.isfinite, column))
     except OverflowError:  # an int too large for a float
         return False
-    return finite and (not column or lo <= min(column) and max(column) <= hi)
+
+
+def _within(column: list[Any], lo: float, hi: float) -> bool:
+    """Whether every value in ``column`` is an int or float, finite as a
+    float and in [lo, hi]."""
+    return _finite(column) and (not column or lo <= min(column) and max(column) <= hi)
 
 
 def _agent(spec: Any) -> AgentProfile:
@@ -349,6 +353,12 @@ def _belief(raw: Any) -> SecondOrderBelief:
             atoms_raw = raw["atoms"]
             if not isinstance(atoms_raw, list):
                 raise _Bad("expected an array", ".atoms")
+            if _atoms_shaped(atoms_raw):
+                try:
+                    return SecondOrderBelief.mixture(zip(map(_profile_of, atoms_raw), map(_weight_of, atoms_raw)))
+                except RumorcastError:
+                    pass
+            # the per-atom check names the first bad atom, else the belief's own fault shows
             atoms: list[tuple[list[float], float]] = []
             for atom in atoms_raw:
                 try:
@@ -359,6 +369,21 @@ def _belief(raw: Any) -> SecondOrderBelief:
     except RumorcastError as exc:
         raise _Bad(str(exc)) from exc
     raise _Bad("expected {'dirac': [...]} or {'atoms': [...]}")
+
+
+_ATOM_KEYS = frozenset({"profile", "weight"})
+_profile_of, _weight_of = itemgetter("profile"), itemgetter("weight")
+
+
+def _atoms_shaped(raw: list[Any]) -> bool:
+    """Whether every atom is ``{'profile': [...], 'weight': w}``, in passes
+    over all of them; :meth:`SecondOrderBelief.mixture` checks the numbers."""
+    return (
+        set(map(type, raw)) == {dict}
+        and set(map(len, raw)) == {2}
+        and all(map(_ATOM_KEYS.issuperset, raw))
+        and set(map(type, map(_profile_of, raw))) == {list}
+    )
 
 
 def _atom(raw: Any) -> tuple[list[float], float]:

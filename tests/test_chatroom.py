@@ -62,6 +62,25 @@ class TestTypeSet:
         with pytest.raises(RangeViolation):
             TypeSet.interval(-0.1, 0.5)
 
+    @pytest.mark.parametrize(
+        "build, value",
+        [
+            (lambda: TypeSet.singleton(True), "True"),
+            (lambda: TypeSet.finite([True, 0.5]), "True"),
+            (lambda: TypeSet.interval(False, 0.5), "False"),
+            (lambda: TypeSet.finite(["a"]), "'a'"),
+            (lambda: TypeSet.interval(0.2, None), "None"),
+        ],
+    )
+    def test_bools_and_non_numbers_are_refused(self, build, value):
+        with pytest.raises(RangeViolation, match=f"^credence must be a number, got {value}$"):
+            build()
+
+    def test_an_int_too_large_for_a_float_is_out_of_range(self):
+        with pytest.raises(RangeViolation, match="^credence 1000+ outside"):
+            TypeSet.finite([10**400])
+        assert TypeSet.finite([0, 1]).values == (0.0, 1.0)
+
 
 def _game(receiver_types, lam, belief_profile=(0.8, 0.8), sender_types=None):
     """Two-receiver room with shared Dirac beliefs at belief_profile."""

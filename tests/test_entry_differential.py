@@ -368,7 +368,63 @@ def _topologies(draw) -> Any:
     return raw
 
 
-_PROFILES = st.one_of(st.lists(st.one_of(st.floats(0.0, 1.0), _ODD), max_size=3), _ODD)
+# the odd values a list of credences may hold at any index
+_ODD_NUMBERS = st.one_of(st.sampled_from([True, False, math.nan, math.inf, -math.inf, 10**400, "0.5", None]), _ODD)
+
+
+def _planted(values: list, at: int, odd: Any) -> list:
+    """``values`` with ``odd`` inserted at index ``at`` (or at the end)."""
+    return values[:at] + [odd] + values[at:]
+
+
+# clean lists of credences, which the passes over whole lists accept, and the
+# same with one odd value at any index, which the per-value check must name
+_CREDENCE_LISTS = st.lists(st.floats(0.0, 1.0), max_size=12)
+_PROFILES = st.one_of(
+    _CREDENCE_LISTS,
+    st.builds(_planted, _CREDENCE_LISTS, st.integers(0, 12), _ODD_NUMBERS),
+    st.lists(st.one_of(st.floats(0.0, 1.0), _ODD), max_size=3),
+    _ODD,
+)
+
+
+@st.composite
+def _even_atoms(draw) -> dict:
+    """Up to 3 atoms of one width up to 12 and weights summing to 1: a clean
+    belief, or one with a single odd value in place of a credence, a weight
+    or a whole profile."""
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    profiles: list[Any] = [draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)) for _ in range(k)]
+    weights: list[Any] = [1.0 / k] * k
+    if draw(st.booleans()):
+        odd, at = draw(_ODD_NUMBERS), draw(st.integers(0, k * (n + 2) - 1))
+        atom, place = divmod(at, n + 2)
+        if place == n:
+            weights[atom] = odd
+        elif place == n + 1:
+            profiles[atom] = odd
+        else:
+            profiles[atom][place] = odd
+    return {"atoms": [{"profile": p, "weight": w} for p, w in zip(profiles, weights)]}
+
+
+# one atom of weight 1, or two of weight 1/2, is a clean belief when its profiles are
+_WEIGHTS = st.one_of(st.just(1.0), st.just(0.5), st.floats(0.0, 1.0), _ODD)
+_BELIEF = st.one_of(
+    st.builds(lambda p: {"dirac": p}, _PROFILES),
+    _even_atoms(),
+    st.builds(
+        lambda atoms: {"atoms": atoms},
+        st.one_of(
+            st.lists(
+                st.one_of(st.fixed_dictionaries({"profile": _PROFILES, "weight": _WEIGHTS}), _ODD),
+                max_size=3,
+            ),
+            _ODD,
+        ),
+    ),
+    _ODD,
+)
 
 
 @st.composite
@@ -379,26 +435,7 @@ def _beliefs(draw) -> Any:
     raw: dict = {}
     if draw(st.booleans()):
         _field(draw, raw, "default", st.sampled_from([DIRAC_TRUTH, "none"]))
-    belief = st.one_of(
-        st.builds(lambda p: {"dirac": p}, _PROFILES),
-        st.builds(
-            lambda atoms: {"atoms": atoms},
-            st.one_of(
-                st.lists(
-                    st.one_of(
-                        st.fixed_dictionaries(
-                            {"profile": _PROFILES, "weight": st.one_of(st.floats(0.0, 1.0), _ODD)}
-                        ),
-                        _ODD,
-                    ),
-                    max_size=3,
-                ),
-                _ODD,
-            ),
-        ),
-        _ODD,
-    )
-    side = st.dictionaries(st.sampled_from(["receiver", "sender", "x"]), belief, max_size=2)
+    side = st.dictionaries(st.sampled_from(["receiver", "sender", "x"]), _BELIEF, max_size=2)
     _field(draw, raw, "agents", st.dictionaries(_IDS, st.one_of(side, _ODD), max_size=3))
     if draw(st.integers(0, 10)) == 0:
         raw["x"] = draw(_ODD)
@@ -425,6 +462,14 @@ def test_topology_parses_as_before(raw):
 @given(raw=_beliefs(), known=st.sets(_IDS))
 def test_beliefs_parse_as_before(raw, known):
     agents = dict.fromkeys(known)
+    _same(lambda *args: _at("beliefs", _parse_beliefs, *args), _ref_parse_beliefs, raw, agents)
+
+
+@_SETTINGS
+@given(belief=_BELIEF, side=st.sampled_from(["receiver", "sender"]))
+def test_one_belief_parses_as_before(belief, side):
+    # every draw reaches the belief's own parse
+    raw, agents = {"agents": {"1": {side: belief}}}, {"1": None}
     _same(lambda *args: _at("beliefs", _parse_beliefs, *args), _ref_parse_beliefs, raw, agents)
 
 

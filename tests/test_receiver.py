@@ -69,6 +69,35 @@ class TestPeerDistance:
         with pytest.raises(InvariantViolation):
             SecondOrderBelief.mixture([([0.5], 0.4), ([0.2], 0.4)])
 
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            (lambda: SecondOrderBelief.mixture([([0.5], True)]), "atom weight must be finite and positive, got True"),
+            (lambda: SecondOrderBelief.mixture([([0.5], "1")]), "atom weight must be finite and positive, got '1'"),
+            (lambda: SecondOrderBelief.mixture([([0.5], 10**400)]), "atom weight must be finite and positive, got 1000"),
+            (lambda: SecondOrderBelief.mixture([([True, 0.5], 1.0)]), "profile coordinate must be a number, got True"),
+            (lambda: SecondOrderBelief.mixture([([0.5, "x"], 1.0)]), "profile coordinate must be a number, got 'x'"),
+            (lambda: SecondOrderBelief.dirac(["0.5"]), "profile coordinate must be a number, got '0.5'"),
+            (lambda: SecondOrderBelief.mixture([([10**400], 1.0)]), "profile coordinate 1000"),
+            (lambda: SecondOrderBelief((BeliefAtom(("a",), 1.0),)), "profile coordinate must be a number, got 'a'"),
+            (lambda: SecondOrderBelief((BeliefAtom((0.5, False), 1.0),)), "profile coordinate must be a number, got False"),
+            (lambda: SecondOrderBelief((BeliefAtom((0.5,), None),)), "atom weight must be finite and positive, got None"),
+        ],
+    )
+    def test_bools_and_non_numbers_are_refused(self, build, text):
+        with pytest.raises(RangeViolation) as caught:
+            build()
+        assert str(caught.value).startswith(text)
+
+    def test_number_subclasses_are_read_as_floats(self):
+        # numpy's float64 is a float: the profile is walked, and read as plain floats
+        belief = SecondOrderBelief.mixture([(np.array([0.25, 0.5]), np.float64(1.0))])
+        assert belief.atoms == (BeliefAtom((0.25, 0.5), 1.0),)
+        assert {type(x) for x in belief.atoms[0].profile} == {float}
+        assert SecondOrderBelief((BeliefAtom((np.float64(0.5),), 1.0),)).dim == 1
+        with pytest.raises(RangeViolation, match=r"coordinate .*nan.* outside"):
+            SecondOrderBelief((BeliefAtom((np.float64(0.5), np.float64("nan")), 1.0),))
+
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(InvariantViolation):
             SecondOrderBelief.mixture([([0.5], 0.5), ([0.2, 0.3], 0.5)])
