@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .belief import EPS, check_tol
 from .errors import InvariantViolation, RangeViolation
@@ -34,6 +34,7 @@ from .receiver import (
 )
 
 Agent = Hashable
+DISAPPROVE = ReceiverAction.DISAPPROVE
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,21 +223,52 @@ class Multiplicity(Enum):
 
 @dataclass(frozen=True)
 class ChatroomEquilibrium:
-    """Solved chatroom: eligible sets, a canonical selection, and whether the
-    equilibrium is unique, multiple, or absent."""
+    """Solved chatroom: eligible sets, a canonical selection, whether the
+    equilibrium is unique, multiple, or absent, and how many selected
+    actions are disapprovals (0 when there is no selection)."""
 
     eligible: Mapping[Agent, frozenset[ReceiverAction]]
     actions: Mapping[Agent, ReceiverAction] | None
     multiplicity: Multiplicity
+    disapprovals: int
 
 
-def _eligible(
-    lo: float, hi: float, lam: float, d0: float, d05: float, d1: float, tol: float
-) -> frozenset[ReceiverAction]:
-    # the reactions at both ends of the type hull [lo, hi], to a peer
-    # distance profile (d0, d05, d1); a singleton's ends coincide, so one decides
-    low = react(lo, lam, d0, d05, d1, tol)
-    return low if lo == hi else low & react(hi, lam, d0, d05, d1, tol)
+#: A receiver as :func:`fold_room` reads her: (agent, index of her
+#: sensitivity, type hull ends, peer distances d0, d05, d1, type centroid)
+Row = tuple[Agent, int, float, float, float, float, float, float]
+
+
+def _row(agent: Agent, i: int, type_set: TypeSet, belief: SecondOrderBelief) -> Row:
+    d = peer_distance(belief)
+    return (agent, i, *type_set.hull, d.d0, d.d05, d.d1, type_set.centroid)
+
+
+def fold_room(rows: Iterable[Row], lams: Sequence[float], tol: float) -> ChatroomEquilibrium:
+    """The room's equilibrium in one pass over its receivers' ``rows``, each
+    receiver at her sensitivity in ``lams``: her eligible set, the action in
+    it nearest her type centroid (ties to the lower action), whether every
+    set was a singleton, and how many selected actions disapprove.  An empty
+    set leaves the room without an equilibrium: no actions, a count of 0."""
+    eligible: dict[Agent, frozenset[ReceiverAction]] = {}
+    actions: dict[Agent, ReceiverAction] = {}
+    unique, disapprovals = True, 0
+    for agent, i, lo, hi, d0, d05, d1, centroid in rows:
+        # the reactions at both ends of her type hull; a point's ends coincide
+        e = react(lo, lams[i], d0, d05, d1, tol)
+        if lo != hi:
+            e &= react(hi, lams[i], d0, d05, d1, tol)
+        eligible[agent] = e
+        if len(e) > 1:
+            unique = False
+            e = (min(e, key=lambda x: (abs(x - centroid), x)),)
+        for a in e:  # her one action; none when her set is empty
+            actions[agent] = a
+            disapprovals += a is DISAPPROVE
+    if len(actions) < len(eligible):  # some set was empty
+        return ChatroomEquilibrium(eligible, None, Multiplicity.NONE, 0)
+    return ChatroomEquilibrium(
+        eligible, actions, Multiplicity.UNIQUE if unique else Multiplicity.MULTIPLE, disapprovals
+    )
 
 
 def eligible_actions(
@@ -249,32 +281,11 @@ def eligible_actions(
 
     Best-response sets are intervals, so the two ends of the hull decide.
     ``tol`` is slack on utility, as in :func:`rumorcast.receiver.best_actions`.
+    The set is a one-receiver room's, as :func:`fold_room` folds it.
     """
     check_tol(tol)
     check_sensitivity(lam)
-    d = peer_distance(belief)
-    return _eligible(*type_set.hull, lam, d.d0, d.d05, d.d1, tol)
-
-
-def _select(eligible: frozenset[ReceiverAction], centroid: float) -> ReceiverAction:
-    # closest eligible action to the type centroid; ties go to the lower action
-    if len(eligible) == 1:
-        return next(iter(eligible))
-    return min(eligible, key=lambda a: (abs(float(a) - centroid), float(a)))
-
-
-def fold_room(
-    eligible: dict[Agent, frozenset[ReceiverAction]], centroids: Mapping[Agent, float]
-) -> ChatroomEquilibrium:
-    """The room's equilibrium from each receiver's eligible set: the action
-    nearest her type centroid, and whether every set was a singleton."""
-    if not all(eligible.values()):
-        return ChatroomEquilibrium(eligible=eligible, actions=None, multiplicity=Multiplicity.NONE)
-    actions = {agent: _select(e, centroids[agent]) for agent, e in eligible.items()}
-    unique = all(len(e) == 1 for e in eligible.values())
-    return ChatroomEquilibrium(
-        eligible=eligible, actions=actions, multiplicity=Multiplicity.UNIQUE if unique else Multiplicity.MULTIPLE
-    )
+    return fold_room([_row(None, 0, type_set, belief)], [lam], tol).eligible[None]
 
 
 def solve_chatroom(game: ChatroomGame, tol: float = EPS) -> ChatroomEquilibrium:
@@ -287,6 +298,5 @@ def solve_chatroom(game: ChatroomGame, tol: float = EPS) -> ChatroomEquilibrium:
     The receivers' beliefs enter only through their peer distances.
     """
     check_tol(tol)
-    eligible = {spec.agent: eligible_actions(spec.type_set, spec.belief, spec.lam, tol) for spec in game.receivers}
-    return fold_room(eligible, {spec.agent: spec.type_set.centroid for spec in game.receivers})
-
+    rows = [_row(spec.agent, i, spec.type_set, spec.belief) for i, spec in enumerate(game.receivers)]
+    return fold_room(rows, [spec.lam for spec in game.receivers], tol)

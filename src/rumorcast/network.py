@@ -30,7 +30,7 @@ from __future__ import annotations
 import copy
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, filterfalse, groupby
 from operator import itemgetter, le
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -40,8 +40,9 @@ from .chatroom import (
     ChatroomEquilibrium,
     ChatroomGame,  # unused here; bench/tracer.py wraps this binding by name
     Multiplicity,
+    Row,
     TypeSet,
-    _eligible,
+    _row,
     _span,
     check_receiver_belief,
     fold_room,
@@ -54,7 +55,6 @@ from .receiver import (
     ReceiverAction,
     SecondOrderBelief,
     check_sensitivity,
-    peer_distance,
 )
 from .sender import SenderAction, check_count, send_rule
 from .sender import decide_send  # unused here; bench/tracer.py wraps this binding by name
@@ -210,14 +210,6 @@ class BeliefOverride:
     receiver: SecondOrderBelief | None = None
     sender: SecondOrderBelief | None = None
 
-    def apply(self, prof: AgentProfile) -> AgentProfile:
-        """``prof`` with the given sides replaced and the omitted ones kept."""
-        return replace(
-            prof,
-            receiver_belief=self.receiver if self.receiver is not None else prof.receiver_belief,
-            sender_belief=self.sender if self.sender is not None else prof.sender_belief,
-        )
-
 
 class AgentTable(Mapping[Agent, AgentProfile]):
     """Agents' attributes held as columns, the agents in file order.
@@ -226,8 +218,8 @@ class AgentTable(Mapping[Agent, AgentProfile]):
     ``type_sets`` the type set of every other agent, and the ``lam`` and
     ``ell`` lists every agent's sensitivity and disapproval threshold, in
     the order of ``ids``, which is the table's order.  Looking an agent up
-    builds her :class:`AgentProfile` (no beliefs) and caches it, so a
-    cascade that reads a few agents of a large file builds a few profiles.
+    builds her :class:`AgentProfile` (no beliefs) and caches it; the
+    engine reads the columns instead, a type set through :meth:`type_set`.
     ``repr`` and ``==`` are those of the dict of every profile.  The
     columns are never changed; they are checked when the table is made, by
     the parser or :meth:`of`.
@@ -268,10 +260,13 @@ class AgentTable(Mapping[Agent, AgentProfile]):
         prof = self._built.get(agent)
         if prof is None:
             k = self._index[agent]
-            theta = self.theta.get(agent)
-            type_set = self.type_sets[agent] if theta is None else TypeSet.singleton(theta)
-            prof = self._built[agent] = AgentProfile(type_set, self.lam[k], self.ell[k])
+            prof = self._built[agent] = AgentProfile(self.type_set(agent), self.lam[k], self.ell[k])
         return prof
+
+    def type_set(self, agent: Agent) -> TypeSet:
+        """``agent``'s type set, read off the columns; no profile is built."""
+        theta = self.theta.get(agent)
+        return self.type_sets[agent] if theta is None else TypeSet.singleton(theta)
 
     def __contains__(self, agent: object) -> bool:
         return agent in self._index
@@ -476,7 +471,7 @@ def _check_profiles(profiles: TreeProfiles) -> None:
             if bounds is None or belief is None or not _fits(belief, bounds, i):
                 # the walk names the fault
                 peers = members[:i] + members[i + 1 :]
-                check_receiver_belief(agent, belief, [attrs[p].type_set for p in peers])
+                check_receiver_belief(agent, belief, [attrs.type_set(p) for p in peers])
 
 
 def _room_bounds(attrs: AgentTable, members: Sequence[Agent]) -> tuple[list[float], list[float]] | None:
@@ -521,7 +516,7 @@ def credence_errors(
     credences, read from ``profiles.theta``."""
     for room in rooms:
         sender = room.sender
-        checked = [("types", x) for x in dict.fromkeys(profiles.attrs[sender].type_set.hull)]
+        checked = [("types", x) for x in dict.fromkeys(profiles.attrs.type_set(sender).hull)]
         belief = profiles._stated_sender(sender)
         if belief is not None:
             coords: Iterable[float] = chain.from_iterable(atom.profile for atom in belief.atoms)
@@ -545,39 +540,29 @@ def _exact_parts(xs: Iterable[float]) -> list[float]:
     return parts
 
 
-def _room_peers(profiles: TreeProfiles, sender: Agent, receivers: tuple[Agent, ...]) -> tuple[list, dict]:
-    """What ``sender``'s room reads that no sensitivity changes: per receiver
-    (agent, table row, type hull ends, peer distances d0, d05, d1), and the
-    type centroids.  A receiver with an explicit belief gets her peer
-    distances from it, any other one from her peer mean, read off the room's
-    credence total."""
+def _room_peers(profiles: TreeProfiles, sender: Agent, receivers: tuple[Agent, ...]) -> list[Row]:
+    """``sender``'s room as :func:`fold_room` reads it, with nothing a
+    sensitivity changes: per receiver her agent, table row, type hull ends,
+    peer distances d0, d05, d1 and type centroid.  A receiver with an
+    explicit belief gets her peer distances from it and her types from the
+    table's columns, any other one her peer distances from her peer mean,
+    read off the room's credence total."""
     attrs, theta, row = profiles.attrs, profiles.theta, profiles.attrs._index
     beliefs = list(map(profiles.receiver_belief, receivers)) if profiles.overrides else [None] * len(receivers)
     if None in beliefs:
         # known-type peers are the sender and the other receivers, at their credences
         parts, k = _exact_parts([theta[sender], *(theta[r] for r in receivers)]), len(receivers)
-    peers: list[tuple[Any, ...]] = []
-    centroids: dict[Agent, float] = {}
+    rows: list[Row] = []
     for r, belief in zip(receivers, beliefs):
         if belief is None:
-            t = centroids[r] = theta[r]
+            t = theta[r]
             b = math.fsum([*parts, -t]) / k
             if not -EPS <= b <= 1.0 + EPS:
                 PeerDistanceProfile.from_dirac(b)  # raises for the peer mean
-            peers.append((r, row[r], t, t, abs(b), abs(0.5 - b), abs(1.0 - b)))
+            rows.append((r, row[r], t, t, abs(b), abs(0.5 - b), abs(1.0 - b), t))
         else:
-            type_set, d = attrs[r].type_set, peer_distance(belief)
-            peers.append((r, row[r], *type_set.hull, d.d0, d.d05, d.d1))
-            centroids[r] = type_set.centroid
-    return peers, centroids
-
-
-def _fold(room: tuple[list, dict], lams: list[float], tol: float) -> ChatroomEquilibrium:
-    """The equilibrium of ``room`` under the sensitivity column ``lams``."""
-    peers, centroids = room
-    return fold_room(
-        {r: _eligible(lo, hi, lams[i], d0, d05, d1, tol) for r, i, lo, hi, d0, d05, d1 in peers}, centroids
-    )
+            rows.append(_row(r, row[r], attrs.type_set(r), belief))
+    return rows
 
 
 def _decide(
@@ -595,7 +580,7 @@ def _decide(
     An off-band credence raises naming the agent and where it sits."""
     theta = profiles.theta
     belief = profiles._stated_sender(agent) if ell > disapprovals else None
-    hull = profiles.attrs[agent].type_set.hull if theta is None else (theta[agent], theta[agent])
+    hull = profiles.attrs.type_set(agent).hull if theta is None else (theta[agent], theta[agent])
     atoms = belief.atoms if belief is not None else (
         # a closed gate comes with no kids, so only an open one reads their credences
         BeliefAtom(tuple([theta[kid] for kid in kids]), 1.0),  # type: ignore[index]
@@ -620,7 +605,7 @@ def _cascades(
     _check_profiles(profiles)
     attrs = profiles.attrs
     row, ells = attrs._index, attrs.ell
-    rooms: dict[Agent, tuple[tuple[list, dict], Callable[[list[float]], Any]]] = {}  # by sender, with her rows
+    rooms: dict[Agent, tuple[list[Row], Callable[[list[float]], Any]]] = {}  # by sender, with her sensitivities' reader
     folds: dict[Agent, tuple[Any, ChatroomEquilibrium]] = {}  # by sender: her receivers' sensitivities, and the fold
     decided: dict[tuple[Agent, bool], tuple[SenderAction, tuple[Agent, ...]]] = {}  # and her receivers
 
@@ -648,13 +633,13 @@ def _cascades(
         while queue:
             sender, receivers = queue.popleft()
             if sender not in rooms:
-                room = _room_peers(profiles, sender, receivers)
-                rooms[sender] = room, itemgetter(*(peer[1] for peer in room[0]))
-            room, sensitivities = rooms[sender]
+                rows = _room_peers(profiles, sender, receivers)
+                rooms[sender] = rows, itemgetter(*(r[1] for r in rows))
+            rows, sensitivities = rooms[sender]
             # a room folds again only when some receiver's sensitivity changed
             key, last = sensitivities(lams), folds.get(sender)
             if last is None or last[0] != key:
-                last = folds[sender] = key, _fold(room, lams, tol)
+                last = folds[sender] = key, fold_room(rows, lams, tol)
             eq = room_eqs[sender] = last[1]
             if eq.multiplicity is Multiplicity.NONE:
                 failing = sender
@@ -663,10 +648,9 @@ def _cascades(
                 multiple.append(sender)
             assert eq.actions is not None
             receiver_actions.update(eq.actions)
-            disapprovals = sum(1 for agent in receivers if eq.actions[agent] is ReceiverAction.DISAPPROVE)
             for agent in receivers:
                 if not tree.is_terminal(agent):
-                    decide(agent, ells[row[agent]], disapprovals)
+                    decide(agent, ells[row[agent]], eq.disapprovals)
 
         yield CascadeResult(
             receiver_actions=receiver_actions,
@@ -1152,10 +1136,9 @@ def root_summaries(
         # raises here is the one her cascade raises at
         opened, rooms = [(top, kids)], []
         for key, kids in opened:  # the list grows while it is walked
-            eq = _fold(_room_peers(profiles, key[0], kids), lams, tol)
+            eq = fold_room(_room_peers(profiles, key[0], kids), lams, tol)
             assert eq.actions is not None  # one-type eligible sets are never empty
-            actions, entries = eq.actions, block_of[key[0]]
-            disapprovals = sum(1 for r in kids if actions[r] is ReceiverAction.DISAPPROVE)
+            disapprovals, entries = eq.disapprovals, block_of[key[0]]
             here, sent = [], []
             for r in kids:
                 if block_count[r] == 1:  # terminal

@@ -284,3 +284,59 @@ def test_sweep_builds_profiles_only_for_reached_agents(tmp_path, monkeypatch, ag
     reach = [json.loads(line)["reach_count"] for line in out.getvalue().splitlines()]
     assert len(reach) == 4 and max(reach) < 100
     assert built == []  # every reached agent is read from the columns
+
+
+def _star(receivers: int) -> dict:
+    """A dirac-truth star: the root near the top of the band, her receivers' credences spread below it."""
+    agents = {str(k + 2): {"types": round(0.15 + 0.7 * k / receivers, 6), "lambda": 1.0} for k in range(receivers)}
+    agents["1"] = {"types": 0.895, "lambda": 1.0}
+    return {
+        "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+        "topology": {"kind": "tree", "root": "1", "edges": [["1", a] for a in agents if a != "1"]},
+        "agents": agents,
+        "beliefs": "dirac-truth",
+    }
+
+
+def test_no_command_builds_a_profile_on_a_clean_file(tmp_path, monkeypatch):
+    # every command but normalize reads types, sensitivities and thresholds
+    # off the table's columns; a profile is built only to name a fault
+    from test_explicit_beliefs import _explicit_star
+    from test_room_kernel import _load_workloads
+
+    workloads = _load_workloads()
+    senders, blocks = workloads.WORKLOADS["interval_senders"], workloads.WORKLOADS["block_sweep"]
+    sweep = ["sweep-lambda", "--lambdas", "0,1,4", "--agent", "all"]
+    files = {
+        "interval_senders toy": (workloads.scenario_text(senders, 1, toy=0), [["solve"], sweep, ["validate"]]),
+        "interval_senders": (workloads.scenario_text(senders, 1), [["solve"], sweep, ["validate"]]),
+        "explicit star": (json.dumps(_explicit_star(60)), [["solve"], sweep, sweep[:-1] + ["2"], ["validate"]]),
+        "dirac-truth star": (json.dumps(_star(60)), [["solve"], sweep, sweep[:-1] + ["2"], ["sweep-root"],
+                                                    ["validate"]]),
+        "block graph": (workloads.scenario_text(blocks, 1), [["solve", "--root", "41"], sweep + ["--root", "41"],
+                                                            ["sweep-root"], ["validate"]]),
+    }
+    built: list = []
+    post_init = AgentProfile.__post_init__
+    monkeypatch.setattr(AgentProfile, "__post_init__", lambda self: built.append(self) or post_init(self))
+    reached = 0
+    for name, (text, commands) in files.items():
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        for command, *flags in commands:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command, str(path), *flags, "--format", "json-lines"])
+            assert code == 0 and built == [], (name, command, len(built))
+            lines = [json.loads(line) for line in out.getvalue().splitlines()]
+            reached += max(line.get("reach_count", 0) for line in lines) > 1
+    assert reached == 14, reached
+
+    # a belief off its peer's types is still named, from the columns' type sets
+    doc = _explicit_star(3)
+    doc["beliefs"]["agents"]["4"]["receiver"]["atoms"][0]["profile"][0] = 0.05
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["solve", str(path)]) == 1
+    assert "receiver '4': belief support point 0.05 (peer #0) outside that peer's type set" in err.getvalue()

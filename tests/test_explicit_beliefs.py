@@ -60,7 +60,7 @@ from rumorcast.cli import main
 from rumorcast.network import _check_profiles
 
 from test_fuzz import _small_explicit_scenario
-from test_truth_rooms import _game, _outcome
+from test_truth_rooms import _apply, _game, _outcome
 
 DRAWS = 2400
 # what each belief error says, the sender's before the receiver's
@@ -71,7 +71,7 @@ def _ref_attach_beliefs(tree, attrs, overrides):
     """Explicit beliefs as a plain dict: every agent's profile, her stated
     beliefs applied."""
     return {
-        agent: overrides[agent].apply(attrs[agent]) if agent in overrides else attrs[agent]
+        agent: _apply(overrides[agent], attrs[agent]) if agent in overrides else attrs[agent]
         for agent in tree.agents
     }
 

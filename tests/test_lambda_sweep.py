@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rumorcast import network, sender
+from rumorcast import chatroom, network, sender
 from rumorcast.chatroom import TypeSet
 from rumorcast.cli import _render, _scenario_tree, main
 from rumorcast.errors import RumorcastError
@@ -316,9 +316,9 @@ def test_a_sweep_builds_each_room_and_makes_each_decision_once(monkeypatch):
     distances: Counter = Counter()  # explicit receiver beliefs collapsed
     decided: Counter = Counter()  # (sender, gate open)
     rules = Counter()  # send_rule calls
-    exact_parts, peer_distance, decide = network._exact_parts, network.peer_distance, network._decide
+    exact_parts, peer_distance, decide = network._exact_parts, chatroom.peer_distance, network._decide
     monkeypatch.setattr(network, "_exact_parts", lambda xs: sums.update([tuple(xs)]) or exact_parts(xs))
-    monkeypatch.setattr(network, "peer_distance", lambda belief: distances.update([id(belief)]) or peer_distance(belief))
+    monkeypatch.setattr(chatroom, "peer_distance", lambda belief: distances.update([id(belief)]) or peer_distance(belief))
     monkeypatch.setattr(
         network, "_decide",
         lambda profiles, agent, kids, mu, ell, disapprovals, tol: decided.update([(agent, ell > disapprovals)])
@@ -364,10 +364,10 @@ def test_a_sweep_over_one_agent_folds_only_her_room_again(monkeypatch):
     # a room folds again only when some receiver's sensitivity changed since
     # its last fold, so a sweep over one agent folds every other room once
     folds: Counter = Counter()  # by the room's receivers
-    fold = network._fold
+    fold = network.fold_room
     monkeypatch.setattr(
-        network, "_fold",
-        lambda room, lams, tol: folds.update([tuple(peer[0] for peer in room[0])]) or fold(room, lams, tol),
+        network, "fold_room",
+        lambda rows, lams, tol: folds.update([tuple(row[0] for row in rows)]) or fold(rows, lams, tol),
     )
     rng = np.random.default_rng(2430)
     swept = refolded = reused = 0

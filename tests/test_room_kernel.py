@@ -9,8 +9,8 @@ decision goes through ``sender.belief_gain`` over belief atoms: an explicit
 belief's, or for a known type one atom of weight 1 over her audience's
 credences.  These tests hold the kernels to ``oracle_best_actions`` and to a
 test-local weighted sum of ``nu_value``, exactly, with no tolerance, and
-hold whole cascades to a reference assembled from ``utility``,
-``fold_room`` and those sums alone.  The peer mean is ``peer_distance``'s:
+hold whole cascades to a reference assembled from ``utility``, its own
+selection rule and those sums alone.  The peer mean is ``peer_distance``'s:
 the room total is held as exact parts, so each receiver's peer sum is
 rounded once, and stars whose decimal credences sit on utility ties must
 solve as over explicit beliefs at tolerance 0, and inside
@@ -39,6 +39,7 @@ import rumorcast.sender as sender_module
 from rumorcast import (
     ACTIONS,
     AgentProfile,
+    ChatroomEquilibrium,
     DomainError,
     Multiplicity,
     OrderedTree,
@@ -66,7 +67,6 @@ from rumorcast import (
 )
 from rumorcast import network
 from rumorcast.belief import require_credence
-from rumorcast.chatroom import fold_room
 from rumorcast.cli import main
 from rumorcast.network import AgentTable, _check_profiles, _exact_parts
 from rumorcast.receiver import BeliefAtom, peer_distance
@@ -133,7 +133,8 @@ def test_eligible_sets_match_best_actions():
         got = best_actions(lo, d, lam, tol)
         assert got == want, (lo, lam, d, tol)
         both = want & oracle_best_actions(hi, d, lam, tol)
-        assert chatroom_module._eligible(lo, hi, lam, d.d0, d.d05, d.d1, tol) == both, (lo, hi, lam, d, tol)
+        row = ("r", 0, lo, hi, d.d0, d.d05, d.d1, (lo + hi) / 2.0)
+        assert chatroom_module.fold_room([row], [lam], tol).eligible["r"] == both, (lo, hi, lam, d, tol)
         assert eligible_actions(TypeSet.interval(lo, hi), belief, lam, tol) == both
         ties += len(got) > 1
         zero += lam == 0.0
@@ -267,9 +268,29 @@ def _eligible_by_utility(type_set: TypeSet, lam: float, d: PeerDistanceProfile, 
     return frozenset(out)
 
 
+def _ref_room(eligible: dict, centroids: dict) -> ChatroomEquilibrium:
+    """A room's equilibrium as the model states it: none when some eligible
+    set is empty; else each receiver's eligible action nearest her type
+    centroid, found walking the actions upwards so that a tie keeps the
+    lower one, unique when every set is a singleton, and the count of
+    selected disapprovals."""
+    if not all(eligible.values()):
+        return ChatroomEquilibrium(eligible, None, Multiplicity.NONE, 0)
+    actions = {}
+    for r, e in eligible.items():
+        best = None
+        for a in ACTIONS:
+            if a in e and (best is None or abs(float(a) - centroids[r]) < abs(float(best) - centroids[r])):
+                best = a
+        actions[r] = best
+    unique = all(len(e) == 1 for e in eligible.values())
+    disapprovals = sum(a is ReceiverAction.DISAPPROVE for a in actions.values())
+    return ChatroomEquilibrium(eligible, actions, Multiplicity.UNIQUE if unique else Multiplicity.MULTIPLE, disapprovals)
+
+
 def _reference(tree: OrderedTree, profiles: TreeProfiles, mu, tol: float):
     """``solve_global`` from the model's statements alone: each room
-    ``fold_room`` over ``utility``-based eligible sets, from ``peer_distance``
+    ``_ref_room`` over ``utility``-based eligible sets, from ``peer_distance``
     of each receiver's belief (``SecondOrderBelief.dirac`` of her peers'
     credences when not explicit), and each sender the stated send rule over
     ``nu_value`` sums (her audience at their credences when not explicit),
@@ -305,17 +326,16 @@ def _reference(tree: OrderedTree, profiles: TreeProfiles, mu, tol: float):
                     belief = SecondOrderBelief.dirac([theta[sender], *(theta[o] for o in receivers if o != r)])
                 eligible[r] = _eligible_by_utility(prof.type_set, prof.lam, peer_distance(belief), tol)
             centroids = {r: prof.type_set.centroid for r, prof in zip(receivers, profs)}
-            eq = room_eqs[sender] = fold_room(eligible, centroids)
+            eq = room_eqs[sender] = _ref_room(eligible, centroids)
             if eq.multiplicity is Multiplicity.NONE:
                 failing = sender
                 break
             if eq.multiplicity is Multiplicity.MULTIPLE:
                 multiple.append(sender)
             receiver_actions.update(eq.actions)
-            disapprovals = sum(a is ReceiverAction.DISAPPROVE for a in eq.actions.values())
             for r, prof in zip(receivers, profs):
                 if tree.children_of(r):
-                    decide(r, prof.type_set, prof.ell, disapprovals)
+                    decide(r, prof.type_set, prof.ell, eq.disapprovals)
     except RumorcastError as exc:
         return type(exc), str(exc)
     exists = failing is None

@@ -15,6 +15,7 @@ from the built beliefs.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,6 +126,15 @@ def _draw_overrides(rng, tree, attrs, theta) -> dict[str, BeliefOverride]:
     return out
 
 
+def _apply(override: BeliefOverride, prof: AgentProfile) -> AgentProfile:
+    """``prof`` with the sides ``override`` states replaced, the others kept."""
+    return replace(
+        prof,
+        receiver_belief=prof.receiver_belief if override.receiver is None else override.receiver,
+        sender_belief=prof.sender_belief if override.sender is None else override.sender,
+    )
+
+
 def _outcome(solve):
     try:
         r = solve()
@@ -172,7 +182,7 @@ def test_room_totals_match_built_beliefs():
         overrides = _draw_overrides(rng, tree, attrs, theta) if draw % 4 == 3 else {}
         override_draws += bool(overrides)
         reference = {
-            a: overrides[a].apply(p) if a in overrides else p
+            a: _apply(overrides[a], p) if a in overrides else p
             for a, p in dirac_truth_profiles(tree, attrs).items()
         }
         want = _outcome(lambda: solve_global(tree, reference, mu))
