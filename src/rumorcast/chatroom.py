@@ -12,14 +12,23 @@ pick.  Solving therefore reduces to per-receiver eligible sets.
 Best-response sets are intervals in the credence, so an action serves every
 type in a set exactly when it serves the lowest and the highest; the shape of
 a type set matters only for selection (centroid) and membership (contains).
+
+Receivers of one known type each, who share a sensitivity and see their
+peer mean fall as their own credence rises, react alike between a few
+credence thresholds.  A wide room folds them in credence order, one
+reaction per stretch between thresholds (:func:`_segments`).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Mapping, Sequence
+from itertools import compress, repeat
+from operator import eq, itemgetter, not_
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .belief import EPS, check_tol
 from .errors import InvariantViolation, RangeViolation
@@ -243,12 +252,61 @@ def _row(agent: Agent, i: int, type_set: TypeSet, belief: SecondOrderBelief) -> 
     return (agent, i, *type_set.hull, d.d0, d.d05, d.d1, type_set.centroid)
 
 
-def fold_room(rows: Iterable[Row], lams: Sequence[float], tol: float) -> ChatroomEquilibrium:
-    """The room's equilibrium in one pass over its receivers' ``rows``, each
-    receiver at her sensitivity in ``lams``: her eligible set, the action in
-    it nearest her type centroid (ties to the lower action), whether every
-    set was a singleton, and how many selected actions disapprove.  An empty
-    set leaves the room without an equilibrium: no actions, a count of 0."""
+#: The most thresholds at which a run's reactions can change (see
+#: :func:`_segments`): the kinks of |a - θ| at θ = 0, 0.5, 1 and of
+#: |a - b(θ)| at b(θ) = 0, 0.5, 1, and on each of the 7 pieces they leave,
+#: each of the 3 action pairs' utility gaps crossing +tol and -tol.  A
+#: shorter run folds receiver by receiver.
+THRESHOLDS = 6 + 7 * 3 * 2
+
+#: The rounding unit of a float
+_ULP = 2.0**-53
+
+#: Runs fold receiver by receiver when 1 + λ + tol exceeds this, as their
+#: utilities and error bands would overflow
+_MAX_SCALE = 2.0**1000
+
+#: How :func:`_segments` folds a range of a run: as one stretch, or receiver
+#: by receiver near a threshold (a band) or on a piece too flat to bound
+STRETCH, BAND, FLAT = "stretch", "band", "flat"
+
+
+class Run(NamedTuple):
+    """A room's receivers of one known type each, whose peer mean is
+    (T - θ)/k for her credence θ, T the room's credence total and k its
+    receiver count; in credence order.  ``sensitivities`` reads their
+    sensitivities, in that order, off a column."""
+
+    rows: list[Row]
+    credences: list[float]
+    agents: list[Agent]
+    sensitivities: Callable[[Sequence[float]], tuple[float, ...]]
+    parts: list[float]  # floats whose exact sum is T
+    size: int  # k
+    others: list[Row]  # the room's other receivers
+    slots: dict[Agent, None]  # every receiver, in child order
+
+
+class Room(list):
+    """A room's rows in child order, as :func:`fold_room` reads them, where
+    more than :data:`THRESHOLDS` receivers have one known type each
+    (``known`` flags them, in child order): its ``run``, whose peer means
+    come from the room total's exact ``parts``."""
+
+    __slots__ = ("run",)
+
+    def __init__(self, rows: list[Row], known: list[bool], parts: list[float]) -> None:
+        super().__init__(rows)
+        ranked = sorted(compress(rows, known), key=itemgetter(2))
+        agents, rows_of, credences = (list(map(itemgetter(c), ranked)) for c in range(3))
+        others = list(compress(rows, map(not_, known)))
+        slots = dict.fromkeys(map(itemgetter(0), rows))
+        self.run = Run(ranked, credences, agents, itemgetter(*rows_of), parts, len(rows), others, slots)
+
+
+def _fold_rows(rows: Iterable[Row], lams: Sequence[float], tol: float) -> tuple[dict, dict, bool, int]:
+    """The receiver-by-receiver fold: every eligible set, the selection of
+    every nonempty one, whether all were singletons, and the disapprovals."""
     eligible: dict[Agent, frozenset[ReceiverAction]] = {}
     actions: dict[Agent, ReceiverAction] = {}
     unique, disapprovals = True, 0
@@ -264,11 +322,194 @@ def fold_room(rows: Iterable[Row], lams: Sequence[float], tol: float) -> Chatroo
         for a in e:  # her one action; none when her set is empty
             actions[agent] = a
             disapprovals += a is DISAPPROVE
+    return eligible, actions, unique, disapprovals
+
+
+def fold_room(rows: Iterable[Row], lams: Sequence[float], tol: float) -> ChatroomEquilibrium:
+    """The room's equilibrium over its receivers' ``rows``, each receiver at
+    her sensitivity in ``lams``: her eligible set, the action in it nearest
+    her type centroid (ties to the lower action), whether every set was a
+    singleton, and how many selected actions disapprove.  An empty set
+    leaves the room without an equilibrium: no actions, a count of 0.
+
+    A :class:`Room`'s run folds by stretches of receivers who react alike
+    (:func:`_segments`) wherever more than :data:`THRESHOLDS` of them share
+    a sensitivity; every other receiver folds one by one.  The answer is the
+    same either way."""
+    if type(rows) is Room:
+        eligible, actions, unique, disapprovals = _fold_run(rows.run, lams, tol)
+    else:
+        eligible, actions, unique, disapprovals = _fold_rows(rows, lams, tol)
     if len(actions) < len(eligible):  # some set was empty
         return ChatroomEquilibrium(eligible, None, Multiplicity.NONE, 0)
     return ChatroomEquilibrium(
         eligible, actions, Multiplicity.UNIQUE if unique else Multiplicity.MULTIPLE, disapprovals
     )
+
+
+def _fold_run(run: Run, lams: Sequence[float], tol: float) -> tuple[dict, dict, bool, int]:
+    """:func:`_fold_rows` of a room with a run: its receivers of each
+    sensitivity shared by more than :data:`THRESHOLDS` of them by stretches,
+    the rest one by one, the sets and actions in child order."""
+    values = run.sensitivities(lams)
+    # (λ, rows, credences, agents) per sensitivity more than THRESHOLDS share
+    groups: list[tuple[float, Sequence[Row], Sequence[float], Sequence[Agent]]] = []
+    loose = run.others
+    if values.count(values[0]) == len(values):
+        groups.append((values[0], run.rows, run.credences, run.agents))
+    else:
+        shared = {lam for lam, n in Counter(values).items() if n > THRESHOLDS}
+        for lam in shared:
+            mask = list(map(eq, values, repeat(lam)))
+            groups.append((lam, *(list(compress(column, mask)) for column in (run.rows, run.credences, run.agents))))
+        loose = loose + list(compress(run.rows, map(not_, map(shared.__contains__, values))))
+    some_eligible, some_actions, unique, disapprovals = _fold_rows(loose, lams, tol)
+    eligible, actions = run.slots.copy(), run.slots.copy()
+    for lam, rows, ts, agents in groups:
+        if 1.0 + lam + tol <= _MAX_SCALE:
+            sets, chosen, u, n = _fold_stretches(rows, ts, lams, lam, run.parts, run.size, tol)
+            e, a = zip(agents, sets), zip(agents, chosen)
+        else:
+            e, a, u, n = _fold_rows(rows, lams, tol)
+        eligible.update(e)
+        actions.update(a)
+        unique, disapprovals = unique and u, disapprovals + n
+    eligible.update(some_eligible)
+    if len(some_actions) < len(some_eligible):  # some set was empty
+        return eligible, {}, False, 0
+    actions.update(some_actions)
+    return eligible, actions, unique, disapprovals
+
+
+def _fold_stretches(
+    rows: Sequence[Row],
+    ts: Sequence[float],
+    lams: Sequence[float],
+    lam: float,
+    parts: list[float],
+    k: int,
+    tol: float,
+) -> tuple[list[frozenset[ReceiverAction]], list[ReceiverAction], bool, int]:
+    """Every eligible set and selection of a run's ``rows`` (credences
+    ``ts``, ascending), each at sensitivity ``lam`` in ``lams``, in that
+    order, whether all were singletons, and the disapprovals: one
+    :func:`react` per stretch, one per receiver of a band or a flat piece."""
+    sets: list[frozenset[ReceiverAction]] = []
+    chosen: list[ReceiverAction] = []
+    unique, disapprovals = True, 0
+    for i, j, kind in _segments(rows, ts, lam, parts, k, tol):
+        if kind is not STRETCH:
+            e, a, u, n = _fold_rows(rows[i:j], lams, tol)
+            sets += e.values()
+            chosen += a.values()
+            unique, disapprovals = unique and u, disapprovals + n
+            continue
+        _, _, t, _, d0, d05, d1, _ = rows[i]
+        e = react(t, lam, d0, d05, d1, tol)
+        sets += [e] * (j - i)
+        # her credence is her centroid: the action nearest it, ties to the
+        # lower one, changes at the midpoints between the set's actions
+        acts = sorted(e)
+        unique = unique and len(acts) == 1
+        for a, mid in zip(acts, [(x + y) / 2.0 for x, y in zip(acts, acts[1:])] + [math.inf]):
+            cut = bisect_right(ts, mid, i, j)
+            chosen += [a] * (cut - i)
+            if a is DISAPPROVE:
+                disapprovals += cut - i
+            i = cut
+    return sets, chosen, unique, disapprovals
+
+
+def _segments(
+    rows: Sequence[Row], ts: Sequence[float], lam: float, parts: list[float], k: int, tol: float
+) -> list[tuple[int, int, str]]:
+    """A run's positions ``0..len(ts)`` cut into consecutive ranges [i, j),
+    each a :data:`STRETCH`, whose receivers all react as its first does,
+    or a :data:`BAND` or :data:`FLAT` range, to react one by one.
+
+    A receiver at credence θ has peer mean b(θ) = (T - θ)/k.  Her
+    reaction compares f_a(θ) = |a - θ| + λ|a - b(θ)| for the three actions
+    a: a is eligible when f_a - f_a' <= tol for every other a'.  Each gap
+    f_a - f_a' is linear in θ between the kinks of its terms, where θ or
+    b(θ) is 0, 0.5 or 1; the kinks in b are placed exactly, from the room
+    total's exact parts.  So the run falls into at most 7 pieces, and on
+    each a gap crosses ±tol at most once each.  :func:`react` rounds each
+    utility by at most about 6·2⁻⁵³(1 + λ), so a receiver whose every gap
+    lies more than ``delta`` = 64·2⁻⁵³(1 + λ + tol) from ±tol gets the
+    exact answer.  A stretch is a range inside one piece whose first and
+    last receivers are that far, on the same sides: every gap is linear on
+    it, so every receiver in it is that far on those sides, and they all
+    react alike.  The crossings only guide the cuts: receivers within
+    4·delta/|slope| of one form a band, a piece where that covers the whole
+    piece is flat, and a range whose ends fail the test is a band."""
+    n = len(ts)
+    delta = 64.0 * _ULP * (1.0 + lam + tol)
+    # the kinks in θ, then in b: the first position past each
+    kinks = [bisect_right(ts, x) for x in (0.0, 0.5, 1.0)]
+    for a in (0.0, 0.5, 1.0):
+        # b(θ) >= a exactly when θ <= T - k·a
+        at = math.fsum([*parts, -k * a])
+        cut = bisect_right(ts, at)
+        if cut and ts[cut - 1] == at and math.fsum([*parts, -k * a, -at]) < 0.0:
+            cut = bisect_left(ts, at)
+        kinks.append(cut)
+    cuts = sorted({0, n, *kinks})
+    gaps: dict[int, tuple[float, float, float]] = {}
+
+    def gap(p: int) -> tuple[float, float, float]:
+        # f0 - f05, f05 - f1 and f0 - f1 at position p, as react rounds them
+        if p not in gaps:
+            _, _, t, _, d0, d05, d1, _ = rows[p]
+            f0, f05, f1 = abs(t) + lam * d0, abs(0.5 - t) + lam * d05, abs(1.0 - t) + lam * d1
+            gaps[p] = (f0 - f05, f05 - f1, f0 - f1)
+        return gaps[p]
+
+    def sides(p: int) -> tuple[int | None, ...]:
+        # per gap: above +tol, below -tol or between, by more than delta; None when nearer
+        return tuple(
+            1 if g > tol + delta else -1 if g < -tol - delta else 0 if abs(g) < tol - delta else None
+            for g in gap(p)
+        )
+
+    def alike(i: int, j: int) -> bool:
+        first = sides(i)
+        return None not in first and first == sides(j - 1)
+
+    out: list[tuple[int, int, str]] = []
+    lam_k = lam / k
+    for lo, hi in zip(cuts, cuts[1:]):
+        if alike(lo, hi):
+            out.append((lo, hi, STRETCH))
+            continue
+        # d/dθ of |a - θ| and |a - b(θ)| on this piece, per action
+        dtheta = [1 if lo >= kinks[x] else -1 for x in range(3)]
+        db = [-1 if hi <= kinks[3 + x] else 1 for x in range(3)]
+        width, first, last = ts[hi - 1] - ts[lo], sides(lo), sides(hi - 1)
+        bands: list[tuple[int, int]] = []
+        for pair, (a, b) in enumerate(((0, 1), (1, 2), (0, 2))):
+            if first[pair] is not None and first[pair] == last[pair]:
+                continue  # linear with both ends on one side: no crossing
+            slope = (dtheta[a] - dtheta[b]) + lam_k * (db[a] - db[b])
+            if abs(slope) * width <= 4.0 * delta:
+                out.append((lo, hi, FLAT))
+                break
+            reach = 4.0 * delta / abs(slope) + 8.0 * _ULP
+            for level in (tol, -tol):
+                at = ts[lo] + (level - gap(lo)[pair]) / slope
+                # an empty band still cuts the piece
+                bands.append((bisect_left(ts, at - reach, lo, hi), bisect_right(ts, at + reach, lo, hi)))
+        else:
+            pos = lo
+            for i, j in sorted(bands):
+                if pos < i:
+                    out.append((pos, i, STRETCH if alike(pos, i) else BAND))
+                    pos = i
+                if pos < j:
+                    out.append((pos, j, BAND))
+                    pos = j
+            if pos < hi:
+                out.append((pos, hi, STRETCH if alike(pos, hi) else BAND))
+    return out
 
 
 def eligible_actions(

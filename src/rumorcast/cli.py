@@ -256,11 +256,14 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
     # ids that tie in natural order keep tree order, which is the order the cascade lists them in
     rank = dict(zip(natural_sorted(tree.agents), count()))
     cells = _Cells()
-    rows = [
-        (lam, cells.joined(result.receiver_actions, rank), cells.joined(result.sender_actions, rank),
-         result.reach_count, result.exists, result.unique)
-        for lam, result in zip(lams, results)
-    ]
+    rows, previous = [], None
+    for lam, result in zip(lams, results):
+        if result is not previous:  # the sweep yields a result again when no room it opened changed
+            previous, summary = result, (
+                cells.joined(result.receiver_actions, rank), cells.joined(result.sender_actions, rank),
+                result.reach_count, result.exists, result.unique,
+            )
+        rows.append((lam, *summary))
     columns = ["lambda", "reactions", "sends", "reach_count", "exists", "unique"]
     block = dict(zip(columns, map(list, zip(*rows))))
     _emit(_render([block], columns, args.format), args.out)

@@ -39,7 +39,9 @@ from .belief import EPS, EvidenceRelation, check_tol, require_credence
 from .chatroom import (
     ChatroomEquilibrium,
     ChatroomGame,  # unused here; bench/tracer.py wraps this binding by name
+    THRESHOLDS,
     Multiplicity,
+    Room,
     Row,
     TypeSet,
     _row,
@@ -546,7 +548,8 @@ def _room_peers(profiles: TreeProfiles, sender: Agent, receivers: tuple[Agent, .
     peer distances d0, d05, d1 and type centroid.  A receiver with an
     explicit belief gets her peer distances from it and her types from the
     table's columns, any other one her peer distances from her peer mean,
-    read off the room's credence total."""
+    read off the room's credence total.  A :class:`Room` when more than
+    :data:`THRESHOLDS` are of that kind: they fold as a run."""
     attrs, theta, row = profiles.attrs, profiles.theta, profiles.attrs._index
     beliefs = list(map(profiles.receiver_belief, receivers)) if profiles.overrides else [None] * len(receivers)
     if None in beliefs:
@@ -562,6 +565,8 @@ def _room_peers(profiles: TreeProfiles, sender: Agent, receivers: tuple[Agent, .
             rows.append((r, row[r], t, t, abs(b), abs(0.5 - b), abs(1.0 - b), t))
         else:
             rows.append(_row(r, row[r], attrs.type_set(r), belief))
+    if beliefs.count(None) > THRESHOLDS:
+        return Room(rows, [belief is None for belief in beliefs], parts)
     return rows
 
 
@@ -608,8 +613,28 @@ def _cascades(
     rooms: dict[Agent, tuple[list[Row], Callable[[list[float]], Any]]] = {}  # by sender, with her sensitivities' reader
     folds: dict[Agent, tuple[Any, ChatroomEquilibrium]] = {}  # by sender: her receivers' sensitivities, and the fold
     decided: dict[tuple[Agent, bool], tuple[SenderAction, tuple[Agent, ...]]] = {}  # and her receivers
+    previous: CascadeResult | None = None
+
+    def fold(sender: Agent, lams: list[float]) -> ChatroomEquilibrium:
+        # a room folds again only when some receiver's sensitivity changed,
+        # and keeps its last fold when the new one equals it
+        rows, sensitivities = rooms[sender]
+        key, last = sensitivities(lams), folds.get(sender)
+        if last is None or last[0] != key:
+            eq = fold_room(rows, lams, tol)
+            last = folds[sender] = key, eq if last is None or eq != last[1] else last[1]
+        return last[1]
 
     for lams in columns(attrs):
+        # the cascade is the last one when every room it opened keeps its
+        # fold.  They are checked in opening order up to the first that does
+        # not, and no room opened before a checked one changed, so each
+        # checked room opens again: no fold here is one the walk would skip
+        if previous is not None and all(
+            fold(sender, lams) is eq for sender, eq in previous.room_equilibria.items()
+        ):
+            yield previous
+            continue
         receiver_actions: dict[Agent, ReceiverAction] = {}
         sender_actions: dict[Agent, SenderAction] = {}
         room_eqs: dict[Agent, ChatroomEquilibrium] = {}
@@ -635,12 +660,7 @@ def _cascades(
             if sender not in rooms:
                 rows = _room_peers(profiles, sender, receivers)
                 rooms[sender] = rows, itemgetter(*(r[1] for r in rows))
-            rows, sensitivities = rooms[sender]
-            # a room folds again only when some receiver's sensitivity changed
-            key, last = sensitivities(lams), folds.get(sender)
-            if last is None or last[0] != key:
-                last = folds[sender] = key, fold_room(rows, lams, tol)
-            eq = room_eqs[sender] = last[1]
+            eq = room_eqs[sender] = fold(sender, lams)
             if eq.multiplicity is Multiplicity.NONE:
                 failing = sender
                 break
@@ -652,7 +672,7 @@ def _cascades(
                 if not tree.is_terminal(agent):
                     decide(agent, ells[row[agent]], eq.disapprovals)
 
-        yield CascadeResult(
+        previous = CascadeResult(
             receiver_actions=receiver_actions,
             sender_actions=sender_actions,
             reach=frozenset(chain((tree.root,), receiver_actions)),  # a failing room adds nobody
@@ -662,6 +682,7 @@ def _cascades(
             failing_room=failing,
             room_equilibria=room_eqs,
         )
+        yield previous
 
 
 def solve_global(
@@ -711,8 +732,12 @@ def sweep_lambda(
     sensitivity, so the cascades share each room's peers and each (sender,
     gate open) decision: a sensitivity costs the folds of the rooms its
     cascade opens whose receivers' sensitivities changed since their last
-    fold.  The beliefs and ``agent`` are checked once, each sensitivity as
-    its cascade starts, and a cascade raises what :func:`solve_global` raises.
+    fold.  A fold equal to the room's last keeps the last one's object, and
+    when every room the last cascade opened keeps it, that cascade is the
+    result again: one result object may be yielded more than once, for
+    consecutive sensitivities.  The beliefs and ``agent`` are checked once,
+    each sensitivity as its cascade starts, and a cascade raises what
+    :func:`solve_global` raises.
     """
 
     def columns(table: AgentTable) -> Iterator[list[float]]:

@@ -395,3 +395,28 @@ def test_a_sweep_over_one_agent_folds_only_her_room_again(monkeypatch):
         refolded += want > 1
         reused += want < sum(parent in result.room_equilibria for result in results)
     assert swept >= 200 and refolded >= 50 and reused >= 30, (swept, refolded, reused)
+
+
+def test_a_sweep_yields_its_last_result_again_exactly_when_nothing_changed():
+    # a room whose new fold equals its last keeps the last one's object, and a
+    # cascade whose opened rooms all keep theirs is the last cascade again
+    rng = np.random.default_rng(2805)
+    pairs: Counter = Counter()
+    for draw in range(200):
+        tree = _wide_tree(rng) if draw % 2 else random_tree(rng, int(rng.integers(2, 13)))
+        attrs, mu, theta = _draw_attrs_within(rng, tree, draw % 4 < 2, 1e-9)
+        attrs["1"] = AgentProfile(TypeSet.singleton(max(theta() for _ in range(8))), 1.0)
+        overrides = _draw_overrides(rng, tree, attrs, theta) if draw % 3 == 0 else {}
+        agent = _pick_agent(rng, tree, ("all", "root", "inner", "leaf")[draw % 4])
+        lams = [lam for lam in _grid(rng) for _ in range(int(rng.integers(1, 3)))]  # some values twice running
+        try:
+            results = list(sweep_lambda(tree, TreeProfiles(tree, attrs, overrides), mu, lams, agent, 1e-9))
+        except RumorcastError:
+            continue
+        for i in range(1, len(results)):
+            last, result = results[i - 1], results[i]
+            same = _outcome(lambda: last) == _outcome(lambda: result)
+            assert (result is last) == same, draw
+            pairs["again" if same else "new"] += 1
+            pairs["again, other value"] += same and lams[i] != lams[i - 1]
+    assert min(pairs.values()) >= 50, pairs

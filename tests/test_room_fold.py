@@ -12,16 +12,36 @@ drawn on a dyadic grid, where utilities tie exactly, with empty sets
 planted first, in the middle and last, rooms of receivers at ties, where
 every set may hold several actions, sensitivity 0, and rooms of one
 receiver.
+
+A wide room's known-type receivers who share a sensitivity fold as one
+run, by stretches of receivers who react alike (``chatroom._segments``).
+``_former_peers`` keeps the rows the room was read into before, so the run
+path is checked against ``_former_fold`` on rooms aimed at the run's
+thresholds: credences on a dyadic grid with the range's ends ``-EPS`` and
+``1 + EPS``, room totals that put a receiver's peer mean at 0, 0.5 or 1 or
+make a pair of actions tie on a whole piece, and sensitivities from 0 to
+1e300, near the room's size (where some gaps barely move with credence)
+and past the run's overflow guard.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import math
+from collections import Counter
+
 import numpy as np
 
 from rumorcast import ReceiverAction, solve_chatroom
+from rumorcast import chatroom, network
 from rumorcast.belief import EPS
-from rumorcast.chatroom import Multiplicity, eligible_actions, fold_room
-from rumorcast.receiver import react
+from rumorcast.chatroom import THRESHOLDS, Multiplicity, Room, TypeSet, eligible_actions, fold_room
+from rumorcast.cli import main
+from rumorcast.errors import RangeViolation, RumorcastError
+from rumorcast.network import AgentProfile, BeliefOverride, OrderedTree, PeerDistanceProfile, TreeProfiles
+from rumorcast.receiver import SecondOrderBelief, react
 
 from helpers import random_chatroom_game
 
@@ -163,3 +183,235 @@ def test_solve_chatroom_folds_its_specs_as_before():
         _assert_same(solve_chatroom(game, tol), want, draw)
         seen[want[2]] += 1
     assert min(seen.values()) >= 30, seen
+
+
+# ---------------------------------------------------------------------------
+# wide rooms: runs of known types
+
+
+def _former_peers(profiles: TreeProfiles, sender, receivers) -> list:
+    """The rows ``network._room_peers`` read a room into before runs: per
+    receiver, from her explicit belief or from her peer mean, the room's
+    credence total less her own."""
+    theta, row = profiles.theta, profiles.attrs._index
+    parts, k = network._exact_parts([theta[sender], *(theta[r] for r in receivers)]), len(receivers)
+    rows = []
+    for r in receivers:
+        belief = profiles.receiver_belief(r)
+        if belief is None:
+            t = theta[r]
+            b = math.fsum([*parts, -t]) / k
+            if not -EPS <= b <= 1.0 + EPS:
+                PeerDistanceProfile.from_dirac(b)
+            rows.append((r, row[r], t, t, abs(b), abs(0.5 - b), abs(1.0 - b), t))
+        else:
+            rows.append(chatroom._row(r, row[r], profiles.attrs.type_set(r), belief))
+    return rows
+
+
+#: Credences a wide room draws from: a 1/16 grid and the range's ends
+WIDE_GRID = (-EPS, 1.0 + EPS) + tuple(j / 16.0 for j in range(17))
+
+#: Room sizes k at which k + 1 agents at -EPS round each receiver's peer
+#: mean below -EPS
+OFF_RANGE = (125, 250, 500, 1000, 2000)
+
+
+def _aimed_credences(rng: np.random.Generator, k: int) -> tuple[float, list[float], str]:
+    """A sender's and ``k`` receivers' credences, and what they aim at: a
+    room total at which some receiver's peer mean is 0, 0.5 or 1, one at
+    which a pair of actions ties across a whole piece when the sensitivity
+    is the room's size, or none."""
+    aim = ("b=0", "b=0.5", "b=1", "flat", "flat", "grid", "random")[int(rng.integers(0, 7))]
+    if k in OFF_RANGE and rng.random() < 0.5:
+        return -EPS, [-EPS] * k, "off"
+    if aim == "random":
+        return float(rng.uniform(0.1, 0.9)), [round(float(x), 6) for x in rng.uniform(0.0, 1.0, k)], aim
+    if aim in ("b=0", "b=1"):
+        # every peer at the end but one receiver: her peer mean is the end
+        # itself, or just past it with peers at the range's end or a sender
+        # a hair inside it (at 0, T - θ then rounds to her θ, not below it)
+        end, edge, hair = (0.0, -EPS, -1e-20) if aim == "b=0" else (1.0, 1.0 + EPS, 1.0 - 2.0**-53)
+        ts = [end] * k
+        for j in rng.choice(k, size=int(rng.integers(0, 4)), replace=False):
+            ts[int(j)] = edge
+        ts[int(rng.integers(0, k))] = float(rng.choice(WIDE_GRID))
+        return (end, edge, hair)[int(rng.integers(0, 3))], ts, aim
+    centre = 0.5 if aim == "b=0.5" else float(rng.choice([0.25, 0.5, 0.75]))
+    near = [x for x in WIDE_GRID if abs(x - centre) <= 0.25 + 2 * EPS]
+    ts = [near[j] for j in rng.integers(0, len(near), size=k)]
+    if aim == "grid":
+        return float(rng.choice(WIDE_GRID)), ts, aim
+    if aim == "flat":
+        # at sensitivity k, f_a - f_a' is |a - T + k a| - |a' - T + k a'| on a
+        # whole piece: it is 0 at T = (k a + k a' + a + a') / 2
+        target = (k + 1) * centre
+    else:
+        target = k * centre + ts[int(rng.integers(0, k))]
+    for _ in range(4 * k):  # move receivers along the grid until the sender fits
+        need = math.fsum([target, *(-t for t in ts)])
+        if 0.0 <= need <= 1.0:
+            return need, ts, aim
+        j = int(rng.integers(0, k))
+        step = 1.0 / 16.0 if need > 1.0 else -1.0 / 16.0
+        ts[j] = min(1.0, max(0.0, ts[j] + step))
+    return float(rng.choice(WIDE_GRID)), ts, "none"
+
+
+def _wide_room(rng: np.random.Generator, k: int, explicit: int):
+    """A star of ``k`` receivers with aimed credences, ``explicit`` of them
+    with an explicit belief: the truth, as two atoms."""
+    sender, ts, aim = _aimed_credences(rng, k)
+    agents = [str(i) for i in range(k + 1)]
+    tree = OrderedTree.from_edges("0", [("0", a) for a in agents[1:]])
+    order = [int(x) for x in rng.permutation(k)]  # child order is not credence order
+    attrs = {"0": AgentProfile(TypeSet.singleton(sender), 1.0)}
+    attrs.update((agents[1 + j], AgentProfile(TypeSet.singleton(ts[order[j]]), 1.0)) for j in range(k))
+    overrides = {}
+    for a in rng.choice(agents[1:], size=explicit, replace=False):
+        peers = [attrs[p].type_set.value for p in agents if p != a]
+        overrides[str(a)] = BeliefOverride(receiver=SecondOrderBelief.mixture([(peers, 0.5), (peers, 0.5)]))
+    return TreeProfiles(tree, attrs, overrides), tree.children_of("0"), aim
+
+
+def _column(rng: np.random.Generator, k: int, aim: str) -> tuple[list[float], str]:
+    """The room's sensitivities, one per table row: all one value, near
+    the room's size for a room aimed at a flat piece, or a second group of
+    more than THRESHOLDS receivers and a few of their own."""
+    near_k = [k, k * (1 + 2.0**-45), k * (1 - 2.0**-45)]
+    if aim == "flat" and rng.random() < 0.8:
+        lam = near_k[int(rng.integers(0, 3))]
+    else:
+        lam = float(rng.choice([0.0, 1e-3, *near_k, 0.5, 1.0, 1e300, 1.5e89, 1e305]))
+    column = [lam] * (k + 1)
+    if k > 3 * THRESHOLDS and rng.random() < 0.3:
+        other = float(rng.choice([0.0, 1.0, 2.0 * k, 1e300]))
+        for j in rng.choice(np.arange(1, k + 1), size=int(rng.integers(THRESHOLDS + 1, k // 2)), replace=False):
+            column[int(j)] = other
+        for j in rng.choice(np.arange(1, k + 1), size=3, replace=False):
+            column[int(j)] = float(rng.uniform(0.0, 4.0))
+        return column, "two groups"
+    return column, "one group"
+
+
+def _folded(call):
+    try:
+        return call()
+    except RumorcastError as exc:
+        return type(exc), str(exc)
+
+
+def test_runs_fold_as_the_receivers_did_one_by_one(monkeypatch):
+    kinds: Counter = Counter()
+    segments = chatroom._segments
+
+    def counted(*args):
+        out = segments(*args)
+        kinds.update(kind for _, _, kind in out)
+        return out
+
+    monkeypatch.setattr(chatroom, "_segments", counted)
+    rng = np.random.default_rng(2801)
+    seen: Counter = Counter()
+    for draw in range(800):
+        k = int(round(math.exp(rng.uniform(math.log(20), math.log(600))))) if draw % 80 else 3000
+        if draw % 40 == 1:
+            k = OFF_RANGE[draw // 40 % len(OFF_RANGE)]
+        explicit = int(rng.integers(1, 4)) if draw % 4 == 0 else 0
+        profiles, receivers, aim = _wide_room(rng, k, explicit)
+        lams, groups = _column(rng, k, aim)
+        tol = (0.0, 1e-9)[draw % 2]
+        room = _folded(lambda: network._room_peers(profiles, "0", receivers))
+        want = _folded(lambda: _former_fold(_former_peers(profiles, "0", receivers), lams, tol))
+        if isinstance(want[0], type):  # a peer mean off the range
+            assert room == want, draw
+            assert want[0] is RangeViolation and want[1].startswith("peer mean -1.0"), want
+            seen["peer mean error"] += 1
+            continue
+        assert (type(room) is Room) == (k - explicit > THRESHOLDS), draw
+        _assert_same(fold_room(room, lams, tol), want, draw)
+        seen[aim] += 1
+        seen[groups] += 1
+        seen["explicit"] += explicit > 0
+        seen["multiple"] += want[2] is Multiplicity.MULTIPLE
+    print(kinds, seen)
+    assert min(kinds[kind] for kind in (chatroom.STRETCH, chatroom.BAND, chatroom.FLAT)) >= 100, kinds
+    assert min(seen[key] for key in ("b=0", "b=0.5", "b=1", "flat", "two groups", "explicit", "multiple")) >= 20, seen
+    assert seen["peer mean error"] >= 5, seen
+
+
+def test_a_run_beside_an_empty_set_leaves_no_equilibrium():
+    # a Room may hold receivers with type intervals beside its run; one with
+    # no action serving both ends leaves the room without an equilibrium
+    rng = np.random.default_rng(2802)
+    for draw in range(40):
+        k = int(rng.integers(THRESHOLDS + 1, 200))
+        ts = [float(x) / 16.0 for x in rng.integers(0, 17, size=k)]
+        parts = network._exact_parts([0.5, *ts])
+        known = []
+        for j, t in enumerate(ts):
+            b = math.fsum([*parts, -t]) / (k + 1)
+            known.append((str(j), 0, t, t, abs(b), abs(0.5 - b), abs(1.0 - b), t))
+        at = int(rng.integers(0, k + 1))
+        other = _empty_row("x", 1) if draw % 2 else _row(rng, "x", 1)
+        rows = known[:at] + [other] + known[at:]
+        lams = [float(rng.choice([0.0, 1.0, 1e300])), 0.0]
+        room = Room(rows, [row is not other for row in rows], parts)
+        _assert_same(fold_room(room, lams, 0.0), _former_fold(rows, lams, 0.0), draw)
+
+
+# ---------------------------------------------------------------------------
+# how many reactions a command computes
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_a_wide_star_folds_in_a_few_reactions(tmp_path, monkeypatch):
+    # the root of a star at 0.895 sends to 3,000 receivers at credences from
+    # U(0.15, 0.85), all at sensitivity 1: one run, cut into a few stretches
+    rng, n = np.random.default_rng(2803), 3000
+    agents = {"1": {"types": 0.895, "lambda": 1.0, "ell": 1}}
+    agents.update((str(k + 2), {"types": round(float(x), 6), "lambda": 1.0, "ell": 1})
+                  for k, x in enumerate(rng.uniform(0.15, 0.85, n)))
+    doc = {
+        "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+        "topology": {"kind": "tree", "root": "1", "edges": [["1", a] for a in agents if a != "1"]},
+        "agents": agents,
+        "beliefs": "dirac-truth",
+    }
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls: Counter = Counter()
+    react = chatroom.react
+    monkeypatch.setattr(chatroom, "react", lambda *args: calls.update(["react"]) or react(*args))
+    argv = ["solve", str(path), "--format", "json-lines"]
+    got = _run(argv)
+    assert got[0] == 0 and '"reach_count": 3001' in got[1]
+    assert calls["react"] < 100, calls
+    # receiver by receiver, the same report from one reaction each
+    calls.clear()
+    monkeypatch.setattr(network, "THRESHOLDS", n)
+    assert _run(argv) == got
+    assert calls["react"] == n
+
+
+def test_sweep_root_on_small_rooms_reacts_once_per_receiver(tmp_path, monkeypatch):
+    # block_sweep's rooms hold at most 12 receivers, so each folds one by one
+    from test_room_kernel import _load_workloads
+
+    workloads = _load_workloads()
+    path = tmp_path / "blocks.json"
+    path.write_text(workloads.scenario_text(workloads.WORKLOADS["block_sweep"], 1), encoding="utf-8")
+    calls: Counter = Counter()
+    react, fold = chatroom.react, network.fold_room
+    monkeypatch.setattr(chatroom, "react", lambda *args: calls.update(["react"]) or react(*args))
+    monkeypatch.setattr(
+        network, "fold_room", lambda rows, lams, tol: calls.update(receivers=len(rows)) or fold(rows, lams, tol)
+    )
+    assert _run(["sweep-root", str(path), "--format", "json-lines"])[0] == 0
+    assert calls["react"] == calls["receivers"] == 525, calls
