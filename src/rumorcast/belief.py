@@ -21,7 +21,7 @@ heavier machinery (reaction games, sending decisions) builds on them.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, OrderingViolation, RangeViolation
@@ -32,8 +32,11 @@ EPS: float = 1e-9
 
 
 def check_tol(tol: float) -> None:
-    """Tolerances are finite and >= 0, as ``--tolerance`` is; NaN fails."""
-    if not 0.0 <= tol < math.inf:
+    """Tolerances are finite numbers >= 0, as ``--tolerance`` is: ints and
+    floats, float subclasses too, not bools; NaN and an int past the float
+    range fail."""
+    number = type(tol) is float or not isinstance(tol, bool) and isinstance(tol, (int, float))
+    if not (number and 0.0 <= tol <= sys.float_info.max):
         raise RangeViolation(f"tol must be finite and >= 0, got {tol!r}")
 
 

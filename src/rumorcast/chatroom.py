@@ -15,8 +15,9 @@ a type set matters only for selection (centroid) and membership (contains).
 
 Receivers of one known type each, who share a sensitivity and see their
 peer mean fall as their own credence rises, react alike between a few
-credence thresholds.  A wide room folds them in credence order, one
-reaction per stretch between thresholds (:func:`_segments`).
+credence thresholds.  A wide room folds them in credence order, in two
+kinds of range (:func:`_segments`): one reaction per stretch between
+thresholds, and one per receiver in any other range.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
 from operator import eq, itemgetter, not_
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .belief import EPS, check_tol
 from .errors import InvariantViolation, RangeViolation
@@ -262,46 +263,28 @@ THRESHOLDS = 6 + 7 * 3 * 2
 #: The rounding unit of a float
 _ULP = 2.0**-53
 
-#: Runs fold receiver by receiver when 1 + λ + tol exceeds this, as their
-#: utilities and error bands would overflow
-_MAX_SCALE = 2.0**1000
-
-#: How :func:`_segments` folds a range of a run: as one stretch, or receiver
-#: by receiver near a threshold (a band) or on a piece too flat to bound
-STRETCH, BAND, FLAT = "stretch", "band", "flat"
-
-
-class Run(NamedTuple):
-    """A room's receivers of one known type each, whose peer mean is
-    (T - θ)/k for her credence θ, T the room's credence total and k its
-    receiver count; in credence order.  ``sensitivities`` reads their
-    sensitivities, in that order, off a column."""
-
-    rows: list[Row]
-    credences: list[float]
-    agents: list[Agent]
-    sensitivities: Callable[[Sequence[float]], tuple[float, ...]]
-    parts: list[float]  # floats whose exact sum is T
-    size: int  # k
-    others: list[Row]  # the room's other receivers
-    slots: dict[Agent, None]  # every receiver, in child order
-
 
 class Room(list):
     """A room's rows in child order, as :func:`fold_room` reads them, where
     more than :data:`THRESHOLDS` receivers have one known type each
-    (``known`` flags them, in child order): its ``run``, whose peer means
-    come from the room total's exact ``parts``."""
+    (``known`` flags them, in child order).  Those form its run: their
+    peer mean is (T - θ)/k for credence θ, T the room's credence total,
+    whose floats ``parts`` sum to it exactly, and k = ``len(room)``.  The
+    run's ``ranked`` rows, ``credences`` and ``agents`` are in credence
+    order, and ``sensitivities`` reads their sensitivities, in that order,
+    off a column; ``others`` are the room's other rows, and ``slots`` has
+    every receiver, in child order."""
 
-    __slots__ = ("run",)
+    __slots__ = ("ranked", "credences", "agents", "sensitivities", "parts", "others", "slots")
 
     def __init__(self, rows: list[Row], known: list[bool], parts: list[float]) -> None:
         super().__init__(rows)
-        ranked = sorted(compress(rows, known), key=itemgetter(2))
-        agents, rows_of, credences = (list(map(itemgetter(c), ranked)) for c in range(3))
-        others = list(compress(rows, map(not_, known)))
-        slots = dict.fromkeys(map(itemgetter(0), rows))
-        self.run = Run(ranked, credences, agents, itemgetter(*rows_of), parts, len(rows), others, slots)
+        self.ranked = sorted(compress(rows, known), key=itemgetter(2))
+        self.agents, rows_of, self.credences = (list(map(itemgetter(c), self.ranked)) for c in range(3))
+        self.sensitivities = itemgetter(*rows_of)
+        self.parts = parts
+        self.others = list(compress(rows, map(not_, known)))
+        self.slots = dict.fromkeys(map(itemgetter(0), rows))
 
 
 def _fold_rows(rows: Iterable[Row], lams: Sequence[float], tol: float) -> tuple[dict, dict, bool, int]:
@@ -332,12 +315,13 @@ def fold_room(rows: Iterable[Row], lams: Sequence[float], tol: float) -> Chatroo
     singleton, and how many selected actions disapprove.  An empty set
     leaves the room without an equilibrium: no actions, a count of 0.
 
-    A :class:`Room`'s run folds by stretches of receivers who react alike
-    (:func:`_segments`) wherever more than :data:`THRESHOLDS` of them share
-    a sensitivity; every other receiver folds one by one.  The answer is the
-    same either way."""
+    A :class:`Room`'s run folds wherever more than :data:`THRESHOLDS` of
+    its receivers share a sensitivity: one reaction per stretch of them who
+    react alike, and one per receiver in any other range (:func:`_segments`).
+    Every other receiver folds one by one.  The answer is the same either
+    way."""
     if type(rows) is Room:
-        eligible, actions, unique, disapprovals = _fold_run(rows.run, lams, tol)
+        eligible, actions, unique, disapprovals = _fold_run(rows, lams, tol)
     else:
         eligible, actions, unique, disapprovals = _fold_rows(rows, lams, tol)
     if len(actions) < len(eligible):  # some set was empty
@@ -347,33 +331,46 @@ def fold_room(rows: Iterable[Row], lams: Sequence[float], tol: float) -> Chatroo
     )
 
 
-def _fold_run(run: Run, lams: Sequence[float], tol: float) -> tuple[dict, dict, bool, int]:
-    """:func:`_fold_rows` of a room with a run: its receivers of each
-    sensitivity shared by more than :data:`THRESHOLDS` of them by stretches,
-    the rest one by one, the sets and actions in child order."""
-    values = run.sensitivities(lams)
+def _fold_run(room: Room, lams: Sequence[float], tol: float) -> tuple[dict, dict, bool, int]:
+    """:func:`_fold_rows` of a :class:`Room`: its run's receivers of each
+    sensitivity shared by more than :data:`THRESHOLDS` of them range by
+    range, the rest one by one, the sets and actions in child order."""
+    values = room.sensitivities(lams)
+    run = (room.ranked, room.credences, room.agents)
     # (λ, rows, credences, agents) per sensitivity more than THRESHOLDS share
     groups: list[tuple[float, Sequence[Row], Sequence[float], Sequence[Agent]]] = []
-    loose = run.others
+    loose = room.others
     if values.count(values[0]) == len(values):
-        groups.append((values[0], run.rows, run.credences, run.agents))
+        groups.append((values[0], *run))
     else:
         shared = {lam for lam, n in Counter(values).items() if n > THRESHOLDS}
         for lam in shared:
             mask = list(map(eq, values, repeat(lam)))
-            groups.append((lam, *(list(compress(column, mask)) for column in (run.rows, run.credences, run.agents))))
-        loose = loose + list(compress(run.rows, map(not_, map(shared.__contains__, values))))
+            groups.append((lam, *(list(compress(column, mask)) for column in run)))
+        loose = loose + list(compress(room.ranked, map(not_, map(shared.__contains__, values))))
     some_eligible, some_actions, unique, disapprovals = _fold_rows(loose, lams, tol)
-    eligible, actions = run.slots.copy(), run.slots.copy()
+    eligible, actions = room.slots.copy(), room.slots.copy()
     for lam, rows, ts, agents in groups:
-        if 1.0 + lam + tol <= _MAX_SCALE:
-            sets, chosen, u, n = _fold_stretches(rows, ts, lams, lam, run.parts, run.size, tol)
-            e, a = zip(agents, sets), zip(agents, chosen)
-        else:
-            e, a, u, n = _fold_rows(rows, lams, tol)
-        eligible.update(e)
-        actions.update(a)
-        unique, disapprovals = unique and u, disapprovals + n
+        for i, j, is_stretch in _segments(rows, ts, lam, room.parts, len(room), tol):
+            if not is_stretch:
+                e, a, u, n = _fold_rows(rows[i:j], lams, tol)
+                eligible.update(e)
+                actions.update(a)
+                unique, disapprovals = unique and u, disapprovals + n
+                continue
+            _, _, t, _, d0, d05, d1, _ = rows[i]
+            e = react(t, lam, d0, d05, d1, tol)
+            eligible.update(zip(agents[i:j], repeat(e)))
+            # her credence is her centroid: the action nearest it, ties to the
+            # lower one, changes at the midpoints between the set's actions
+            acts = sorted(e)
+            unique = unique and len(acts) == 1
+            for a, mid in zip(acts, [(x + y) / 2.0 for x, y in zip(acts, acts[1:])] + [math.inf]):
+                cut = bisect_right(ts, mid, i, j)
+                actions.update(zip(agents[i:cut], repeat(a)))
+                if a is DISAPPROVE:
+                    disapprovals += cut - i
+                i = cut
     eligible.update(some_eligible)
     if len(some_actions) < len(some_eligible):  # some set was empty
         return eligible, {}, False, 0
@@ -381,51 +378,12 @@ def _fold_run(run: Run, lams: Sequence[float], tol: float) -> tuple[dict, dict, 
     return eligible, actions, unique, disapprovals
 
 
-def _fold_stretches(
-    rows: Sequence[Row],
-    ts: Sequence[float],
-    lams: Sequence[float],
-    lam: float,
-    parts: list[float],
-    k: int,
-    tol: float,
-) -> tuple[list[frozenset[ReceiverAction]], list[ReceiverAction], bool, int]:
-    """Every eligible set and selection of a run's ``rows`` (credences
-    ``ts``, ascending), each at sensitivity ``lam`` in ``lams``, in that
-    order, whether all were singletons, and the disapprovals: one
-    :func:`react` per stretch, one per receiver of a band or a flat piece."""
-    sets: list[frozenset[ReceiverAction]] = []
-    chosen: list[ReceiverAction] = []
-    unique, disapprovals = True, 0
-    for i, j, kind in _segments(rows, ts, lam, parts, k, tol):
-        if kind is not STRETCH:
-            e, a, u, n = _fold_rows(rows[i:j], lams, tol)
-            sets += e.values()
-            chosen += a.values()
-            unique, disapprovals = unique and u, disapprovals + n
-            continue
-        _, _, t, _, d0, d05, d1, _ = rows[i]
-        e = react(t, lam, d0, d05, d1, tol)
-        sets += [e] * (j - i)
-        # her credence is her centroid: the action nearest it, ties to the
-        # lower one, changes at the midpoints between the set's actions
-        acts = sorted(e)
-        unique = unique and len(acts) == 1
-        for a, mid in zip(acts, [(x + y) / 2.0 for x, y in zip(acts, acts[1:])] + [math.inf]):
-            cut = bisect_right(ts, mid, i, j)
-            chosen += [a] * (cut - i)
-            if a is DISAPPROVE:
-                disapprovals += cut - i
-            i = cut
-    return sets, chosen, unique, disapprovals
-
-
 def _segments(
     rows: Sequence[Row], ts: Sequence[float], lam: float, parts: list[float], k: int, tol: float
-) -> list[tuple[int, int, str]]:
+) -> list[tuple[int, int, bool]]:
     """A run's positions ``0..len(ts)`` cut into consecutive ranges [i, j),
-    each a :data:`STRETCH`, whose receivers all react as its first does,
-    or a :data:`BAND` or :data:`FLAT` range, to react one by one.
+    each with whether it is a stretch, whose receivers all react as its
+    first does, or not, to react one by one.
 
     A receiver at credence θ has peer mean b(θ) = (T - θ)/k.  Her
     reaction compares f_a(θ) = |a - θ| + λ|a - b(θ)| for the three actions
@@ -440,8 +398,15 @@ def _segments(
     last receivers are that far, on the same sides: every gap is linear on
     it, so every receiver in it is that far on those sides, and they all
     react alike.  The crossings only guide the cuts: receivers within
-    4·delta/|slope| of one form a band, a piece where that covers the whole
-    piece is flat, and a range whose ends fail the test is a band."""
+    4·delta/|slope| of one form a band, as does a whole piece where that
+    reach covers it, and any range whose ends fail the test.
+
+    The test holds for every finite λ and tol.  A distance is at most
+    1 + EPS, so a utility is finite unless λ(1 + EPS) passes the float
+    maximum; one infinite utility makes its gaps infinite on the side
+    :func:`react` takes, as rounding is monotone.  A gap of two infinite
+    utilities is NaN, and delta is infinite where 1 + λ + tol overflows:
+    either reads as near ±tol, so that range folds one by one."""
     n = len(ts)
     delta = 64.0 * _ULP * (1.0 + lam + tol)
     # the kinks in θ, then in b: the first position past each
@@ -475,11 +440,11 @@ def _segments(
         first = sides(i)
         return None not in first and first == sides(j - 1)
 
-    out: list[tuple[int, int, str]] = []
+    out: list[tuple[int, int, bool]] = []
     lam_k = lam / k
     for lo, hi in zip(cuts, cuts[1:]):
         if alike(lo, hi):
-            out.append((lo, hi, STRETCH))
+            out.append((lo, hi, True))
             continue
         # d/dθ of |a - θ| and |a - b(θ)| on this piece, per action
         dtheta = [1 if lo >= kinks[x] else -1 for x in range(3)]
@@ -491,24 +456,23 @@ def _segments(
                 continue  # linear with both ends on one side: no crossing
             slope = (dtheta[a] - dtheta[b]) + lam_k * (db[a] - db[b])
             if abs(slope) * width <= 4.0 * delta:
-                out.append((lo, hi, FLAT))
+                bands = [(lo, hi)]  # too flat to bound: one band
                 break
             reach = 4.0 * delta / abs(slope) + 8.0 * _ULP
             for level in (tol, -tol):
                 at = ts[lo] + (level - gap(lo)[pair]) / slope
                 # an empty band still cuts the piece
                 bands.append((bisect_left(ts, at - reach, lo, hi), bisect_right(ts, at + reach, lo, hi)))
-        else:
-            pos = lo
-            for i, j in sorted(bands):
-                if pos < i:
-                    out.append((pos, i, STRETCH if alike(pos, i) else BAND))
-                    pos = i
-                if pos < j:
-                    out.append((pos, j, BAND))
-                    pos = j
-            if pos < hi:
-                out.append((pos, hi, STRETCH if alike(pos, hi) else BAND))
+        pos = lo
+        for i, j in sorted(bands):
+            if pos < i:
+                out.append((pos, i, alike(pos, i)))
+                pos = i
+            if pos < j:
+                out.append((pos, j, False))
+                pos = j
+        if pos < hi:
+            out.append((pos, hi, alike(pos, hi)))
     return out
 
 

@@ -230,11 +230,12 @@ def _check_theta(theta: float) -> None:
 
 
 def check_sensitivity(lam: float) -> None:
-    """Sensitivities are finite and nonnegative numbers, not bools; NaN
-    fails the comparison."""
-    if isinstance(lam, bool):
+    """Sensitivities are finite and nonnegative numbers: ints and floats,
+    float subclasses too, not bools; NaN and an int past the float range
+    fail the comparison."""
+    if type(lam) is not float and (isinstance(lam, bool) or not isinstance(lam, (int, float))):
         raise RangeViolation(f"sensitivity lambda must be a number, got {lam!r}")
-    if not 0.0 <= lam < math.inf:
+    if not 0.0 <= lam <= sys.float_info.max:
         raise RangeViolation(f"sensitivity must be finite and nonnegative, got {lam!r}")
 
 

@@ -209,11 +209,14 @@ def test_sweep_lambda_swaps_one_column():
     assert table.lam == [1.0, 0.5, 2.0, 0.0]
     with pytest.raises(InvariantViolation, match="^no profile for agent '4'$"):
         next(sweep_lambda(tree, TreeProfiles(tree, table), mu, [1.0], "4"))
-    for bad in (math.nan, -1.0, math.inf, True):
+    refused = r"^sensitivity (lambda must be a number|must be finite and nonnegative), got "
+    for bad in (math.nan, -1.0, math.inf, True, "1", None, 10**400):
         sweep = sweep_lambda(tree, TreeProfiles(tree, table), mu, [1.0, bad])
         next(sweep)  # each sensitivity is checked when its cascade starts
-        with pytest.raises(RangeViolation):
+        with pytest.raises(RangeViolation, match=refused):
             next(sweep)
+        with pytest.raises(RangeViolation, match=refused):
+            AgentProfile(TypeSet.singleton(0.5), bad)
 
 
 def test_truth_profiles_read_the_credence_column():

@@ -20,8 +20,9 @@ path is checked against ``_former_fold`` on rooms aimed at the run's
 thresholds: credences on a dyadic grid with the range's ends ``-EPS`` and
 ``1 + EPS``, room totals that put a receiver's peer mean at 0, 0.5 or 1 or
 make a pair of actions tie on a whole piece, and sensitivities from 0 to
-1e300, near the room's size (where some gaps barely move with credence)
-and past the run's overflow guard.
+the float maximum, near the room's size (where some gaps barely move with
+credence) and from 2**1000 up, where a utility overflows next to a peer mean
+just off [0, 1], and the rounding band too with a tolerance of 1e300.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -212,6 +214,10 @@ def _former_peers(profiles: TreeProfiles, sender, receivers) -> list:
 #: Credences a wide room draws from: a 1/16 grid and the range's ends
 WIDE_GRID = (-EPS, 1.0 + EPS) + tuple(j / 16.0 for j in range(17))
 
+#: Sensitivities where a run's utilities or its rounding band may overflow
+HUGE = (sys.float_info.max, sys.float_info.max / 2, 2.0**1000, math.nextafter(2.0**1000, 0.0),
+        math.nextafter(2.0**1000, math.inf))
+
 #: Room sizes k at which k + 1 agents at -EPS round each receiver's peer
 #: mean below -EPS
 OFF_RANGE = (125, 250, 500, 1000, 2000)
@@ -282,7 +288,7 @@ def _column(rng: np.random.Generator, k: int, aim: str) -> tuple[list[float], st
     if aim == "flat" and rng.random() < 0.8:
         lam = near_k[int(rng.integers(0, 3))]
     else:
-        lam = float(rng.choice([0.0, 1e-3, *near_k, 0.5, 1.0, 1e300, 1.5e89, 1e305]))
+        lam = float(rng.choice([0.0, 1e-3, *near_k, 0.5, 1.0, 1e300, 1.5e89, 1e305, *HUGE]))
     column = [lam] * (k + 1)
     if k > 3 * THRESHOLDS and rng.random() < 0.3:
         other = float(rng.choice([0.0, 1.0, 2.0 * k, 1e300]))
@@ -307,7 +313,7 @@ def test_runs_fold_as_the_receivers_did_one_by_one(monkeypatch):
 
     def counted(*args):
         out = segments(*args)
-        kinds.update(kind for _, _, kind in out)
+        kinds.update("stretch" if is_stretch else "one by one" for _, _, is_stretch in out)
         return out
 
     monkeypatch.setattr(chatroom, "_segments", counted)
@@ -320,7 +326,7 @@ def test_runs_fold_as_the_receivers_did_one_by_one(monkeypatch):
         explicit = int(rng.integers(1, 4)) if draw % 4 == 0 else 0
         profiles, receivers, aim = _wide_room(rng, k, explicit)
         lams, groups = _column(rng, k, aim)
-        tol = (0.0, 1e-9)[draw % 2]
+        tol = 1e300 if draw % 25 == 2 else (0.0, 1e-9)[draw % 2]
         room = _folded(lambda: network._room_peers(profiles, "0", receivers))
         want = _folded(lambda: _former_fold(_former_peers(profiles, "0", receivers), lams, tol))
         if isinstance(want[0], type):  # a peer mean off the range
@@ -334,9 +340,12 @@ def test_runs_fold_as_the_receivers_did_one_by_one(monkeypatch):
         seen[groups] += 1
         seen["explicit"] += explicit > 0
         seen["multiple"] += want[2] is Multiplicity.MULTIPLE
+        seen["huge"] += max(lams) >= 2.0**1000
+        seen["tol 1e300"] += tol == 1e300
     print(kinds, seen)
-    assert min(kinds[kind] for kind in (chatroom.STRETCH, chatroom.BAND, chatroom.FLAT)) >= 100, kinds
-    assert min(seen[key] for key in ("b=0", "b=0.5", "b=1", "flat", "two groups", "explicit", "multiple")) >= 20, seen
+    assert min(kinds["stretch"], kinds["one by one"]) >= 100, kinds
+    keys = ("b=0", "b=0.5", "b=1", "flat", "two groups", "explicit", "multiple", "huge", "tol 1e300")
+    assert min(seen[key] for key in keys) >= 20, seen
     assert seen["peer mean error"] >= 5, seen
 
 
@@ -415,3 +424,19 @@ def test_sweep_root_on_small_rooms_reacts_once_per_receiver(tmp_path, monkeypatc
     )
     assert _run(["sweep-root", str(path), "--format", "json-lines"])[0] == 0
     assert calls["react"] == calls["receivers"] == 525, calls
+
+
+def test_the_bench_wide_sweep_folds_in_36_reactions(tmp_path, monkeypatch):
+    # wide_sweep's two rooms of 400 receivers fold as runs, over 4 λ: the
+    # figure the README states for seed 1
+    from test_room_kernel import _load_workloads
+
+    workloads = _load_workloads()
+    workload = workloads.WORKLOADS["wide_sweep"]
+    path = tmp_path / "wide.json"
+    path.write_text(workloads.scenario_text(workload, 1), encoding="utf-8")
+    calls: Counter = Counter()
+    react = chatroom.react
+    monkeypatch.setattr(chatroom, "react", lambda *args: calls.update(["react"]) or react(*args))
+    assert _run(workload.argv(str(path)))[0] == 0
+    assert calls["react"] == 36, calls

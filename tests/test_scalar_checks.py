@@ -18,13 +18,16 @@ import numpy as np
 import pytest
 
 from rumorcast import (
+    AgentProfile,
     ChatroomGame,
     DomainError,
+    OrderedTree,
     PeerDistanceProfile,
     RangeViolation,
     ReceiverAction,
     ReceiverSpec,
     SecondOrderBelief,
+    TreeProfiles,
     TypeSet,
     best_actions,
     decide_send,
@@ -34,6 +37,7 @@ from rumorcast import (
     min_lambda_for_action,
     nu_breakpoints,
     solve_chatroom,
+    solve_global,
 )
 from rumorcast.belief import EPS, credence_from_prior, require_credence, validate_evidence
 from rumorcast.sender import nu_value
@@ -157,6 +161,10 @@ _GAME = ChatroomGame(
     TypeSet.singleton(0.7),
     (ReceiverSpec("r", TypeSet.singleton(0.4), 1.0, SecondOrderBelief.dirac([0.7])),),
 )
+_TREE = OrderedTree.from_edges("s", [("s", "r")])
+_PROFILES = TreeProfiles(
+    _TREE, {"s": AgentProfile(TypeSet.singleton(0.7), 1.0), "r": AgentProfile(TypeSet.singleton(0.4), 1.0)}
+)
 #: every public function that takes a tolerance, called with ``tol``
 _FRONTS = {
     "best_actions": lambda tol: best_actions(0.4, _D, 1.0, tol),
@@ -164,6 +172,7 @@ _FRONTS = {
     "lambda_star": lambda tol: lambda_star(_D, tol),
     "eligible_actions": lambda tol: eligible_actions(TypeSet.singleton(0.4), _BELIEF, 1.0, tol),
     "solve_chatroom": lambda tol: solve_chatroom(_GAME, tol),
+    "solve_global": lambda tol: solve_global(_TREE, _PROFILES, _MU, tol),
     "nu_value": lambda tol: nu_value(0.5, 0.5, _MU, tol),
     "nu_breakpoints": lambda tol: nu_breakpoints(0.5, _MU, tol),
     "expected_send_gain": lambda tol: expected_send_gain(0.5, _BELIEF, _MU, tol),
@@ -172,10 +181,14 @@ _FRONTS = {
 
 
 @pytest.mark.parametrize("front", sorted(_FRONTS))
-@pytest.mark.parametrize("tol", [math.nan, -0.1, -1e-300, math.inf])
+@pytest.mark.parametrize(
+    "tol", [math.nan, -0.1, -1e-300, math.inf, True, "0", None, pytest.param(10**400, id="10**400")]
+)
 def test_a_bad_tolerance_is_refused(front, tol):
     # before, some of these answered: an empty best-action set, no room
-    # equilibrium, a send, a negative gain, or a bare ZeroDivisionError
+    # equilibrium, a send, a negative gain, or a bare ZeroDivisionError;
+    # True was taken as 1, a string or None raised a bare TypeError, and an
+    # int past the float range a bare OverflowError
     _FRONTS[front](EPS)  # the call is otherwise sound
     with pytest.raises(RangeViolation, match=r"^tol must be finite and >= 0, got "):
         _FRONTS[front](tol)
