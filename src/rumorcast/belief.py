@@ -21,8 +21,10 @@ heavier machinery (reaction games, sending decisions) builds on them.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import DomainError, OrderingViolation, RangeViolation
 
@@ -30,13 +32,50 @@ from .errors import DomainError, OrderingViolation, RangeViolation
 #: with this margin, and equality checks accept error up to it.
 EPS: float = 1e-9
 
+# What a number is, for the whole package: an int or a float, float
+# subclasses such as ``numpy.float64`` included, never a bool or a string.
+# Each check that asks this also checks a range, and a value failing either
+# raises that check's own error; "finite" is ``abs(x) <= FLOAT_MAX``, exactly.
+FLOAT_MAX: float = sys.float_info.max
+#: the exact types that a pass over a whole column accepts without a walk
+NUMBER_TYPES = frozenset({int, float})
+
+
+def is_number(x: Any) -> bool:
+    """Whether ``x`` is a number: an int or a float, not a bool."""
+    return type(x) is float or isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def is_int(x: Any) -> bool:
+    """Whether ``x`` is an int, not a bool: the test for counts and ids."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def numbers_within(column: list[Any], lo: float, hi: float) -> bool:
+    """Whether every value in ``column`` is an exact int or float in [lo, hi],
+    both finite: ``math.isfinite`` finds a NaN, which ``min`` and ``max`` skip
+    unless it comes first, and after the range no int is too large for it."""
+    return (
+        set(map(type, column)) <= NUMBER_TYPES
+        and (not column or lo <= min(column) and max(column) <= hi)
+        and all(map(math.isfinite, column))
+    )
+
+
+def check_unit(x: Any, what: str) -> float:
+    """``x`` as a float, or a :class:`RangeViolation` naming it as ``what``
+    unless it is a number in [0, 1] (an ``EPS`` margin outside)."""
+    if not is_number(x):
+        raise RangeViolation(f"{what} must be a number, got {x!r}")
+    if not -EPS <= x <= 1.0 + EPS:  # exact for an int of any size; NaN fails
+        raise RangeViolation(f"{what} {x!r} outside [0, 1]")
+    return float(x)
+
 
 def check_tol(tol: float) -> None:
-    """Tolerances are finite numbers >= 0, as ``--tolerance`` is: ints and
-    floats, float subclasses too, not bools; NaN and an int past the float
-    range fail."""
-    number = type(tol) is float or not isinstance(tol, bool) and isinstance(tol, (int, float))
-    if not (number and 0.0 <= tol <= sys.float_info.max):
+    """Tolerances are finite numbers >= 0, as ``--tolerance`` is (the rule
+    for numbers above)."""
+    if not (is_number(tol) and 0.0 <= tol <= FLOAT_MAX):
         raise RangeViolation(f"tol must be finite and >= 0, got {tol!r}")
 
 
@@ -54,10 +93,8 @@ class EvidenceRelation:
     def __post_init__(self) -> None:
         a, b = self.mu_given_c, self.mu_given_not_c
         for name, value in (("mu_given_c", a), ("mu_given_not_c", b)):
-            if not (EPS < value < 1.0 - EPS):
-                raise RangeViolation(
-                    f"{name} must lie strictly inside (0, 1), got {value!r}"
-                )
+            if not (is_number(value) and EPS < value < 1.0 - EPS):
+                raise RangeViolation(f"{name} must lie strictly inside (0, 1), got {value!r}")
         if not (a - b > EPS):
             raise OrderingViolation(
                 "message must be more likely under the claim: "
@@ -74,9 +111,13 @@ def validate_evidence(mu_given_c: float, mu_given_not_c: float) -> EvidenceRelat
     """Build an :class:`EvidenceRelation`, raising on bad rates.
 
     Raises ``RangeViolation`` when a rate leaves (0, 1) and
-    ``OrderingViolation`` when the rates are not strictly ordered.
+    ``OrderingViolation`` when the rates are not strictly ordered.  A float,
+    or an int of size at most ``FLOAT_MAX``, is checked as a float (a bool
+    as 1.0 or 0.0, which fail); any other value is checked as it is.
     """
-    return EvidenceRelation(mu_given_c=float(mu_given_c), mu_given_not_c=float(mu_given_not_c))
+    rates = (mu_given_c, mu_given_not_c)
+    a, b = (float(x) if isinstance(x, float) or isinstance(x, int) and abs(x) <= FLOAT_MAX else x for x in rates)
+    return EvidenceRelation(mu_given_c=a, mu_given_not_c=b)
 
 
 def require_credence(theta: float, mu: EvidenceRelation, tol: float = EPS) -> float:
@@ -86,7 +127,7 @@ def require_credence(theta: float, mu: EvidenceRelation, tol: float = EPS) -> fl
     ``tol`` margin; the error says so when ``tol`` exceeds the default.
     Returns the input unchanged.
     """
-    if not mu.mu_given_not_c + tol < theta < mu.mu_given_c - tol:
+    if not ((type(theta) is float or is_number(theta)) and mu.mu_given_not_c + tol < theta < mu.mu_given_c - tol):
         narrowed = f" narrowed by the tolerance {tol!r} at each end" if tol > EPS else ""
         raise DomainError(
             f"credence {theta!r} outside the open interval "
@@ -121,7 +162,7 @@ def credence_from_prior(prior: float, mu: EvidenceRelation, tol: float = EPS) ->
     the resulting credence then automatically satisfies the admissibility
     band.
     """
-    if not tol < prior < 1.0 - tol:
+    if not (is_number(prior) and tol < prior < 1.0 - tol):
         raise RangeViolation(f"prior {prior!r} outside the open interval (0, 1)")
     return mu.mu_given_not_c + prior * mu.spread
 

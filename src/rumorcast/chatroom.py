@@ -31,8 +31,8 @@ from itertools import compress, repeat
 from operator import eq, itemgetter, not_
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .belief import EPS, check_tol
-from .errors import InvariantViolation, RangeViolation
+from .belief import EPS, check_tol, check_unit
+from .errors import InvariantViolation
 from .receiver import (
     ReceiverAction,
     SecondOrderBelief,
@@ -64,17 +64,14 @@ class TypeSet:
         if self.values is not None:
             if not self.values:
                 raise InvariantViolation("finite TypeSet must be nonempty")
-            for x in self.values:
-                _check_unit(x)
-            ordered = tuple(sorted(set(float(x) for x in self.values)))
+            ordered = tuple(sorted(set([check_unit(x, "credence") for x in self.values])))
             object.__setattr__(self, "values", ordered)
         else:
             lo, hi = self.bounds  # type: ignore[misc]
-            _check_unit(lo)
-            _check_unit(hi)
+            bounds = (check_unit(lo, "credence"), check_unit(hi, "credence"))
             if lo > hi:
                 raise InvariantViolation(f"interval bounds out of order: {lo!r} > {hi!r}")
-            object.__setattr__(self, "bounds", (float(lo), float(hi)))
+            object.__setattr__(self, "bounds", bounds)
 
     @classmethod
     def finite(cls, values: Sequence[float]) -> "TypeSet":
@@ -83,9 +80,9 @@ class TypeSet:
     @classmethod
     def singleton(cls, value: float) -> "TypeSet":
         # one point needs only the range check: no sort, no dedupe
-        _check_unit(value)
+        value = check_unit(value, "credence")
         ts = object.__new__(cls)
-        object.__setattr__(ts, "values", (float(value),))
+        object.__setattr__(ts, "values", (value,))
         object.__setattr__(ts, "bounds", None)
         return ts
 
@@ -125,13 +122,6 @@ class TypeSet:
             return any(abs(x - v) <= tol for v in self.values)
         lo, hi = self.bounds  # type: ignore[misc]
         return lo - tol <= x <= hi + tol
-
-
-def _check_unit(x: float) -> None:
-    if type(x) is not float and (isinstance(x, bool) or not isinstance(x, (int, float))):
-        raise RangeViolation(f"credence must be a number, got {x!r}")
-    if not (-EPS <= x <= 1.0 + EPS):  # exact for an int of any size
-        raise RangeViolation(f"credence {x!r} outside [0, 1]")
 
 
 def _span(v: float) -> tuple[float, float] | None:

@@ -24,13 +24,12 @@ it by brute force.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from typing import Any, Iterable, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
-from .belief import EPS, check_tol
+from .belief import EPS, FLOAT_MAX, NUMBER_TYPES, check_tol, check_unit, is_number
 from .errors import (
     DomainError,
     EmptySupport,
@@ -72,31 +71,13 @@ class BeliefAtom:
     weight: float
 
 
-_NUMBER_TYPES = frozenset({int, float})
-
-
-def _floatable(x: Any) -> bool:
-    """Whether ``x`` is an int or float, not a bool, that ``float()`` takes
-    as it is: NaN and the infinities pass, an int too large for a float fails."""
-    return not isinstance(x, bool) and isinstance(x, (int, float)) and not abs(x) > sys.float_info.max
-
-
-def _coordinate(x: Any) -> float:
-    """One profile coordinate as a float, or a :class:`RangeViolation`
-    naming it: the walk behind the checks of whole profiles."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise RangeViolation(f"profile coordinate must be a number, got {x!r}")
-    if not -EPS <= x <= 1.0 + EPS:  # exact for an int of any size; NaN fails
-        raise RangeViolation(f"profile coordinate {x!r} outside [0, 1]")
-    return float(x)
-
-
 @dataclass(frozen=True)
 class SecondOrderBelief:
     """Finite-support distribution over peer credence profiles.
 
     Invariants: at least one atom, finite positive weights summing to one,
     all profiles of equal positive length, coordinates inside [0, 1].
+    Weights and coordinates are numbers by the rule in :mod:`rumorcast.belief`.
 
     The weight sum is checked to a fixed ``1e-6``, not to the ``tol`` a
     solver is given: it is an invariant of the belief object, not solver
@@ -117,15 +98,15 @@ class SecondOrderBelief:
             profile, weight = atom.profile, atom.weight
             if len(profile) != dim:
                 raise InvariantViolation(f"mixed profile lengths: {len(profile)} vs {dim}")
-            if not (_floatable(weight) and 0.0 < weight < math.inf):
+            if not (is_number(weight) and 0.0 < weight <= FLOAT_MAX):
                 raise RangeViolation(f"atom weight must be finite and positive, got {weight!r}")
             # the walk names the first bad coordinate; NaN fails the comparison
-            if not set(map(type, profile)) <= _NUMBER_TYPES:
+            if not set(map(type, profile)) <= NUMBER_TYPES:
                 for x in profile:
-                    _coordinate(x)
+                    check_unit(x, "profile coordinate")
             for x in profile:
                 if not -EPS <= x <= 1.0 + EPS:
-                    _coordinate(x)
+                    check_unit(x, "profile coordinate")
             total += weight
         if abs(total - 1.0) > 1e-6:
             raise InvariantViolation(f"atom weights sum to {total!r}, expected 1")
@@ -141,7 +122,7 @@ class SecondOrderBelief:
         profiles = [prof for prof, _ in pairs]
         weights = [w for _, w in pairs]
         atoms = None
-        if set(map(type, chain(weights, *profiles))) <= _NUMBER_TYPES:
+        if set(map(type, chain(weights, *profiles))) <= NUMBER_TYPES:
             try:
                 atoms = tuple(map(BeliefAtom, [tuple(map(float, prof)) for prof in profiles], map(float, weights)))
             except OverflowError:  # an int too large for a float
@@ -149,9 +130,9 @@ class SecondOrderBelief:
         if atoms is None:
             # one value at a time, so the check names the first bad one; a
             # weight that float() would take wrongly stays as it is for the check
-            atoms = tuple(
-                BeliefAtom(tuple(map(_coordinate, prof)), float(w) if _floatable(w) else w) for prof, w in pairs
-            )
+            coordinates = [tuple(map(check_unit, prof, repeat("profile coordinate"))) for prof in profiles]
+            floats = [float(w) if is_number(w) and not abs(w) > FLOAT_MAX else w for w in weights]
+            atoms = tuple(map(BeliefAtom, coordinates, floats))
         return cls(atoms=atoms)
 
     @property
@@ -179,7 +160,7 @@ class PeerDistanceProfile:
 
     def __post_init__(self) -> None:
         for name, value in (("d0", self.d0), ("d05", self.d05), ("d1", self.d1)):
-            if not -EPS <= value < math.inf:
+            if not (is_number(value) and -EPS <= value <= FLOAT_MAX):
                 raise RangeViolation(f"{name} must be finite and nonnegative, got {value!r}")
         if self.d0 + self.d1 < 1.0 - 1e-6:
             raise InvariantViolation(
@@ -189,7 +170,7 @@ class PeerDistanceProfile:
     @classmethod
     def from_dirac(cls, b: float) -> "PeerDistanceProfile":
         """Distances to a point mass at peer mean ``b`` in [0, 1]."""
-        if not (-EPS <= b <= 1.0 + EPS):
+        if not (is_number(b) and -EPS <= b <= 1.0 + EPS):
             raise RangeViolation(f"peer mean {b!r} outside [0, 1]")
         return cls(d0=abs(b), d05=abs(0.5 - b), d1=abs(1.0 - b))
 
@@ -225,17 +206,16 @@ def peer_distance(p: SecondOrderBelief) -> PeerDistanceProfile:
 
 def _check_theta(theta: float) -> None:
     # the range TypeSet accepts; a tolerance slackens utility ties, not credences
-    if not (-EPS <= theta <= 1.0 + EPS):
+    if not (is_number(theta) and -EPS <= theta <= 1.0 + EPS):
         raise DomainError(f"credence {theta!r} outside [0, 1]")
 
 
 def check_sensitivity(lam: float) -> None:
-    """Sensitivities are finite and nonnegative numbers: ints and floats,
-    float subclasses too, not bools; NaN and an int past the float range
-    fail the comparison."""
-    if type(lam) is not float and (isinstance(lam, bool) or not isinstance(lam, (int, float))):
+    """Sensitivities are finite and nonnegative numbers, by the rule in
+    :mod:`rumorcast.belief`."""
+    if not is_number(lam):
         raise RangeViolation(f"sensitivity lambda must be a number, got {lam!r}")
-    if not 0.0 <= lam <= sys.float_info.max:
+    if not 0.0 <= lam <= FLOAT_MAX:
         raise RangeViolation(f"sensitivity must be finite and nonnegative, got {lam!r}")
 
 

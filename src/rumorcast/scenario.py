@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, filterfalse, repeat
@@ -24,6 +23,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, TypeVar
 
 from .belief import EPS, EvidenceRelation, check_tol, validate_evidence
+from .belief import FLOAT_MAX, NUMBER_TYPES, is_int, is_number, numbers_within
 from .chatroom import TypeSet
 from .errors import ParseError, RumorcastError, SchemaError
 from .network import (
@@ -43,7 +43,7 @@ from .network import (
     dirac_truth_profiles,  # unused here; bench/tracer.py wraps this binding by name
     natural_sorted,
 )
-from .receiver import _NUMBER_TYPES, SecondOrderBelief
+from .receiver import SecondOrderBelief
 
 DIRAC_TRUTH = "dirac-truth"
 
@@ -137,25 +137,18 @@ def _need(obj: Mapping[str, Any], key: str) -> Any:
 
 
 def _number(value: Any, where: str = "") -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise _Bad(f"expected a number, got {value!r}", where)
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
+    if not -FLOAT_MAX <= value <= FLOAT_MAX:  # NaN fails too
         raise _Bad(f"expected a finite number, got {value!r}", where)
-    return number
+    return float(value)
 
 
 def _numbers(raw: list[Any], where: str = "") -> list[float]:
-    if not _finite(raw):
+    if not numbers_within(raw, -FLOAT_MAX, FLOAT_MAX):
         # some value is bad: the per-value check names the first
         for k, value in enumerate(raw):
-            try:
-                _number(value)
-            except _Bad as bad:
-                raise bad.within(f"{where}[{k}]")
+            _number(value, f"{where}[{k}]")
     return list(map(float, raw))
 
 
@@ -170,9 +163,7 @@ def _is_text(s: str) -> bool:
 
 
 def _as_id(value: Any, where: str = "") -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(value, str) or is_int(value):
         return str(value)
     raise _Bad(f"agent id must be a string or integer, got {value!r}", where)
 
@@ -223,7 +214,7 @@ def _type_set(raw: Any) -> TypeSet:
     try:
         if isinstance(raw, bool):
             raise _Bad("expected a credence, list, or interval")
-        if isinstance(raw, (int, float)):
+        if is_number(raw):
             return TypeSet.singleton(raw)  # range-checked before float(), so huge ints fail cleanly
         if isinstance(raw, list):
             return TypeSet.finite(_numbers(raw))
@@ -279,16 +270,16 @@ def _agent_table(raw: dict[Any, Any]) -> AgentTable:
     except KeyError:  # a required field is missing
         raise _Unclear from None
     ells = list(map(dict.get, specs, repeat("ell"), repeat(1)))
-    if not (_within(lams, 0.0, math.inf) and set(map(type, ells)) == {int} and min(ells) >= 0):
+    if not (numbers_within(lams, 0.0, FLOAT_MAX) and set(map(type, ells)) == {int} and min(ells) >= 0):
         raise _Unclear
     ids = list(map(str, raw))
     type_sets: dict[str, TypeSet] = {}
-    if set(map(type, types)) <= _NUMBER_TYPES:  # plain credences only
+    if set(map(type, types)) <= NUMBER_TYPES:  # plain credences only
         singles, credences = ids, types
     else:
         singles, credences = [], []
         for agent, value in zip(ids, types):
-            if type(value) not in _NUMBER_TYPES:
+            if type(value) not in NUMBER_TYPES:
                 try:
                     type_set = _type_set(value)
                 except _Bad:
@@ -299,27 +290,11 @@ def _agent_table(raw: dict[Any, Any]) -> AgentTable:
                 value = type_set.value
             singles.append(agent)
             credences.append(value)
-    if not _within(credences, -EPS, 1.0 + EPS):
+    if not numbers_within(credences, -EPS, 1.0 + EPS):
         raise _Unclear
     return AgentTable(
         ids, dict(zip(singles, map(float, credences))), type_sets, list(map(float, lams)), ells
     )
-
-
-def _finite(column: list[Any]) -> bool:
-    """Whether every value in ``column`` is an int or float, finite as a float."""
-    if not set(map(type, column)) <= _NUMBER_TYPES:
-        return False
-    try:
-        return all(map(math.isfinite, column))
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _within(column: list[Any], lo: float, hi: float) -> bool:
-    """Whether every value in ``column`` is an int or float, finite as a
-    float and in [lo, hi]."""
-    return _finite(column) and (not column or lo <= min(column) and max(column) <= hi)
 
 
 def _agent(spec: Any) -> AgentProfile:
@@ -334,7 +309,7 @@ def _agent(spec: Any) -> AgentProfile:
         raise bad.within(".types")
     lam = _number(_need(spec, "lambda"), ".lambda")
     ell = spec.get("ell", 1)
-    if isinstance(ell, bool) or not isinstance(ell, int):
+    if not is_int(ell):
         raise _Bad("expected an integer", ".ell")
     try:
         return AgentProfile(type_set, lam, ell)

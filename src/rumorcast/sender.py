@@ -27,6 +27,7 @@ from itertools import chain
 from typing import Sequence
 
 from .belief import EPS, EvidenceRelation, check_tol, require_credence, worldview_posterior, worldview_prior
+from .belief import is_int, is_number
 from .chatroom import TypeSet
 from .errors import RangeViolation
 from .receiver import BeliefAtom, SecondOrderBelief
@@ -47,7 +48,7 @@ class SenderAction(str, Enum):
 def nu_value(x: float, own_prior: float, mu: EvidenceRelation, tol: float = EPS) -> float:
     """Per-receiver gain contribution at receiver credence ``x``."""
     check_tol(tol)
-    if not tol < own_prior < 1.0 - tol:
+    if not (is_number(own_prior) and tol < own_prior < 1.0 - tol):
         raise RangeViolation(f"own prior {own_prior!r} outside (0, 1)")
     prior = worldview_prior(x, mu, tol)
     post = worldview_posterior(x, mu, tol)
@@ -61,7 +62,7 @@ def nu_breakpoints(own_prior: float, mu: EvidenceRelation, tol: float = EPS) -> 
     decreasing between, and increasing again above ``hi``.
     """
     check_tol(tol)
-    if not (tol < own_prior < 1.0 - tol):
+    if not (is_number(own_prior) and tol < own_prior < 1.0 - tol):
         raise RangeViolation(f"own prior {own_prior!r} outside (0, 1)")
     a, b = mu.mu_given_c, mu.mu_given_not_c
     geo = math.sqrt(a * b)
@@ -90,7 +91,8 @@ def belief_gain(own_prior: float, atoms: Sequence[BeliefAtom], mu: EvidenceRelat
     after the checks :func:`nu_value` makes, each atom's terms summed by
     ``sum``, weighted and added in atom order."""
     lo, hi = mu.mu_given_not_c + tol, mu.mu_given_c - tol
-    if not (tol < own_prior < 1.0 - tol and all(lo < x < hi for atom in atoms for x in atom.profile)):
+    sound = is_number(own_prior) and tol < own_prior < 1.0 - tol
+    if not (sound and all(lo < x < hi for atom in atoms for x in atom.profile)):
         for x in chain.from_iterable(atom.profile for atom in atoms):  # nu_value raises for the first failed check
             nu_value(x, own_prior, mu, tol)
     b, c, spread = mu.mu_given_not_c, mu.mu_given_c, mu.spread
@@ -105,7 +107,7 @@ def belief_gain(own_prior: float, atoms: Sequence[BeliefAtom], mu: EvidenceRelat
 
 def check_count(value: int, what: str) -> None:
     """Thresholds and disapproval counts are ints >= 0, not bools."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not (is_int(value) and value >= 0):
         raise RangeViolation(f"{what} must be an int >= 0, got {value!r}")
 
 

@@ -427,7 +427,7 @@ def test_a_clean_file_checks_its_beliefs_in_passes(tmp_path, monkeypatch):
 
     # what reads one number, or one coordinate against its peer, at a time
     counted(scenario, "_number")
-    counted(receiver, "_coordinate")
+    counted(receiver, "check_unit")
     counted(TypeSet, "contains")
     counted(network, "check_receiver_belief")
 

@@ -7,7 +7,8 @@ two comparisons, then the same arithmetic.  Draws are plain floats and
 ``numpy.float64`` (a float subclass), often outside the band, exactly on a
 margin or not finite, so any input on which the two differ, in value or in
 error type, shows up as a mismatch.  A bad tolerance is refused with a
-``RangeViolation`` by every public function that takes one.
+``RangeViolation`` by every public function that takes one, and a value
+that is not a number by the calls that used to compare it unchecked.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from rumorcast import (
     AgentProfile,
     ChatroomGame,
     DomainError,
+    EvidenceRelation,
     OrderedTree,
     PeerDistanceProfile,
     RangeViolation,
     ReceiverAction,
     ReceiverSpec,
+    RumorcastError,
     SecondOrderBelief,
     TreeProfiles,
     TypeSet,
@@ -38,6 +41,9 @@ from rumorcast import (
     nu_breakpoints,
     solve_chatroom,
     solve_global,
+    utility,
+    worldview_posterior,
+    worldview_prior,
 )
 from rumorcast.belief import EPS, credence_from_prior, require_credence, validate_evidence
 from rumorcast.sender import nu_value
@@ -192,6 +198,47 @@ def test_a_bad_tolerance_is_refused(front, tol):
     _FRONTS[front](EPS)  # the call is otherwise sound
     with pytest.raises(RangeViolation, match=r"^tol must be finite and >= 0, got "):
         _FRONTS[front](tol)
+
+
+#: every public call that compared a number without asking first whether it
+#: is one, called with ``x`` in the place under test
+_NUMBER_FRONTS = {
+    "EvidenceRelation.mu_given_c": lambda x: EvidenceRelation(x, 0.1),
+    "EvidenceRelation.mu_given_not_c": lambda x: EvidenceRelation(0.9, x),
+    "validate_evidence.mu_given_c": lambda x: validate_evidence(x, 0.1),
+    "validate_evidence.mu_given_not_c": lambda x: validate_evidence(0.9, x),
+    "require_credence": lambda x: require_credence(x, _MU),
+    "worldview_prior": lambda x: worldview_prior(x, _MU),
+    "worldview_posterior": lambda x: worldview_posterior(x, _MU),
+    "credence_from_prior": lambda x: credence_from_prior(x, _MU),
+    "nu_value.x": lambda x: nu_value(x, 0.5, _MU),
+    "nu_value.own_prior": lambda x: nu_value(0.5, x, _MU),
+    "nu_breakpoints": lambda x: nu_breakpoints(x, _MU),
+    "expected_send_gain": lambda x: expected_send_gain(x, _BELIEF, _MU),
+    "PeerDistanceProfile.d0": lambda x: PeerDistanceProfile(x, 0.5, 0.5),
+    "PeerDistanceProfile.d05": lambda x: PeerDistanceProfile(0.5, x, 0.5),
+    "PeerDistanceProfile.d1": lambda x: PeerDistanceProfile(0.5, 0.5, x),
+    "PeerDistanceProfile.from_dirac": lambda x: PeerDistanceProfile.from_dirac(x),
+    "utility": lambda x: utility(ReceiverAction.SILENCE, x, _D, 1.0),
+    "best_actions": lambda x: best_actions(x, _D, 1.0),
+    "min_lambda_for_action": lambda x: min_lambda_for_action(x, _D, ReceiverAction.DISAPPROVE),
+}
+
+
+@pytest.mark.parametrize("front", sorted(_NUMBER_FRONTS))
+@pytest.mark.parametrize("x", ["0.5", True, None, pytest.param(10**400, id="10**400")])
+def test_a_non_number_is_refused_as_a_float_off_the_range_is(front, x):
+    # before, a string or None raised a bare TypeError; validate_evidence
+    # took "0.5" through float(); PeerDistanceProfile, from_dirac, utility,
+    # best_actions and min_lambda_for_action took True as 1; and an int
+    # past the float range made PeerDistanceProfile raise a bare OverflowError
+    call = _NUMBER_FRONTS[front]
+    call(0.5)  # the call is otherwise sound
+    with pytest.raises(RumorcastError) as off_range:
+        call(-1.0)
+    with pytest.raises(RumorcastError) as refused:
+        call(x)
+    assert type(refused.value) is type(off_range.value), (refused.value, off_range.value)
 
 
 def test_a_nan_tolerance_on_a_distance_tie_is_refused():
