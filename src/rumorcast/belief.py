@@ -39,6 +39,10 @@ EPS: float = 1e-9
 FLOAT_MAX: float = sys.float_info.max
 #: the exact types that a pass over a whole column accepts without a walk
 NUMBER_TYPES = frozenset({int, float})
+#: the unit range [0, 1], an ``EPS`` margin outside: credences, peer means
+#: and profile coordinates lie in it (:func:`check_unit` is its check)
+UNIT_LO: float = -EPS
+UNIT_HI: float = 1.0 + EPS
 
 
 def is_number(x: Any) -> bool:
@@ -67,7 +71,7 @@ def check_unit(x: Any, what: str) -> float:
     unless it is a number in [0, 1] (an ``EPS`` margin outside)."""
     if not is_number(x):
         raise RangeViolation(f"{what} must be a number, got {x!r}")
-    if not -EPS <= x <= 1.0 + EPS:  # exact for an int of any size; NaN fails
+    if not UNIT_LO <= x <= UNIT_HI:  # exact for an int of any size; NaN fails
         raise RangeViolation(f"{what} {x!r} outside [0, 1]")
     return float(x)
 
@@ -77,6 +81,12 @@ def check_tol(tol: float) -> None:
     for numbers above)."""
     if not (is_number(tol) and 0.0 <= tol <= FLOAT_MAX):
         raise RangeViolation(f"tol must be finite and >= 0, got {tol!r}")
+
+
+def is_prior(p: Any, tol: float) -> bool:
+    """Whether ``p`` is a worldview prior: a number strictly inside (0, 1),
+    by a ``tol`` margin at each end."""
+    return is_number(p) and tol < p < 1.0 - tol
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,7 @@ def require_credence(theta: float, mu: EvidenceRelation, tol: float = EPS) -> fl
     ``tol`` margin; the error says so when ``tol`` exceeds the default.
     Returns the input unchanged.
     """
+    check_tol(tol)
     if not ((type(theta) is float or is_number(theta)) and mu.mu_given_not_c + tol < theta < mu.mu_given_c - tol):
         narrowed = f" narrowed by the tolerance {tol!r} at each end" if tol > EPS else ""
         raise DomainError(
@@ -162,7 +173,8 @@ def credence_from_prior(prior: float, mu: EvidenceRelation, tol: float = EPS) ->
     the resulting credence then automatically satisfies the admissibility
     band.
     """
-    if not (is_number(prior) and tol < prior < 1.0 - tol):
+    check_tol(tol)
+    if not is_prior(prior, tol):
         raise RangeViolation(f"prior {prior!r} outside the open interval (0, 1)")
     return mu.mu_given_not_c + prior * mu.spread
 

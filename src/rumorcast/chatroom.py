@@ -118,6 +118,7 @@ class TypeSet:
         return (lo + hi) / 2.0
 
     def contains(self, x: float, tol: float = EPS) -> bool:
+        check_tol(tol)
         if self.values is not None:
             return any(abs(x - v) <= tol for v in self.values)
         lo, hi = self.bounds  # type: ignore[misc]

@@ -19,8 +19,8 @@ from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .belief import EPS
-from .errors import DomainError, RumorcastError
+from .belief import EPS, check_tol
+from .errors import DomainError, RangeViolation, RumorcastError
 from .network import (
     CascadeResult,
     OrderedTree,
@@ -34,6 +34,7 @@ from .network import (
     sweep_lambda,
     undirected_closure,
 )
+from .receiver import check_sensitivity
 from .scenario import (
     DIRAC_TRUTH,
     Scenario,
@@ -238,10 +239,12 @@ def _lambda_values(args: argparse.Namespace) -> list[float]:
         # ascending, so a value that rounds onto its predecessor's is listed once
         listed = (lo + k * step for k in range(int(last) + 2))
         values = list(dict.fromkeys(value for value in listed if value <= hi + 1e-12))
-    bad = [value for value in values if not 0.0 <= value < math.inf]  # NaN fails too
-    if bad:
+    try:
+        for value in values:
+            check_sensitivity(value)
+    except RangeViolation:
         flag = "--lambdas" if args.lambdas is not None else "--lambda-range"
-        raise RumorcastError(f"{flag}: sensitivities must be finite and >= 0, got {bad[0]!r}")
+        raise RumorcastError(f"{flag}: sensitivities must be finite and >= 0, got {value!r}") from None
     return values
 
 
@@ -328,10 +331,9 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+        check_tol(value)
+    except ValueError:  # RangeViolation is one
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}") from None
     return value
 
 

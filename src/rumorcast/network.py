@@ -35,7 +35,7 @@ from itertools import chain, filterfalse, groupby
 from operator import itemgetter, le
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .belief import EPS, EvidenceRelation, check_tol, require_credence
+from .belief import EPS, UNIT_HI, UNIT_LO, EvidenceRelation, check_tol, check_unit, require_credence
 from .chatroom import (
     ChatroomEquilibrium,
     ChatroomGame,  # unused here; bench/tracer.py wraps this binding by name
@@ -53,7 +53,6 @@ from .chatroom import (
 from .errors import DomainError, InvalidGraph, InvariantViolation
 from .receiver import (
     BeliefAtom,
-    PeerDistanceProfile,
     ReceiverAction,
     SecondOrderBelief,
     check_sensitivity,
@@ -560,8 +559,8 @@ def _room_peers(profiles: TreeProfiles, sender: Agent, receivers: tuple[Agent, .
         if belief is None:
             t = theta[r]
             b = math.fsum([*parts, -t]) / k
-            if not -EPS <= b <= 1.0 + EPS:
-                PeerDistanceProfile.from_dirac(b)  # raises for the peer mean
+            if not UNIT_LO <= b <= UNIT_HI:
+                check_unit(b, "peer mean")  # raises
             rows.append((r, row[r], t, t, abs(b), abs(0.5 - b), abs(1.0 - b), t))
         else:
             rows.append(_row(r, row[r], attrs.type_set(r), belief))

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Hashable, Mapping
 
-from .belief import EPS, EvidenceRelation, worldview_prior
+from .belief import EPS, FLOAT_MAX, EvidenceRelation, check_tol, is_number, worldview_prior
 from .chatroom import ChatroomGame
-from .errors import InstanceTooLarge, InvariantViolation
+from .errors import InstanceTooLarge, InvariantViolation, RangeViolation
 from .network import AgentProfile, CascadeResult, OrderedTree, chatrooms_of
-from .receiver import ACTIONS, PeerDistanceProfile, ReceiverAction, peer_distance
+from .receiver import ACTIONS, PeerDistanceProfile, ReceiverAction, check_sensitivity, peer_distance
 from .sender import SenderAction, nu_value
 
 Agent = Hashable
@@ -28,12 +28,22 @@ Agent = Hashable
 Assignment = tuple[tuple[Agent, ReceiverAction | None, SenderAction | None], ...]
 
 
+def _check_step(step: float, what: str) -> None:
+    """Grid steps are finite numbers > 0."""
+    if not (is_number(step) and 0.0 < step <= FLOAT_MAX):
+        raise RangeViolation(f"{what} must be finite and > 0, got {step!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Credence grid for sweep-based checks."""
 
     step: float = 1e-3
     tol: float = EPS
+
+    def __post_init__(self) -> None:
+        _check_step(self.step, "step")
+        check_tol(self.tol)
 
     def points(self, lo: float = 0.0, hi: float = 1.0) -> list[float]:
         n = int(round((hi - lo) / self.step))
@@ -47,6 +57,7 @@ def oracle_best_actions(
     tol: float = EPS,
 ) -> frozenset[ReceiverAction]:
     """Three-way loss comparison straight from the definition."""
+    check_tol(tol)
     u = {
         ReceiverAction.DISAPPROVE: -(abs(0.0 - theta) + lam * d.d0),
         ReceiverAction.SILENCE: -(abs(0.5 - theta) + lam * d.d05),
@@ -80,6 +91,12 @@ def oracle_min_lambda(
 ) -> float | None:
     """Smallest grid sensitivity making ``target`` optimal at ``theta``;
     None if none up to ``lam_hi``."""
+    try:
+        check_sensitivity(lam_hi)
+    except RangeViolation:
+        raise RangeViolation(f"lam_hi must be finite and >= 0, got {lam_hi!r}") from None
+    _check_step(step, "step")
+    check_tol(tol)
     steps = int(round(lam_hi / step))
     for k in range(steps + 1):
         lam = k * step
@@ -100,6 +117,7 @@ def oracle_chatroom_profiles(
     passes when each receiver's action is a best response at each of her
     types.  Finite type sets only.
     """
+    check_tol(tol)
     if len(game.receivers) > max_receivers:
         raise InstanceTooLarge(f"{len(game.receivers)} receivers > {max_receivers}")
     for spec in game.receivers:
@@ -154,6 +172,7 @@ def oracle_global(
 
     Needs singleton type sets and at most ``max_agents`` agents.
     """
+    check_tol(tol)
     agents = tree.agents
     if len(agents) > max_agents:
         raise InstanceTooLarge(f"{len(agents)} agents > {max_agents}")

@@ -29,7 +29,7 @@ from enum import Enum
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
-from .belief import EPS, FLOAT_MAX, NUMBER_TYPES, check_tol, check_unit, is_number
+from .belief import EPS, FLOAT_MAX, NUMBER_TYPES, UNIT_HI, UNIT_LO, check_tol, check_unit, is_number
 from .errors import (
     DomainError,
     EmptySupport,
@@ -105,7 +105,7 @@ class SecondOrderBelief:
                 for x in profile:
                     check_unit(x, "profile coordinate")
             for x in profile:
-                if not -EPS <= x <= 1.0 + EPS:
+                if not UNIT_LO <= x <= UNIT_HI:
                     check_unit(x, "profile coordinate")
             total += weight
         if abs(total - 1.0) > 1e-6:
@@ -169,9 +169,9 @@ class PeerDistanceProfile:
 
     @classmethod
     def from_dirac(cls, b: float) -> "PeerDistanceProfile":
-        """Distances to a point mass at peer mean ``b`` in [0, 1]."""
-        if not (is_number(b) and -EPS <= b <= 1.0 + EPS):
-            raise RangeViolation(f"peer mean {b!r} outside [0, 1]")
+        """Distances to a point mass at peer mean ``b`` in [0, 1], stored as
+        floats whatever the number type of ``b``."""
+        b = check_unit(b, "peer mean")
         return cls(d0=abs(b), d05=abs(0.5 - b), d1=abs(1.0 - b))
 
     def get(self, action: ReceiverAction) -> float:
@@ -183,6 +183,7 @@ class PeerDistanceProfile:
 
     def strict_min_action(self, tol: float = EPS) -> ReceiverAction | None:
         """The unique distance-minimizing action, or None on a tie."""
+        check_tol(tol)
         best = min(ACTIONS, key=self.get)
         for other in ACTIONS:
             if other is not best and self.get(other) - self.get(best) <= tol:
@@ -206,16 +207,21 @@ def peer_distance(p: SecondOrderBelief) -> PeerDistanceProfile:
 
 def _check_theta(theta: float) -> None:
     # the range TypeSet accepts; a tolerance slackens utility ties, not credences
-    if not (is_number(theta) and -EPS <= theta <= 1.0 + EPS):
+    if not (is_number(theta) and UNIT_LO <= theta <= UNIT_HI):
         raise DomainError(f"credence {theta!r} outside [0, 1]")
 
 
+#: the sensitivity range: finite and nonnegative (:func:`check_sensitivity` is its check)
+LAMBDA_LO: float = 0.0
+LAMBDA_HI: float = FLOAT_MAX
+
+
 def check_sensitivity(lam: float) -> None:
-    """Sensitivities are finite and nonnegative numbers, by the rule in
-    :mod:`rumorcast.belief`."""
+    """Sensitivities are numbers in [``LAMBDA_LO``, ``LAMBDA_HI``], by the
+    rule in :mod:`rumorcast.belief`."""
     if not is_number(lam):
         raise RangeViolation(f"sensitivity lambda must be a number, got {lam!r}")
-    if not 0.0 <= lam <= FLOAT_MAX:
+    if not LAMBDA_LO <= lam <= LAMBDA_HI:
         raise RangeViolation(f"sensitivity must be finite and nonnegative, got {lam!r}")
 
 
@@ -274,6 +280,7 @@ class SupportInterval:
         return self.lo is None
 
     def contains(self, theta: float, tol: float = EPS) -> bool:
+        check_tol(tol)
         if self.empty:
             return False
         return self.lo - tol <= theta <= self.hi + tol  # type: ignore[operator]

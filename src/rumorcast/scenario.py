@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, TypeVar
 
 from .belief import EPS, EvidenceRelation, check_tol, validate_evidence
-from .belief import FLOAT_MAX, NUMBER_TYPES, is_int, is_number, numbers_within
+from .belief import FLOAT_MAX, NUMBER_TYPES, UNIT_HI, UNIT_LO, is_int, is_number, numbers_within
 from .chatroom import TypeSet
 from .errors import ParseError, RumorcastError, SchemaError
 from .network import (
@@ -43,7 +43,7 @@ from .network import (
     dirac_truth_profiles,  # unused here; bench/tracer.py wraps this binding by name
     natural_sorted,
 )
-from .receiver import SecondOrderBelief
+from .receiver import LAMBDA_HI, LAMBDA_LO, SecondOrderBelief
 
 DIRAC_TRUTH = "dirac-truth"
 
@@ -270,7 +270,7 @@ def _agent_table(raw: dict[Any, Any]) -> AgentTable:
     except KeyError:  # a required field is missing
         raise _Unclear from None
     ells = list(map(dict.get, specs, repeat("ell"), repeat(1)))
-    if not (numbers_within(lams, 0.0, FLOAT_MAX) and set(map(type, ells)) == {int} and min(ells) >= 0):
+    if not (numbers_within(lams, LAMBDA_LO, LAMBDA_HI) and set(map(type, ells)) == {int} and min(ells) >= 0):
         raise _Unclear
     ids = list(map(str, raw))
     type_sets: dict[str, TypeSet] = {}
@@ -290,7 +290,7 @@ def _agent_table(raw: dict[Any, Any]) -> AgentTable:
                 value = type_set.value
             singles.append(agent)
             credences.append(value)
-    if not numbers_within(credences, -EPS, 1.0 + EPS):
+    if not numbers_within(credences, UNIT_LO, UNIT_HI):
         raise _Unclear
     return AgentTable(
         ids, dict(zip(singles, map(float, credences))), type_sets, list(map(float, lams)), ells

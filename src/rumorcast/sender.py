@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Sequence
 
 from .belief import EPS, EvidenceRelation, check_tol, require_credence, worldview_posterior, worldview_prior
-from .belief import is_int, is_number
+from .belief import is_int, is_prior
 from .chatroom import TypeSet
 from .errors import RangeViolation
 from .receiver import BeliefAtom, SecondOrderBelief
@@ -48,7 +48,7 @@ class SenderAction(str, Enum):
 def nu_value(x: float, own_prior: float, mu: EvidenceRelation, tol: float = EPS) -> float:
     """Per-receiver gain contribution at receiver credence ``x``."""
     check_tol(tol)
-    if not (is_number(own_prior) and tol < own_prior < 1.0 - tol):
+    if not is_prior(own_prior, tol):
         raise RangeViolation(f"own prior {own_prior!r} outside (0, 1)")
     prior = worldview_prior(x, mu, tol)
     post = worldview_posterior(x, mu, tol)
@@ -62,7 +62,7 @@ def nu_breakpoints(own_prior: float, mu: EvidenceRelation, tol: float = EPS) -> 
     decreasing between, and increasing again above ``hi``.
     """
     check_tol(tol)
-    if not (is_number(own_prior) and tol < own_prior < 1.0 - tol):
+    if not is_prior(own_prior, tol):
         raise RangeViolation(f"own prior {own_prior!r} outside (0, 1)")
     a, b = mu.mu_given_c, mu.mu_given_not_c
     geo = math.sqrt(a * b)
@@ -91,8 +91,7 @@ def belief_gain(own_prior: float, atoms: Sequence[BeliefAtom], mu: EvidenceRelat
     after the checks :func:`nu_value` makes, each atom's terms summed by
     ``sum``, weighted and added in atom order."""
     lo, hi = mu.mu_given_not_c + tol, mu.mu_given_c - tol
-    sound = is_number(own_prior) and tol < own_prior < 1.0 - tol
-    if not (sound and all(lo < x < hi for atom in atoms for x in atom.profile)):
+    if not (is_prior(own_prior, tol) and all(lo < x < hi for atom in atoms for x in atom.profile)):
         for x in chain.from_iterable(atom.profile for atom in atoms):  # nu_value raises for the first failed check
             nu_value(x, own_prior, mu, tol)
     b, c, spread = mu.mu_given_not_c, mu.mu_given_c, mu.spread
@@ -149,7 +148,8 @@ def send_rule(
         return SenderAction.NOSEND
     lo, hi = hull
     tau = worldview_prior(lo, mu, tol)
-    require_credence(hi, mu, tol)  # every type must be admissible, not only the binding one
+    if hi != lo:  # every type must be admissible, not only the binding one
+        require_credence(hi, mu, tol)
     if belief_gain(tau, atoms, mu, tol) <= tol:
         return SenderAction.NOSEND
     return SenderAction.SEND

@@ -429,23 +429,31 @@ class TestFlagErrors:
 
 
 class TestToleranceFlag:
-    @pytest.mark.parametrize("value", ["-5", "nan", "inf", "-inf", "-1e-12"])
+    @pytest.mark.parametrize("value", ["-5", "nan", "inf", "-inf", "-1e-12", "1e309", " -inf", "-1e-320"])
     @pytest.mark.parametrize("command", [("solve",), ("sweep-root",), ("sweep-lambda", "--agent", "all", "--lambdas", "1")])
     def test_rejected_naming_the_flag(self, capsys, command, value):
         argv = [command[0], CANONICAL, *command[1:], f"--tolerance={value}"]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "--tolerance" in err and "finite number >= 0" in err
+        assert err.endswith(
+            f"\nrumorcast {command[0]}: error: argument --tolerance: expected a finite number >= 0, got {value!r}\n"
+        )
 
     def test_negative_value_as_separate_argument(self, capsys):
         assert main(["solve", CANONICAL, "--tolerance", "-5"]) == 1
         assert "--tolerance" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "1e-9", "1e-6"])
+    @pytest.mark.parametrize("value", ["0", "-0.0", "1e-9", "1e-6"])
     def test_finite_nonnegative_accepted(self, capsys, value):
         code, out = run(capsys, "solve", CANONICAL, "--tolerance", value, "--format", "json-lines")
         assert code == 0
         assert jl(out)[-1]["reach_count"] == 10
+
+    def test_the_largest_float_reaches_the_command(self, capsys):
+        # the flag takes it; the command then finds no credence inside the band it narrows
+        assert main(["solve", CANONICAL, "--tolerance", "1.7976931348623157e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: agent ") and "narrowed by the tolerance 1.7976931348623157e+308" in err
 
 
 class TestNonFiniteInput:
@@ -544,13 +552,25 @@ class TestSweepLambda:
 
     def test_bad_sensitivity_names_its_flag(self, capsys):
         # a sensitivity must be finite and >= 0, and the error says which flag gave it
-        for bad in ("nan", "inf", "1e400", "-1", "1,-0.5", "-inf,2"):
+        lists = [
+            ("nan", "nan"), ("inf", "inf"), ("1e400", "inf"), ("-1", "-1.0"), ("1,-0.5", "-0.5"),
+            ("-inf,2", "-inf"), ("1e309", "inf"), (" -inf", "-inf"), ("-1e-320", "-1e-320"),
+        ]
+        for bad, shown in lists:
             assert main(["sweep-lambda", CANONICAL, "--agent", "all", f"--lambdas={bad}"]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: --lambdas: sensitivities must be finite and >= 0, got ")
-        for bad in ("-1:1:0.5", "-0.5:-0.1:0.1"):
+            assert err == f"error: --lambdas: sensitivities must be finite and >= 0, got {shown}\n"
+        for bad, shown in (("-1:1:0.5", "-1.0"), ("-0.5:-0.1:0.1", "-0.5"), ("-1e-320:1:0.5", "-1e-320")):
             assert main(["sweep-lambda", CANONICAL, "--agent", "1", f"--lambda-range={bad}"]) == 1
-            assert capsys.readouterr().err.startswith("error: --lambda-range: sensitivities must be finite")
+            err = capsys.readouterr().err
+            assert err == f"error: --lambda-range: sensitivities must be finite and >= 0, got {shown}\n"
+        # the edges of the range are taken
+        code, out = run(
+            capsys, "sweep-lambda", CANONICAL, "--agent", "all", "--lambdas=-0.0,0,1.7976931348623157e308",
+            "--format", "json-lines",
+        )
+        assert code == 0
+        assert [row["lambda"] for row in jl(out)] == [-0.0, 0.0, 1.7976931348623157e308]
 
 
 class TestSweepRoot:

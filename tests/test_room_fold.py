@@ -42,8 +42,8 @@ from rumorcast.belief import EPS
 from rumorcast.chatroom import THRESHOLDS, Multiplicity, Room, TypeSet, eligible_actions, fold_room
 from rumorcast.cli import main
 from rumorcast.errors import RangeViolation, RumorcastError
-from rumorcast.network import AgentProfile, BeliefOverride, OrderedTree, PeerDistanceProfile, TreeProfiles
-from rumorcast.receiver import SecondOrderBelief, react
+from rumorcast.network import AgentProfile, BeliefOverride, OrderedTree, TreeProfiles
+from rumorcast.receiver import PeerDistanceProfile, SecondOrderBelief, react
 
 from helpers import random_chatroom_game
 

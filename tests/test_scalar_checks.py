@@ -14,6 +14,7 @@ that is not a number by the calls that used to compare it unchecked.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from rumorcast import (
     ChatroomGame,
     DomainError,
     EvidenceRelation,
+    GridSpec,
     OrderedTree,
     PeerDistanceProfile,
     RangeViolation,
@@ -39,13 +41,23 @@ from rumorcast import (
     lambda_star,
     min_lambda_for_action,
     nu_breakpoints,
+    oracle_best_actions,
+    oracle_chatroom_profiles,
+    oracle_global,
+    oracle_min_lambda,
+    oracle_support_points,
+    reach_by_root,
+    scenario_diagnostics,
     solve_chatroom,
     solve_global,
+    support_interval,
+    undirected_closure,
     utility,
     worldview_posterior,
     worldview_prior,
 )
 from rumorcast.belief import EPS, credence_from_prior, require_credence, validate_evidence
+from rumorcast.network import root_summaries, sweep_lambda
 from rumorcast.sender import nu_value
 
 DRAWS = 600
@@ -171,8 +183,17 @@ _TREE = OrderedTree.from_edges("s", [("s", "r")])
 _PROFILES = TreeProfiles(
     _TREE, {"s": AgentProfile(TypeSet.singleton(0.7), 1.0), "r": AgentProfile(TypeSet.singleton(0.4), 1.0)}
 )
+_GRAPH = undirected_closure(_TREE)
+_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "canonical_cascade.json"
 #: every public function that takes a tolerance, called with ``tol``
 _FRONTS = {
+    "TypeSet.contains": lambda tol: TypeSet.singleton(0.4).contains(0.4, tol),
+    "SupportInterval.contains": lambda tol: support_interval(ReceiverAction.DISAPPROVE, _D, 1.0).contains(0.1, tol),
+    "PeerDistanceProfile.strict_min_action": lambda tol: _D.strict_min_action(tol),
+    "require_credence": lambda tol: require_credence(0.5, _MU, tol),
+    "worldview_prior": lambda tol: worldview_prior(0.5, _MU, tol),
+    "worldview_posterior": lambda tol: worldview_posterior(0.5, _MU, tol),
+    "credence_from_prior": lambda tol: credence_from_prior(0.5, _MU, tol),
     "best_actions": lambda tol: best_actions(0.4, _D, 1.0, tol),
     "min_lambda_for_action": lambda tol: min_lambda_for_action(0.4, _D, ReceiverAction.DISAPPROVE, tol),
     "lambda_star": lambda tol: lambda_star(_D, tol),
@@ -183,6 +204,18 @@ _FRONTS = {
     "nu_breakpoints": lambda tol: nu_breakpoints(0.5, _MU, tol),
     "expected_send_gain": lambda tol: expected_send_gain(0.5, _BELIEF, _MU, tol),
     "decide_send": lambda tol: decide_send(TypeSet.singleton(0.7), _BELIEF, _MU, 1, 0, tol),
+    "reach_by_root": lambda tol: reach_by_root(_GRAPH, _PROFILES, _MU, tol),
+    "root_summaries": lambda tol: root_summaries(_GRAPH, _PROFILES, _MU, tol),
+    "sweep_lambda": lambda tol: list(sweep_lambda(_TREE, _PROFILES, _MU, [1.0], None, tol)),
+    "scenario_diagnostics": lambda tol: scenario_diagnostics(_SCENARIO.read_bytes(), tol),
+    "GridSpec": lambda tol: GridSpec(0.25, tol),
+    "oracle_support_points": lambda tol: oracle_support_points(
+        ReceiverAction.DISAPPROVE, _D, 1.0, GridSpec(0.25, tol)
+    ),
+    "oracle_best_actions": lambda tol: oracle_best_actions(0.4, _D, 1.0, tol),
+    "oracle_min_lambda": lambda tol: oracle_min_lambda(0.4, _D, ReceiverAction.DISAPPROVE, 2.0, 0.25, tol),
+    "oracle_chatroom_profiles": lambda tol: oracle_chatroom_profiles(_GAME, tol),
+    "oracle_global": lambda tol: oracle_global(_TREE, _PROFILES, _MU, tol),
 }
 
 
@@ -192,9 +225,10 @@ _FRONTS = {
 )
 def test_a_bad_tolerance_is_refused(front, tol):
     # before, some of these answered: an empty best-action set, no room
-    # equilibrium, a send, a negative gain, or a bare ZeroDivisionError;
-    # True was taken as 1, a string or None raised a bare TypeError, and an
-    # int past the float range a bare OverflowError
+    # equilibrium, a send, a negative gain, a prior past 1, a tie's strict
+    # minimizer, or a bare ZeroDivisionError; a NaN made require_credence
+    # raise DomainError; True was taken as 1, a string or None raised a bare
+    # TypeError, and an int past the float range a bare OverflowError
     _FRONTS[front](EPS)  # the call is otherwise sound
     with pytest.raises(RangeViolation, match=r"^tol must be finite and >= 0, got "):
         _FRONTS[front](tol)
@@ -245,3 +279,26 @@ def test_a_nan_tolerance_on_a_distance_tie_is_refused():
     # a tie has no strict minimizer; NaN slack used to find one and divide by 0
     with pytest.raises(RangeViolation, match=r"^tol must be finite and >= 0, got nan$"):
         lambda_star(PeerDistanceProfile.from_dirac(0.25), math.nan)
+
+
+_STEPS = [0, -1, math.nan, math.inf, -math.inf, "0.1", True, None]
+
+
+@pytest.mark.parametrize("step", _STEPS)
+def test_a_bad_grid_step_is_refused(step):
+    # before, 0 divided by zero, -1 gave an empty grid, NaN raised a bare
+    # ValueError, inf gave the grid [nan], True was taken as 1 and a string
+    # or None raised a bare TypeError; a tiny positive step is sound but
+    # would build about 1/step points, so it is not tried here
+    with pytest.raises(RangeViolation, match=r"^step must be finite and > 0, got "):
+        GridSpec(step=step)
+    with pytest.raises(RangeViolation, match=r"^step must be finite and > 0, got "):
+        oracle_min_lambda(0.4, _D, ReceiverAction.DISAPPROVE, 2.0, step)
+
+
+@pytest.mark.parametrize("lam_hi", [-1, math.nan, math.inf, -math.inf, "0.1", True, None])
+def test_a_bad_lambda_ceiling_is_refused(lam_hi):
+    # before, inf raised a bare OverflowError, -1 answered None and True was taken as 1
+    assert oracle_min_lambda(0.1, _D, ReceiverAction.DISAPPROVE, 0.0, 0.25) == 0.0  # 0 is a sound ceiling
+    with pytest.raises(RangeViolation, match=r"^lam_hi must be finite and >= 0, got "):
+        oracle_min_lambda(0.4, _D, ReceiverAction.DISAPPROVE, lam_hi, 0.25)
