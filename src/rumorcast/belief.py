@@ -76,6 +76,13 @@ def check_unit(x: Any, what: str) -> float:
     return float(x)
 
 
+def check_finite(x: Any, what: str) -> None:
+    """A :class:`RangeViolation` naming ``x`` as ``what`` unless it is a
+    finite number."""
+    if not (is_number(x) and -FLOAT_MAX <= x <= FLOAT_MAX):  # exact for an int of any size; NaN fails
+        raise RangeViolation(f"{what} must be a finite number, got {x!r}")
+
+
 def check_tol(tol: float) -> None:
     """Tolerances are finite numbers >= 0, as ``--tolerance`` is (the rule
     for numbers above)."""
@@ -130,15 +137,21 @@ def validate_evidence(mu_given_c: float, mu_given_not_c: float) -> EvidenceRelat
     return EvidenceRelation(mu_given_c=a, mu_given_not_c=b)
 
 
-def require_credence(theta: float, mu: EvidenceRelation, tol: float = EPS) -> float:
-    """Check that ``theta`` is an admissible credence for ``mu``.
+def credence_band(mu: EvidenceRelation, tol: float) -> tuple[float, float]:
+    """The ends of the admissible credence band for ``mu``: a credence is
+    admissible when it lies strictly between them.  The band is
+    ``(mu_given_not_c, mu_given_c)``, narrowed by ``tol`` at each end."""
+    return mu.mu_given_not_c + tol, mu.mu_given_c - tol
 
-    Admissible means strictly inside ``(mu_given_not_c, mu_given_c)`` with an
-    ``tol`` margin; the error says so when ``tol`` exceeds the default.
-    Returns the input unchanged.
+
+def require_credence(theta: float, mu: EvidenceRelation, tol: float = EPS) -> float:
+    """Check that ``theta`` is an admissible credence for ``mu``: a number
+    inside :func:`credence_band`.  The error says the band was narrowed
+    when ``tol`` exceeds the default.  Returns the input unchanged.
     """
     check_tol(tol)
-    if not ((type(theta) is float or is_number(theta)) and mu.mu_given_not_c + tol < theta < mu.mu_given_c - tol):
+    lo, hi = credence_band(mu, tol)
+    if not ((type(theta) is float or is_number(theta)) and lo < theta < hi):
         narrowed = f" narrowed by the tolerance {tol!r} at each end" if tol > EPS else ""
         raise DomainError(
             f"credence {theta!r} outside the open interval "

@@ -31,7 +31,7 @@ from itertools import compress, repeat
 from operator import eq, itemgetter, not_
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .belief import EPS, check_tol, check_unit
+from .belief import EPS, check_finite, check_tol, check_unit
 from .errors import InvariantViolation
 from .receiver import (
     ReceiverAction,
@@ -90,6 +90,15 @@ class TypeSet:
     def interval(cls, lo: float, hi: float) -> "TypeSet":
         return cls(bounds=(lo, hi))
 
+    @classmethod
+    def checked_interval(cls, lo: float, hi: float) -> "TypeSet":
+        """The interval [lo, hi] of floats the caller has checked as
+        :meth:`__post_init__` would: both credences, ``lo <= hi``."""
+        ts = object.__new__(cls)
+        object.__setattr__(ts, "values", None)
+        object.__setattr__(ts, "bounds", (lo, hi))
+        return ts
+
     @property
     def is_finite(self) -> bool:
         return self.values is not None
@@ -119,6 +128,7 @@ class TypeSet:
 
     def contains(self, x: float, tol: float = EPS) -> bool:
         check_tol(tol)
+        check_finite(x, "credence")
         if self.values is not None:
             return any(abs(x - v) <= tol for v in self.values)
         lo, hi = self.bounds  # type: ignore[misc]

@@ -34,6 +34,20 @@ def _check_step(step: float, what: str) -> None:
         raise RangeViolation(f"{what} must be finite and > 0, got {step!r}")
 
 
+#: the most points a grid may have: a sweep walks every one
+MAX_GRID_POINTS = 1_000_000
+
+
+def _grid_steps(span: float, step: float) -> int:
+    """How many steps of ``step`` fit in ``span``, rounded; a
+    :class:`RangeViolation` naming ``step`` when the grid would have more
+    than ``MAX_GRID_POINTS`` points, counted before any int conversion."""
+    steps = span / step
+    if not steps < MAX_GRID_POINTS - 0.5:  # so round(steps) + 1 points at most; NaN and inf fail
+        raise RangeViolation(f"step {step!r} makes more than {MAX_GRID_POINTS:,} grid points")
+    return int(round(steps))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Credence grid for sweep-based checks."""
@@ -46,7 +60,7 @@ class GridSpec:
         check_tol(self.tol)
 
     def points(self, lo: float = 0.0, hi: float = 1.0) -> list[float]:
-        n = int(round((hi - lo) / self.step))
+        n = _grid_steps(hi - lo, self.step)
         return [lo + k * self.step for k in range(n + 1)]
 
 
@@ -97,7 +111,7 @@ def oracle_min_lambda(
         raise RangeViolation(f"lam_hi must be finite and >= 0, got {lam_hi!r}") from None
     _check_step(step, "step")
     check_tol(tol)
-    steps = int(round(lam_hi / step))
+    steps = _grid_steps(lam_hi, step)
     for k in range(steps + 1):
         lam = k * step
         if target in oracle_best_actions(theta, d, lam, tol):

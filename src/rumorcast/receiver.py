@@ -26,10 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import chain, repeat
+from operator import add
 from typing import Iterable, Sequence
 
-from .belief import EPS, FLOAT_MAX, NUMBER_TYPES, UNIT_HI, UNIT_LO, check_tol, check_unit, is_number
+from .belief import EPS, FLOAT_MAX, NUMBER_TYPES, UNIT_HI, UNIT_LO, check_finite, check_tol, check_unit, is_number
 from .errors import (
     DomainError,
     EmptySupport,
@@ -71,6 +73,17 @@ class BeliefAtom:
     weight: float
 
 
+#: how far from 1 a belief's weights may sum
+WEIGHT_SUM_TOL: float = 1e-6
+
+
+def weight_sum(weights: Iterable[float]) -> float:
+    """``weights`` added in order to 0.0, one rounding at a time, as every
+    belief's weights are summed: not ``sum``, which compensates from Python
+    3.12 and so may round differently."""
+    return reduce(add, weights, 0.0)
+
+
 @dataclass(frozen=True)
 class SecondOrderBelief:
     """Finite-support distribution over peer credence profiles.
@@ -79,10 +92,11 @@ class SecondOrderBelief:
     all profiles of equal positive length, coordinates inside [0, 1].
     Weights and coordinates are numbers by the rule in :mod:`rumorcast.belief`.
 
-    The weight sum is checked to a fixed ``1e-6``, not to the ``tol`` a
-    solver is given: it is an invariant of the belief object, not solver
-    slack.  A belief is built once, before and apart from any solve that
-    reads it, so the margin only absorbs the rounding of decimal weights.
+    The weight sum (:func:`weight_sum`) is checked to a fixed
+    ``WEIGHT_SUM_TOL`` of 1e-6, not to the ``tol`` a solver is given: it is
+    an invariant of the belief object, not solver slack.  A belief is built
+    once, before and apart from any solve that reads it, so the margin only
+    absorbs the rounding of decimal weights.
     """
 
     atoms: tuple[BeliefAtom, ...]
@@ -93,7 +107,6 @@ class SecondOrderBelief:
         dim = len(self.atoms[0].profile)
         if dim == 0:
             raise InvariantViolation("belief profiles must have at least one peer")
-        total = 0.0
         for atom in self.atoms:
             profile, weight = atom.profile, atom.weight
             if len(profile) != dim:
@@ -107,9 +120,17 @@ class SecondOrderBelief:
             for x in profile:
                 if not UNIT_LO <= x <= UNIT_HI:
                     check_unit(x, "profile coordinate")
-            total += weight
-        if abs(total - 1.0) > 1e-6:
+        total = weight_sum([atom.weight for atom in self.atoms])
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvariantViolation(f"atom weights sum to {total!r}, expected 1")
+
+    @classmethod
+    def checked(cls, atoms: tuple[BeliefAtom, ...]) -> "SecondOrderBelief":
+        """The belief on ``atoms``, which the caller has checked as
+        :meth:`__post_init__` would: no walk over them."""
+        belief = object.__new__(cls)
+        object.__setattr__(belief, "atoms", atoms)
+        return belief
 
     @classmethod
     def dirac(cls, profile: Sequence[float]) -> "SecondOrderBelief":
@@ -281,6 +302,7 @@ class SupportInterval:
 
     def contains(self, theta: float, tol: float = EPS) -> bool:
         check_tol(tol)
+        check_finite(theta, "credence")
         if self.empty:
             return False
         return self.lo - tol <= theta <= self.hi + tol  # type: ignore[operator]

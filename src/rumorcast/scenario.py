@@ -18,9 +18,10 @@ import gc
 import json
 import sys
 from dataclasses import dataclass
-from itertools import chain, filterfalse, repeat
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, TypeVar
+from functools import partial
+from itertools import accumulate, chain, compress, filterfalse, repeat
+from operator import is_not, itemgetter, le, not_, sub
+from typing import Any, Callable, Iterable, Mapping, NoReturn, TypeVar
 
 from .belief import EPS, EvidenceRelation, check_tol, validate_evidence
 from .belief import FLOAT_MAX, NUMBER_TYPES, UNIT_HI, UNIT_LO, is_int, is_number, numbers_within
@@ -43,7 +44,7 @@ from .network import (
     dirac_truth_profiles,  # unused here; bench/tracer.py wraps this binding by name
     natural_sorted,
 )
-from .receiver import LAMBDA_HI, LAMBDA_LO, SecondOrderBelief
+from .receiver import LAMBDA_HI, LAMBDA_LO, WEIGHT_SUM_TOL, BeliefAtom, SecondOrderBelief, weight_sum
 
 DIRAC_TRUTH = "dirac-truth"
 
@@ -234,7 +235,19 @@ _types_of, _lambda_of = itemgetter("types"), itemgetter("lambda")
 
 
 class _Unclear(Exception):
-    """The passes over whole columns found a bad agent."""
+    """The passes over whole columns found a bad entry."""
+
+
+def _first_fault(raw: dict[Any, Any], check: Callable[[Any, Any], object], where: Callable[[Any], str]) -> NoReturn:
+    """Raise for the first entry of ``raw``, in file order, that
+    ``check(key, value)`` refuses, located at ``where(key)``: the passes
+    over whole columns refused some entry."""
+    for key, value in raw.items():
+        try:
+            check(key, value)
+        except _Bad as bad:
+            raise bad.within(where(key))
+    raise AssertionError("the column checks refused entries that each pass alone")
 
 
 def _parse_agents(raw: Any) -> AgentTable:
@@ -249,13 +262,7 @@ def _parse_agents(raw: Any) -> AgentTable:
         return _agent_table(raw)
     except _Unclear:
         pass
-    # some agent is bad: the per-agent check reports the first one in file order
-    for agent, spec in raw.items():
-        try:
-            _agent(spec)
-        except _Bad as bad:
-            raise bad.within(f".{agent}")
-    raise AssertionError("the column checks refused agents that each pass alone")
+    _first_fault(raw, lambda agent, spec: _agent(spec), lambda agent: f".{agent}")
 
 
 def _agent_table(raw: dict[Any, Any]) -> AgentTable:
@@ -272,29 +279,55 @@ def _agent_table(raw: dict[Any, Any]) -> AgentTable:
     ells = list(map(dict.get, specs, repeat("ell"), repeat(1)))
     if not (numbers_within(lams, LAMBDA_LO, LAMBDA_HI) and set(map(type, ells)) == {int} and min(ells) >= 0):
         raise _Unclear
-    ids = list(map(str, raw))
-    type_sets: dict[str, TypeSet] = {}
-    if set(map(type, types)) <= NUMBER_TYPES:  # plain credences only
-        singles, credences = ids, types
-    else:
-        singles, credences = [], []
-        for agent, value in zip(ids, types):
-            if type(value) not in NUMBER_TYPES:
-                try:
-                    type_set = _type_set(value)
-                except _Bad:
-                    raise _Unclear from None
-                if not type_set.is_singleton:
-                    type_sets[agent] = type_set
-                    continue
-                value = type_set.value
-            singles.append(agent)
-            credences.append(value)
+    ids = list(raw)  # JSON object keys are strings
+    singles, credences, type_sets = ids, types, {}
+    kinds = set(map(type, types))
+    if not kinds <= NUMBER_TYPES:  # intervals or lists too
+        if not kinds <= _TYPE_KINDS:
+            raise _Unclear
+        types = _type_sets(types)
+        points = list(map(is_number, types))
+        singles, credences = list(compress(ids, points)), list(compress(types, points))
+        type_sets = dict(zip(compress(ids, map(not_, points)), compress(types, map(not_, points))))
     if not numbers_within(credences, UNIT_LO, UNIT_HI):
         raise _Unclear
     return AgentTable(
         ids, dict(zip(singles, map(float, credences))), type_sets, list(map(float, lams)), ells
     )
+
+
+_TYPE_KINDS = NUMBER_TYPES | {list, dict}
+_interval_of, _lo_of, _hi_of = itemgetter("interval"), itemgetter(0), itemgetter(1)
+
+
+def _type_sets(types: list[Any]) -> list[Any]:
+    """``types`` with each interval and each list made a :class:`TypeSet`
+    (one of a single point made its credence), credences left as they are.
+    Intervals are checked in passes over all of them; a list is rare and
+    checked alone."""
+    types = types.copy()
+    for k, value in enumerate(types):
+        if type(value) is list:
+            try:
+                type_set = _type_set(value)
+            except _Bad:
+                raise _Unclear from None
+            types[k] = type_set.value if type_set.is_singleton else type_set
+    at = [k for k, value in enumerate(types) if type(value) is dict]
+    intervals = list(map(types.__getitem__, at))
+    if not intervals:
+        return types
+    if not (set(map(len, intervals)) == {1} and all(map(dict.__contains__, intervals, repeat("interval")))):
+        raise _Unclear
+    pairs = list(map(_interval_of, intervals))
+    if not (set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}):
+        raise _Unclear
+    los, his = list(map(_lo_of, pairs)), list(map(_hi_of, pairs))
+    if not (numbers_within(los + his, UNIT_LO, UNIT_HI) and all(map(le, los, his))):
+        raise _Unclear
+    for k, type_set in zip(at, map(TypeSet.checked_interval, map(float, los), map(float, his))):
+        types[k] = type_set
+    return types
 
 
 def _agent(spec: Any) -> AgentProfile:
@@ -328,11 +361,6 @@ def _belief(raw: Any) -> SecondOrderBelief:
             atoms_raw = raw["atoms"]
             if not isinstance(atoms_raw, list):
                 raise _Bad("expected an array", ".atoms")
-            if _atoms_shaped(atoms_raw):
-                try:
-                    return SecondOrderBelief.mixture(zip(map(_profile_of, atoms_raw), map(_weight_of, atoms_raw)))
-                except RumorcastError:
-                    pass
             # the per-atom check names the first bad atom, else the belief's own fault shows
             atoms: list[tuple[list[float], float]] = []
             for atom in atoms_raw:
@@ -346,21 +374,6 @@ def _belief(raw: Any) -> SecondOrderBelief:
     raise _Bad("expected {'dirac': [...]} or {'atoms': [...]}")
 
 
-_ATOM_KEYS = frozenset({"profile", "weight"})
-_profile_of, _weight_of = itemgetter("profile"), itemgetter("weight")
-
-
-def _atoms_shaped(raw: list[Any]) -> bool:
-    """Whether every atom is ``{'profile': [...], 'weight': w}``, in passes
-    over all of them; :meth:`SecondOrderBelief.mixture` checks the numbers."""
-    return (
-        set(map(type, raw)) == {dict}
-        and set(map(len, raw)) == {2}
-        and all(map(_ATOM_KEYS.issuperset, raw))
-        and set(map(type, map(_profile_of, raw))) == {list}
-    )
-
-
 def _atom(raw: Any) -> tuple[list[float], float]:
     if not isinstance(raw, dict) or set(raw) != {"profile", "weight"}:
         raise _Bad("expected {'profile': [...], 'weight': w}")
@@ -368,6 +381,69 @@ def _atom(raw: Any) -> tuple[list[float], float]:
     if not isinstance(profile, list):
         raise _Bad("expected an array of credences", ".profile")
     return _numbers(profile, ".profile"), _number(raw["weight"], ".weight")
+
+
+_SIDES = frozenset({"receiver", "sender"})
+_ATOM_KEYS = frozenset({"profile", "weight"})
+_BELIEF_KINDS = frozenset({"dirac", "atoms"})
+_profile_of, _weight_of = itemgetter("profile"), itemgetter("weight")
+_ABSENT = object()  # a side an agent's entry leaves out
+
+
+def _belief_table(raw: dict[str, Any], agents: Mapping[str, AgentProfile]) -> dict[str, BeliefOverride]:
+    """Every agent's explicit beliefs.  Passes over the whole file's
+    beliefs, atoms and coordinates check every value first and raise
+    :class:`_Unclear` exactly when some entry is bad; the beliefs are then
+    built without a check of their own."""
+    specs = list(raw.values())
+    if not specs:
+        return {}
+    if not (
+        all(map(agents.__contains__, raw))
+        and set(map(type, specs)) == {dict}
+        and all(specs)
+        and all(map(_SIDES.issuperset, specs))
+    ):
+        raise _Unclear
+    sides = [list(map(dict.get, specs, repeat(side), repeat(_ABSENT))) for side in ("receiver", "sender")]
+    beliefs = list(filter(partial(is_not, _ABSENT), chain(*sides)))  # receivers first, each in file order
+    if not (set(map(type, beliefs)) == {dict} and set(map(len, beliefs)) == {1}):
+        raise _Unclear
+    kinds = list(map(next, map(iter, beliefs)))  # each belief's one key
+    values = list(map(dict.get, beliefs, kinds))
+    if not (_BELIEF_KINDS.issuperset(kinds) and set(map(type, values)) == {list}):
+        raise _Unclear
+    # every belief as its atoms, a dirac belief as one of weight 1
+    groups = [value if kind == "atoms" else [{"profile": value, "weight": 1.0}] for kind, value in zip(kinds, values)]
+    atoms = list(chain.from_iterable(groups))
+    if not (all(groups) and set(map(type, atoms)) == {dict} and set(map(len, atoms)) == {2}):
+        raise _Unclear
+    if not all(map(_ATOM_KEYS.issuperset, atoms)):  # two keys, so exactly these
+        raise _Unclear
+    profiles, weights = list(map(_profile_of, atoms)), list(map(_weight_of, atoms))
+    if set(map(type, profiles)) != {list}:
+        raise _Unclear
+    counts = list(map(len, groups))
+    ends = list(accumulate(counts))
+    spans = list(map(slice, [0, *ends][:-1], ends))  # each belief's atoms
+    # each atom as wide as its belief's first, which is wider than 0
+    widths = list(map(len, profiles))
+    firsts = map(widths.__getitem__, [0, *ends][:-1])
+    if not (min(widths) > 0 and list(chain.from_iterable(map(repeat, firsts, counts))) == widths):
+        raise _Unclear
+    if not numbers_within(list(chain.from_iterable(profiles)), UNIT_LO, UNIT_HI):
+        raise _Unclear
+    if not (numbers_within(weights, 0.0, FLOAT_MAX) and min(weights) > 0):
+        raise _Unclear
+    weights = list(map(float, weights))
+    totals = map(weight_sum, map(weights.__getitem__, spans))
+    if not max(map(abs, map(sub, totals, repeat(1.0)))) <= WEIGHT_SUM_TOL:
+        raise _Unclear
+    # every value is checked: the atoms, then the beliefs on them
+    built = list(map(BeliefAtom, map(tuple, map(map, repeat(float), profiles)), weights))
+    made = map(SecondOrderBelief.checked, map(tuple, map(built.__getitem__, spans)))
+    receivers, senders = ([next(made) if b is not _ABSENT else None for b in side] for side in sides)
+    return dict(zip(raw, map(BeliefOverride, receivers, senders)))
 
 
 def _parse_beliefs(
@@ -394,16 +470,18 @@ def _parse_beliefs(
     agents_raw = raw.get("agents", {})
     if not isinstance(agents_raw, dict):
         raise _Bad("expected an object keyed by agent id", ".agents")
-    overrides: dict[str, BeliefOverride] = {}
-    for agent, spec in agents_raw.items():
-        try:
-            if str(agent) not in agents:
-                raise _Bad("unknown agent id")
-            overrides[str(agent)] = _override(spec)
-        except _Bad as bad:
-            # a key that is no text shows escaped, as a refused agent id does
-            raise bad.within(f".agents.{agent if _is_text(agent) else repr(agent)}")
-    return default, overrides
+    try:
+        return default, _belief_table(agents_raw, agents)
+    except _Unclear:
+        pass
+
+    def entry(agent: Any, spec: Any) -> None:
+        if str(agent) not in agents:
+            raise _Bad("unknown agent id")
+        _override(spec)
+
+    # a key that is no text shows escaped, as a refused agent id does
+    _first_fault(agents_raw, entry, lambda agent: f".agents.{agent if _is_text(agent) else repr(agent)}")
 
 
 def _override(spec: Any) -> BeliefOverride:

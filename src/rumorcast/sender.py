@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Sequence
 
 from .belief import EPS, EvidenceRelation, check_tol, require_credence, worldview_posterior, worldview_prior
-from .belief import is_int, is_prior
+from .belief import credence_band, is_int, is_prior
 from .chatroom import TypeSet
 from .errors import RangeViolation
 from .receiver import BeliefAtom, SecondOrderBelief
@@ -90,7 +90,7 @@ def belief_gain(own_prior: float, atoms: Sequence[BeliefAtom], mu: EvidenceRelat
     """:func:`expected_send_gain` over belief atoms, for a checked ``tol``:
     after the checks :func:`nu_value` makes, each atom's terms summed by
     ``sum``, weighted and added in atom order."""
-    lo, hi = mu.mu_given_not_c + tol, mu.mu_given_c - tol
+    lo, hi = credence_band(mu, tol)
     if not (is_prior(own_prior, tol) and all(lo < x < hi for atom in atoms for x in atom.profile)):
         for x in chain.from_iterable(atom.profile for atom in atoms):  # nu_value raises for the first failed check
             nu_value(x, own_prior, mu, tol)

@@ -6,6 +6,12 @@ its edges in bulk and looks for the offending edge only on failure, and
 here with a copy of the code it replaced (the ``_ref_*`` functions below,
 kept as they were): both must give equal results, or raise the same
 exception type with the same message.
+
+The agents' table and the explicit beliefs are checked in passes over the
+whole file, and the per-agent path runs only to name the first bad entry.
+Whole files of up to 8 agents (points, intervals and lists of credences;
+dirac and atoms beliefs on both sides), clean or with one odd value planted
+anywhere, hold both passes to the references.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from collections import deque
 from decimal import Decimal
 from typing import Any, Mapping
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rumorcast.chatroom import TypeSet
@@ -442,6 +448,103 @@ def _beliefs(draw) -> Any:
     return raw
 
 
+def _places(obj: Any, depth: int = 0) -> list[tuple[int, Any, Any]]:
+    """Every place in a nest of dicts and lists, as (depth, container, key)."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    return [place for key, value in items for place in [(depth, obj, key), *_places(value, depth + 1)]]
+
+
+def _plant(draw, obj: Any) -> None:
+    """Put one odd value at a place in ``obj``, drawn at a depth drawn
+    first: in place of a value or of a dict key, or beside the others; or
+    take one value out, or empty a list."""
+    how = draw(st.sampled_from(["value", "value", "key", "extra", "drop", "empty"]))
+    places = _places(obj)
+    if how == "key":
+        places = [place for place in places if isinstance(place[1], dict)]
+    elif how == "empty":
+        places = [place for place in places if type(place[1][place[2]]) is list] or places
+    depth = draw(st.sampled_from(sorted({place[0] for place in places})))
+    _, container, key = draw(st.sampled_from([place for place in places if place[0] == depth]))
+    if how == "drop":
+        del container[key]
+    elif how == "empty":
+        container[key] = []
+    elif how == "extra" and isinstance(container, list):
+        container.append(draw(_ODD_NUMBERS))
+    elif how == "value":
+        container[key] = draw(_ODD_NUMBERS)
+    else:  # a new key, or an old one renamed
+        odd_key = draw(st.sampled_from(["x", "11", "", "weight", "profile", "dirac", "atoms", "receiver", "interval"]))
+        container[odd_key] = container.pop(key) if how == "key" else draw(_ODD_NUMBERS)
+
+
+# credences in the unit range as a file may write them: ints, -0.0, and
+# values within the EPS margin outside [0, 1]
+_UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, -0.0, -1e-10, 1 + 1e-10, 0.5]))
+
+
+@st.composite
+def _weights(draw, k: int) -> list:
+    """``k`` weights that sum to 1 within the belief's margin."""
+    how = draw(st.sampled_from(["even", "drawn", "near", "zero"]))
+    if how == "even":
+        return [1 if k == 1 and draw(st.booleans()) else 1.0 / k] * k
+    if how == "zero" and k > 1:  # the rest sum to 1
+        return [1.0 / (k - 1)] * (k - 1) + [draw(st.sampled_from([0, 0.0, -0.0, 5e-324]))]
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    weights = [w / math.fsum(raw) for w in raw]
+    if how == "near":  # off by less than the margin, or by a little more
+        weights[-1] += draw(st.sampled_from([4e-7, -4e-7, 2e-6, -2e-6]))
+    return weights
+
+
+@st.composite
+def _whole_belief_files(draw) -> tuple[dict, dict]:
+    """Beliefs of up to 8 agents, each side absent, a dirac belief or up to
+    3 atoms, clean or with one odd value planted; with the agents known."""
+    ids = [str(k) for k in range(1, draw(st.integers(1, 8)) + 1)]
+    entries: dict = {}
+    for agent in ids:
+        entry = {}
+        for side in draw(st.sampled_from([["receiver"], ["sender"], ["receiver", "sender"]])):
+            width = draw(st.integers(1, 5))
+            if draw(st.booleans()):
+                entry[side] = {"dirac": draw(st.lists(_UNIT, min_size=width, max_size=width))}
+            else:
+                k = draw(st.integers(1, 3))
+                profiles = [draw(st.lists(_UNIT, min_size=width, max_size=width)) for _ in range(k)]
+                atoms = [{"profile": p, "weight": w} for p, w in zip(profiles, draw(_weights(k)))]
+                entry[side] = {"atoms": atoms}
+        entries[agent] = entry
+    if draw(st.booleans()):
+        _plant(draw, entries)
+    return {"default": "none", "agents": entries}, dict.fromkeys(ids)
+
+
+@st.composite
+def _whole_agent_tables(draw) -> dict:
+    """Up to 8 agents whose types mix credences, intervals and lists, clean
+    or with one odd value planted."""
+    raw = {}
+    for agent in map(str, range(1, draw(st.integers(1, 8)) + 1)):
+        kind = draw(st.sampled_from(["point", "interval", "interval", "list"]))
+        if kind == "point":
+            types: Any = draw(_UNIT)
+        elif kind == "interval":
+            pair = draw(st.lists(_UNIT, min_size=2, max_size=2))
+            types = {"interval": sorted(pair) if draw(st.sampled_from([True, True, False])) else pair}
+        else:
+            types = draw(st.lists(_UNIT, min_size=1, max_size=3))
+        spec = {"types": types, "lambda": draw(st.one_of(st.floats(0.0, 3.0), st.integers(0, 3)))}
+        if draw(st.booleans()):
+            spec["ell"] = draw(st.integers(0, 3))
+        raw[agent] = spec
+    if draw(st.booleans()):
+        _plant(draw, raw)
+    return raw
+
+
 # ---------------------------------------------------------------------------
 # the tests
 
@@ -471,6 +574,44 @@ def test_one_belief_parses_as_before(belief, side):
     # every draw reaches the belief's own parse
     raw, agents = {"agents": {"1": {side: belief}}}, {"1": None}
     _same(lambda *args: _at("beliefs", _parse_beliefs, *args), _ref_parse_beliefs, raw, agents)
+
+
+def _file(*entries: dict) -> tuple[dict, dict]:
+    """A belief file with these entries, for agents "1", "2", ..., and
+    those agents known."""
+    ids = [str(k) for k in range(1, len(entries) + 1)]
+    return {"agents": dict(zip(ids, entries))}, dict.fromkeys(ids)
+
+
+_DIRAC = {"receiver": {"dirac": [0.5, 0.25]}}
+_ATOMS = {"sender": {"atoms": [{"profile": [0.5], "weight": 0.5}, {"profile": [1], "weight": 0.5}]}}
+
+
+# a bad entry after a good one, of each kind the passes refuse; some are
+# only refused by a check that another one also makes
+@_SETTINGS
+@given(file=_whole_belief_files())
+@example(file=_file(_DIRAC, {"receiver": {"atoms": []}}, _ATOMS))
+@example(file=_file(_DIRAC, {"receiver": {"atoms": []}}))
+@example(file=_file(_DIRAC, {"receiver": {"dirac": []}}, _ATOMS))
+@example(file=_file(_DIRAC, {"receiver": {"x": [0.5]}}))
+@example(file=_file(_DIRAC, {}))
+@example(file=(_file(_DIRAC, _ATOMS)[0], {"1": None}))
+@example(file=_file(_ATOMS, {"sender": {"atoms": [{"profile": [0.5], "weight": 0.5}, {"profile": [0.5, 0.5], "weight": 0.5}]}}))
+@example(file=_file(_ATOMS, {"sender": {"atoms": [{"profile": [0.5], "weight": 1.0}, {"profile": [0.5], "weight": 0.0}]}}))
+@example(file=_file(_ATOMS, {"sender": {"atoms": [{"profile": [0.5], "weight": 1e308}, {"profile": [0.5], "weight": 1e308}]}}))
+def test_whole_belief_files_parse_as_before(file):
+    raw, agents = file
+    _same(lambda *args: _at("beliefs", _parse_beliefs, *args), _ref_parse_beliefs, raw, agents)
+
+
+@_SETTINGS
+@given(raw=_whole_agent_tables())
+@example(raw={"1": {"types": 0.5, "lambda": 1}, "2": {"types": {"interval": [0.5, 0.25]}, "lambda": 1}})
+@example(raw={"1": {"types": 0.5, "lambda": 1}, "2": {"types": {"interval": [0.25, 0.5], "x": 1}, "lambda": 1}})
+@example(raw={"1": {"types": [0.5, 0.5], "lambda": 1}, "2": {"types": {"interval": [0.5, 0.5]}, "lambda": 1}})
+def test_whole_agent_tables_parse_as_before(raw):
+    _same(lambda raw: _at("agents", _parse_agents, raw), _ref_parse_agents, raw)
 
 
 # no two of these share a natural key: the ids listed in an error come out

@@ -23,7 +23,9 @@ every draw:
 The belief check tests each room against bounds built once; draws with
 coordinates on the edges of their peers' type sets hold it to a copy of the
 coordinate-by-coordinate walk (``_ref_check_receiver_belief``), and a clean
-300-receiver star pins its cost: no call per coordinate.
+300-receiver star pins its cost: no call per coordinate.  The parser checks
+a clean file's beliefs and interval types in passes over the whole file,
+and a clean 37-agent file pins that: no call per belief or per type set.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ import random
 from collections import Counter
 from itertools import groupby
 
+import pytest
+
 from rumorcast import (
     AgentProfile,
     BeliefOverride,
@@ -44,6 +48,7 @@ from rumorcast import (
     InvariantViolation,
     OrderedTree,
     RumorcastError,
+    SchemaError,
     SecondOrderBelief,
     TreeProfiles,
     TypeSet,
@@ -453,3 +458,66 @@ def test_a_clean_file_checks_its_beliefs_in_passes(tmp_path, monkeypatch):
     assert solve(doc) == (1, "", f"error: {want[1]}\n")
     last[-1] = True
     assert solve(doc) == (1, "", "error: beliefs.agents.301.receiver.atoms[1].profile[299]: expected a number, got True\n")
+
+
+def _mixed_file(kids: int, grandkids: int) -> dict:
+    """A root, ``kids`` children and ``grandkids`` under each: point and
+    interval types, and receiver and sender beliefs in both the ``dirac``
+    and the ``atoms`` form."""
+    rng = random.Random(7)
+    ids = [str(k) for k in range(1, 2 + kids * (grandkids + 1))]
+    families = {ids[1 + k]: ids[1 + kids + k * grandkids : 1 + kids + (k + 1) * grandkids] for k in range(kids)}
+    edges = [["1", kid] for kid in families] + [[kid, leaf] for kid, leaves in families.items() for leaf in leaves]
+    agents = {}
+    for k, agent in enumerate(ids):
+        low = round(rng.uniform(0.2, 0.7), 6)
+        agents[agent] = {"types": low if k % 2 else {"interval": [low, low + 0.05]}, "lambda": 1.0}
+
+    def belief(n: int, form: int) -> dict:
+        if form % 2:
+            return {"dirac": [round(rng.uniform(0.2, 0.75), 6) for _ in range(n)]}
+        return {"atoms": [{"profile": [round(rng.uniform(0.2, 0.75), 6) for _ in range(n)], "weight": 0.25} for _ in range(4)]}
+
+    beliefs = {"1": {"sender": belief(kids, 0)}}
+    for k, (kid, leaves) in enumerate(families.items()):
+        beliefs[kid] = {"receiver": belief(kids, k), "sender": belief(grandkids, k + 1)}
+        for j, leaf in enumerate(leaves):
+            beliefs[leaf] = {"receiver": belief(grandkids, j)}
+    return {
+        "evidence": {"mu_given_c": 0.9, "mu_given_not_c": 0.1},
+        "topology": {"kind": "tree", "root": "1", "edges": edges},
+        "agents": agents,
+        "beliefs": {"default": "none", "agents": beliefs},
+    }
+
+
+def test_a_clean_file_parses_its_beliefs_and_types_in_passes(monkeypatch):
+    doc = _mixed_file(6, 5)
+    assert len(doc["agents"]) == 37
+    # the per-entry path, before anything is counted
+    want = {agent: scenario._override(spec) for agent, spec in doc["beliefs"]["agents"].items()}
+    calls: Counter = Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, count)
+
+    # what checks one belief, one type set or one belief object at a time
+    counted(scenario, "_belief")
+    counted(scenario, "_type_set")
+    counted(SecondOrderBelief, "__post_init__")
+    parsed = parse_scenario(json.dumps(doc))
+    assert calls == Counter()
+    assert parsed.belief_overrides == want
+    kinds = Counter(type(parsed.attrs.type_set(agent).bounds) for agent in parsed.attrs)
+    assert kinds == {tuple: 19, type(None): 18}  # intervals and points
+    # one odd value sends the file down the per-entry path, which names it
+    doc["beliefs"]["agents"]["37"]["receiver"]["atoms"][3]["weight"] = -0.25
+    with pytest.raises(SchemaError, match=r"^beliefs\.agents\.37\.receiver: atom weight must be finite and positive, got -0\.25$"):
+        parse_scenario(json.dumps(doc))
+    assert calls["_belief"] > 0

@@ -8,7 +8,9 @@ two comparisons, then the same arithmetic.  Draws are plain floats and
 margin or not finite, so any input on which the two differ, in value or in
 error type, shows up as a mismatch.  A bad tolerance is refused with a
 ``RangeViolation`` by every public function that takes one, and a value
-that is not a number by the calls that used to compare it unchecked.
+that is not a number by the calls that used to compare it unchecked; so
+are a credence that is no finite number, by the membership tests, and a
+grid of more points than the oracles' cap.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from rumorcast import (
     ReceiverSpec,
     RumorcastError,
     SecondOrderBelief,
+    SupportInterval,
     TreeProfiles,
     TypeSet,
     best_actions,
@@ -56,6 +59,7 @@ from rumorcast import (
     worldview_posterior,
     worldview_prior,
 )
+from rumorcast import oracle
 from rumorcast.belief import EPS, credence_from_prior, require_credence, validate_evidence
 from rumorcast.network import root_summaries, sweep_lambda
 from rumorcast.sender import nu_value
@@ -302,3 +306,49 @@ def test_a_bad_lambda_ceiling_is_refused(lam_hi):
     assert oracle_min_lambda(0.1, _D, ReceiverAction.DISAPPROVE, 0.0, 0.25) == 0.0  # 0 is a sound ceiling
     with pytest.raises(RangeViolation, match=r"^lam_hi must be finite and >= 0, got "):
         oracle_min_lambda(0.4, _D, ReceiverAction.DISAPPROVE, lam_hi, 0.25)
+
+
+def test_a_grid_past_the_cap_is_refused_before_it_is_walked(monkeypatch):
+    # the point count is taken before int(): a quotient that overflows to
+    # inf, or a sound but tiny step, is refused, not walked 1/step times
+    message = r"^step 0\.0001 makes more than 1,000,000 grid points$"
+    with pytest.raises(RangeViolation, match=message):
+        oracle_min_lambda(0.4, PeerDistanceProfile.from_dirac(0.1), ReceiverAction.APPROVE, 1e308, 1e-4)
+    with pytest.raises(RangeViolation, match=r"^step 1e-07 makes more than 1,000,000 grid points$"):
+        GridSpec(step=1e-7).points()
+    # the defaults' 200,001 points pass (the target holds at the first one)
+    assert oracle.MAX_GRID_POINTS >= 200_001
+    assert oracle_min_lambda(0.1, _D, ReceiverAction.DISAPPROVE) == 0.0
+    # the count is the points the grid would have: n steps make n + 1
+    monkeypatch.setattr(oracle, "MAX_GRID_POINTS", 11)
+    assert len(GridSpec(step=0.1).points()) == 11
+    assert oracle_min_lambda(0.4, _D, ReceiverAction.APPROVE, 1.0, 0.1) is None
+    for step in (0.09, 0.05):
+        with pytest.raises(RangeViolation, match=rf"^step {step} makes more than 11 grid points$"):
+            GridSpec(step=step).points()
+        with pytest.raises(RangeViolation, match=rf"^step {step} makes more than 11 grid points$"):
+            oracle_min_lambda(0.4, _D, ReceiverAction.APPROVE, 1.0, step)
+
+
+#: the membership tests, each with a set that holds 0.5
+_CONTAINS = {
+    "TypeSet.singleton": TypeSet.singleton(0.5).contains,
+    "TypeSet.finite": TypeSet.finite([0.25, 0.5]).contains,
+    "TypeSet.interval": TypeSet.interval(0.25, 0.75).contains,
+    "SupportInterval": support_interval(ReceiverAction.SILENCE, PeerDistanceProfile.from_dirac(0.5), 1.0).contains,
+    "SupportInterval.empty": SupportInterval(ReceiverAction.SILENCE, None, None).contains,
+}
+
+
+@pytest.mark.parametrize("front", sorted(_CONTAINS))
+@pytest.mark.parametrize(
+    "x", [None, "0.5", [0.5], True, math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
+)
+def test_a_credence_that_is_no_finite_number_is_refused_by_contains(front, x):
+    # no bare TypeError or OverflowError, and True is not taken as 1
+    contains = _CONTAINS[front]
+    assert contains(0.5) is (front != "SupportInterval.empty")
+    for outside in (2.0, -5, 10**300, np.float64(-1e300)):  # a finite number off the set answers
+        assert not contains(outside)
+    with pytest.raises(RangeViolation, match=r"^credence must be a finite number, got "):
+        contains(x)
