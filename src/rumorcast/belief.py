@@ -55,15 +55,25 @@ def is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def numbers_within(column: list[Any], lo: float, hi: float) -> bool:
-    """Whether every value in ``column`` is an exact int or float in [lo, hi],
-    both finite: ``math.isfinite`` finds a NaN, which ``min`` and ``max`` skip
-    unless it comes first, and after the range no int is too large for it."""
-    return (
-        set(map(type, column)) <= NUMBER_TYPES
+def number_types(column: list[Any], lo: float, hi: float) -> set[type] | None:
+    """The types of the values in ``column`` when every one is an exact int
+    or float in [lo, hi], both finite, else None: ``math.isfinite`` finds a
+    NaN, which ``min`` and ``max`` skip unless it comes first, and after the
+    range no int is too large for it."""
+    types = set(map(type, column))
+    if (
+        types <= NUMBER_TYPES
         and (not column or lo <= min(column) and max(column) <= hi)
         and all(map(math.isfinite, column))
-    )
+    ):
+        return types
+    return None
+
+
+def numbers_within(column: list[Any], lo: float, hi: float) -> bool:
+    """Whether every value in ``column`` is an exact int or float in [lo, hi]
+    (:func:`number_types`)."""
+    return number_types(column, lo, hi) is not None
 
 
 def check_unit(x: Any, what: str) -> float:

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
 from operator import eq, itemgetter, not_
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .belief import EPS, check_finite, check_tol, check_unit
+from .belief import EPS, UNIT_HI, UNIT_LO, check_finite, check_tol, check_unit
 from .errors import InvariantViolation
 from .receiver import (
     ReceiverAction,
@@ -132,7 +132,7 @@ class TypeSet:
         if self.values is not None:
             return any(abs(x - v) <= tol for v in self.values)
         lo, hi = self.bounds  # type: ignore[misc]
-        return lo - tol <= x <= hi + tol
+        return bool(lo - tol <= x <= hi + tol)
 
 
 def _span(v: float) -> tuple[float, float] | None:
@@ -265,27 +265,137 @@ THRESHOLDS = 6 + 7 * 3 * 2
 _ULP = 2.0**-53
 
 
-class Room(list):
-    """A room's rows in child order, as :func:`fold_room` reads them, where
-    more than :data:`THRESHOLDS` receivers have one known type each
-    (``known`` flags them, in child order).  Those form its run: their
-    peer mean is (T - θ)/k for credence θ, T the room's credence total,
-    whose floats ``parts`` sum to it exactly, and k = ``len(room)``.  The
-    run's ``ranked`` rows, ``credences`` and ``agents`` are in credence
-    order, and ``sensitivities`` reads their sensitivities, in that order,
-    off a column; ``others`` are the room's other rows, and ``slots`` has
-    every receiver, in child order."""
+def peer_mean(parts: list[float], k: int, t: float) -> float:
+    """(T - t)/k, T the exact sum of ``parts``: the peer mean of a receiver
+    of known type t in a room of k receivers whose peers' types are known,
+    ``parts`` the room's credence total, sender included.  It is correctly
+    rounded, so it falls as t rises."""
+    return math.fsum([*parts, -t]) / k
 
-    __slots__ = ("ranked", "credences", "agents", "sensitivities", "parts", "others", "slots")
 
-    def __init__(self, rows: list[Row], known: list[bool], parts: list[float]) -> None:
-        super().__init__(rows)
-        self.ranked = sorted(compress(rows, known), key=itemgetter(2))
-        self.agents, rows_of, self.credences = (list(map(itemgetter(c), self.ranked)) for c in range(3))
-        self.sensitivities = itemgetter(*rows_of)
-        self.parts = parts
-        self.others = list(compress(rows, map(not_, known)))
-        self.slots = dict.fromkeys(map(itemgetter(0), rows))
+def known_rows(
+    agents: Iterable[Agent], rows: Iterable[int], ts: Iterable[float], parts: list[float], k: int
+) -> list[Row]:
+    """The rows of receivers of one known type each, ``ts``, from their
+    peer means (:func:`peer_mean`); the first peer mean off [0, 1], in that
+    order, raises."""
+    out: list[Row] = []
+    for agent, i, t in zip(agents, rows, ts):
+        b = math.fsum([*parts, -t]) / k  # peer_mean, written out: a call per row slows small rooms by ~10%
+        if not UNIT_LO <= b <= UNIT_HI:
+            check_unit(b, "peer mean")  # raises
+        out.append((agent, i, t, t, abs(b), abs(0.5 - b), abs(1.0 - b), t))
+    return out
+
+
+class Room:
+    """A room as :func:`fold_room` reads it where more than
+    :data:`THRESHOLDS` receivers have one known type each.  Those form its
+    run, whose peer means (:func:`peer_mean`) read the room total's exact
+    ``parts`` and ``k`` = ``len(order)``.  The run is held as columns in
+    credence order, ``credences``, ``agents`` and table ``rows``, and a
+    receiver's row is built only where a fold reads it (:meth:`reader`);
+    ``sensitivities`` reads the run's sensitivities, in that order, off a
+    column.  ``others`` are the rows of the room's other receivers, and
+    ``order`` has every receiver, in child order."""
+
+    __slots__ = ("order", "k", "credences", "agents", "rows", "sensitivities", "parts", "others", "_index")
+
+    def __init__(
+        self,
+        order: Sequence[Agent],
+        agents: Sequence[Agent],
+        rows: Sequence[int],
+        credences: Sequence[float],
+        parts: list[float],
+        others: list[Row],
+    ) -> None:
+        self.order, self.k = order, len(order)
+        ranked = itemgetter(*sorted(range(len(credences)), key=credences.__getitem__))
+        self.credences, self.agents, self.rows = ranked(credences), ranked(agents), ranked(rows)
+        self.sensitivities = itemgetter(*self.rows)
+        self.parts, self.others = parts, others
+        self._index: dict[Agent, int] | None = None
+
+    @property
+    def index(self) -> dict[Agent, int]:
+        """Every receiver's credence rank in the run, -1 for the others,
+        keyed in child order; built when first read."""
+        if self._index is None:
+            self._index = dict.fromkeys(self.order, -1)
+            self._index.update(zip(self.agents, range(len(self.agents))))
+        return self._index
+
+    def __iter__(self) -> Iterator[Row]:
+        """Every receiver's row, in child order, each built as it is read."""
+        others, row = iter(self.others), self.reader(self.agents, self.rows, self.credences)
+        for rank in self.index.values():
+            yield next(others) if rank < 0 else row(rank)
+
+    def reader(self, agents: Sequence[Agent], rows: Sequence[int], ts: Sequence[float]) -> Callable[[int], Row]:
+        """The row at a position of these run columns, built when first read."""
+        built: dict[int, Row] = {}
+        parts, k = self.parts, self.k
+
+        def row(p: int) -> Row:
+            if p not in built:
+                [built[p]] = known_rows([agents[p]], [rows[p]], [ts[p]], parts, k)
+            return built[p]
+
+        return row
+
+
+class RoomMap(Mapping[Agent, Any]):
+    """A :class:`Room`'s eligible sets or actions, read-only, in child
+    order.  Each group of run receivers folded by stretches keeps its
+    credence ranks and agents, and its values as runs: each value with the
+    position where it starts, none equal to the one before it.  ``loose``
+    holds the receivers folded one by one outside the groups.  Given the
+    groups' ranks the runs are unique, so two maps of one room with the
+    same groups compare by their runs; otherwise they compare as dicts."""
+
+    __slots__ = ("room", "ranks", "agents", "runs", "loose")
+
+    def __init__(self, room: Room, ranks: list, agents: list, runs: list, loose: dict) -> None:
+        self.room, self.ranks, self.agents, self.runs, self.loose = room, ranks, agents, runs, loose
+
+    def __getitem__(self, agent: Agent):
+        if agent in self.loose:
+            return self.loose[agent]
+        r = self.room.index[agent]
+        for ranks, (starts, values) in zip(self.ranks, self.runs):
+            p = bisect_left(ranks, r)
+            if p < len(ranks) and ranks[p] == r:
+                break
+        return values[bisect_right(starts, p) - 1]
+
+    def __iter__(self) -> Iterator[Agent]:
+        return iter(self.room.order)
+
+    def __len__(self) -> int:
+        return self.room.k
+
+    def fill(self, out: dict) -> dict:
+        """``out`` with every receiver's value put in it, in child order, a
+        run at a time."""
+        out.update(self.room.index)  # the keys first, in child order
+        for agents, (starts, values) in zip(self.agents, self.runs):
+            for i, j, value in zip(starts, [*starts[1:], len(agents)], values):
+                out.update(zip(agents[i:j], repeat(value)))
+        out.update(self.loose)
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is RoomMap:
+            if other.room is self.room and other.ranks == self.ranks:
+                return other.runs == self.runs and other.loose == self.loose
+            return self.fill({}) == other.fill({})
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return self.fill({}) == dict(other.items())
+
+    def __repr__(self) -> str:
+        return repr(self.fill({}))
 
 
 def _fold_rows(rows: Iterable[Row], lams: Sequence[float], tol: float) -> tuple[dict, dict, bool, int]:
@@ -309,7 +419,7 @@ def _fold_rows(rows: Iterable[Row], lams: Sequence[float], tol: float) -> tuple[
     return eligible, actions, unique, disapprovals
 
 
-def fold_room(rows: Iterable[Row], lams: Sequence[float], tol: float) -> ChatroomEquilibrium:
+def fold_room(rows: Room | Iterable[Row], lams: Sequence[float], tol: float) -> ChatroomEquilibrium:
     """The room's equilibrium over its receivers' ``rows``, each receiver at
     her sensitivity in ``lams``: her eligible set, the action in it nearest
     her type centroid (ties to the lower action), whether every set was a
@@ -318,69 +428,93 @@ def fold_room(rows: Iterable[Row], lams: Sequence[float], tol: float) -> Chatroo
 
     A :class:`Room`'s run folds wherever more than :data:`THRESHOLDS` of
     its receivers share a sensitivity: one reaction per stretch of them who
-    react alike, and one per receiver in any other range (:func:`_segments`).
-    Every other receiver folds one by one.  The answer is the same either
-    way."""
+    react alike, and one per receiver in any other range (:func:`_segments`);
+    its sets and actions come back as :class:`RoomMap` mappings.  Every
+    other receiver folds one by one, into dicts.  The answer is the same
+    either way."""
     if type(rows) is Room:
         eligible, actions, unique, disapprovals = _fold_run(rows, lams, tol)
     else:
         eligible, actions, unique, disapprovals = _fold_rows(rows, lams, tol)
-    if len(actions) < len(eligible):  # some set was empty
+        if len(actions) < len(eligible):  # some set was empty
+            actions = None
+    if actions is None:
         return ChatroomEquilibrium(eligible, None, Multiplicity.NONE, 0)
     return ChatroomEquilibrium(
         eligible, actions, Multiplicity.UNIQUE if unique else Multiplicity.MULTIPLE, disapprovals
     )
 
 
-def _fold_run(room: Room, lams: Sequence[float], tol: float) -> tuple[dict, dict, bool, int]:
+def _put(starts: list[int], values: list, p: int, value) -> None:
+    # position p's value, after those before it, as runs
+    if not values or values[-1] != value:
+        starts.append(p)
+        values.append(value)
+
+
+def _fold_run(room: Room, lams: Sequence[float], tol: float) -> tuple[RoomMap, RoomMap | None, bool, int]:
     """:func:`_fold_rows` of a :class:`Room`: its run's receivers of each
     sensitivity shared by more than :data:`THRESHOLDS` of them range by
-    range, the rest one by one, the sets and actions in child order."""
+    range, the rest one by one; the actions are None when some set is
+    empty.  A stretch costs the rows at its ends, and no receiver in it is
+    visited."""
     values = room.sensitivities(lams)
-    run = (room.ranked, room.credences, room.agents)
-    # (λ, rows, credences, agents) per sensitivity more than THRESHOLDS share
-    groups: list[tuple[float, Sequence[Row], Sequence[float], Sequence[Agent]]] = []
+    n = len(values)
+    run = (range(n), room.agents, room.rows, room.credences)
+    # (λ, ranks, agents, rows, credences) per sensitivity more than THRESHOLDS share
+    groups: list[tuple[float, Sequence[int], Sequence[Agent], Sequence[int], Sequence[float]]] = []
     loose = room.others
-    if values.count(values[0]) == len(values):
+    if values.count(values[0]) == n:
         groups.append((values[0], *run))
     else:
-        shared = {lam for lam, n in Counter(values).items() if n > THRESHOLDS}
+        shared = {lam for lam, c in Counter(values).items() if c > THRESHOLDS}
         for lam in shared:
             mask = list(map(eq, values, repeat(lam)))
             groups.append((lam, *(list(compress(column, mask)) for column in run)))
-        loose = loose + list(compress(room.ranked, map(not_, map(shared.__contains__, values))))
+        groups.sort(key=lambda group: group[1][0])
+        apart = compress(range(n), map(not_, map(shared.__contains__, values)))
+        loose = loose + list(map(room.reader(*run[1:]), apart))
     some_eligible, some_actions, unique, disapprovals = _fold_rows(loose, lams, tol)
-    eligible, actions = room.slots.copy(), room.slots.copy()
-    for lam, rows, ts, agents in groups:
-        for i, j, is_stretch in _segments(rows, ts, lam, room.parts, len(room), tol):
+    empty = len(some_actions) < len(some_eligible)
+    eligible_runs, action_runs = [], []
+    for lam, _, agents, rows_of, ts in groups:
+        row = room.reader(agents, rows_of, ts)
+        sets: tuple[list[int], list] = ([], [])
+        acts: tuple[list[int], list] = ([], [])
+        for i, j, is_stretch in _segments(row, ts, lam, room.parts, room.k, tol):
             if not is_stretch:
-                e, a, u, n = _fold_rows(rows[i:j], lams, tol)
-                eligible.update(e)
-                actions.update(a)
-                unique, disapprovals = unique and u, disapprovals + n
+                e, a, u, d = _fold_rows(map(row, range(i, j)), lams, tol)
+                unique, disapprovals, empty = unique and u, disapprovals + d, empty or len(a) < len(e)
+                for p, value in zip(range(i, j), e.values()):
+                    _put(*sets, p, value)
+                for p, value in zip(range(i, j), a.values()):  # out of step only when some set is empty
+                    _put(*acts, p, value)
                 continue
-            _, _, t, _, d0, d05, d1, _ = rows[i]
+            _, _, t, _, d0, d05, d1, _ = row(i)
             e = react(t, lam, d0, d05, d1, tol)
-            eligible.update(zip(agents[i:j], repeat(e)))
+            _put(*sets, i, e)
             # her credence is her centroid: the action nearest it, ties to the
             # lower one, changes at the midpoints between the set's actions
-            acts = sorted(e)
-            unique = unique and len(acts) == 1
-            for a, mid in zip(acts, [(x + y) / 2.0 for x, y in zip(acts, acts[1:])] + [math.inf]):
+            ordered = sorted(e)
+            unique, empty = unique and len(ordered) == 1, empty or not ordered
+            for a, mid in zip(ordered, [(x + y) / 2.0 for x, y in zip(ordered, ordered[1:])] + [math.inf]):
                 cut = bisect_right(ts, mid, i, j)
-                actions.update(zip(agents[i:cut], repeat(a)))
-                if a is DISAPPROVE:
-                    disapprovals += cut - i
+                if cut > i:
+                    _put(*acts, i, a)
+                    if a is DISAPPROVE:
+                        disapprovals += cut - i
                 i = cut
-    eligible.update(some_eligible)
-    if len(some_actions) < len(some_eligible):  # some set was empty
-        return eligible, {}, False, 0
-    actions.update(some_actions)
-    return eligible, actions, unique, disapprovals
+        eligible_runs.append(sets)
+        action_runs.append(acts)
+    ranks, agents = [group[1] for group in groups], [group[2] for group in groups]
+    eligible = RoomMap(room, ranks, agents, eligible_runs, some_eligible)
+    if empty:
+        return eligible, None, False, 0
+    return eligible, RoomMap(room, ranks, agents, action_runs, some_actions), unique, disapprovals
 
 
 def _segments(
-    rows: Sequence[Row], ts: Sequence[float], lam: float, parts: list[float], k: int, tol: float
+    row: Callable[[int], Row], ts: Sequence[float], lam: float, parts: list[float], k: int, tol: float
 ) -> list[tuple[int, int, bool]]:
     """A run's positions ``0..len(ts)`` cut into consecutive ranges [i, j),
     each with whether it is a stretch, whose receivers all react as its
@@ -425,7 +559,7 @@ def _segments(
     def gap(p: int) -> tuple[float, float, float]:
         # f0 - f05, f05 - f1 and f0 - f1 at position p, as react rounds them
         if p not in gaps:
-            _, _, t, _, d0, d05, d1, _ = rows[p]
+            _, _, t, _, d0, d05, d1, _ = row(p)
             f0, f05, f1 = abs(t) + lam * d0, abs(0.5 - t) + lam * d05, abs(1.0 - t) + lam * d1
             gaps[p] = (f0 - f05, f05 - f1, f0 - f1)
         return gaps[p]

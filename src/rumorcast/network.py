@@ -35,7 +35,7 @@ from itertools import chain, filterfalse, groupby
 from operator import itemgetter, le
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .belief import EPS, UNIT_HI, UNIT_LO, EvidenceRelation, check_tol, check_unit, require_credence
+from .belief import EPS, UNIT_HI, UNIT_LO, EvidenceRelation, check_tol, require_credence
 from .chatroom import (
     ChatroomEquilibrium,
     ChatroomGame,  # unused here; bench/tracer.py wraps this binding by name
@@ -43,11 +43,14 @@ from .chatroom import (
     Multiplicity,
     Room,
     Row,
+    RoomMap,
     TypeSet,
     _row,
     _span,
     check_receiver_belief,
     fold_room,
+    known_rows,
+    peer_mean,
     solve_chatroom,  # unused here; bench/tracer.py wraps this binding by name
 )
 from .errors import DomainError, InvalidGraph, InvariantViolation
@@ -541,31 +544,37 @@ def _exact_parts(xs: Iterable[float]) -> list[float]:
     return parts
 
 
-def _room_peers(profiles: TreeProfiles, sender: Agent, receivers: tuple[Agent, ...]) -> list[Row]:
+def _room_peers(profiles: TreeProfiles, sender: Agent, receivers: tuple[Agent, ...]) -> Room | list[Row]:
     """``sender``'s room as :func:`fold_room` reads it, with nothing a
     sensitivity changes: per receiver her agent, table row, type hull ends,
     peer distances d0, d05, d1 and type centroid.  A receiver with an
     explicit belief gets her peer distances from it and her types from the
     table's columns, any other one her peer distances from her peer mean,
     read off the room's credence total.  A :class:`Room` when more than
-    :data:`THRESHOLDS` are of that kind: they fold as a run."""
+    :data:`THRESHOLDS` are of that kind: they fold as a run, and their rows
+    are built only where the fold reads them."""
     attrs, theta, row = profiles.attrs, profiles.theta, profiles.attrs._index
-    beliefs = list(map(profiles.receiver_belief, receivers)) if profiles.overrides else [None] * len(receivers)
-    if None in beliefs:
-        # known-type peers are the sender and the other receivers, at their credences
-        parts, k = _exact_parts([theta[sender], *(theta[r] for r in receivers)]), len(receivers)
-    rows: list[Row] = []
-    for r, belief in zip(receivers, beliefs):
-        if belief is None:
-            t = theta[r]
-            b = math.fsum([*parts, -t]) / k
-            if not UNIT_LO <= b <= UNIT_HI:
-                check_unit(b, "peer mean")  # raises
-            rows.append((r, row[r], t, t, abs(b), abs(0.5 - b), abs(1.0 - b), t))
-        else:
-            rows.append(_row(r, row[r], attrs.type_set(r), belief))
-    if beliefs.count(None) > THRESHOLDS:
-        return Room(rows, [belief is None for belief in beliefs], parts)
+    k, known, others = len(receivers), receivers, []
+    if profiles.overrides:
+        beliefs = list(map(profiles.receiver_belief, receivers))
+        if None not in beliefs:
+            return [_row(r, row[r], attrs.type_set(r), belief) for r, belief in zip(receivers, beliefs)]
+        known = [r for r, belief in zip(receivers, beliefs) if belief is None]
+        others = [
+            _row(r, row[r], attrs.type_set(r), belief) for r, belief in zip(receivers, beliefs) if belief is not None
+        ]
+    ts = list(map(theta.__getitem__, known))
+    # known-type peers are the sender and the other receivers, at their credences
+    parts = _exact_parts([theta[sender], *ts, *(theta[other[0]] for other in others)])
+    rows_of = list(map(row.__getitem__, known))
+    if len(known) > THRESHOLDS:
+        # a peer mean falls as the credence rises, so the extreme credences bound the rest
+        if UNIT_LO <= peer_mean(parts, k, max(ts)) and peer_mean(parts, k, min(ts)) <= UNIT_HI:
+            return Room(receivers, known, rows_of, ts, parts, others)
+    rows = known_rows(known, rows_of, ts, parts, k)  # names the first peer mean off the range
+    if others:  # back in child order
+        built, given = iter(rows), iter(others)
+        rows = [next(built) if belief is None else next(given) for belief in beliefs]
     return rows
 
 
@@ -609,7 +618,8 @@ def _cascades(
     _check_profiles(profiles)
     attrs = profiles.attrs
     row, ells = attrs._index, attrs.ell
-    rooms: dict[Agent, tuple[list[Row], Callable[[list[float]], Any]]] = {}  # by sender, with her sensitivities' reader
+    # by sender: her room, her receivers' sensitivities' reader and her non-terminal receivers
+    rooms: dict[Agent, tuple[Room | list[Row], Callable[[list[float]], Any], list[Agent]]] = {}
     folds: dict[Agent, tuple[Any, ChatroomEquilibrium]] = {}  # by sender: her receivers' sensitivities, and the fold
     decided: dict[tuple[Agent, bool], tuple[SenderAction, tuple[Agent, ...]]] = {}  # and her receivers
     previous: CascadeResult | None = None
@@ -617,10 +627,10 @@ def _cascades(
     def fold(sender: Agent, lams: list[float]) -> ChatroomEquilibrium:
         # a room folds again only when some receiver's sensitivity changed,
         # and keeps its last fold when the new one equals it
-        rows, sensitivities = rooms[sender]
+        room, sensitivities, _ = rooms[sender]
         key, last = sensitivities(lams), folds.get(sender)
         if last is None or last[0] != key:
-            eq = fold_room(rows, lams, tol)
+            eq = fold_room(room, lams, tol)
             last = folds[sender] = key, eq if last is None or eq != last[1] else last[1]
         return last[1]
 
@@ -657,19 +667,24 @@ def _cascades(
         while queue:
             sender, receivers = queue.popleft()
             if sender not in rooms:
-                rows = _room_peers(profiles, sender, receivers)
-                rooms[sender] = rows, itemgetter(*(r[1] for r in rows))
+                rooms[sender] = (
+                    _room_peers(profiles, sender, receivers),
+                    itemgetter(*map(row.__getitem__, receivers)),
+                    list(filterfalse(tree.is_terminal, receivers)),
+                )
             eq = room_eqs[sender] = fold(sender, lams)
             if eq.multiplicity is Multiplicity.NONE:
                 failing = sender
                 break
             if eq.multiplicity is Multiplicity.MULTIPLE:
                 multiple.append(sender)
-            assert eq.actions is not None
-            receiver_actions.update(eq.actions)
-            for agent in receivers:
-                if not tree.is_terminal(agent):
-                    decide(agent, ells[row[agent]], eq.disapprovals)
+            if type(eq.actions) is RoomMap:
+                eq.actions.fill(receiver_actions)
+            else:
+                assert eq.actions is not None
+                receiver_actions.update(eq.actions)
+            for agent in rooms[sender][2]:
+                decide(agent, ells[row[agent]], eq.disapprovals)
 
         previous = CascadeResult(
             receiver_actions=receiver_actions,

@@ -305,7 +305,7 @@ class SupportInterval:
         check_finite(theta, "credence")
         if self.empty:
             return False
-        return self.lo - tol <= theta <= self.hi + tol  # type: ignore[operator]
+        return bool(self.lo - tol <= theta <= self.hi + tol)  # type: ignore[operator]
 
 
 

@@ -24,7 +24,7 @@ from operator import is_not, itemgetter, le, not_, sub
 from typing import Any, Callable, Iterable, Mapping, NoReturn, TypeVar
 
 from .belief import EPS, EvidenceRelation, check_tol, validate_evidence
-from .belief import FLOAT_MAX, NUMBER_TYPES, UNIT_HI, UNIT_LO, is_int, is_number, numbers_within
+from .belief import FLOAT_MAX, NUMBER_TYPES, UNIT_HI, UNIT_LO, is_int, is_number, number_types, numbers_within
 from .chatroom import TypeSet
 from .errors import ParseError, RumorcastError, SchemaError
 from .network import (
@@ -431,7 +431,8 @@ def _belief_table(raw: dict[str, Any], agents: Mapping[str, AgentProfile]) -> di
     firsts = map(widths.__getitem__, [0, *ends][:-1])
     if not (min(widths) > 0 and list(chain.from_iterable(map(repeat, firsts, counts))) == widths):
         raise _Unclear
-    if not numbers_within(list(chain.from_iterable(profiles)), UNIT_LO, UNIT_HI):
+    types = number_types(list(chain.from_iterable(profiles)), UNIT_LO, UNIT_HI)
+    if types is None:
         raise _Unclear
     if not (numbers_within(weights, 0.0, FLOAT_MAX) and min(weights) > 0):
         raise _Unclear
@@ -440,7 +441,9 @@ def _belief_table(raw: dict[str, Any], agents: Mapping[str, AgentProfile]) -> di
     if not max(map(abs, map(sub, totals, repeat(1.0)))) <= WEIGHT_SUM_TOL:
         raise _Unclear
     # every value is checked: the atoms, then the beliefs on them
-    built = list(map(BeliefAtom, map(tuple, map(map, repeat(float), profiles)), weights))
+    # an int coordinate becomes a float; a float needs no call
+    coords = profiles if types == {float} else map(map, repeat(float), profiles)
+    built = list(map(BeliefAtom, map(tuple, coords), weights))
     made = map(SecondOrderBelief.checked, map(tuple, map(built.__getitem__, spans)))
     receivers, senders = ([next(made) if b is not _ABSENT else None for b in side] for side in sides)
     return dict(zip(raw, map(BeliefOverride, receivers, senders)))

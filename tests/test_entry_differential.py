@@ -591,6 +591,8 @@ _ATOMS = {"sender": {"atoms": [{"profile": [0.5], "weight": 0.5}, {"profile": [1
 # only refused by a check that another one also makes
 @_SETTINGS
 @given(file=_whole_belief_files())
+@example(file=_file(_DIRAC, _ATOMS))  # an int coordinate, in a clean file
+@example(file=_file({"receiver": {"dirac": [0, 0.5]}}))
 @example(file=_file(_DIRAC, {"receiver": {"atoms": []}}, _ATOMS))
 @example(file=_file(_DIRAC, {"receiver": {"atoms": []}}))
 @example(file=_file(_DIRAC, {"receiver": {"dirac": []}}, _ATOMS))

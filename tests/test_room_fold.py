@@ -365,8 +365,141 @@ def test_a_run_beside_an_empty_set_leaves_no_equilibrium():
         other = _empty_row("x", 1) if draw % 2 else _row(rng, "x", 1)
         rows = known[:at] + [other] + known[at:]
         lams = [float(rng.choice([0.0, 1.0, 1e300])), 0.0]
-        room = Room(rows, [row is not other for row in rows], parts)
+        room = Room([row[0] for row in rows], [row[0] for row in known], [0] * k, ts, parts, [other])
         _assert_same(fold_room(room, lams, 0.0), _former_fold(rows, lams, 0.0), draw)
+
+
+def _assert_same_map(ours, want: dict, draw) -> None:
+    # a fold's Mapping reads as the dict: equal both ways, in child order,
+    # item by item, by size, membership and repr, and filled into a dict
+    assert ours == want and want == ours and not ours != want, draw
+    assert list(ours) == list(want) and list(ours.items()) == list(want.items()), draw
+    assert list(ours.fill({}).items()) == list(want.items()), draw
+    assert len(ours) == len(want) and repr(ours) == repr(want), draw
+    assert ours != list(want.items()) and ours != None, draw  # noqa: E711  a Mapping equals only a Mapping
+    assert all(agent in ours for agent in want) and "stranger" not in ours and ours.get("stranger") is None, draw
+
+
+def test_a_room_folds_as_its_rows_built_eagerly():
+    # a Room's fold against _fold_rows on the rows its room was read into
+    # before, all built up front (_former_peers): explicit receivers, ties,
+    # sensitivities 0 to 1e300 in one group, two or none, tolerances 0,
+    # 1e-9 and 1e300.  Two folds of one room compare as their dicts do
+    rng = np.random.default_rng(3301)
+    seen: Counter = Counter()
+    for draw in range(300):
+        k = int(round(math.exp(rng.uniform(math.log(THRESHOLDS + 4), math.log(600)))))
+        explicit = int(rng.integers(1, 4)) if draw % 4 == 0 else 0
+        profiles, receivers, aim = _wide_room(rng, k, explicit)
+        rows = _folded(lambda: _former_peers(profiles, "0", receivers))
+        if isinstance(rows[0], type):  # a peer mean off the range
+            continue
+        room = network._room_peers(profiles, "0", receivers)
+        assert type(room) is Room and room.k == k and list(room) == rows, draw
+        folds = []
+        for _ in range(2):
+            lams, groups = _column(rng, k, aim)
+            if rng.random() < 0.1:  # each receiver her own sensitivity: no group
+                lams, groups = [float(x) for x in rng.uniform(0.0, 4.0, k + 1)], "no group"
+            elif rng.random() < 0.3 and folds:  # the last column, nudged
+                lams = [lam * (1.0 + 2.0**-40) for lam in folds[-1][0]]
+            tol = (0.0, 1e-9, 1e300)[int(rng.integers(0, 3))]
+            eligible, actions, unique, disapprovals = chatroom._fold_rows(rows, lams, tol)
+            eq = fold_room(room, lams, tol)
+            assert len(actions) == len(eligible) and eq.actions is not None, draw  # one type each
+            _assert_same_map(eq.eligible, eligible, draw)
+            _assert_same_map(eq.actions, actions, draw)
+            assert eq.multiplicity is (Multiplicity.UNIQUE if unique else Multiplicity.MULTIPLE), draw
+            assert eq.disapprovals == disapprovals, draw
+            folds.append((lams, eq, eligible, actions))
+            seen[groups] += 1
+            seen["multiple"] += not unique
+            seen["tol 1e300"] += tol == 1e300
+            seen["zero"] += max(lams) == 0.0
+            seen["huge"] += max(lams) >= 1e300
+        (_, first, *want1), (_, second, *want2) = folds
+        pairs = zip((first.eligible, first.actions), (second.eligible, second.actions), want1, want2)
+        for ours1, ours2, w1, w2 in pairs:
+            assert (ours1 == ours2) is (w1 == w2) and (ours1 != ours2) is (w1 != w2), draw
+            seen["equal folds" if w1 == w2 else "unequal folds"] += 1
+        seen["explicit"] += explicit > 0
+    print(seen)
+    keys = ("one group", "two groups", "no group", "multiple", "tol 1e300", "huge", "explicit", "equal folds",
+            "unequal folds")
+    assert min(seen[key] for key in keys) >= 20 and seen["zero"] >= 5, seen
+
+
+def test_a_fold_builds_rows_only_at_stretch_ends_bands_and_loose_receivers(monkeypatch):
+    # a stretch reads the rows at its two ends; a band, and a receiver
+    # whose sensitivity too few share, folds row by row
+    built: Counter = Counter()
+    cuts: list = []
+    known_rows, segments = chatroom.known_rows, chatroom._segments
+
+    def counted(*args):
+        rows = known_rows(*args)
+        built["row"] += len(rows)
+        return rows
+
+    monkeypatch.setattr(chatroom, "known_rows", counted)
+    monkeypatch.setattr(chatroom, "_segments", lambda *args: cuts.append(segments(*args)) or cuts[-1])
+    rng = np.random.default_rng(3302)
+    rows_built = receivers_folded = 0
+    for draw in range(200):
+        k = int(round(math.exp(rng.uniform(math.log(THRESHOLDS + 4), math.log(3000)))))
+        explicit = int(rng.integers(1, 4)) if draw % 4 == 0 else 0
+        profiles, receivers, aim = _wide_room(rng, k, explicit)
+        lams, _ = _column(rng, k, aim)
+        built.clear()
+        room = _folded(lambda: network._room_peers(profiles, "0", receivers))
+        if type(room) is not Room:  # a peer mean off the range
+            continue
+        assert not built, draw  # a Room is built with no row of its run
+        cuts.clear()
+        fold_room(room, lams, (0.0, 1e-9, 1e300)[draw % 3])
+        stretches = sum(is_stretch for out in cuts for _, _, is_stretch in out)
+        banded = sum(j - i for out in cuts for i, j, is_stretch in out if not is_stretch)
+        shared = Counter(map(lams.__getitem__, room.rows))
+        loose = 0 if len(shared) == 1 else sum(n for n in shared.values() if n <= THRESHOLDS)
+        assert built["row"] <= 2 * stretches + banded + loose, (draw, built, stretches, banded, loose)
+        rows_built += built["row"]
+        receivers_folded += k
+    print(rows_built, receivers_folded)
+    assert 4 * rows_built < receivers_folded, (rows_built, receivers_folded)  # most receivers get no row
+
+
+def test_a_sweep_compares_a_rooms_folds_by_their_stretches(monkeypatch):
+    # sweep_lambda keeps a room's last fold when a refold equals it, and
+    # tells so from the stretches: no receiver is looked up, and each walk
+    # fills her room's actions into the cascade's once
+    from helpers import canonical_mu
+
+    calls: Counter = Counter()
+    getitem, fill = chatroom.RoomMap.__getitem__, chatroom.RoomMap.fill
+    monkeypatch.setattr(chatroom.RoomMap, "__getitem__", lambda *args: calls.update(["lookup"]) or getitem(*args))
+    monkeypatch.setattr(chatroom.RoomMap, "fill", lambda *args: calls.update(["fill"]) or fill(*args))
+    rng, mu = np.random.default_rng(3303), canonical_mu()
+    kept = 0
+    for draw in range(20):
+        k = int(rng.integers(THRESHOLDS + 1, 800))
+        tree = OrderedTree.from_edges("0", [("0", str(j)) for j in range(1, k + 1)])
+        attrs = {"0": AgentProfile(TypeSet.singleton(0.895), 1.0)}
+        attrs.update((str(j), AgentProfile(TypeSet.singleton(round(float(x), 6)), 1.0))
+                     for j, x in zip(range(1, k + 1), rng.uniform(0.15, 0.85, k)))
+        lams = [float(rng.choice([0.0, 0.5, 1.0, 2.0, 1e300]))]
+        for _ in range(5):  # values equal to, nudged from or far from the last
+            lams.append(rng.choice([lams[-1], lams[-1] * (1.0 + 2.0**-40), float(rng.uniform(0.0, 3.0))]))
+        calls.clear()
+        results = list(network.sweep_lambda(tree, TreeProfiles(tree, attrs), mu, lams))
+        walks = len({id(result) for result in results})
+        assert calls == Counter(fill=walks), (draw, calls, walks)
+        kept += len(results) - walks
+        for lam, result in zip(lams, results):
+            at = {a: AgentProfile(p.type_set, lam) for a, p in attrs.items()}
+            want = network.solve_global(tree, TreeProfiles(tree, at), mu)
+            assert result.receiver_actions == want.receiver_actions, draw
+            assert list(result.receiver_actions) == list(want.receiver_actions), draw
+    assert kept >= 10, kept
 
 
 # ---------------------------------------------------------------------------

@@ -352,3 +352,14 @@ def test_a_credence_that_is_no_finite_number_is_refused_by_contains(front, x):
         assert not contains(outside)
     with pytest.raises(RangeViolation, match=r"^credence must be a finite number, got "):
         contains(x)
+
+
+@pytest.mark.parametrize("front", sorted(_CONTAINS))
+def test_contains_answers_a_bool_for_a_numpy_credence(front):
+    # a numpy float is a float; the answer is a bool, not a numpy.bool_
+    contains = _CONTAINS[front]
+    for x, inside in ((np.float64(0.5), front != "SupportInterval.empty"), (np.float64(2.0), False),
+                      (np.float64(-1e300), False)):
+        assert contains(x) is inside, x
+        assert contains(x, np.float64(1e-3)) is inside, x
+    assert TypeSet.interval(0.25, 0.75).contains(np.float64(2.0)) is False
